@@ -3,7 +3,9 @@
 Two flows: the alpha-scaled ascent along own-utility derivatives, and the
 social-welfare gradient flow.  States are projected onto the action box after
 every step (a no-op on interior trajectories); stage evaluations use
-box-clipped states so gains never leave the value domains.
+box-clipped states so gains never leave the value domains.  The integration
+never reads its own diagnostics (welfare, best-response gap, energy), so they
+are computed once it ends, in batches of stored states.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .game import (
     pseudo_gradient,
     sw_gradient,
     utility_profile,
-    weighted_welfare,
     weighted_welfare_gradient,
 )
 
@@ -30,6 +31,8 @@ DEFAULT_STEP = 1e-2
 DEFAULT_HORIZON = 50.0
 #: leading fraction of samples discarded by rate fits to skip transients
 FIT_DISCARD = 0.1
+#: states per batch when computing trajectory diagnostics, which bounds their memory
+DIAG_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -68,56 +71,48 @@ def _integrate(game: Game, field, x0: np.ndarray, step: float, horizon: float,
     if step <= 0 or horizon <= 0:
         raise InputError(f"need step>0 and horizon>0, got step={step}, horizon={horizon}")
     x = game.require_feasible(np.asarray(x0, dtype=float))
-
-    times, states, sws, gaps, clipped, energies = [], [], [], [], [], []
-
-    def record(t, x, was_clipped):
-        times.append(t)
-        states.append(x.copy())
-        sws.append(utility_profile(game, x)[1])
-        gaps.append(br_gap(game, x)[0])
-        clipped.append(was_clipped)
-        if energy_fn is not None:
-            energies.append(energy_fn(x))
-
-    def clipped_field(y):
-        return field(game.project(y))
-
-    record(0.0, x, False)
-    converged = bool(np.max(np.abs(field(x))) < FIELD_TOL)
+    times, states, clipped = [0.0], [x], [False]
+    # every state is already in the box, so field(x) is also the next step's k1
+    fx = field(x)
+    converged = bool(np.max(np.abs(fx)) < FIELD_TOL)
     n_steps = int(round(horizon / step))
     t = 0.0
     for _ in range(n_steps):
         if converged:
             break
-        k1 = clipped_field(x)
-        k2 = clipped_field(x + 0.5 * step * k1)
-        k3 = clipped_field(x + 0.5 * step * k2)
-        k4 = clipped_field(x + step * k3)
+        k1 = fx
+        k2 = field(game.project(x + 0.5 * step * k1))
+        k3 = field(game.project(x + 0.5 * step * k2))
+        k4 = field(game.project(x + step * k3))
         raw = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(raw)):
             raise IntegrationError(
-                f"non-finite state at t={t + step}", last_good=_finish(times, states, sws, gaps, clipped, energies, energy_fn, False)
+                f"non-finite state at t={t + step}",
+                last_good=_finish(game, times, states, clipped, energy_fn, False),
             )
-        x_new = game.project(raw)
-        was_clipped = bool(np.any(x_new != raw))
+        x = game.project(raw)
         t += step
-        x = x_new
-        record(t, x, was_clipped)
-        converged = bool(np.max(np.abs(field(x))) < FIELD_TOL)
-    return _finish(times, states, sws, gaps, clipped, energies, energy_fn, converged)
+        times.append(t)
+        states.append(x)
+        clipped.append(bool(np.any(x != raw)))
+        fx = field(x)
+        converged = bool(np.max(np.abs(fx)) < FIELD_TOL)
+    return _finish(game, times, states, clipped, energy_fn, converged)
 
 
-def _finish(times, states, sws, gaps, clipped, energies, energy_fn, converged):
-    return Trajectory(
-        times=np.asarray(times),
-        states=np.asarray(states),
-        sw=np.asarray(sws),
-        br_gaps=np.asarray(gaps),
-        clipped=np.asarray(clipped, dtype=bool),
-        energy=np.asarray(energies) if energy_fn is not None else None,
-        converged=converged,
-    )
+def _finish(game, times, states, clipped, energy_fn, converged):
+    """The trajectory, with its diagnostics computed on the stored states in row chunks."""
+    states = np.asarray(states)
+    sw, gaps = np.empty(len(states)), np.empty(len(states))
+    energy = np.empty(len(states)) if energy_fn is not None else None
+    for lo in range(0, len(states), DIAG_CHUNK):
+        rows = slice(lo, lo + DIAG_CHUNK)
+        sw[rows] = utility_profile(game, states[rows])[1]
+        gaps[rows] = br_gap(game, states[rows])[0]
+        if energy is not None:
+            energy[rows] = energy_fn(states[rows])
+    return Trajectory(times=np.asarray(times), states=states, sw=sw, br_gaps=gaps,
+                      clipped=np.asarray(clipped, dtype=bool), energy=energy, converged=converged)
 
 
 def integrate_pseudo_gradient(
@@ -145,11 +140,11 @@ def integrate_pseudo_gradient(
     energy_fn = None
     if x_star is not None:
         x_star = game.require_feasible(np.asarray(x_star, dtype=float))
-        u_star = weighted_welfare(game, alpha, x_star)
+        u_star = utility_profile(game, x_star)[0] @ alpha
         g_star = weighted_welfare_gradient(game, alpha, x_star)
 
-        def energy_fn(x):
-            return u_star - weighted_welfare(game, alpha, x) + float((x - x_star) @ g_star)
+        def energy_fn(xs):
+            return u_star - utility_profile(game, xs)[0] @ alpha + (xs - x_star) @ g_star
 
     return _integrate(game, field, x0, step, horizon, energy_fn=energy_fn)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .certificates import spectral_bounds
 from .errors import InputError
-from .game import Game, best_response, br_gap, gain_bounds, pseudo_gradient
+from .game import Game, best_response, br_gap, gain_bounds, gains, pseudo_gradient
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 50_000
@@ -82,6 +82,34 @@ def _prep(game, gamma, step_eps, x0):
     return gamma, float(step_eps), x0
 
 
+def _iterate(game, field, gamma, eps, xs, tol, max_iter, history=None):
+    """Projected steps x <- Pi_X(x + eps*gamma*field(x)) on the rows of xs, in place.
+
+    A row stops once a step moves it less than tol*eps ("converged") or is not
+    finite ("diverged"; the row keeps its last finite point).  Returns each row's
+    status, iteration count and last displacement; ``history`` collects one row's iterates.
+    """
+    field = field or (lambda y: pseudo_gradient(game, y))
+    iters = np.zeros(xs.shape[0], dtype=int)
+    residuals = np.full(xs.shape[0], np.inf)
+    active = np.arange(xs.shape[0])
+    for it in range(1, max_iter + 1):
+        if not active.size:
+            break
+        sub = xs[active]
+        stepped = game.project(sub + eps * gamma * field(sub))
+        res = np.max(np.abs(stepped - sub), axis=1)  # NaN where the step is not finite
+        ok = ~np.isnan(res)
+        xs[active[ok]] = stepped[ok]
+        if history is not None and ok.all():
+            history.append(stepped[0].copy())
+        residuals[active], iters[active] = np.where(ok, res, np.inf), it
+        active = active[res >= tol * eps]  # converged and diverged rows drop out
+    diverged = (residuals == np.inf) & (iters > 0)
+    status = np.where(residuals < tol * eps, "converged", np.where(diverged, "diverged", "max_iter"))
+    return status, iters, residuals
+
+
 def solve_ne(
     game: Game,
     gamma: np.ndarray | None = None,
@@ -96,36 +124,19 @@ def solve_ne(
 
     Stops when the iteration displacement drops below tol*step_eps.  ``field``
     overrides the driving field (used internally by the regularized path); it
-    must have the same signature as pseudo_gradient's partial application.
+    must have the same signature as pseudo_gradient's partial application and
+    is called on (1, n) batches.
     """
     if tol <= 0:
         raise InputError(f"tol must be positive, got {tol}")
     gamma, eps, x = _prep(game, gamma, step_eps, x0)
-    f = field if field is not None else (lambda y: pseudo_gradient(game, y))
     history = [x.copy()] if keep_iterates else None
-    status = "max_iter"
-    iterations = max_iter
-    residual = np.inf
-    for it in range(1, max_iter + 1):
-        x_new = game.project(x + eps * gamma * f(x))
-        if not np.all(np.isfinite(x_new)):
-            return SolveResult(
-                x_star=x, status="diverged", iterations=it,
-                final_gap=float("nan"), residual=float("inf"),
-                iterates=np.asarray(history) if history is not None else None,
-            )
-        residual = float(np.max(np.abs(x_new - x)))
-        x = x_new
-        if history is not None:
-            history.append(x.copy())
-        if residual < tol * eps:
-            status = "converged"
-            iterations = it
-            break
-    gap, _ = br_gap(game, x)
+    xs = x[None, :].copy()
+    (status,), (iterations,), (residual,) = _iterate(game, field, gamma, eps, xs, tol, max_iter, history)
+    gap = float("nan") if status == "diverged" else br_gap(game, xs[0])[0]
     return SolveResult(
-        x_star=x, status=status, iterations=iterations,
-        final_gap=gap, residual=residual,
+        x_star=xs[0], status=str(status), iterations=int(iterations),
+        final_gap=gap, residual=float(residual),
         iterates=np.asarray(history) if history is not None else None,
     )
 
@@ -155,9 +166,7 @@ def solve_regularized(
     original game.
     """
     betas = [float(b) for b in beta_schedule]
-    if not betas or any(b <= 0 for b in betas) or any(
-        b2 >= b1 for b1, b2 in zip(betas[:-1], betas[1:])
-    ):
+    if not betas or min(betas) <= 0 or any(b2 >= b1 for b1, b2 in zip(betas, betas[1:])):
         raise InputError("beta_schedule must be strictly decreasing and positive")
     gamma_v = np.ones(game.n) if gamma is None else np.asarray(gamma, dtype=float)
     x = x0
@@ -175,28 +184,14 @@ def solve_regularized(
             x0=x, field=field,
         )
         total_iters += res.iterations
-        if res.status == "diverged":
-            return SolveResult(
-                x_star=res.x_star, status="diverged", iterations=total_iters,
-                final_gap=float("nan"), residual=res.residual,
-            )
         x = res.x_star
-    gap, _ = br_gap(game, x)
+        if res.status == "diverged":
+            break
+    gap = float("nan") if res.status == "diverged" else br_gap(game, x)[0]
     return SolveResult(
         x_star=x, status=res.status, iterations=total_iters,
         final_gap=gap, residual=res.residual,
     )
-
-
-def _batch_field(game: Game, xs: np.ndarray) -> np.ndarray:
-    """Pseudo-gradient for a whole (S, n) batch of profiles at once."""
-    ks = xs @ game.w.T
-    out = np.empty_like(xs)
-    for i in range(game.n):
-        dlo, dhi = game.values[i].domain()
-        ki = np.clip(ks[:, i], dlo, dhi)
-        out[:, i] = np.asarray(game.values[i].d1(ki)) - np.asarray(game.costs[i].d1(xs[:, i]))
-    return out
 
 
 def multi_start_probe(
@@ -220,39 +215,15 @@ def multi_start_probe(
     gamma_v, eps, _ = _prep(game, gamma, step_eps, None)
     rng = np.random.default_rng(seed)
     xs = game.lower + rng.random((n_starts, game.n)) * (game.upper - game.lower)
-
-    active = np.ones(n_starts, dtype=bool)
-    iters = np.zeros(n_starts, dtype=int)
-    residuals = np.full(n_starts, np.inf)
-    for it in range(1, max_iter + 1):
-        if not np.any(active):
-            break
-        sub = xs[active]
-        stepped = sub + eps * gamma_v[None, :] * _batch_field(game, sub)
-        stepped = np.clip(stepped, game.lower, game.upper)
-        res = np.max(np.abs(stepped - sub), axis=1)
-        xs[active] = stepped
-        idx = np.nonzero(active)[0]
-        residuals[idx] = res
-        iters[idx] = it
-        done = res < tol * eps
-        bad = ~np.all(np.isfinite(stepped), axis=1)
-        active[idx[done | bad]] = False
-
+    status, iters, residuals = _iterate(game, None, gamma_v, eps, xs, tol, max_iter)
     reps: list[SolveResult] = []
-    for s in range(n_starts):
+    for s in np.nonzero(status == "converged")[0]:
         x = xs[s]
-        if not np.all(np.isfinite(x)):
-            continue
-        converged = residuals[s] < tol * eps
-        if not converged:
-            continue
         if any(np.max(np.abs(x - r.x_star)) <= cluster_tol for r in reps):
             continue
-        gap, _ = br_gap(game, x)
         reps.append(SolveResult(
             x_star=x.copy(), status="converged", iterations=int(iters[s]),
-            final_gap=gap, residual=float(residuals[s]),
+            final_gap=br_gap(game, x)[0], residual=float(residuals[s]),
         ))
     return reps
 
@@ -263,16 +234,14 @@ _FINE_DEVIATIONS = 2048
 
 def _deviation_gains(game: Game, coords: np.ndarray, devs: list[np.ndarray]) -> np.ndarray:
     """Best single-player deviation gain per profile, scanning dev grids per player."""
-    ks = coords @ game.w.T
+    ev = game.evaluator
+    ks = ev.clamp_gains(gains(game, coords))
+    u_base = ev.value(ks) - ev.cost(coords)
     best = np.full(coords.shape[0], -np.inf)
     for i in range(game.n):
-        f, c = game.values[i], game.costs[i]
-        dlo, dhi = f.domain()
-        ki = np.clip(ks[:, i], dlo, dhi)
-        u_base = np.asarray(f.value(ki)) - np.asarray(c.value(coords[:, i]))
-        k_alt = ki[:, None] + (devs[i][None, :] - coords[:, i][:, None])
-        u_alt = np.asarray(f.value(np.clip(k_alt, dlo, dhi))) - np.asarray(c.value(devs[i]))[None, :]
-        best = np.maximum(best, u_alt.max(axis=1) - u_base)
+        k_alt = ev.column(i).clamp_gains(ks[:, i, None] + (devs[i][None, :] - coords[:, i, None]))
+        u_alt = game.values[i].value(k_alt) - game.costs[i].value(devs[i])[None, :]
+        best = np.maximum(best, u_alt.max(axis=1) - u_base[:, i])
     return best
 
 
@@ -301,20 +270,11 @@ def grid_oracle(game: Game, m: int, eps: float) -> list[np.ndarray]:
     found: list[np.ndarray] = []
     for start in range(0, total, _GRID_CHUNK):
         idx = np.arange(start, min(start + _GRID_CHUNK, total))
-        coords = np.empty((idx.size, game.n))
-        rem = idx.copy()
-        for i in range(game.n - 1, -1, -1):
-            coords[:, i] = axes[i][rem % m]
-            rem //= m
-        ok = _deviation_gains(game, coords, axes) <= eps
-        if not np.any(ok):
-            continue
-        survivors = coords[ok]
+        coords = np.stack([ax[j] for ax, j in zip(axes, np.unravel_index(idx, (m,) * game.n))], axis=1)
+        survivors = coords[_deviation_gains(game, coords, axes) <= eps]
         for s0 in range(0, survivors.shape[0], 4096):
             block = survivors[s0:s0 + 4096]
-            keep = _deviation_gains(game, block, fine) <= eps
-            for row in block[keep]:
-                found.append(row.copy())
+            found.extend(block[_deviation_gains(game, block, fine) <= eps])
     return found
 
 
@@ -325,8 +285,7 @@ def backward_induction(game: Game, tol: float = 1e-12) -> np.ndarray:
     best response is unconditional; fixing it makes player n-1 unconditional,
     and so on down to player 1.
     """
-    il = np.tril_indices(game.n, k=-1)
-    if np.any(game.w[il] != 0.0):
+    if np.any(np.tril(game.w, k=-1) != 0.0):
         raise InputError("W must be upper-triangular (w_ij = 0 for i > j)")
     x = game.lower.copy()
     for i in range(game.n - 1, -1, -1):

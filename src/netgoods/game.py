@@ -1,18 +1,21 @@
 """Core model: game container, gains, utilities, welfare, gradients, best responses.
 
 Effort profiles are plain numpy vectors; a profile x is feasible when
-lower <= x <= upper componentwise.  All operations are pure and the Game is
-immutable, so everything here is safe to share across threads.
+lower <= x <= upper componentwise.  Functions documented as batched also take
+an (S, n) array of profiles, one per row.  All operations are pure and the
+Game is immutable, so everything here is safe to share across threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, InputError
-from .functions import ScalarFunction
+from .functions import (AffineReparam, LinearCost, LogValue, QuadraticClippedValue,
+                        QuadraticCost, ScalarFunction)
 
 #: slack allowed when clamping a marginally out-of-domain gain back inside
 GAIN_CLAMP_TOL = 1e-9
@@ -28,6 +31,90 @@ class GainBounds:
     k_hi: np.ndarray
     d_lo: np.ndarray
     d_hi: np.ndarray
+
+
+def _fold(spec: ScalarFunction) -> tuple[ScalarFunction, float, float]:
+    """Base family of a spec and the one (scale, shift) its AffineReparam chain composes to."""
+    scale, shift = 1.0, 0.0
+    while isinstance(spec, AffineReparam):
+        # the chain so far reads y as (y - shift)/scale; this level reads that as (. - s)/c
+        scale, shift = scale * spec.scale, shift + scale * spec.shift
+        spec = spec.inner
+    return spec, scale, shift
+
+
+class Evaluator:
+    """Values, costs and first derivatives of many players at once, players on the last axis.
+
+    Each player's AffineReparam chain folds into one (scale, shift) pair,
+    t = (y - shift)/scale, and the base families become parameter arrays: the
+    value a*t - b*t^2 up to its peak (flat beyond) or a*ln(s + t), the cost
+    0.5*q*t^2 + l*t.  Gains outside a value domain by at most GAIN_CLAMP_TOL
+    are clamped back in; a gain further out raises DomainError.
+    """
+
+    def __init__(self, cols: np.ndarray):
+        cols.setflags(write=False)  # frozen like the Game fields the parameters come from
+        self.cols = cols  # one row per parameter, one column per player
+        (self.k_lo, self.k_hi, self.v_scale, self.v_shift, self.a, self.b, self.clip, self.peak,
+         self.s, log, self.c_scale, self.c_shift, self.q, self.l) = cols
+        self.log = log > 0.0
+        self.log.setflags(write=False)
+
+    @classmethod
+    def of(cls, values, costs) -> Evaluator:
+        """The evaluator of players with these value and cost specs."""
+        rows = []
+        for value, cost in zip(values, costs):
+            (f, v_scale, v_shift), (c, c_scale, c_shift) = _fold(value), _fold(cost)
+            if not (isinstance(f, (LogValue, QuadraticClippedValue))
+                    and isinstance(c, (QuadraticCost, LinearCost))):
+                raise InputError(f"no array form for the family pair {f!r}, {c!r}")
+            log = isinstance(f, LogValue)
+            fam = (0.0, np.inf, 0.0, f.s) if log else (f.b, f.clip_point, f.a**2 / (4.0 * f.b), 1.0)
+            ql = (c.c0, 0.0) if isinstance(c, QuadraticCost) else (0.0, c.c1)
+            rows.append((*value.domain(), v_scale, v_shift, f.a, *fam, log, c_scale, c_shift, *ql))
+        return cls(np.array(rows, dtype=float).reshape(-1, 14).T.copy())
+
+    def column(self, i: int) -> Evaluator:
+        """The evaluator of player i alone, broadcasting over any trailing axis."""
+        return Evaluator(self.cols[:, i:i + 1])
+
+    def clamp_gains(self, k: np.ndarray) -> np.ndarray:
+        """Gains moved onto the value domains, or DomainError if one lies beyond GAIN_CLAMP_TOL."""
+        # cheap test first: almost always every gain is inside and nothing moves
+        if not ((k < self.k_lo).any() or (k > self.k_hi).any()):
+            return k
+        excess = np.maximum(self.k_lo - k, k - self.k_hi)
+        if (excess > GAIN_CLAMP_TOL).any():
+            raise DomainError(f"a gain lies {float(excess.max()):.3g} outside its value domain")
+        return np.minimum(np.maximum(k, self.k_lo), self.k_hi)
+
+    def _value_args(self, k):
+        # the quadratic argument t, and the log argument s + t (1 for quadratic players)
+        t = (self.clamp_gains(k) - self.v_shift) / self.v_scale
+        return t, self.s + np.where(self.log, t, 0.0)
+
+    def value(self, k: np.ndarray) -> np.ndarray:
+        """f_i(k_i)."""
+        t, z = self._value_args(k)
+        quad = np.where(t <= self.clip, self.a * t - self.b * t * t, self.peak)
+        return np.where(self.log, self.a * np.log(z), quad)
+
+    def value_d1(self, k: np.ndarray) -> np.ndarray:
+        """f_i'(k_i)."""
+        t, z = self._value_args(k)
+        quad = np.where(t <= self.clip, self.a - 2.0 * self.b * t, 0.0)
+        return np.where(self.log, self.a / z, quad) / self.v_scale
+
+    def cost(self, x: np.ndarray) -> np.ndarray:
+        """c_i(x_i)."""
+        t = (x - self.c_shift) / self.c_scale
+        return 0.5 * self.q * t * t + self.l * t
+
+    def cost_d1(self, x: np.ndarray) -> np.ndarray:
+        """c_i'(x_i)."""
+        return (self.q * ((x - self.c_shift) / self.c_scale) + self.l) / self.c_scale
 
 
 @dataclass(frozen=True)
@@ -105,26 +192,37 @@ class Game:
     def n(self) -> int:
         return self.w.shape[0]
 
+    @cached_property
+    def evaluator(self) -> Evaluator:
+        """Array form of all players' families, built on first use."""
+        return Evaluator.of(self.values, self.costs)
+
     def project(self, x: np.ndarray) -> np.ndarray:
         """Componentwise projection onto the action box."""
-        return np.clip(x, self.lower, self.upper)
+        return np.minimum(np.maximum(x, self.lower), self.upper)
 
     def require_feasible(self, x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise InputError(f"profile must have shape ({self.n},), got {x.shape}")
-        if np.any(x < self.lower - tol) or np.any(x > self.upper + tol):
-            i = int(np.argmax(np.maximum(self.lower - x, x - self.upper)))
-            raise InputError(f"infeasible profile: x[{i}]={x[i]} outside [{self.lower[i]}, {self.upper[i]}]")
-        return np.clip(x, self.lower, self.upper)
+        """The profile (batched) clipped into the box; InputError if it lies outside by > tol."""
+        x = _profiles(self, x)
+        excess = np.maximum(self.lower - x, x - self.upper)
+        worst = np.max(excess, initial=-np.inf)
+        if worst > tol:
+            at = np.unravel_index(np.argmax(excess), x.shape)
+            i = at[-1]
+            raise InputError(f"infeasible profile: x[{i}]={x[at]} outside [{self.lower[i]}, {self.upper[i]}]")
+        return x if worst <= 0.0 else self.project(x)  # clip only what lies outside
+
+
+def _profiles(game: Game, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != game.n:
+        raise InputError(f"profile must have shape ({game.n},) or (S, {game.n}), got {x.shape}")
+    return x
 
 
 def gains(game: Game, x: np.ndarray) -> np.ndarray:
-    """Gain vector k = W x."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (game.n,):
-        raise InputError(f"profile must have shape ({game.n},), got {x.shape}")
-    return game.w @ x
+    """Gain vector k = W x (batched)."""
+    return _profiles(game, x) @ game.w.T
 
 
 def gain_bounds(game: Game) -> GainBounds:
@@ -134,9 +232,7 @@ def gain_bounds(game: Game) -> GainBounds:
     negative weights the opposite one; the diagonal is excluded for the
     externality interval.
     """
-    w = np.asarray(game.w, dtype=float)
-    lower = np.asarray(game.lower, dtype=float)
-    upper = np.asarray(game.upper, dtype=float)
+    w, lower, upper = game.w, game.lower, game.upper
     pos = np.maximum(w, 0.0)
     neg = np.minimum(w, 0.0)
     k_lo = pos @ lower + neg @ upper
@@ -149,73 +245,32 @@ def gain_bounds(game: Game) -> GainBounds:
     return GainBounds(k_lo=k_lo, k_hi=k_hi, d_lo=d_lo, d_hi=d_hi)
 
 
-def _clamped_gain(spec: ScalarFunction, k: float) -> float:
-    """Clamp a gain marginally outside the value domain back in; error beyond tol."""
-    dlo, dhi = spec.domain()
-    if k < dlo:
-        if dlo - k > GAIN_CLAMP_TOL:
-            raise DomainError(f"gain {k} below value domain start {dlo}")
-        return dlo
-    if k > dhi:
-        if k - dhi > GAIN_CLAMP_TOL:
-            raise DomainError(f"gain {k} above value domain end {dhi}")
-        return dhi
-    return k
-
-
 def utility_profile(game: Game, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Per-player utilities u_i = f_i(k_i) - c_i(x_i) and their sum (social welfare)."""
+    """Per-player utilities u_i = f_i(k_i) - c_i(x_i) and their sum, social welfare (batched)."""
     x = game.require_feasible(x)
-    k = gains(game, x)
-    u = np.empty(game.n)
-    for i in range(game.n):
-        ki = _clamped_gain(game.values[i], float(k[i]))
-        u[i] = float(game.values[i].value(ki)) - float(game.costs[i].value(float(x[i])))
-    return u, float(np.sum(u))
+    u = game.evaluator.value(gains(game, x)) - game.evaluator.cost(x)
+    sw = np.sum(u, axis=-1)
+    return u, float(sw) if u.ndim == 1 else sw
 
 
 def pseudo_gradient(game: Game, x: np.ndarray) -> np.ndarray:
-    """Own-action utility derivatives (f_i'(k_i) - c_i'(x_i))_i (unit diagonal)."""
+    """Own-action utility derivatives (f_i'(k_i) - c_i'(x_i))_i (unit diagonal; batched)."""
     x = game.require_feasible(x)
-    k = gains(game, x)
-    g = np.empty(game.n)
-    for i in range(game.n):
-        ki = _clamped_gain(game.values[i], float(k[i]))
-        g[i] = float(game.values[i].d1(ki)) - float(game.costs[i].d1(float(x[i])))
-    return g
+    return game.evaluator.value_d1(gains(game, x)) - game.evaluator.cost_d1(x)
 
 
 def sw_gradient(game: Game, x: np.ndarray) -> np.ndarray:
-    """Gradient of social welfare: component j is sum_i f_i'(k_i) w_ij - c_j'(x_j)."""
+    """Gradient of social welfare: component j is sum_i f_i'(k_i) w_ij - c_j'(x_j) (batched)."""
     x = game.require_feasible(x)
-    k = gains(game, x)
-    fp = np.empty(game.n)
-    cp = np.empty(game.n)
-    for i in range(game.n):
-        ki = _clamped_gain(game.values[i], float(k[i]))
-        fp[i] = float(game.values[i].d1(ki))
-        cp[i] = float(game.costs[i].d1(float(x[i])))
-    return game.w.T @ fp - cp
-
-
-def weighted_welfare(game: Game, gamma: np.ndarray, x: np.ndarray) -> float:
-    """Weighted sum of utilities sum_i gamma_i u_i(x)."""
-    u, _ = utility_profile(game, x)
-    return float(np.dot(np.asarray(gamma, dtype=float), u))
+    return game.evaluator.value_d1(gains(game, x)) @ game.w - game.evaluator.cost_d1(x)
 
 
 def weighted_welfare_gradient(game: Game, gamma: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gradient of the gamma-weighted welfare."""
+    """Gradient of the gamma-weighted welfare (batched)."""
     gamma = np.asarray(gamma, dtype=float)
     x = game.require_feasible(x)
-    k = gains(game, x)
-    fp = np.empty(game.n)
-    cp = np.empty(game.n)
-    for i in range(game.n):
-        ki = _clamped_gain(game.values[i], float(k[i]))
-        fp[i] = gamma[i] * float(game.values[i].d1(ki))
-        cp[i] = gamma[i] * float(game.costs[i].d1(float(x[i])))
-    return game.w.T @ fp - cp
+    fp = gamma * game.evaluator.value_d1(gains(game, x))
+    return fp @ game.w - gamma * game.evaluator.cost_d1(x)
 
 
 def externality(game: Game, i: int, x: np.ndarray) -> float:
@@ -224,50 +279,47 @@ def externality(game: Game, i: int, x: np.ndarray) -> float:
     return float(game.w[i] @ x - game.w[i, i] * x[i])
 
 
-def best_response(game: Game, i: int, x: np.ndarray, tol: float = BR_TOL) -> float:
-    """Smallest maximizer of f_i(t + d_i) - c_i(t) over [lower_i, upper_i].
+def _bisect(ev: Evaluator, d: np.ndarray, lo, hi, tol: float) -> np.ndarray:
+    """Smallest maximizers of f(t + d) - c(t) over [lo, hi], bisected in lockstep.
 
-    The own-utility derivative g(t) = f_i'(t + d_i) - c_i'(t) is non-increasing
-    (concave value, convex cost), so the smallest maximizer is the left edge of
-    the set {g <= 0}, found by bisection; ties across a flat optimum resolve to
-    the smallest maximizer.
+    The own-utility derivative g(t) = f'(t + d) - c'(t) is non-increasing
+    (concave value, convex cost), so the smallest maximizer, which also breaks
+    ties across a flat optimum, is the left edge of {g <= 0}.  Each entry
+    follows the scalar bisection's steps and stops on its own.
     """
-    x = np.asarray(x, dtype=float)
-    d_i = externality(game, i, x)
-    f, c = game.values[i], game.costs[i]
-    lo, hi = float(game.lower[i]), float(game.upper[i])
 
     def slope(t):
-        return float(f.d1(_clamped_gain(f, t + d_i))) - float(c.d1(t))
+        return ev.value_d1(t + d) - ev.cost_d1(t)
 
-    if slope(lo) <= 0.0:
-        return lo
-    if slope(hi) > 0.0:
-        return hi
-    a, b = lo, hi  # slope(a) > 0 >= slope(b)
-    while b - a > tol:
+    lo, hi = np.broadcast_to(lo, d.shape), np.broadcast_to(hi, d.shape)
+    at_lo = slope(lo) <= 0.0
+    at_hi = slope(hi) > 0.0
+    a, b = lo, hi  # slope(a) > 0 >= slope(b) wherever the entry is active
+    active = ~(at_lo | at_hi)
+    while True:
         m = 0.5 * (a + b)
-        if not a < m < b:
-            break  # interval at machine resolution for this scale
-        if slope(m) <= 0.0:
-            b = m
-        else:
-            a = m
-    return 0.5 * (a + b)
+        active &= (b - a > tol) & (a < m) & (m < b)  # else: done, or at machine resolution
+        if not active.any():
+            break
+        down = slope(m) <= 0.0
+        a, b = np.where(active & ~down, m, a), np.where(active & down, m, b)
+    return np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (a + b)))
 
 
-def _own_utility(game: Game, i: int, t: float, d_i: float) -> float:
-    f, c = game.values[i], game.costs[i]
-    return float(f.value(_clamped_gain(f, t + d_i))) - float(c.value(t))
+def best_response(game: Game, i: int, x: np.ndarray, tol: float = BR_TOL) -> float:
+    """Smallest maximizer of f_i(t + d_i) - c_i(t) over [lower_i, upper_i]."""
+    d, lo, hi = np.array([externality(game, i, x)]), game.lower[i:i + 1], game.upper[i:i + 1]
+    return float(_bisect(game.evaluator.column(i), d, lo, hi, tol)[0])
 
 
 def br_gap(game: Game, x: np.ndarray) -> tuple[float, int]:
-    """Largest unilateral improvement any player can make at x, and who attains it."""
+    """Largest unilateral improvement any player can make at x, and who attains it.
+
+    For an (S, n) batch both come back as length-S arrays, one entry per row.
+    """
     x = game.require_feasible(x)
-    gaps = np.empty(game.n)
-    for i in range(game.n):
-        d_i = externality(game, i, x)
-        bi = best_response(game, i, x)
-        gaps[i] = _own_utility(game, i, bi, d_i) - _own_utility(game, i, float(x[i]), d_i)
-    worst = int(np.argmax(gaps))
-    return max(0.0, float(gaps[worst])), worst
+    ev, d = game.evaluator, gains(game, x) - np.diag(game.w) * x
+    br = _bisect(ev, d, game.lower, game.upper, BR_TOL)
+    gaps = (ev.value(br + d) - ev.cost(br)) - (ev.value(x + d) - ev.cost(x))
+    gap, worst = np.maximum(np.max(gaps, axis=-1), 0.0), np.argmax(gaps, axis=-1)
+    return (float(gap), int(worst)) if x.ndim == 1 else (gap, worst)

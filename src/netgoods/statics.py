@@ -83,10 +83,10 @@ def _interior_curvatures(game: Game, x_star: np.ndarray):
             f"x_star sits on the box boundary (margin {margin:.3g}); "
             "interior equilibrium required"
         )
-    k = gains(game, x_star)
-    fp = np.array([float(game.values[i].d1(k[i])) for i in range(game.n)])
+    k = game.evaluator.clamp_gains(gains(game, x_star))
+    fp = game.evaluator.value_d1(k)
     fpp = np.array([float(game.values[i].d2(k[i])) for i in range(game.n)])
-    cp = np.array([float(game.costs[i].d1(x_star[i])) for i in range(game.n)])
+    cp = game.evaluator.cost_d1(x_star)
     cpp = np.array([float(game.costs[i].d2(x_star[i])) for i in range(game.n)])
     warnings = []
     for i in range(game.n):

@@ -12,7 +12,7 @@ from netgoods.dynamics import (
 )
 from netgoods.errors import InputError, IntegrationError
 from netgoods.functions import QuadraticClippedValue, QuadraticCost
-from netgoods.game import Game, br_gap, sw_gradient, utility_profile
+from netgoods.game import Game, br_gap, sw_gradient, utility_profile, weighted_welfare_gradient
 
 ONES1 = np.ones(1)
 
@@ -193,3 +193,78 @@ class TestCsvExport:
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
         assert first[-1] == ""  # no energy recorded
+
+
+class TestIntegratorCore:
+    def test_four_field_evaluations_per_step(self, n1_game):
+        from netgoods.dynamics import _integrate
+        from netgoods.game import pseudo_gradient
+
+        calls = []
+
+        def field(x):
+            calls.append(x)
+            return pseudo_gradient(n1_game, x)
+
+        traj = _integrate(n1_game, field, np.zeros(1), step=0.01, horizon=0.5)
+        steps = traj.times.size - 1
+        assert steps == 50
+        assert len(calls) == 1 + 4 * steps
+
+    def test_states_bitwise_equal_to_five_evaluation_rk4(self):
+        # reference: classical RK4 that re-evaluates k1 at the start of every step
+        from conftest import random_small_interaction_game
+        from netgoods.dynamics import FIELD_TOL, _integrate
+        from netgoods.game import pseudo_gradient
+
+        g = random_small_interaction_game(np.random.default_rng(3), n=5)
+
+        def field(x):
+            return pseudo_gradient(g, x)
+
+        step, x = 0.05, g.lower.copy()
+        ref = [x]
+        for _ in range(40):
+            k1 = field(g.project(x))
+            k2 = field(g.project(x + 0.5 * step * k1))
+            k3 = field(g.project(x + 0.5 * step * k2))
+            k4 = field(g.project(x + step * k3))
+            x = g.project(x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+            ref.append(x)
+            if np.max(np.abs(field(x))) < FIELD_TOL:
+                break
+        traj = _integrate(g, field, g.lower, step=step, horizon=step * 40)
+        assert np.array_equal(traj.states, np.asarray(ref))
+
+    def test_batched_diagnostics_match_per_state_across_chunks(self, monkeypatch):
+        import netgoods.dynamics as dyn
+        from conftest import random_small_interaction_game
+        from netgoods.equilibrium import solve_ne
+
+        monkeypatch.setattr(dyn, "DIAG_CHUNK", 7)  # 31 states: four full chunks and a partial one
+        g = random_small_interaction_game(np.random.default_rng(9), n=6)
+        alpha = np.linspace(0.5, 1.5, 6)
+        x_star = solve_ne(g).x_star
+        traj = integrate_pseudo_gradient(g, alpha, g.upper, step=0.05, horizon=1.5, x_star=x_star)
+        assert traj.times.size == 31
+        u_star = float(utility_profile(g, x_star)[0] @ alpha)
+        grad_star = weighted_welfare_gradient(g, alpha, x_star)
+        for k, x in enumerate(traj.states):
+            u, sw = utility_profile(g, x)
+            assert traj.sw[k] == pytest.approx(sw, abs=1e-13)
+            assert traj.br_gaps[k] == pytest.approx(br_gap(g, x)[0], abs=1e-13)
+            energy = u_star - float(u @ alpha) + float((x - x_star) @ grad_star)
+            assert traj.energy[k] == pytest.approx(energy, abs=1e-13)
+
+    def test_last_good_carries_diagnostics(self, n1_game):
+        from netgoods.dynamics import _integrate
+
+        def field(x):
+            return np.array([np.nan]) if x[0] > 0.5 else np.array([1.0])
+
+        with pytest.raises(IntegrationError) as exc:
+            _integrate(n1_game, field, np.zeros(1), step=0.1, horizon=5.0)
+        good = exc.value.last_good
+        assert good.sw.shape == good.br_gaps.shape == good.times.shape
+        for k, x in enumerate(good.states):
+            assert good.sw[k] == utility_profile(n1_game, x)[1]

@@ -61,6 +61,19 @@ class TestSolveNe:
             d = np.max(np.abs(res.iterates - res.x_star[None, :]), axis=1)
             assert np.all(np.diff(d) <= 1e-12)
 
+    def test_diverged_keeps_last_finite_point(self, n1_game):
+        calls = []
+
+        def field(y):
+            calls.append(y.shape)
+            return np.full_like(y, np.nan if len(calls) == 4 else 0.1)
+
+        res = solve_ne(n1_game, x0=np.zeros(1), step_eps=0.1, keep_iterates=True, field=field)
+        assert res.status == "diverged" and res.iterations == 4
+        assert np.isnan(res.final_gap) and res.residual == np.inf
+        assert np.allclose(res.x_star, [0.03]) and res.iterates.shape == (4, 1)
+        assert set(calls) == {(1, 1)}  # the field sees (1, n) batches
+
     def test_default_step_in_declared_range(self, fig1a_game):
         eps = default_step_eps(fig1a_game, np.ones(4))
         assert 1e-4 <= eps <= 1e-1
@@ -196,6 +209,16 @@ class TestMultiStart:
             seen += 1
             reps = multi_start_probe(g, n_starts=20, seed=11, cluster_tol=1e-5)
             assert len(reps) == 1
+
+    def test_clusters_are_single_start_solves(self, fig1a_game):
+        reps = multi_start_probe(fig1a_game, n_starts=12, seed=5)
+        rng = np.random.default_rng(5)
+        starts = fig1a_game.lower + rng.random((12, 4)) * (fig1a_game.upper - fig1a_game.lower)
+        solo = [solve_ne(fig1a_game, x0=x0) for x0 in starts]
+        for r in reps:
+            match = [s for s in solo if np.max(np.abs(s.x_star - r.x_star)) < 1e-9]
+            assert match and match[0].status == "converged"
+            assert abs(match[0].iterations - r.iterations) <= 1
 
     def test_deterministic(self, fig1a_game):
         a = multi_start_probe(fig1a_game, n_starts=12, seed=5)

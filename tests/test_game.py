@@ -1,12 +1,23 @@
 import numpy as np
 import pytest
 
-from netgoods.errors import InputError
-from netgoods.functions import LogValue, QuadraticClippedValue, QuadraticCost
+from netgoods.errors import DomainError, InputError
+from netgoods.functions import (
+    AffineReparam,
+    LinearCost,
+    LogValue,
+    QuadraticClippedValue,
+    QuadraticCost,
+)
 from netgoods.game import (
+    BR_TOL,
+    GAIN_CLAMP_TOL,
+    Evaluator,
     Game,
+    _bisect,
     best_response,
     br_gap,
+    externality,
     gain_bounds,
     gains,
     pseudo_gradient,
@@ -189,8 +200,6 @@ class TestSwGradient:
 
 def grid_argmax_br(game, i, x, m=200_001):
     """Independent best-response oracle: dense scan of own utility."""
-    from netgoods.game import externality
-
     d = externality(game, i, x)
     t = np.linspace(game.lower[i], game.upper[i], m)
     f, c = game.values[i], game.costs[i]
@@ -250,3 +259,178 @@ class TestBrGap:
         for _ in range(25):
             gap, _ = br_gap(fig1a_game, rng.uniform(0, 1, 4))
             assert gap >= 0.0
+
+
+# --- batched player layer ------------------------------------------------------
+
+BASE_VALUES = (QuadraticClippedValue(a=3.0, b=1.0), LogValue(a=2.0, s=1.5))
+BASE_COSTS = (QuadraticCost(c0=1.5), LinearCost(c1=0.7))
+
+
+def nest(spec, depth, rng):
+    for _ in range(depth):
+        spec = AffineReparam(inner=spec, scale=float(rng.uniform(0.3, 3.0)),
+                             shift=float(rng.uniform(-1.0, 1.0)))
+    return spec
+
+
+def inside(spec, rng, size):
+    """Points inside a spec's domain, spanning both sides of any kink."""
+    lo, hi = spec.domain()
+    kinks = spec.kinks()
+    centre = kinks[0] if kinks else (lo + 1.0 if np.isfinite(lo) else 0.0)
+    pts = centre + rng.uniform(-2.0, 2.0, size)
+    return np.maximum(pts, lo + 1e-3) if np.isfinite(lo) else pts
+
+
+class TestEvaluator:
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_matches_scalar_specs_for_every_family(self, depth):
+        rng = np.random.default_rng(100 + depth)
+        values = [nest(BASE_VALUES[i % 2], depth, rng) for i in range(8)]
+        costs = [nest(BASE_COSTS[(i // 2) % 2], depth, rng) for i in range(8)]
+        ev = Evaluator.of(values, costs)
+        k = np.stack([inside(v, rng, 50) for v in values], axis=1)
+        x = np.stack([inside(c, rng, 50) for c in costs], axis=1)
+        want = {
+            "value": np.stack([v.value(k[:, i]) for i, v in enumerate(values)], axis=1),
+            "value_d1": np.stack([v.d1(k[:, i]) for i, v in enumerate(values)], axis=1),
+            "cost": np.stack([c.value(x[:, i]) for i, c in enumerate(costs)], axis=1),
+            "cost_d1": np.stack([c.d1(x[:, i]) for i, c in enumerate(costs)], axis=1),
+        }
+        for name, ref in want.items():
+            arg = k if name.startswith("value") else x
+            got = getattr(ev, name)(arg)  # (S, n) batch
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(getattr(ev, name)(arg[3]), ref[3], rtol=1e-13, atol=1e-13)
+            for i in (0, 1, 5):  # per-player column view on its own trailing axis
+                np.testing.assert_allclose(getattr(ev.column(i), name)(arg[:, i]), ref[:, i],
+                                           rtol=1e-13, atol=1e-13)
+
+    def test_same_bits_without_reparameterization(self):
+        rng = np.random.default_rng(7)
+        values = [BASE_VALUES[i % 2] for i in range(4)]
+        costs = [BASE_COSTS[(i // 2) % 2] for i in range(4)]
+        ev = Evaluator.of(values, costs)
+        k = np.stack([inside(v, rng, 30) for v in values], axis=1)
+        x = np.abs(rng.normal(size=(30, 4)))
+        for i in range(4):
+            assert np.array_equal(ev.value_d1(k)[:, i], values[i].d1(k[:, i]))
+            assert np.array_equal(ev.value(k)[:, i], values[i].value(k[:, i]))
+            assert np.array_equal(ev.cost(x)[:, i], costs[i].value(x[:, i]))
+            assert np.array_equal(ev.cost_d1(x)[:, i], costs[i].d1(x[:, i]))
+
+    def test_gain_clamped_within_tolerance_and_rejected_beyond(self):
+        f = AffineReparam(inner=LogValue(a=1.0, s=1.0), scale=2.0, shift=0.5)
+        ev = Evaluator.of([QUAD, f], [COST, COST])
+        edge = f.domain()[0]
+        near = np.array([0.3, edge - 0.5 * GAIN_CLAMP_TOL])
+        assert ev.clamp_gains(near)[1] == edge
+        far = np.array([0.3, edge - 2.0 * GAIN_CLAMP_TOL])
+        batch = np.stack([near, near, far])
+        for call in (ev.value, ev.value_d1):
+            with pytest.raises(DomainError):
+                call(far)  # single profile
+            with pytest.raises(DomainError):
+                call(batch)  # (S, n) batch
+            with pytest.raises(DomainError):
+                ev.column(1).value(batch[:, 1:])
+
+    def test_deviation_scan_rejects_unreachable_gains(self):
+        from netgoods.equilibrium import _deviation_gains
+
+        w = np.array([[1.0, -1.0], [0.0, 1.0]])
+        g = Game(w=w, lower=np.zeros(2), upper=np.ones(2),
+                 values=(LogValue(a=1.0, s=1.0 + 1e-12), QUAD), costs=(COST, COST))
+        devs = [np.linspace(0.0, 1.0, 5)] * 2
+        _deviation_gains(g, np.array([[0.5, 1.0]]), devs)  # reachable: fine
+        with pytest.raises(DomainError):
+            _deviation_gains(g, np.array([[0.0, 1.5]]), devs)  # gain -1.5, beyond the domain
+        with pytest.raises(DomainError):
+            best_response(g, 0, np.array([0.0, 1.5]))
+
+    def test_built_lazily_once(self):
+        g = make_game(np.eye(2), 0, 1)
+        assert "evaluator" not in vars(g)
+        assert g.evaluator is g.evaluator
+
+    def test_parameters_read_only(self):
+        ev = make_game(np.eye(2), 0, 1).evaluator
+        for arr in (ev.cols, ev.a, ev.q, ev.log, ev.column(1).cols, ev.column(1).k_hi):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
+class TestRequireFeasible:
+    def test_batch_kept_clipped_or_rejected(self):
+        g = make_game(np.eye(2), 0, 1)
+        inside = np.array([[0.0, 1.0], [0.25, 0.5]])
+        assert np.array_equal(g.require_feasible(inside), inside)
+        near = inside + np.array([[-0.5e-9, 0.5e-9], [0.0, 0.0]])
+        assert np.array_equal(g.require_feasible(near), inside)
+        with pytest.raises(InputError, match=r"x\[1\]"):
+            g.require_feasible(inside + np.array([[0.0, 0.0], [0.0, 0.6]]))
+        assert g.require_feasible(np.empty((0, 2))).shape == (0, 2)
+
+
+def scalar_best_response(game, i, x, tol=BR_TOL):
+    """Reference: one player's bisection on the scalar spec oracles."""
+    d = externality(game, i, x)
+    f, c = game.values[i], game.costs[i]
+    dlo, dhi = f.domain()
+
+    def slope(t):
+        return float(f.d1(min(max(t + d, dlo), dhi))) - float(c.d1(t))
+
+    lo, hi = float(game.lower[i]), float(game.upper[i])
+    if slope(lo) <= 0.0:
+        return lo
+    if slope(hi) > 0.0:
+        return hi
+    a, b = lo, hi
+    while b - a > tol:
+        m = 0.5 * (a + b)
+        if not a < m < b:
+            break
+        if slope(m) <= 0.0:
+            b = m
+        else:
+            a = m
+    return 0.5 * (a + b)
+
+
+class TestLockstepBestResponses:
+    def test_match_scalar_bisection(self):
+        from conftest import random_small_interaction_game
+
+        rng = np.random.default_rng(61)
+        for _ in range(10):
+            g = random_small_interaction_game(rng, n=6)
+            xs = rng.uniform(g.lower, g.upper, size=(9, g.n))
+            d = xs @ g.w.T - np.diag(g.w) * xs
+            batch = _bisect(g.evaluator, d, g.lower, g.upper, BR_TOL)
+            for s in range(xs.shape[0]):
+                for i in range(g.n):
+                    ref = scalar_best_response(g, i, xs[s])
+                    assert abs(batch[s, i] - ref) <= BR_TOL
+                    assert abs(best_response(g, i, xs[s]) - ref) <= BR_TOL
+
+    def test_flat_optimum_tie_break_fig1a(self, fig1a_game):
+        # players 2 and 3 face a gain already at the value peak: the whole
+        # box is optimal for them and the smallest maximizer, 0, must win
+        x = np.array([1.0, 1.0, 0.5, 0.0])
+        d = fig1a_game.w @ x - x
+        got = _bisect(fig1a_game.evaluator, d, fig1a_game.lower, fig1a_game.upper, BR_TOL)
+        ref = [scalar_best_response(fig1a_game, i, x) for i in range(4)]
+        assert got[2] == got[3] == ref[2] == ref[3] == 0.0
+        assert np.all(np.abs(got - ref) <= BR_TOL)
+
+    def test_batched_br_gap_matches_rows(self, fig1a_game):
+        rng = np.random.default_rng(71)
+        xs = rng.uniform(0, 1, size=(25, 4))
+        gaps, worst = br_gap(fig1a_game, xs)
+        assert gaps.shape == worst.shape == (25,)
+        for s in range(25):
+            gap, who = br_gap(fig1a_game, xs[s])
+            assert gaps[s] == pytest.approx(gap, abs=1e-13)
+            assert worst[s] == who
