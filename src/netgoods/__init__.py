@@ -20,7 +20,6 @@ from .certificates import (
     cert_near_potential,
     cert_near_symmetric,
     certify_any,
-    jacobi_eigenvalues,
     spectral_bounds,
 )
 from .dynamics import (
@@ -141,7 +140,6 @@ __all__ = [
     "grid_oracle",
     "integrate_pseudo_gradient",
     "integrate_sw_flow",
-    "jacobi_eigenvalues",
     "load_game",
     "map_profile",
     "monte_carlo_case1",

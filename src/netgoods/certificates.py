@@ -11,19 +11,19 @@ nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .equivalence import EquivalenceMap, transform_game
-from .errors import ConvergenceError, InputError
+from .errors import InputError
 from .functions import ScalarFunction, closeness_sigma
 from .game import Game, gain_bounds
 
-POWER_TOL = 1e-10
-POWER_MAX_ITER = 10_000
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
+#: float64 unit roundoff
+UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
+#: the constant c of the spectral rounding slack c * n * u * ||M||_F
+SLACK_C = 8.0
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,14 @@ class CertificateReport:
     """Outcome of one uniqueness check.
 
     ``threshold`` is the curvature side of the theorem's inequality and
-    ``margin`` the amount by which it beats the spectral side; the verdict is
-    "pass" exactly when the strict inequality holds.  ``details`` carries the
-    per-player constants for audit; ``transform`` names the equivalence map the
-    certificate was evaluated under, if any.
+    ``margin`` the amount by which it beats the spectral side.  The spectral
+    quantities are rounding-safe bounds (``sigma_max`` from above, an
+    eigenvalue threshold from below), and ``slack`` is how much their
+    widening lowered the margin; the verdict is "pass" exactly when that
+    margin is positive.  ``details`` carries the per-player constants for
+    audit; ``transform`` names the equivalence map the certificate was
+    evaluated under, if any; ``attempts`` lists, for ``certify_any``, every
+    certificate it tried.
     """
 
     theorem: str
@@ -47,112 +51,59 @@ class CertificateReport:
     notes: tuple[str, ...] = ()
     details: dict = field(default_factory=dict)
     transform: str | None = None
+    slack: float = 0.0
+    attempts: tuple[dict, ...] = ()
 
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
 
 
-def _off_norm(a: np.ndarray) -> float:
-    """Frobenius norm of the off-diagonal part, summed directly (no cancellation)."""
-    b = a.copy()
-    np.fill_diagonal(b, 0.0)
-    return float(np.linalg.norm(b))
+def _slack(m: np.ndarray) -> np.ndarray:
+    """Rounding slack c * n * u * ||M||_F of each matrix of an (..., n, n) stack.
+
+    LAPACK's SVD and symmetric eigen-solvers are backward stable: the values
+    they return are exact for some M + E with ||E||_2 <= p(n) u ||M||_2, p(n)
+    a modest multiple of n, so by Weyl's theorem each returned value lies
+    within ||E||_2 of the true one.  ``SLACK_C`` * n covers p(n), the rounding
+    of the certificate matrices' own non-negative sums and products (at most
+    (n + 2) u ||M||_2 entrywise-relative error), and the rounding of adding the
+    slack; ||M||_2 <= ||M||_F.  Entries are assumed far from underflow.
+    """
+    return SLACK_C * m.shape[-1] * UNIT_ROUNDOFF * np.linalg.norm(m, axis=(-2, -1))
 
 
-def jacobi_eigenvalues(
-    m: np.ndarray, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS
-) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations, ascending."""
-    a = np.array(m, dtype=float)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape != (n, n):
-        raise InputError(f"need a square matrix, got shape {a.shape}")
-    if np.max(np.abs(a - a.T)) > 1e-12 * max(1.0, np.max(np.abs(a))):
-        raise InputError("matrix is not symmetric")
-    a = 0.5 * (a + a.T)
-    if n == 1:
-        return np.diag(a).copy()
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return np.zeros(n)
-    for _ in range(max_sweeps):
-        if _off_norm(a) <= tol * scale:
-            return np.sort(np.diag(a))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 0.1 * tol * scale / n:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                ap = a[p, :].copy()
-                aq = a[q, :].copy()
-                a[p, :] = c * ap - s * aq
-                a[q, :] = s * ap + c * aq
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = c * ap - s * aq
-                a[:, q] = s * ap + c * aq
-    off = _off_norm(a)
-    if off <= 1e3 * tol * scale:
-        return np.sort(np.diag(a))
-    raise ConvergenceError(f"Jacobi sweeps exceeded {max_sweeps} (off-norm {off:g})")
+def _sigma_bound(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(upper bound on sigma_max, its slack) for each matrix of an (..., n, n) stack."""
+    slack = _slack(m)
+    return np.linalg.svd(m, compute_uv=False)[..., 0] + slack, slack
 
 
-def _power_iteration(b: np.ndarray, v: np.ndarray, tol: float) -> float:
-    """Largest eigenvalue of symmetric PSD b from start v; -1 on stagnation."""
-    lam = 0.0
-    for _ in range(POWER_MAX_ITER):
-        w = b @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        lam_new = float(v @ (b @ v))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new
-        lam = lam_new
-    return -1.0
+def _eig_bounds(m: np.ndarray) -> tuple[float, float, float]:
+    """(lower bound on lambda_min, upper bound on lambda_max, slack) of m's symmetric part."""
+    eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
+    slack = float(_slack(m))
+    return float(eigs[0]) - slack, float(eigs[-1]) + slack, slack
 
 
-def spectral_bounds(
-    m: np.ndarray, tol: float = POWER_TOL
-) -> tuple[float, tuple[float, float] | None]:
-    """(sigma_max, (min_eig, max_eig) when symmetric, else None).
+def spectral_bounds(m: np.ndarray) -> tuple[float, tuple[float, float] | None]:
+    """(sigma_max, (min_eig, max_eig) when symmetric, else None), each widened to a bound.
 
-    sigma_max comes from power iteration on M^T M with a deterministic
-    all-ones start; a deterministic ramp restart (and finally Jacobi) covers
-    the measure-zero case of a start orthogonal to the top singular space.
+    sigma_max is LAPACK's largest singular value plus the rounding slack of
+    ``_slack``, so under the backward-error bound that slack rests on it never
+    falls short of the true value; the extreme eigenvalues come from
+    ``eigvalsh`` widened outward by the same slack.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"need a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InputError("matrix has non-finite entries")
-    n = m.shape[0]
-    b = m.T @ m
-    # any column or row 2-norm is a valid lower bound on sigma_max
-    floor = max(
-        float(np.max(np.sqrt(np.sum(m * m, axis=0)))),
-        float(np.max(np.sqrt(np.sum(m * m, axis=1)))),
-    )
-    lam = _power_iteration(b, np.ones(n) / math.sqrt(n), tol)
-    sigma = math.sqrt(max(lam, 0.0))
-    if lam < 0 or sigma < floor * (1.0 - 1e-8):
-        ramp = np.linspace(1.0, 2.0, n)
-        lam = _power_iteration(b, ramp / float(np.linalg.norm(ramp)), tol)
-        sigma = math.sqrt(max(lam, 0.0))
-    if lam < 0 or sigma < floor * (1.0 - 1e-8):
-        sigma = math.sqrt(max(0.0, float(jacobi_eigenvalues(b)[-1])))
-
+    sigma, _ = _sigma_bound(m)
     sym_eigs = None
     if np.max(np.abs(m - m.T)) <= 1e-12 * max(1.0, float(np.max(np.abs(m)))):
-        eigs = jacobi_eigenvalues(m)
-        sym_eigs = (float(eigs[0]), float(eigs[-1]))
-    return sigma, sym_eigs
+        sym_eigs = _eig_bounds(m)[:2]
+    return float(sigma), sym_eigs
 
 
 def _default_gamma(game: Game, gamma) -> np.ndarray:
@@ -196,10 +147,11 @@ def cert_near_individual(game: Game, gamma: np.ndarray | None = None) -> Certifi
     l0 = float(np.max(l_ones))
 
     abs_w = np.abs(game.w)
-    sigma = abs_w.T @ (gamma[:, None] * abs_w) - gamma[:, None] * abs_w
-    sigma = np.maximum(sigma, 0.0)  # roundoff guard; entries are sums of products
-    s_max, _ = spectral_bounds(sigma)
-    margin = c - l0 * s_max
+    off = abs_w.copy()
+    np.fill_diagonal(off, 0.0)
+    sigma = off.T @ (gamma[:, None] * abs_w)  # k = i dropped by the zero diagonal
+    s_max, slack = _sigma_bound(sigma)
+    margin = c - l0 * float(s_max)
     notes = _kink_caveats(game, gb)
     if c == 0.0:
         notes = notes + ("zero modulus: no strong concavity available",)
@@ -207,12 +159,13 @@ def cert_near_individual(game: Game, gamma: np.ndarray | None = None) -> Certifi
         theorem="near_individual",
         gamma=gamma,
         matrix=sigma,
-        sigma_max=s_max,
+        sigma_max=float(s_max),
         threshold=c,
         margin=margin,
         verdict="pass" if (c > 0 and margin > 0) else "fail",
         notes=notes,
         details={"c": c, "l0": l0, "per_player_c": per_c.tolist()},
+        slack=l0 * float(slack),
     )
 
 
@@ -284,20 +237,21 @@ def cert_near_potential(
             )
 
     b = sigmas[:, None] * np.abs(game.w) + c1 * dev + c2 * s_row[:, None]
-    s_max, _ = spectral_bounds(b)
-    margin = c - s_max
+    s_max, slack = _sigma_bound(b)
+    margin = c - float(s_max)
     if c == 0.0:
         notes.append("zero modulus: no strong concavity available")
     return CertificateReport(
         theorem="near_potential",
         gamma=gamma,
         matrix=b,
-        sigma_max=s_max,
+        sigma_max=float(s_max),
         threshold=c,
         margin=margin,
         verdict="pass" if (c > 0 and margin > 0) else "fail",
         notes=tuple(notes),
         details={"c": c, "c1": c1, "c2": c2, "sigma_i": sigmas.tolist()},
+        slack=float(slack),
     )
 
 
@@ -307,7 +261,8 @@ def cert_near_symmetric(game: Game, w0: np.ndarray) -> CertificateReport:
     Off-diagonal sigma_ij = 2 L_i |w_ij| / C_i + |w0_ij - w_ij| with zero
     diagonal, where L_i is the Lipschitz constant of c_i' and C_i the value
     modulus over the part of the gain interval where f_i still climbs (the
-    only region an optimal gain can occupy).
+    only region an optimal gain can occupy).  sigma_min(W0) is W0's smallest
+    eigenvalue, bounded from below; W0 is taken as its symmetric part.
     """
     w0 = np.asarray(w0, dtype=float)
     if w0.shape != game.w.shape:
@@ -318,8 +273,8 @@ def cert_near_symmetric(game: Game, w0: np.ndarray) -> CertificateReport:
     if np.max(np.abs(np.diag(w0) - 1.0)) > 1e-12:
         raise InputError("W0 must have unit diagonal")
 
-    eigs = jacobi_eigenvalues(w0)
-    sigma_0 = float(eigs[0])
+    w0 = 0.5 * (w0 + w0.T)
+    sigma_0, _, slack_0 = _eig_bounds(w0)
     gb = gain_bounds(game)
     notes = list(_kink_caveats(game, gb))
 
@@ -333,35 +288,32 @@ def cert_near_symmetric(game: Game, w0: np.ndarray) -> CertificateReport:
     )
 
     details = {"sigma_0": sigma_0, "l_costs": l_costs.tolist(), "c_values": c_vals.tolist()}
-    if sigma_0 <= 0.0:
-        notes.append("W0 is not positive definite")
-        return CertificateReport(
-            theorem="near_symmetric", gamma=gamma, matrix=np.abs(w0 - game.w),
-            sigma_max=math.inf, threshold=sigma_0, margin=-math.inf,
-            verdict="fail", notes=tuple(notes), details=details,
+    if sigma_0 <= 0.0 or np.any(c_vals <= 0.0):
+        notes.append(
+            "W0 is not positive definite beyond the rounding slack" if sigma_0 <= 0.0
+            else "zero modulus: some value has no curvature over its optimal-gain range"
         )
-    if np.any(c_vals <= 0.0):
-        notes.append("zero modulus: some value has no curvature over its optimal-gain range")
         return CertificateReport(
             theorem="near_symmetric", gamma=gamma, matrix=np.abs(w0 - game.w),
             sigma_max=math.inf, threshold=sigma_0, margin=-math.inf,
-            verdict="fail", notes=tuple(notes), details=details,
+            verdict="fail", notes=tuple(notes), details=details, slack=slack_0,
         )
 
     sigma = (2.0 * l_costs / c_vals)[:, None] * np.abs(game.w) + np.abs(w0 - game.w)
     np.fill_diagonal(sigma, 0.0)
-    s_max, _ = spectral_bounds(sigma)
-    margin = sigma_0 - s_max
+    s_max, slack = _sigma_bound(sigma)
+    margin = sigma_0 - float(s_max)
     return CertificateReport(
         theorem="near_symmetric",
         gamma=gamma,
         matrix=sigma,
-        sigma_max=s_max,
+        sigma_max=float(s_max),
         threshold=sigma_0,
         margin=margin,
         verdict="pass" if margin > 0 else "fail",
         notes=tuple(notes),
         details=details,
+        slack=slack_0 + float(slack),
     )
 
 
@@ -386,7 +338,8 @@ def certify_any(
     equivalence-transformed variant (a pass there certifies the original via
     NE transport); returns the report with the largest margin, or the
     least-negative one when everything fails.  Provenance lands in
-    ``transform``.
+    ``transform``; every certificate tried, with its verdict and margin or
+    the reason it was inapplicable, lands in ``attempts``.
     """
     gamma = _default_gamma(game, gamma)
     candidates: list[tuple[str, Game]] = [("identity", game)]
@@ -394,36 +347,33 @@ def certify_any(
         candidates.append((f"map[{idx}] d={np.round(emap.d, 6).tolist()}", transform_game(game, emap)))
 
     reports: list[CertificateReport] = []
-    for label, g in candidates:
+    attempts: list[dict] = []
+
+    def attempt(theorem: str, label: str, run) -> None:
         try:
-            reports.append(_with_transform(cert_near_individual(g, gamma), label))
-        except InputError:
-            pass
+            rep = replace(run(), transform=label)
+        except InputError as exc:
+            attempts.append({"theorem": theorem, "transform": label, "verdict": "inapplicable",
+                             "margin": None, "reason": str(exc)})
+            return
+        reports.append(rep)
+        # a certificate that cannot be evaluated reports margin -inf, its reason last in notes
+        attempts.append({"theorem": theorem, "transform": label, "verdict": rep.verdict,
+                         "margin": _json_num(rep.margin),
+                         "reason": None if math.isfinite(rep.margin) else rep.notes[-1]})
+
+    for label, g in candidates:
+        attempt("near_individual", label, lambda: cert_near_individual(g, gamma))
         fc = f_common
         if fc is None and all(v == g.values[0] for v in g.values):
             fc = g.values[0]
         if fc is not None:
-            try:
-                reports.append(_with_transform(cert_near_potential(g, fc, gamma), label))
-            except InputError:
-                pass
+            attempt("near_potential", label, lambda: cert_near_potential(g, fc, gamma))
         for w0 in (w0_candidates if w0_candidates is not None else _sym_candidates(g)):
-            try:
-                reports.append(_with_transform(cert_near_symmetric(g, w0), label))
-            except InputError:
-                pass
+            attempt("near_symmetric", label, lambda: cert_near_symmetric(g, w0))
     if not reports:
         raise InputError("no certificate was applicable to this game")
-    return max(reports, key=lambda r: (r.passed, r.margin))
-
-
-def _with_transform(report: CertificateReport, label: str) -> CertificateReport:
-    return CertificateReport(
-        theorem=report.theorem, gamma=report.gamma, matrix=report.matrix,
-        sigma_max=report.sigma_max, threshold=report.threshold, margin=report.margin,
-        verdict=report.verdict, notes=report.notes, details=report.details,
-        transform=label,
-    )
+    return replace(max(reports, key=lambda r: (r.passed, r.margin)), attempts=tuple(attempts))
 
 
 def _json_num(v):
@@ -447,4 +397,6 @@ def report_to_dict(report: CertificateReport) -> dict:
         "notes": list(report.notes),
         "details": report.details,
         "transform": report.transform,
+        "slack": report.slack,
+        "attempts": list(report.attempts),
     }

@@ -216,15 +216,14 @@ def fit_rate(times, gaps) -> RateFit:
 def trajectory_to_csv(traj: Trajectory, path) -> None:
     """Write columns t, x_1..x_n, sw, br_gap, energy (energy blank if absent)."""
     n = traj.states.shape[1]
+    cols = [traj.times[:, None], traj.states, traj.sw[:, None], traj.br_gaps[:, None]]
+    if traj.energy is not None:
+        cols.append(traj.energy[:, None])
+    rows = np.hstack(cols).tolist()  # Python floats, which csv writes as their repr
+    if traj.energy is None:
+        for row in rows:
+            row.append("")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", *[f"x_{i + 1}" for i in range(n)], "sw", "br_gap", "energy"])
-        for k in range(traj.times.size):
-            energy = "" if traj.energy is None else repr(float(traj.energy[k]))
-            writer.writerow(
-                [repr(float(traj.times[k])),
-                 *[repr(float(v)) for v in traj.states[k]],
-                 repr(float(traj.sw[k])),
-                 repr(float(traj.br_gaps[k])),
-                 energy]
-            )
+        writer.writerows(rows)

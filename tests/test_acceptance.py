@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from conftest import make_fig1a_game
+from spectral_oracle import jacobi_eigenvalues
 from netgoods.casestudy import case2_pipeline, monte_carlo_case1
 from netgoods.certificates import (
     cert_near_individual,
     cert_near_potential,
     cert_near_symmetric,
     certify_any,
-    jacobi_eigenvalues,
     spectral_bounds,
 )
 from netgoods.dynamics import (
@@ -306,14 +306,14 @@ def test_criterion_09_case2_pipeline():
 
 
 def test_criterion_10_numerics():
-    # spectral: power-iteration route vs Jacobi route on M^T M
+    # spectral: the library's LAPACK bound vs the pure-Python Jacobi oracle on M^T M
     rng = np.random.default_rng(1010)
     for _ in range(100):
         n = int(rng.integers(1, 21))
         m = rng.normal(size=(n, n))
-        sigma_power, _ = spectral_bounds(m)
+        sigma_lapack, _ = spectral_bounds(m)
         sigma_jacobi = float(np.sqrt(max(0.0, jacobi_eigenvalues(m.T @ m)[-1])))
-        assert abs(sigma_power - sigma_jacobi) < 1e-8
+        assert abs(sigma_lapack - sigma_jacobi) < 1e-8
 
     # RK4 order: halving the step cuts the global error by at least 8x
     g = n1_game()

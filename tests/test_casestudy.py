@@ -147,6 +147,24 @@ class TestMonteCarloCase1:
         assert np.array_equal(a.sigma_maxes, b.sigma_maxes)
         assert a.sample_seeds == b.sample_seeds
 
+    def test_samples_match_per_game_route(self):
+        # 100 samples end in a partial stack (SIGMA_CHUNK = 8); every sample must
+        # give what the game random_er_game draws for its seed gives on its own
+        from netgoods.casestudy import sample_seed
+        from netgoods.certificates import spectral_bounds
+
+        rep = monte_carlo_case1(12, 2.0, 3.0, 1.0, 1.0, samples=100, seed=6)
+        for s in range(100):
+            w = random_er_game(12, 2.0, 3.0, 1.0, 1.0, sample_seed(6, s)).w
+            assert rep.sigma_maxes[s] == spectral_bounds(coupling_residual(w))[0]
+            assert rep.inf_norms[s] == delta_row_stats(w)[1]
+
+    def test_parameters_checked_up_front(self):
+        with pytest.raises(InputError, match="edge probability"):
+            monte_carlo_case1(4, 8.0, 3.0, 1.0, 1.0, samples=100, seed=5)
+        with pytest.raises(InputError, match="c0"):
+            monte_carlo_case1(4, 1.0, 3.0, 1.0, -1.0, samples=100, seed=5)
+
     def test_sample_count_guard(self):
         with pytest.raises(InputError):
             monte_carlo_case1(10, 1.0, 3.0, 1.0, 1.0, samples=50, seed=5)

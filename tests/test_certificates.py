@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import random_small_interaction_game
+from spectral_oracle import jacobi_eigenvalues
 from netgoods.certificates import (
     cert_near_individual,
     cert_near_potential,
     cert_near_symmetric,
     certify_any,
-    jacobi_eigenvalues,
     report_to_dict,
     spectral_bounds,
 )
@@ -52,13 +52,58 @@ class TestSpectralBounds:
             assert spectral_bounds(m)[0] == pytest.approx(spectral_bounds(m.T)[0], abs=1e-9)
 
     def test_top_space_orthogonal_to_ones_start(self):
-        # all-ones start has no overlap with the dominant eigenvector here;
-        # the deterministic restart/fallback must still find sigma_max
+        # all-ones start has no overlap with the dominant eigenvector here, so
+        # a start-vector method would miss sigma_max; the bound must not
         v = np.array([1.0, -1.0]) / math.sqrt(2)
         u = np.array([1.0, 1.0]) / math.sqrt(2)
         m = 2.0 * np.outer(v, v) + 0.5 * np.outer(u, u)
         s, _ = spectral_bounds(m)
         assert s == pytest.approx(2.0, abs=1e-9)
+
+
+def _mp_extreme_eigs(a, mpmath):
+    """(min, max) eigenvalue of the symmetric float matrix a, at 30 digits."""
+    with mpmath.workdps(30):
+        eigs = mpmath.eigsy(mpmath.matrix(a.tolist()), eigvals_only=True)
+        return min(eigs), max(eigs)
+
+
+def _soundness_matrices(rng, count):
+    """Random dense matrices and sparse non-negative reducible ones with empty rows/columns."""
+    for k in range(count):
+        n = int(rng.integers(1, 21))
+        if k % 2 == 0:
+            yield rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3)
+            continue
+        m = (rng.random((n, n)) < 0.2) * rng.integers(0, 4, size=(n, n)).astype(float)
+        empty = rng.random(n) < 0.3
+        m[empty, :] = 0.0
+        m[:, rng.random(n) < 0.3] = 0.0
+        yield m
+
+
+class TestSpectralSoundness:
+    def test_sigma_max_is_an_upper_bound(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(81)
+        for m in _soundness_matrices(rng, 100):
+            with mpmath.workdps(30):
+                a = mpmath.matrix(m.tolist())  # float entries convert exactly
+                exact = mpmath.sqrt(max(mpmath.eigsy(a.T * a, eigvals_only=True)))
+            s, _ = spectral_bounds(m)
+            assert s >= exact
+            assert s - exact <= 1e-12 * exact
+
+    def test_eigenvalue_bounds_enclose(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(82)
+        for m in _soundness_matrices(rng, 60):
+            m = m + m.T
+            lo_mp, hi_mp = _mp_extreme_eigs(m, mpmath)
+            _, (lo, hi) = spectral_bounds(m)
+            scale = max(abs(lo_mp), abs(hi_mp))
+            assert lo <= lo_mp and hi >= hi_mp
+            assert lo_mp - lo <= 1e-12 * scale and hi - hi_mp <= 1e-12 * scale
 
 
 class TestJacobi:
@@ -252,6 +297,29 @@ class TestNearSymmetric:
         with pytest.raises(InputError, match="unit diagonal"):
             cert_near_symmetric(fig1a_game, bad)
 
+    def test_exact_zero_margin_fails(self):
+        # Sigma = M, a circulant with row and column sums 1, so sigma_max(M) = 1
+        # = lambda_min(I) exactly; LAPACK and power iteration can both round
+        # sigma_max to 1 - 2^-52 here, which without the slack certifies the game
+        n = 7
+        m = 0.75 * np.roll(np.eye(n), 1, axis=1) + 0.25 * np.roll(np.eye(n), 3, axis=1)
+        g = Game(
+            w=np.eye(n) + m, lower=np.zeros(n), upper=np.full(n, 0.5),
+            values=tuple(QuadraticClippedValue(a=3.0, b=1.0) for _ in range(n)),
+            costs=tuple(LinearCost(c1=0.5) for _ in range(n)),
+        )
+        rep = cert_near_symmetric(g, np.eye(n))
+        assert np.array_equal(rep.matrix, m)
+        assert rep.sigma_max >= 1.0 and rep.threshold <= 1.0
+        assert rep.verdict == "fail"
+        assert -2.0 * rep.slack <= rep.margin < 0  # exact margin 0, shifted by the slack
+
+    def test_threshold_is_lower_eigenvalue_bound(self):
+        g = quad_game(np.eye(2))
+        rep = cert_near_symmetric(g, np.array([[1.0, 0.5], [0.5, 1.0]]))
+        assert 0.5 - rep.slack <= rep.threshold <= 0.5
+        assert rep.details["sigma_0"] == rep.threshold
+
     def test_zero_modulus_reported_not_divided(self):
         # the whole gain range sits beyond the value peak: no curvature at all
         g = Game(
@@ -295,6 +363,31 @@ class TestCertifyAny:
             assert len(reps) == 1
         assert checked >= 10
 
+    def test_attempts_cover_every_certificate(self, fig1a_game):
+        rep = certify_any(fig1a_game)
+        tried = [(a["theorem"], a["transform"], a["verdict"]) for a in rep.attempts]
+        assert tried == [
+            ("near_individual", "identity", "fail"),
+            ("near_potential", "identity", "fail"),
+            ("near_symmetric", "identity", "fail"),
+            ("near_symmetric", "identity", "fail"),
+        ]
+        assert [a["margin"] is None for a in rep.attempts] == [False, True, False, True]
+        assert rep.margin == max(a["margin"] for a in rep.attempts if a["margin"] is not None)
+        # the clipped common value has a discontinuous f'' and W is not all-ones;
+        # the symmetrized W of fig1a is indefinite
+        reasons = [a["reason"] for a in rep.attempts]
+        assert reasons[0] is None and reasons[2] is None
+        assert reasons[1].startswith("not applicable")
+        assert "not positive definite" in reasons[3]
+
+    def test_attempts_keep_inapplicable_reasons(self, fig1a_game):
+        rep = certify_any(fig1a_game, w0_candidates=[np.eye(3), np.eye(4)])
+        bad = [a for a in rep.attempts if a["verdict"] == "inapplicable"]
+        assert len(bad) == 1
+        assert bad[0]["theorem"] == "near_symmetric" and bad[0]["margin"] is None
+        assert "shape" in bad[0]["reason"]
+
     def test_report_serializes(self, fig1a_game):
         import json
 
@@ -302,3 +395,5 @@ class TestCertifyAny:
         json.dumps(doc)
         assert doc["verdict"] in ("pass", "fail")
         assert len(doc["matrix"]) == 4
+        assert doc["slack"] > 0
+        assert len(doc["attempts"]) == 4

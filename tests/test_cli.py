@@ -119,6 +119,14 @@ class TestCertify:
         assert doc["theorem"] == "near_individual"
         assert doc["sigma_max"] == pytest.approx(6.0, abs=1e-8)
 
+    def test_any_reports_slack_and_attempts(self, fig1a_path, tmp_path):
+        code, doc = run(["certify", "--game", fig1a_path], tmp_path / "r.json")
+        assert code == 0
+        assert doc["slack"] > 0
+        assert [a["theorem"] for a in doc["attempts"]] == [
+            "near_individual", "near_potential", "near_symmetric", "near_symmetric"]
+        assert doc["margin"] == max(a["margin"] for a in doc["attempts"] if a["margin"] is not None)
+
     def test_w0_from_matrix_file(self, fig1a_path, tmp_path):
         w0_path = tmp_path / "w0.json"
         w0_path.write_text(json.dumps(np.eye(4).ravel().tolist()))

@@ -194,6 +194,28 @@ class TestCsvExport:
         assert float(first[0]) == 0.0
         assert first[-1] == ""  # no energy recorded
 
+    @pytest.mark.parametrize("with_energy", [False, True])
+    def test_bytes_equal_row_by_row_writer(self, fig1a_game, tmp_path, with_energy):
+        # reference: the writer that formats every value with repr, one row at a time
+        import csv
+
+        x_star = np.array([1.0, 1.0, 0.0, 0.0]) if with_energy else None
+        traj = integrate_pseudo_gradient(fig1a_game, np.ones(4), np.array([0.3, 0.0, 0.7, 1e-17]),
+                                         horizon=0.5, x_star=x_star)
+        assert (traj.energy is not None) == with_energy
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "x_1", "x_2", "x_3", "x_4", "sw", "br_gap", "energy"])
+            for k in range(traj.times.size):
+                energy = "" if traj.energy is None else repr(float(traj.energy[k]))
+                writer.writerow([repr(float(traj.times[k])),
+                                 *[repr(float(v)) for v in traj.states[k]],
+                                 repr(float(traj.sw[k])), repr(float(traj.br_gaps[k])), energy])
+        got = tmp_path / "got.csv"
+        trajectory_to_csv(traj, got)
+        assert got.read_bytes() == ref.read_bytes()
+
 
 class TestIntegratorCore:
     def test_four_field_evaluations_per_step(self, n1_game):
