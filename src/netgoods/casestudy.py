@@ -120,28 +120,35 @@ def coupling_residual(w: np.ndarray) -> np.ndarray:
     return np.swapaxes(w, -1, -2) @ w - w
 
 
-def delta_row_stats(w: np.ndarray) -> tuple[np.ndarray, float]:
+def delta_row_stats(w: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     """Row statistics delta_i = 2*indegree_i + paired-out-edge count, and max_i delta_i.
 
     The maximum equals the infinity norm of the coupling residual matrix; both
-    routes are computed and must agree exactly for 0/1 matrices.
+    routes are computed and must agree exactly for 0/1 matrices.  An (S, n, n)
+    stack gives the (S, n) statistics and the S maxima.
     """
     w = np.asarray(w, dtype=float)
-    n = w.shape[0]
-    if np.max(np.abs(np.diag(w) - 1.0)) > 0:
+    delta, inf_norm = _delta_stats(w, coupling_residual(w))
+    return delta, float(inf_norm) if w.ndim == 2 else inf_norm
+
+
+def _delta_stats(w: np.ndarray, residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """delta_row_stats on a matrix or stack whose coupling residual is already known."""
+    n = w.shape[-1]
+    if np.max(np.abs(np.diagonal(w, axis1=-2, axis2=-1) - 1.0)) > 0:
         raise InputError("need unit diagonal")
-    off_vals = w[~np.eye(n, dtype=bool)]
+    off_vals = w[..., ~np.eye(n, dtype=bool)]
     if not np.all((off_vals == 0.0) | (off_vals == 1.0)):
         raise InputError("need 0/1 off-diagonal entries")
-    indeg = w.sum(axis=0) - 1.0
-    row_sums = w.sum(axis=1)
+    indeg = w.sum(axis=-2) - 1.0
+    row_sums = w.sum(axis=-1)
     # pair_i = sum_{k != i} w_ki * (#out-edges of k excluding targets i and k)
-    pair_all = (w * (row_sums[:, None] - w - 1.0)).sum(axis=0)
+    pair_all = (w * (row_sums[..., None] - w - 1.0)).sum(axis=-2)
     pair = pair_all - (row_sums - 2.0)  # drop the k = i term
     delta = 2.0 * indeg + pair
-    inf_norm = float(np.max(delta)) if n else 0.0
-    sigma_route = float(np.max(coupling_residual(w).sum(axis=1))) if n else 0.0
-    if inf_norm != sigma_route:
+    inf_norm = np.max(delta, axis=-1)
+    sigma_route = np.max(residual.sum(axis=-1), axis=-1)
+    if np.any(inf_norm != sigma_route):
         raise AssertionError(
             f"internal cross-check failed: delta route {inf_norm} != matrix route {sigma_route}"
         )
@@ -186,7 +193,8 @@ def monte_carlo_case1(
     homogeneous family: curvature c0 against Lipschitz constant 2b, so the
     condition is sigma_max(residual) < c0/(2b), with sigma_max bounded from
     above.  Only each sample's W is drawn (as ``random_er_game`` draws it), and
-    the residuals' singular values are computed in stacks of ``SIGMA_CHUNK``.
+    the residuals, their delta statistics and their singular values are
+    computed in stacks of ``SIGMA_CHUNK``.
     """
     if samples < 100:
         raise InputError(f"need samples >= 100, got {samples}")
@@ -204,11 +212,12 @@ def monte_carlo_case1(
     sigma_maxes = np.empty(samples)
     for lo in range(0, samples, SIGMA_CHUNK):
         ws = np.stack([_er_matrix(n, p, seeds[s]) for s in range(lo, min(lo + SIGMA_CHUNK, samples))])
-        for s, w in enumerate(ws, start=lo):
-            delta, inf_norms[s] = delta_row_stats(w)
-            means[s] = float(np.mean(delta))
-            sq_means[s] = float(np.mean(delta**2))
-        sigma_maxes[lo:lo + len(ws)] = _sigma_bound(coupling_residual(ws))[0]
+        rows = slice(lo, lo + len(ws))
+        residual = coupling_residual(ws)
+        delta, inf_norms[rows] = _delta_stats(ws, residual)
+        means[rows] = np.mean(delta, axis=-1)
+        sq_means[rows] = np.mean(delta**2, axis=-1)
+        sigma_maxes[rows] = _sigma_bound(residual)[0]
 
     emp_mean = float(np.mean(means))
     emp_sq = float(np.mean(sq_means))

@@ -10,7 +10,6 @@ are computed once it ends, in batches of stored states.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +17,9 @@ import numpy as np
 from .errors import InputError, IntegrationError
 from .game import (
     Game,
+    _pseudo_gradient,
+    _sw_gradient,
     br_gap,
-    pseudo_gradient,
-    sw_gradient,
     utility_profile,
     weighted_welfare_gradient,
 )
@@ -85,16 +84,18 @@ def _integrate(game: Game, field, x0: np.ndarray, step: float, horizon: float,
         k3 = field(game.project(x + 0.5 * step * k2))
         k4 = field(game.project(x + step * k3))
         raw = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(raw)):
+        x = game.project(raw)
+        # projecting a non-finite entry always moves it, so only a clipped step needs the test
+        was_clipped = bool((x != raw).any())
+        if was_clipped and not np.isfinite(raw).all():
             raise IntegrationError(
                 f"non-finite state at t={t + step}",
                 last_good=_finish(game, times, states, clipped, energy_fn, False),
             )
-        x = game.project(raw)
         t += step
         times.append(t)
         states.append(x)
-        clipped.append(bool(np.any(x != raw)))
+        clipped.append(was_clipped)
         fx = field(x)
         converged = bool(np.max(np.abs(fx)) < FIELD_TOL)
     return _finish(game, times, states, clipped, energy_fn, converged)
@@ -134,8 +135,8 @@ def integrate_pseudo_gradient(
     if alpha.shape != (game.n,) or np.any(alpha <= 0):
         raise InputError("alpha must be a strictly positive n-vector")
 
-    def field(x):
-        return alpha * pseudo_gradient(game, x)
+    def field(x):  # on in-box states only: the start is validated, every stage projected
+        return alpha * _pseudo_gradient(game, x)
 
     energy_fn = None
     if x_star is not None:
@@ -157,8 +158,8 @@ def integrate_sw_flow(
 ) -> Trajectory:
     """Integrate the social-welfare gradient flow dx/dt = grad SW(x) from x0."""
 
-    def field(x):
-        return sw_gradient(game, x)
+    def field(x):  # on in-box states only, as in integrate_pseudo_gradient
+        return _sw_gradient(game, x)
 
     return _integrate(game, field, x0, step, horizon)
 
@@ -219,11 +220,9 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
     cols = [traj.times[:, None], traj.states, traj.sw[:, None], traj.br_gaps[:, None]]
     if traj.energy is not None:
         cols.append(traj.energy[:, None])
-    rows = np.hstack(cols).tolist()  # Python floats, which csv writes as their repr
-    if traj.energy is None:
-        for row in rows:
-            row.append("")
+    rows = np.hstack(cols).tolist()  # Python floats, written as their repr
+    # the bytes csv.writer writes: no field needs quoting, lines end in "\r\n"
+    end = "\r\n" if traj.energy is not None else ",\r\n"  # a blank energy field
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", *[f"x_{i + 1}" for i in range(n)], "sw", "br_gap", "energy"])
-        writer.writerows(rows)
+        fh.write(",".join(["t", *[f"x_{i + 1}" for i in range(n)], "sw", "br_gap", "energy"]) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + end for row in rows)

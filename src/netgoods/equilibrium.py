@@ -16,7 +16,7 @@ import numpy as np
 
 from .certificates import spectral_bounds
 from .errors import InputError
-from .game import Game, best_response, br_gap, gain_bounds, gains, pseudo_gradient
+from .game import Game, _pseudo_gradient, best_response, br_gap, gain_bounds, gains
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 50_000
@@ -68,7 +68,9 @@ def default_step_eps(game: Game, gamma: np.ndarray) -> float:
     return float(np.clip(0.5 / (1.0 + scale), 1e-4, 1e-1))
 
 
-def _prep(game, gamma, step_eps, x0):
+def _prep(game, gamma, step_eps, x0, tol):
+    if tol <= 0:
+        raise InputError(f"tol must be positive, got {tol}")
     gamma = np.ones(game.n) if gamma is None else np.asarray(gamma, dtype=float)
     if gamma.shape != (game.n,) or np.any(gamma <= 0):
         raise InputError("gamma must be a strictly positive n-vector")
@@ -89,24 +91,27 @@ def _iterate(game, field, gamma, eps, xs, tol, max_iter, history=None):
     finite ("diverged"; the row keeps its last finite point).  Returns each row's
     status, iteration count and last displacement; ``history`` collects one row's iterates.
     """
-    field = field or (lambda y: pseudo_gradient(game, y))
-    iters = np.zeros(xs.shape[0], dtype=int)
-    residuals = np.full(xs.shape[0], np.inf)
-    active = np.arange(xs.shape[0])
+    field = field or (lambda y: _pseudo_gradient(game, y))  # the rows never leave the box
+    step, stop = eps * gamma, tol * eps
+    iters, residuals = np.zeros(xs.shape[0], dtype=int), np.full(xs.shape[0], np.inf)
+    active, cur, res, it = np.arange(xs.shape[0]), xs, residuals, 0
     for it in range(1, max_iter + 1):
+        stepped = game.project(cur + step * field(cur))
+        res = np.max(np.abs(stepped - cur), axis=1)  # NaN where the step is not finite
+        if history is not None and not np.isnan(res).any():
+            history.append(stepped[0].copy())
+        going = res >= stop
+        if not going.all():  # file the rows that stop here and go on with the rest
+            done, nan = active[~going], np.isnan(res[~going])
+            xs[done] = np.where(nan[:, None], cur[~going], stepped[~going])
+            residuals[done], iters[done] = np.where(nan, np.inf, res[~going]), it
+            active, stepped, res = active[going], stepped[going], res[going]
+        cur = stepped
         if not active.size:
             break
-        sub = xs[active]
-        stepped = game.project(sub + eps * gamma * field(sub))
-        res = np.max(np.abs(stepped - sub), axis=1)  # NaN where the step is not finite
-        ok = ~np.isnan(res)
-        xs[active[ok]] = stepped[ok]
-        if history is not None and ok.all():
-            history.append(stepped[0].copy())
-        residuals[active], iters[active] = np.where(ok, res, np.inf), it
-        active = active[res >= tol * eps]  # converged and diverged rows drop out
+    xs[active], residuals[active], iters[active] = cur, res, it
     diverged = (residuals == np.inf) & (iters > 0)
-    status = np.where(residuals < tol * eps, "converged", np.where(diverged, "diverged", "max_iter"))
+    status = np.where(residuals < stop, "converged", np.where(diverged, "diverged", "max_iter"))
     return status, iters, residuals
 
 
@@ -127,9 +132,7 @@ def solve_ne(
     must have the same signature as pseudo_gradient's partial application and
     is called on (1, n) batches.
     """
-    if tol <= 0:
-        raise InputError(f"tol must be positive, got {tol}")
-    gamma, eps, x = _prep(game, gamma, step_eps, x0)
+    gamma, eps, x = _prep(game, gamma, step_eps, x0, tol)
     history = [x.copy()] if keep_iterates else None
     xs = x[None, :].copy()
     (status,), (iterations,), (residual,) = _iterate(game, field, gamma, eps, xs, tol, max_iter, history)
@@ -168,29 +171,22 @@ def solve_regularized(
     betas = [float(b) for b in beta_schedule]
     if not betas or min(betas) <= 0 or any(b2 >= b1 for b1, b2 in zip(betas, betas[1:])):
         raise InputError("beta_schedule must be strictly decreasing and positive")
-    gamma_v = np.ones(game.n) if gamma is None else np.asarray(gamma, dtype=float)
-    x = x0
-    total_iters = 0
+    gamma, eps, x = _prep(game, gamma, step_eps, x0, tol)
+    xs, total_iters = x[None, :].copy(), 0
     for beta in betas:
-        eps_b = step_eps
-        if eps_b is None:
-            eps_b = float(np.clip(default_step_eps(game, gamma_v) / (1.0 + 2.0 * beta), 1e-4, 1e-1))
+        eps_b = eps if step_eps is not None else float(np.clip(eps / (1.0 + 2.0 * beta), 1e-4, 1e-1))
 
         def field(y, beta=beta):
-            return pseudo_gradient(game, y) - 2.0 * beta * y
+            return _pseudo_gradient(game, y) - 2.0 * beta * y
 
-        res = solve_ne(
-            game, gamma=gamma_v, step_eps=eps_b, tol=tol, max_iter=max_iter,
-            x0=x, field=field,
-        )
-        total_iters += res.iterations
-        x = res.x_star
-        if res.status == "diverged":
+        (status,), (iterations,), (residual,) = _iterate(game, field, gamma, eps_b, xs, tol, max_iter)
+        total_iters += int(iterations)
+        if status == "diverged":
             break
-    gap = float("nan") if res.status == "diverged" else br_gap(game, x)[0]
+    gap = float("nan") if status == "diverged" else br_gap(game, xs[0])[0]
     return SolveResult(
-        x_star=x, status=res.status, iterations=total_iters,
-        final_gap=gap, residual=res.residual,
+        x_star=xs[0], status=str(status), iterations=total_iters,
+        final_gap=gap, residual=float(residual),
     )
 
 
@@ -212,7 +208,7 @@ def multi_start_probe(
     """
     if n_starts < 1:
         raise InputError(f"need n_starts >= 1, got {n_starts}")
-    gamma_v, eps, _ = _prep(game, gamma, step_eps, None)
+    gamma_v, eps, _ = _prep(game, gamma, step_eps, None, tol)
     rng = np.random.default_rng(seed)
     xs = game.lower + rng.random((n_starts, game.n)) * (game.upper - game.lower)
     status, iters, residuals = _iterate(game, None, gamma_v, eps, xs, tol, max_iter)

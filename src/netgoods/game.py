@@ -47,19 +47,17 @@ class Evaluator:
     """Values, costs and first derivatives of many players at once, players on the last axis.
 
     Each player's AffineReparam chain folds into one (scale, shift) pair,
-    t = (y - shift)/scale, and the base families become parameter arrays: the
-    value a*t - b*t^2 up to its peak (flat beyond) or a*ln(s + t), the cost
-    0.5*q*t^2 + l*t.  Gains outside a value domain by at most GAIN_CLAMP_TOL
-    are clamped back in; a gain further out raises DomainError.
+    t = (y - shift)/scale.  A value is a quadratic term a*t - b*t^2 (flat past
+    its peak) plus a log term log*ln(mu*t + s), one of them exactly zero for each
+    player; a cost is 0.5*q*t^2 + l*t.  Gains outside a value domain by at most
+    GAIN_CLAMP_TOL are clamped back in; a gain further out raises DomainError.
     """
 
     def __init__(self, cols: np.ndarray):
         cols.setflags(write=False)  # frozen like the Game fields the parameters come from
         self.cols = cols  # one row per parameter, one column per player
-        (self.k_lo, self.k_hi, self.v_scale, self.v_shift, self.a, self.b, self.clip, self.peak,
-         self.s, log, self.c_scale, self.c_shift, self.q, self.l) = cols
-        self.log = log > 0.0
-        self.log.setflags(write=False)
+        (self.k_lo, self.k_hi, self.v_scale, self.v_shift, self.a, self.b, self.b2, self.clip,
+         self.peak, self.log, self.mu, self.s, self.c_scale, self.c_shift, self.q, self.l) = cols
 
     @classmethod
     def of(cls, values, costs) -> Evaluator:
@@ -70,11 +68,12 @@ class Evaluator:
             if not (isinstance(f, (LogValue, QuadraticClippedValue))
                     and isinstance(c, (QuadraticCost, LinearCost))):
                 raise InputError(f"no array form for the family pair {f!r}, {c!r}")
-            log = isinstance(f, LogValue)
-            fam = (0.0, np.inf, 0.0, f.s) if log else (f.b, f.clip_point, f.a**2 / (4.0 * f.b), 1.0)
+            # the absent term adds -0.0, which leaves any sum's bits alone (+0.0 only to a/(t+s) > 0)
+            fam = ((0.0, 0.0, 0.0, -np.inf, -0.0, f.a, 1.0, f.s) if isinstance(f, LogValue)
+                   else (f.a, f.b, 2.0 * f.b, f.clip_point, f.a**2 / (4.0 * f.b), -0.0, 0.0, 1.0))
             ql = (c.c0, 0.0) if isinstance(c, QuadraticCost) else (0.0, c.c1)
-            rows.append((*value.domain(), v_scale, v_shift, f.a, *fam, log, c_scale, c_shift, *ql))
-        return cls(np.array(rows, dtype=float).reshape(-1, 14).T.copy())
+            rows.append((*value.domain(), v_scale, v_shift, *fam, c_scale, c_shift, *ql))
+        return cls(np.array(rows, dtype=float).reshape(-1, 16).T.copy())
 
     def column(self, i: int) -> Evaluator:
         """The evaluator of player i alone, broadcasting over any trailing axis."""
@@ -82,30 +81,25 @@ class Evaluator:
 
     def clamp_gains(self, k: np.ndarray) -> np.ndarray:
         """Gains moved onto the value domains, or DomainError if one lies beyond GAIN_CLAMP_TOL."""
-        # cheap test first: almost always every gain is inside and nothing moves
-        if not ((k < self.k_lo).any() or (k > self.k_hi).any()):
+        # cheap test first (count_nonzero, a fraction of ndarray.any): almost always nothing moves
+        if not (np.count_nonzero(k < self.k_lo) or np.count_nonzero(k > self.k_hi)):
             return k
         excess = np.maximum(self.k_lo - k, k - self.k_hi)
         if (excess > GAIN_CLAMP_TOL).any():
             raise DomainError(f"a gain lies {float(excess.max()):.3g} outside its value domain")
         return np.minimum(np.maximum(k, self.k_lo), self.k_hi)
 
-    def _value_args(self, k):
-        # the quadratic argument t, and the log argument s + t (1 for quadratic players)
-        t = (self.clamp_gains(k) - self.v_shift) / self.v_scale
-        return t, self.s + np.where(self.log, t, 0.0)
-
     def value(self, k: np.ndarray) -> np.ndarray:
         """f_i(k_i)."""
-        t, z = self._value_args(k)
+        t = (self.clamp_gains(k) - self.v_shift) / self.v_scale
         quad = np.where(t <= self.clip, self.a * t - self.b * t * t, self.peak)
-        return np.where(self.log, self.a * np.log(z), quad)
+        return quad + self.log * np.log(self.mu * t + self.s)
 
     def value_d1(self, k: np.ndarray) -> np.ndarray:
         """f_i'(k_i)."""
-        t, z = self._value_args(k)
-        quad = np.where(t <= self.clip, self.a - 2.0 * self.b * t, 0.0)
-        return np.where(self.log, self.a / z, quad) / self.v_scale
+        t = (self.clamp_gains(k) - self.v_shift) / self.v_scale
+        quad = np.where(t <= self.clip, self.a - self.b2 * t, 0.0)
+        return (self.log / (self.mu * t + self.s) + quad) / self.v_scale
 
     def cost(self, x: np.ndarray) -> np.ndarray:
         """c_i(x_i)."""
@@ -253,16 +247,24 @@ def utility_profile(game: Game, x: np.ndarray) -> tuple[np.ndarray, float]:
     return u, float(sw) if u.ndim == 1 else sw
 
 
+def _pseudo_gradient(game: Game, x: np.ndarray) -> np.ndarray:
+    # x: a float array of profiles already inside the box, so nothing is validated
+    return game.evaluator.value_d1(x @ game.w.T) - game.evaluator.cost_d1(x)
+
+
+def _sw_gradient(game: Game, x: np.ndarray) -> np.ndarray:
+    # x: as for _pseudo_gradient
+    return game.evaluator.value_d1(x @ game.w.T) @ game.w - game.evaluator.cost_d1(x)
+
+
 def pseudo_gradient(game: Game, x: np.ndarray) -> np.ndarray:
     """Own-action utility derivatives (f_i'(k_i) - c_i'(x_i))_i (unit diagonal; batched)."""
-    x = game.require_feasible(x)
-    return game.evaluator.value_d1(gains(game, x)) - game.evaluator.cost_d1(x)
+    return _pseudo_gradient(game, game.require_feasible(x))
 
 
 def sw_gradient(game: Game, x: np.ndarray) -> np.ndarray:
     """Gradient of social welfare: component j is sum_i f_i'(k_i) w_ij - c_j'(x_j) (batched)."""
-    x = game.require_feasible(x)
-    return game.evaluator.value_d1(gains(game, x)) @ game.w - game.evaluator.cost_d1(x)
+    return _sw_gradient(game, game.require_feasible(x))
 
 
 def weighted_welfare_gradient(game: Game, gamma: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -10,6 +10,8 @@ fixed layout), so load/save round-trips are byte-identical.
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -27,9 +29,10 @@ def _require(doc: dict, key: str, where: str):
 def _number_list(value, count: int, where: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != count:
         raise InputError(f"{where}: expected a list of {count} numbers")
-    for idx, v in enumerate(value):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise InputError(f"{where}[{idx}]: expected a number, got {v!r}")
+    if not set(map(type, value)) <= {int, float}:  # at C speed; the loop finds the first bad entry
+        for idx, v in enumerate(value):
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise InputError(f"{where}[{idx}]: expected a number, got {v!r}")
     return np.asarray(value, dtype=float)
 
 
@@ -76,8 +79,53 @@ def game_to_dict(game: Game) -> dict:
 
 
 def dumps_canonical(doc) -> str:
-    """Deterministic JSON: sorted keys, fixed indentation, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON: sorted keys, fixed indentation, trailing newline.
+
+    The bytes are those of ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``,
+    written directly: with an indent, json falls back to its pure-Python encoder.
+    """
+    return _encode(doc, "") + "\n"
+
+
+def _encode(o, indent: str) -> str:
+    if isinstance(o, str):
+        return _quote(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = indent + "  "
+        if set(map(type, o)) == {float} and all(map(math.isfinite, o)):  # vectors and matrices
+            items = map(float.__repr__, o)
+        else:
+            items = (_encode(v, inner) for v in o)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = indent + "  "
+        items = (_quote(_key(k)) + ": " + _encode(v, inner) for k, v in sorted(o.items()))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    return _scalar(o)
+
+
+def _scalar(o) -> str:
+    if o is None or isinstance(o, bool):
+        return {None: "null", True: "true", False: "false"}[o]
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if math.isfinite(o):
+            return float.__repr__(o)
+        return "NaN" if o != o else ("Infinity" if o > 0 else "-Infinity")
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return k
+    if k is None or isinstance(k, (int, float)):  # spelled as json spells such keys
+        return _scalar(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
 def load_game(path) -> Game:

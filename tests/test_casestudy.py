@@ -90,6 +90,24 @@ class TestDeltaRowStats:
         with pytest.raises(InputError, match="0/1"):
             delta_row_stats(w)
 
+    def test_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(4)
+        ws = (rng.random((6, 9, 9)) < 0.3).astype(float)
+        for w in ws:
+            np.fill_diagonal(w, 1.0)
+        delta, inf_norms = delta_row_stats(ws)
+        for s, w in enumerate(ws):
+            d, m = delta_row_stats(w)
+            assert np.array_equal(delta[s], d) and inf_norms[s] == m
+        bad = ws.copy()
+        bad[4, 2, 2] = 0.0
+        with pytest.raises(InputError, match="unit diagonal"):
+            delta_row_stats(bad)
+        bad = ws.copy()
+        bad[5, 0, 3] = 2.0
+        with pytest.raises(InputError, match="0/1"):
+            delta_row_stats(bad)
+
 
 class TestClosedForms:
     @pytest.mark.parametrize("n", [3, 4])
@@ -213,3 +231,16 @@ class TestCase2Pipeline:
             costs=tuple(QuadraticCost(c0=1.0) for _ in range(4)),
         )
         assert verify_ne(game, rep.x_backward, 1e-8)[0]
+
+    def test_moments_match_per_sample_statistics(self):
+        # the stacked delta statistics give the moments of the one-matrix route, bit for bit
+        from netgoods.casestudy import sample_seed
+
+        rep = monte_carlo_case1(12, 2.0, 3.0, 1.0, 1.0, samples=100, seed=6)
+        deltas = [delta_row_stats(random_er_game(12, 2.0, 3.0, 1.0, 1.0, sample_seed(6, s)).w)[0]
+                  for s in range(100)]
+        means = np.array([float(np.mean(d)) for d in deltas])
+        sq_means = np.array([float(np.mean(d**2)) for d in deltas])
+        assert rep.emp_delta_mean == float(np.mean(means))
+        assert rep.emp_delta_var == float(np.mean(sq_means)) - float(np.mean(means)) ** 2
+        assert rep.se_delta_var == float(np.std(sq_means - means**2, ddof=1) / np.sqrt(100))

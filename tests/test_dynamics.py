@@ -290,3 +290,52 @@ class TestIntegratorCore:
         assert good.sw.shape == good.br_gaps.shape == good.times.shape
         for k, x in enumerate(good.states):
             assert good.sw[k] == utility_profile(n1_game, x)[1]
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_step_raises_even_when_projection_hides_it(self, n1_game, bad):
+        from netgoods.dynamics import _integrate
+
+        def field(x):  # +-inf steps land on the box edge after projection
+            return np.array([bad]) if x[0] > 0.5 else np.array([1.0])
+
+        with pytest.raises(IntegrationError, match="non-finite state") as exc:
+            _integrate(n1_game, field, np.zeros(1), step=0.1, horizon=5.0)
+        assert np.all(exc.value.last_good.states <= 0.5 + 0.1)
+
+    @pytest.mark.parametrize("flow", ["pseudo", "sw"])
+    def test_flows_bitwise_equal_rk4_on_public_fields(self, flow):
+        # the integrators evaluate unvalidated fields on projected states; the
+        # reference validates every evaluation through the public functions
+        from conftest import random_small_interaction_game
+        from netgoods.dynamics import FIELD_TOL
+        from netgoods.equivalence import EquivalenceMap, transform_game
+        from netgoods.game import pseudo_gradient
+
+        rng = np.random.default_rng(12)
+        g = random_small_interaction_game(rng, n=6)
+        for _ in range(2):
+            g = transform_game(g, EquivalenceMap(d=rng.uniform(0.5, 2.0, 6), b=rng.uniform(-0.5, 0.5, 6)))
+        alpha = np.linspace(0.5, 2.0, 6)
+
+        def field(x):
+            return alpha * pseudo_gradient(g, x) if flow == "pseudo" else sw_gradient(g, x)
+
+        step, x = 0.05, g.upper.copy()
+        ref, clipped = [x], [False]
+        for _ in range(60):
+            k1 = field(x)
+            k2 = field(g.project(x + 0.5 * step * k1))
+            k3 = field(g.project(x + 0.5 * step * k2))
+            k4 = field(g.project(x + step * k3))
+            raw = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            x = g.project(raw)
+            ref.append(x)
+            clipped.append(bool(np.any(x != raw)))
+            if np.max(np.abs(field(x))) < FIELD_TOL:
+                break
+        if flow == "pseudo":
+            traj = integrate_pseudo_gradient(g, alpha, g.upper, step=step, horizon=step * 60)
+        else:
+            traj = integrate_sw_flow(g, g.upper, step=step, horizon=step * 60)
+        assert np.array_equal(traj.states, np.asarray(ref))
+        assert list(traj.clipped) == clipped and any(clipped)

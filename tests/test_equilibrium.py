@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import random_small_interaction_game
+from netgoods.casestudy import random_er_game
 from netgoods.certificates import cert_near_individual
 from netgoods.equilibrium import (
+    _iterate,
     backward_induction,
     default_step_eps,
     grid_oracle,
@@ -14,7 +16,8 @@ from netgoods.equilibrium import (
 )
 from netgoods.errors import InputError
 from netgoods.functions import LinearCost, QuadraticClippedValue, QuadraticCost
-from netgoods.game import Game, br_gap
+from netgoods.equivalence import EquivalenceMap, transform_game
+from netgoods.game import Game, br_gap, pseudo_gradient
 
 
 class TestSolveNe:
@@ -252,3 +255,80 @@ class TestBackwardInduction:
     def test_rejects_non_triangular(self, fig1a_game):
         with pytest.raises(InputError, match="upper-triangular"):
             backward_induction(fig1a_game)
+
+
+def plain_projected_solve(game, eps, tol, max_iter, x):
+    """Reference: the projected iteration on one (1, n) row through the public field."""
+    x, res, gamma = x[None, :].copy(), np.inf, np.ones(game.n)
+    for it in range(1, max_iter + 1):
+        y = game.project(x + eps * gamma * pseudo_gradient(game, x))
+        res = np.max(np.abs(y - x))
+        x = y
+        if res < tol * eps:
+            return x[0], it, res, "converged"
+    return x[0], max_iter, res, "max_iter"
+
+
+def reference_rows(game, field, gamma, eps, starts, tol, max_iter):
+    """Reference: each row iterated on its own, with _iterate's stopping rules."""
+    out = []
+    for x in starts:
+        x, status, it, res = x[None, :].copy(), "max_iter", 0, np.inf
+        for it in range(1, max_iter + 1):
+            y = game.project(x + eps * gamma * field(x))
+            r = np.max(np.abs(y - x))
+            if np.isnan(r):
+                status, res = "diverged", np.inf
+                break
+            x, res = y, r
+            if r < tol * eps:
+                status = "converged"
+                break
+        out.append((status, it, res, x[0]))
+    return out
+
+
+class TestProjectedIterationBits:
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_solve_ne_bitwise_equals_plain_loop(self, nested):
+        game = random_er_game(100, 1.0, 3.0, 1.0, 1.0, seed=4)
+        rng = np.random.default_rng(9)
+        for _ in range(2 if nested else 0):  # affine reparameterizations nest two deep
+            emap = EquivalenceMap(d=rng.uniform(0.8, 1.25, game.n), b=rng.uniform(-0.2, 0.2, game.n))
+            game = transform_game(game, emap)
+        eps = default_step_eps(game, np.ones(game.n))
+        res = solve_ne(game)
+        x, iterations, residual, status = plain_projected_solve(
+            game, eps, 1e-10, 50_000, 0.5 * (game.lower + game.upper))
+        assert status == res.status == "converged"
+        assert np.array_equal(res.x_star, x) and res.iterations == iterations
+        assert res.residual == residual
+
+    def test_rows_stop_at_different_iterations(self, n1_game):
+        # a row-wise field that is NaN on [0.6, 0.7): rows that step into it diverge
+        def field(y):
+            bad = (0.6 <= y) & (y < 0.7)
+            return np.where(bad, np.nan, pseudo_gradient(n1_game, y))
+
+        starts = np.array([[0.0], [0.2], [0.65], [1.0], [1.0 - 1e-9], [0.8], [1.9], [2.0]])
+        gamma, eps, tol, max_iter = np.ones(1), 0.1, 1e-10, 60
+        xs = starts.copy()
+        status, iters, residuals = _iterate(n1_game, field, gamma, eps, xs, tol, max_iter)
+        want = reference_rows(n1_game, field, gamma, eps, starts, tol, max_iter)
+        assert list(status) == [w[0] for w in want]
+        assert list(iters) == [w[1] for w in want]
+        assert np.array_equal(residuals, [w[2] for w in want])
+        assert np.array_equal(xs, np.array([w[3] for w in want]))
+        assert {"converged", "diverged", "max_iter"} <= set(status)
+        assert len(set(iters[status == "converged"])) > 1
+
+    def test_diverged_row_keeps_its_last_finite_point(self, n1_game):
+        def field(y):
+            return np.where(y > 0.5, np.nan, pseudo_gradient(n1_game, y))
+
+        xs = np.array([[0.0], [0.3]])
+        status, iters, _ = _iterate(n1_game, field, np.ones(1), 0.1, xs, 1e-10, 100)
+        assert list(status) == ["diverged", "diverged"]
+        # 0 -> 0.3 -> 0.51 (NaN next) and 0.3 -> 0.51
+        assert list(iters) == [3, 2]
+        assert np.array_equal(xs, np.array([[0.51], [0.51]]))

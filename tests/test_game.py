@@ -15,6 +15,9 @@ from netgoods.game import (
     Evaluator,
     Game,
     _bisect,
+    _fold,
+    _pseudo_gradient,
+    _sw_gradient,
     best_response,
     br_gap,
     externality,
@@ -23,6 +26,7 @@ from netgoods.game import (
     pseudo_gradient,
     sw_gradient,
     utility_profile,
+    weighted_welfare_gradient,
 )
 
 QUAD = QuadraticClippedValue(a=3.0, b=1.0)
@@ -434,3 +438,73 @@ class TestLockstepBestResponses:
             gap, who = br_gap(fig1a_game, xs[s])
             assert gaps[s] == pytest.approx(gap, abs=1e-13)
             assert worst[s] == who
+
+
+def per_family_reference(values, k, d1):
+    """Reference: each player evaluates only its own family, as a per-family selection would."""
+    cols = []
+    for i, spec in enumerate(values):
+        f, scale, shift = _fold(spec)
+        t = (k[:, i] - shift) / scale
+        if isinstance(f, LogValue):
+            col = f.a / (f.s + t) / scale if d1 else f.a * np.log(f.s + t)
+        elif d1:
+            col = np.where(t <= f.clip_point, f.a - 2.0 * f.b * t, 0.0) / scale
+        else:
+            col = np.where(t <= f.clip_point, f.a * t - f.b * t * t, f.a**2 / (4.0 * f.b))
+        cols.append(col)
+    return np.stack(cols, axis=1)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()  # tells -0.0 from 0.0
+
+
+class TestMaskFreeEvaluator:
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_same_bits_as_per_family_selection(self, depth):
+        rng = np.random.default_rng(200 + depth)
+        values = [nest(BASE_VALUES[i % 2], depth, rng) for i in range(8)]
+        ev = Evaluator.of(values, [COST] * 8)
+        k = np.stack([inside(v, rng, 60) for v in values], axis=1)
+        if depth == 0:  # signed zeros and the exact peak of the quadratic players
+            k[:3, 0::2] = [[-0.0], [0.0], [BASE_VALUES[0].clip_point]]
+        for name, d1 in (("value", False), ("value_d1", True)):
+            assert same_bits(getattr(ev, name)(k), per_family_reference(values, k, d1))
+
+
+class TestPrivateFields:
+    def games(self):
+        rng = np.random.default_rng(31)
+        for depth in (0, 2):
+            n = 6
+            values = [nest(BASE_VALUES[i % 2], depth, rng) for i in range(n)]
+            costs = [nest(BASE_COSTS[(i // 2) % 2], depth, rng) for i in range(n)]
+            w = np.eye(n) + 0.05 * rng.uniform(0.0, 1.0, (n, n)) * (1 - np.eye(n))
+            lo = np.array([max(c.domain()[0], 0.0) + 0.1 for c in costs])
+            # keep every reachable gain inside the value domains
+            k_lo = np.array([v.domain()[0] for v in values])
+            lo = np.maximum(lo, np.where(np.isfinite(k_lo), k_lo + 1.0, lo))
+            yield Game(w=w, lower=lo, upper=lo + 0.5, values=tuple(values), costs=tuple(costs))
+
+    def test_bitwise_equal_to_public_fields_in_box(self):
+        for g in self.games():
+            rng = np.random.default_rng(g.n)
+            xs = g.lower + rng.random((9, g.n)) * (g.upper - g.lower)
+            xs[0], xs[1] = g.lower, g.upper
+            for x in (xs, xs[3]):
+                assert same_bits(_pseudo_gradient(g, x), pseudo_gradient(g, x))
+                assert same_bits(_sw_gradient(g, x), sw_gradient(g, x))
+
+    def test_public_fields_still_validate(self):
+        g = next(self.games())
+        outside = g.upper + 0.1
+        for call in (lambda x: pseudo_gradient(g, x), lambda x: sw_gradient(g, x),
+                     lambda x: weighted_welfare_gradient(g, np.ones(g.n), x)):
+            with pytest.raises(InputError, match="infeasible profile"):
+                call(outside)
+            with pytest.raises(InputError, match="infeasible profile"):
+                call(np.stack([g.lower, outside]))
+            with pytest.raises(InputError, match="profile must have shape"):
+                call(g.lower[:-1])

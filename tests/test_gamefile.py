@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_fig1a_game, random_small_interaction_game
 from netgoods.errors import InputError
@@ -107,3 +109,46 @@ def test_invalid_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(InputError, match="not valid JSON"):
         load_game(path)
+
+
+@pytest.mark.parametrize("bad, shown", [(True, "True"), ("2.0", "'2.0'"), (None, "None"),
+                                        ([1.0], "[1.0]")])
+def test_number_list_names_first_bad_entry(bad, shown):
+    doc = minimal_n1_doc()
+    doc["n"], doc["players"] = 2, doc["players"] * 2
+    doc["W"], doc["lower"], doc["upper"] = [1.0, 0.0, bad, True], [0.0, 0], [2.0, 2.0]
+    with pytest.raises(InputError) as exc:
+        game_from_dict(doc)
+    assert str(exc.value) == f"game.W[2]: expected a number, got {shown}"
+
+
+def test_number_list_accepts_number_subclasses():
+    doc = minimal_n1_doc()
+    doc["lower"] = [np.float64(0.0)]
+    assert game_from_dict(doc).lower[0] == 0.0
+
+
+_json_scalars = (st.none() | st.booleans() | st.integers(min_value=-10**40, max_value=10**40)
+                 | st.floats(allow_nan=True, allow_infinity=True)
+                 | st.text(alphabet=st.characters(codec="utf-8"), max_size=8))
+_json_docs = st.recursive(
+    _json_scalars | st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=6),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_docs)
+def test_dumps_canonical_is_json_dumps(doc):
+    assert dumps_canonical(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_dumps_canonical_rejects_what_json_rejects():
+    for doc in ({"a": {1, 2}}, [np.arange(2)], {("k",): 1}):
+        with pytest.raises(TypeError) as want:
+            json.dumps(doc, sort_keys=True, indent=2)
+        with pytest.raises(TypeError) as got:
+            dumps_canonical(doc)
+        assert str(got.value) == str(want.value)
