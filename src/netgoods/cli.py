@@ -10,6 +10,7 @@ report.  Exit codes: 0 success, 1 computation failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -320,6 +321,7 @@ def _cmd_oracle(args) -> tuple[dict, int]:
     }, 0
 
 
+@functools.cache  # parsing never changes the parser, so every main() call shares one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="netgoods",

@@ -73,7 +73,7 @@ def _integrate(game: Game, field, x0: np.ndarray, step: float, horizon: float,
     times, states, clipped = [0.0], [x], [False]
     # every state is already in the box, so field(x) is also the next step's k1
     fx = field(x)
-    converged = bool(np.max(np.abs(fx)) < FIELD_TOL)
+    converged = bool(np.abs(fx).max() < FIELD_TOL)
     n_steps = int(round(horizon / step))
     t = 0.0
     for _ in range(n_steps):
@@ -97,7 +97,7 @@ def _integrate(game: Game, field, x0: np.ndarray, step: float, horizon: float,
         states.append(x)
         clipped.append(was_clipped)
         fx = field(x)
-        converged = bool(np.max(np.abs(fx)) < FIELD_TOL)
+        converged = bool(np.abs(fx).max() < FIELD_TOL)
     return _finish(game, times, states, clipped, energy_fn, converged)
 
 

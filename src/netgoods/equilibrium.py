@@ -68,9 +68,11 @@ def default_step_eps(game: Game, gamma: np.ndarray) -> float:
     return float(np.clip(0.5 / (1.0 + scale), 1e-4, 1e-1))
 
 
-def _prep(game, gamma, step_eps, x0, tol):
+def _prep(game, gamma, step_eps, x0, tol, max_iter):
     if tol <= 0:
         raise InputError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise InputError(f"max_iter must be at least 1, got {max_iter}")
     gamma = np.ones(game.n) if gamma is None else np.asarray(gamma, dtype=float)
     if gamma.shape != (game.n,) or np.any(gamma <= 0):
         raise InputError("gamma must be a strictly positive n-vector")
@@ -97,7 +99,7 @@ def _iterate(game, field, gamma, eps, xs, tol, max_iter, history=None):
     active, cur, res, it = np.arange(xs.shape[0]), xs, residuals, 0
     for it in range(1, max_iter + 1):
         stepped = game.project(cur + step * field(cur))
-        res = np.max(np.abs(stepped - cur), axis=1)  # NaN where the step is not finite
+        res = np.abs(stepped - cur).max(axis=1)  # NaN where the step is not finite
         if history is not None and not np.isnan(res).any():
             history.append(stepped[0].copy())
         going = res >= stop
@@ -132,7 +134,7 @@ def solve_ne(
     must have the same signature as pseudo_gradient's partial application and
     is called on (1, n) batches.
     """
-    gamma, eps, x = _prep(game, gamma, step_eps, x0, tol)
+    gamma, eps, x = _prep(game, gamma, step_eps, x0, tol, max_iter)
     history = [x.copy()] if keep_iterates else None
     xs = x[None, :].copy()
     (status,), (iterations,), (residual,) = _iterate(game, field, gamma, eps, xs, tol, max_iter, history)
@@ -171,7 +173,7 @@ def solve_regularized(
     betas = [float(b) for b in beta_schedule]
     if not betas or min(betas) <= 0 or any(b2 >= b1 for b1, b2 in zip(betas, betas[1:])):
         raise InputError("beta_schedule must be strictly decreasing and positive")
-    gamma, eps, x = _prep(game, gamma, step_eps, x0, tol)
+    gamma, eps, x = _prep(game, gamma, step_eps, x0, tol, max_iter)
     xs, total_iters = x[None, :].copy(), 0
     for beta in betas:
         eps_b = eps if step_eps is not None else float(np.clip(eps / (1.0 + 2.0 * beta), 1e-4, 1e-1))
@@ -208,7 +210,7 @@ def multi_start_probe(
     """
     if n_starts < 1:
         raise InputError(f"need n_starts >= 1, got {n_starts}")
-    gamma_v, eps, _ = _prep(game, gamma, step_eps, None, tol)
+    gamma_v, eps, _ = _prep(game, gamma, step_eps, None, tol, max_iter)
     rng = np.random.default_rng(seed)
     xs = game.lower + rng.random((n_starts, game.n)) * (game.upper - game.lower)
     status, iters, residuals = _iterate(game, None, gamma_v, eps, xs, tol, max_iter)

@@ -49,15 +49,19 @@ class Evaluator:
     Each player's AffineReparam chain folds into one (scale, shift) pair,
     t = (y - shift)/scale.  A value is a quadratic term a*t - b*t^2 (flat past
     its peak) plus a log term log*ln(mu*t + s), one of them exactly zero for each
-    player; a cost is 0.5*q*t^2 + l*t.  Gains outside a value domain by at most
-    GAIN_CLAMP_TOL are clamped back in; a gain further out raises DomainError.
+    player; a cost is 0.5*q*t^2 + l*t, and its slope in x is the one affine map
+    dq*x + dl, folded when the evaluator is built (the same bits as the unfolded
+    slope for a player without reparameterization).  Gains outside a value domain
+    by at most GAIN_CLAMP_TOL are clamped back in; a gain further out raises
+    DomainError.
     """
 
     def __init__(self, cols: np.ndarray):
         cols.setflags(write=False)  # frozen like the Game fields the parameters come from
         self.cols = cols  # one row per parameter, one column per player
         (self.k_lo, self.k_hi, self.v_scale, self.v_shift, self.a, self.b, self.b2, self.clip,
-         self.peak, self.log, self.mu, self.s, self.c_scale, self.c_shift, self.q, self.l) = cols
+         self.peak, self.log, self.mu, self.s, self.c_scale, self.c_shift, self.q, self.l,
+         self.dq, self.dl) = cols
 
     @classmethod
     def of(cls, values, costs) -> Evaluator:
@@ -71,9 +75,11 @@ class Evaluator:
             # the absent term adds -0.0, which leaves any sum's bits alone (+0.0 only to a/(t+s) > 0)
             fam = ((0.0, 0.0, 0.0, -np.inf, -0.0, f.a, 1.0, f.s) if isinstance(f, LogValue)
                    else (f.a, f.b, 2.0 * f.b, f.clip_point, f.a**2 / (4.0 * f.b), -0.0, 0.0, 1.0))
-            ql = (c.c0, 0.0) if isinstance(c, QuadraticCost) else (0.0, c.c1)
-            rows.append((*value.domain(), v_scale, v_shift, *fam, c_scale, c_shift, *ql))
-        return cls(np.array(rows, dtype=float).reshape(-1, 16).T.copy())
+            q, l = (c.c0, 0.0) if isinstance(c, QuadraticCost) else (0.0, c.c1)
+            # d/dx [0.5*q*t^2 + l*t] with t = (x - c_shift)/c_scale, as dq*x + dl
+            slope = (q / c_scale / c_scale, (l - q * c_shift / c_scale) / c_scale)
+            rows.append((*value.domain(), v_scale, v_shift, *fam, c_scale, c_shift, q, l, *slope))
+        return cls(np.array(rows, dtype=float).reshape(-1, 18).T.copy())
 
     def column(self, i: int) -> Evaluator:
         """The evaluator of player i alone, broadcasting over any trailing axis."""
@@ -81,8 +87,9 @@ class Evaluator:
 
     def clamp_gains(self, k: np.ndarray) -> np.ndarray:
         """Gains moved onto the value domains, or DomainError if one lies beyond GAIN_CLAMP_TOL."""
-        # cheap test first (count_nonzero, a fraction of ndarray.any): almost always nothing moves
-        if not (np.count_nonzero(k < self.k_lo) or np.count_nonzero(k > self.k_hi)):
+        # cheap test first (count_nonzero, a fraction of ndarray.any): almost always nothing
+        # moves, and only k_lo can bind, since every value domain of `of` is unbounded above
+        if not np.count_nonzero(k < self.k_lo):
             return k
         excess = np.maximum(self.k_lo - k, k - self.k_hi)
         if (excess > GAIN_CLAMP_TOL).any():
@@ -108,7 +115,7 @@ class Evaluator:
 
     def cost_d1(self, x: np.ndarray) -> np.ndarray:
         """c_i'(x_i)."""
-        return (self.q * ((x - self.c_shift) / self.c_scale) + self.l) / self.c_scale
+        return self.dq * x + self.dl
 
 
 @dataclass(frozen=True)
@@ -286,26 +293,29 @@ def _bisect(ev: Evaluator, d: np.ndarray, lo, hi, tol: float) -> np.ndarray:
 
     The own-utility derivative g(t) = f'(t + d) - c'(t) is non-increasing
     (concave value, convex cost), so the smallest maximizer, which also breaks
-    ties across a flat optimum, is the left edge of {g <= 0}.  Each entry
-    follows the scalar bisection's steps and stops on its own.
+    ties across a flat optimum, is the left edge of {g <= 0}.  The slopes at the
+    edges settle some entries on the whole array; the rest are gathered with
+    their players' parameters (ev's players lie on the last axis of d, or ev has
+    one column), bisected, each entry following the scalar bisection's steps and
+    stopping on its own, and scattered back.
     """
-
-    def slope(t):
-        return ev.value_d1(t + d) - ev.cost_d1(t)
-
     lo, hi = np.broadcast_to(lo, d.shape), np.broadcast_to(hi, d.shape)
-    at_lo = slope(lo) <= 0.0
-    at_hi = slope(hi) > 0.0
-    a, b = lo, hi  # slope(a) > 0 >= slope(b) wherever the entry is active
-    active = ~(at_lo | at_hi)
+    at_lo = ev.value_d1(lo + d) - ev.cost_d1(lo) <= 0.0
+    at_hi = ev.value_d1(hi + d) - ev.cost_d1(hi) > 0.0
+    out = np.where(at_lo, lo, hi)
+    undecided = np.nonzero(~(at_lo | at_hi))
+    ev = ev if ev.cols.shape[1] == 1 else Evaluator(ev.cols[:, undecided[-1]])
+    d, a, b = d[undecided], lo[undecided], hi[undecided]  # slope(a) > 0 >= slope(b)
+    active = np.ones(d.shape, dtype=bool)
     while True:
         m = 0.5 * (a + b)
         active &= (b - a > tol) & (a < m) & (m < b)  # else: done, or at machine resolution
         if not active.any():
             break
-        down = slope(m) <= 0.0
+        down = ev.value_d1(m + d) - ev.cost_d1(m) <= 0.0
         a, b = np.where(active & ~down, m, a), np.where(active & down, m, b)
-    return np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (a + b)))
+    out[undecided] = 0.5 * (a + b)
+    return out
 
 
 def best_response(game: Game, i: int, x: np.ndarray, tol: float = BR_TOL) -> float:

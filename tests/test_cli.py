@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_fig1a_game
-from netgoods.cli import main
+from netgoods.cli import build_parser, main
 from netgoods.gamefile import save_game
 
 
@@ -274,3 +274,32 @@ class TestContract:
         assert main(["verify", "--game", n1_path, "--x", "1"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["is_ne"] is True
+
+    def test_one_parser_serves_repeated_calls(self, fig1a_path, capsys):
+        commands = [
+            ["solve", "--game", fig1a_path],
+            ["verify", "--game", fig1a_path, "--x", "1,1,0,0"],
+            ["certify", "--game", fig1a_path],
+            ["dynamics", "--game", fig1a_path, "--horizon", "0.5"],
+            ["solve", "--game", fig1a_path, "--no-such-flag"],  # argparse error
+            ["solve", "--game", fig1a_path, "--max-iter", "0"],  # InputError
+        ]
+
+        def run_one(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        fresh = []
+        for argv in commands:
+            build_parser.cache_clear()
+            fresh.append(run_one(argv))
+        build_parser.cache_clear()
+        shared = [run_one(argv) for _ in range(2) for argv in commands]
+        assert build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 2]
+        assert all(out for _, out, _ in fresh[:4]) and all(err for _, _, err in fresh[4:])
+        assert shared == fresh * 2

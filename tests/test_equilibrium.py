@@ -77,6 +77,11 @@ class TestSolveNe:
         assert np.allclose(res.x_star, [0.03]) and res.iterates.shape == (4, 1)
         assert set(calls) == {(1, 1)}  # the field sees (1, n) batches
 
+    def test_rejects_max_iter_below_one(self, n1_game):
+        for bad in (0, -3):
+            with pytest.raises(InputError, match="max_iter"):
+                solve_ne(n1_game, max_iter=bad)
+
     def test_default_step_in_declared_range(self, fig1a_game):
         eps = default_step_eps(fig1a_game, np.ones(4))
         assert 1e-4 <= eps <= 1e-1
@@ -132,6 +137,11 @@ class TestSolveRegularized:
             assert res.x_star[0] == pytest.approx(3.0 / (3.0 + 2.0 * beta), abs=1e-7)
             xs.append(res.x_star[0])
         assert xs == sorted(xs)  # path increases toward the unregularized NE
+
+    def test_rejects_max_iter_below_one(self, n1_game):
+        for bad in (0, -3):
+            with pytest.raises(InputError, match="max_iter"):
+                solve_regularized(n1_game, [1e-1, 1e-2], max_iter=bad)
 
     def test_schedule_validation(self, n1_game):
         with pytest.raises(InputError):
@@ -193,6 +203,11 @@ class TestGridOracle:
 
 
 class TestMultiStart:
+    def test_rejects_max_iter_below_one(self, n1_game):
+        for bad in (0, -3):
+            with pytest.raises(InputError, match="max_iter"):
+                multi_start_probe(n1_game, n_starts=5, seed=3, max_iter=bad)
+
     def test_n1_single_cluster(self, n1_game):
         reps = multi_start_probe(n1_game, n_starts=10, seed=3)
         assert len(reps) == 1

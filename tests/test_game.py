@@ -353,6 +353,14 @@ class TestEvaluator:
         with pytest.raises(DomainError):
             best_response(g, 0, np.array([0.0, 1.5]))
 
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_value_domains_unbounded_above(self, depth):
+        # clamp_gains' fast test compares gains with k_lo alone
+        rng = np.random.default_rng(400 + depth)
+        values = [nest(BASE_VALUES[i % 2], depth, rng) for i in range(6)]
+        ev = Evaluator.of(values, [COST] * 6)
+        assert np.all(ev.k_hi == np.inf)
+
     def test_built_lazily_once(self):
         g = make_game(np.eye(2), 0, 1)
         assert "evaluator" not in vars(g)
@@ -508,3 +516,80 @@ class TestPrivateFields:
                 call(np.stack([g.lower, outside]))
             with pytest.raises(InputError, match="profile must have shape"):
                 call(g.lower[:-1])
+
+
+def full_array_bisect(ev, d, lo, hi, tol):
+    """Reference: the lockstep bisection over the whole array, settled entries carried along."""
+
+    def slope(t):
+        return ev.value_d1(t + d) - ev.cost_d1(t)
+
+    lo, hi = np.broadcast_to(lo, d.shape), np.broadcast_to(hi, d.shape)
+    at_lo = slope(lo) <= 0.0
+    at_hi = slope(hi) > 0.0
+    a, b = lo, hi
+    active = ~(at_lo | at_hi)
+    while True:
+        m = 0.5 * (a + b)
+        active &= (b - a > tol) & (a < m) & (m < b)
+        if not active.any():
+            break
+        down = slope(m) <= 0.0
+        a, b = np.where(active & ~down, m, a), np.where(active & down, m, b)
+    return np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (a + b)))
+
+
+class TestUndecidedOnlyBisection:
+    def mixed(self, depth):
+        """Players of every family pairing, externalities that put best responses at lo, hi and inside."""
+        rng = np.random.default_rng(300 + depth)
+        n = 8
+        values = [nest(BASE_VALUES[i % 2], depth, rng) for i in range(n)]
+        costs = [nest(BASE_COSTS[(i // 2) % 2], depth, rng) for i in range(n)]
+        ev = Evaluator.of(values, costs)
+        lo = np.array([max(c.domain()[0], v.domain()[0], -1.0) + 0.1 for v, c in zip(values, costs)])
+        hi = lo + rng.uniform(0.5, 1.5, n)
+        d = rng.uniform(0.0, 3.0, (40, n))  # every gain t + d stays inside its value domain
+        return ev, d, lo, hi
+
+    def check(self, ev, d, lo, hi):
+        want = full_array_bisect(ev, d, lo, hi, BR_TOL)
+        assert same_bits(_bisect(ev, d, lo, hi, BR_TOL), want)
+        return want
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_bitwise_equal_to_full_array_bisection(self, depth):
+        ev, d, lo, hi = self.mixed(depth)
+        want = self.check(ev, d, lo, hi)  # (S, n)
+        at_lo, at_hi = want == lo, want == hi
+        assert at_lo.any() and at_hi.any() and (~at_lo & ~at_hi).any()
+        for s in (0, 7):  # (n,)
+            self.check(ev, d[s], lo, hi)
+        for i in (0, 3, 6):  # one player's column, as best_response calls it and batched
+            col = ev.column(i)
+            self.check(col, d[5, i:i + 1], lo[i:i + 1], hi[i:i + 1])
+            self.check(col, d[:, i:i + 1], lo[i:i + 1], hi[i:i + 1])
+            self.check(col, d[:, i], lo[i], hi[i])
+
+    def test_bitwise_equal_on_fig1a_flat_optimum(self, fig1a_game):
+        g = fig1a_game
+        rng = np.random.default_rng(81)
+        xs = np.vstack([[1.0, 1.0, 0.5, 0.0], g.lower, g.upper, rng.uniform(0, 1, (20, 4))])
+        d = xs @ g.w.T - xs
+        tie = self.check(g.evaluator, d[0], g.lower, g.upper)
+        assert tie[2] == tie[3] == 0.0
+        self.check(g.evaluator, d, g.lower, g.upper)
+
+    def test_domain_error_when_only_an_undecided_entry_leaves_its_domain(self):
+        # player 1's log value lives on gains > -1; every other entry sits at an edge
+        f = LogValue(a=1.0, s=1.0)
+        ev = Evaluator.of([QUAD, f, QUAD], [LinearCost(c1=0.1), COST, LinearCost(c1=5.0)])
+        lo, hi = np.zeros(3), np.ones(3)
+        inside = np.array([0.0, 0.5, 0.0])
+        got = _bisect(ev, inside, lo, hi, BR_TOL)
+        assert got[0] == 1.0 and got[2] == 0.0 and 0.0 < got[1] < 1.0
+        outside = inside - np.array([0.0, 2.0, 0.0])  # player 1's gain at lo is -1.5, below -1
+        with pytest.raises(DomainError):
+            _bisect(ev, outside, lo, hi, BR_TOL)
+        with pytest.raises(DomainError):
+            _bisect(ev, np.stack([inside, outside, inside]), lo, hi, BR_TOL)
