@@ -63,10 +63,7 @@ from .functions import (
     QuadraticClippedValue,
     QuadraticCost,
     ScalarFunction,
-    SmoothnessReport,
-    closeness_sigma,
     evaluate,
-    smoothness,
 )
 from .game import (
     GainBounds,
@@ -113,7 +110,6 @@ __all__ = [
     "RateFit",
     "ScalarFunction",
     "SingularMatrixError",
-    "SmoothnessReport",
     "SolveResult",
     "StaticsResult",
     "Trajectory",
@@ -125,7 +121,6 @@ __all__ = [
     "cert_near_potential",
     "cert_near_symmetric",
     "certify_any",
-    "closeness_sigma",
     "delta_row_stats",
     "equilibrium_derivative",
     "evaluate",
@@ -148,7 +143,6 @@ __all__ = [
     "pseudo_gradient",
     "random_er_game",
     "save_game",
-    "smoothness",
     "solve_ne",
     "solve_regularized",
     "spectral_bounds",

@@ -17,8 +17,8 @@ import numpy as np
 
 from .equivalence import EquivalenceMap, transform_game
 from .errors import InputError
-from .functions import ScalarFunction, closeness_sigma
-from .game import Game, gain_bounds
+from .functions import LinearCost, ScalarFunction
+from .game import Evaluator, Game, gain_bounds
 
 #: float64 unit roundoff
 UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
@@ -116,14 +116,10 @@ def _default_gamma(game: Game, gamma) -> np.ndarray:
 
 
 def _kink_caveats(game: Game, gb) -> tuple[str, ...]:
-    notes = []
-    for i, spec in enumerate(game.values):
-        if any(gb.k_lo[i] < q < gb.k_hi[i] for q in spec.kinks()):
-            notes.append(
-                f"player {i}: value kink inside reachable gain interval; "
-                "second-order smoothness holds only piecewise"
-            )
-    return tuple(notes)
+    kink = game.evaluator.value_kink()
+    return tuple(f"player {i}: value kink inside reachable gain interval; "
+                 "second-order smoothness holds only piecewise"
+                 for i in np.flatnonzero((gb.k_lo < kink) & (kink < gb.k_hi)))
 
 
 def cert_near_individual(game: Game, gamma: np.ndarray | None = None) -> CertificateReport:
@@ -135,14 +131,9 @@ def cert_near_individual(game: Game, gamma: np.ndarray | None = None) -> Certifi
     Lipschitz constant; sigma_ij = sum_{k != i} gamma_k |w_ki w_kj|.
     """
     gamma = _default_gamma(game, gamma)
-    gb = gain_bounds(game)
-    per_c = np.empty(game.n)
-    l_ones = np.empty(game.n)
-    for i in range(game.n):
-        vmod = game.values[i].modulus_on(float(gb.k_lo[i]), float(gb.k_hi[i]))
-        cmod = game.costs[i].modulus_on(float(game.lower[i]), float(game.upper[i]))
-        per_c[i] = gamma[i] * (vmod + cmod)
-        l_ones[i] = game.values[i].lipschitz_d1_on(float(gb.k_lo[i]), float(gb.k_hi[i]))
+    gb, ev = gain_bounds(game), game.evaluator
+    per_c = gamma * (ev.value_modulus(gb.k_lo, gb.k_hi) + ev.dq)
+    l_ones = ev.value_lipschitz_d1(gb.k_lo, gb.k_hi)
     c = float(np.min(per_c))
     l0 = float(np.max(l_ones))
 
@@ -197,24 +188,19 @@ def cert_near_potential(
             f"interval [{hull_lo}, {hull_hi}]"
         )
 
-    sigmas = np.empty(game.n)
-    per_c = np.empty(game.n)
-    for i in range(game.n):
-        k_int = (float(gb.k_lo[i]), float(gb.k_hi[i]))
-        sigmas[i] = closeness_sigma(game.values[i], f_common, float(gamma[i]), k_int)
-        vmod = f_common.modulus_on(*k_int)
-        cmod = game.costs[i].modulus_on(float(game.lower[i]), float(game.upper[i]))
-        per_c[i] = vmod + gamma[i] * cmod
+    common = Evaluator.of((f_common,), (LinearCost(c1=1.0),))  # only its value rows are read
+    sigmas = game.evaluator.closeness(common, gamma, gb.k_lo, gb.k_hi)
+    per_c = common.value_modulus(gb.k_lo, gb.k_hi) + gamma * game.evaluator.dq
     c = float(np.min(per_c))
-    c1 = float(f_common.lipschitz_d1_on(hull_lo, hull_hi))
-    c2 = f_common.lipschitz_d2_on(hull_lo, hull_hi)
+    c1 = float(common.value_lipschitz_d1(hull_lo, hull_hi)[0])
+    c2 = float(common.value_lipschitz_d2(hull_lo, hull_hi)[0])
 
     dev = np.abs(game.w - 1.0)
     box_mag = np.maximum(-game.lower, game.upper)
     s_row = dev @ box_mag  # per-row sum |w_il - 1| * max(-lo_l, hi_l)
 
     notes = list(_kink_caveats(game, gb))
-    if c2 is None:
+    if c2 == math.inf:  # f_common'' jumps inside the hull
         if float(np.max(s_row)) == 0.0:
             c2 = 0.0
             notes.append("f_common'' Lipschitz constant unused: W is exactly all-ones")
@@ -277,15 +263,8 @@ def cert_near_symmetric(game: Game, w0: np.ndarray) -> CertificateReport:
     sigma_0, _, slack_0 = _eig_bounds(w0)
     gb = gain_bounds(game)
     notes = list(_kink_caveats(game, gb))
-
-    l_costs = np.array(
-        [game.costs[i].lipschitz_d1_on(float(game.lower[i]), float(game.upper[i]))
-         for i in range(game.n)]
-    )
-    c_vals = np.array(
-        [game.values[i].modulus_on_increasing(float(gb.k_lo[i]), float(gb.k_hi[i]))
-         for i in range(game.n)]
-    )
+    l_costs = game.evaluator.dq
+    c_vals = game.evaluator.value_modulus_increasing(gb.k_lo, gb.k_hi)
 
     details = {"sigma_0": sigma_0, "l_costs": l_costs.tolist(), "c_values": c_vals.tolist()}
     if sigma_0 <= 0.0 or np.any(c_vals <= 0.0):

@@ -54,15 +54,9 @@ def default_step_eps(game: Game, gamma: np.ndarray) -> float:
     scale) keeps the iteration inside the contraction regime with room to
     spare; clipped to [1e-4, 1e-1].
     """
-    gb = gain_bounds(game)
-    l_val = max(
-        float(gamma[i]) * game.values[i].lipschitz_d1_on(float(gb.k_lo[i]), float(gb.k_hi[i]))
-        for i in range(game.n)
-    )
-    l_cost = max(
-        float(gamma[i]) * game.costs[i].lipschitz_d1_on(float(game.lower[i]), float(game.upper[i]))
-        for i in range(game.n)
-    )
+    gb, ev = gain_bounds(game), game.evaluator
+    l_val = float(np.max(gamma * ev.value_lipschitz_d1(gb.k_lo, gb.k_hi)))
+    l_cost = float(np.max(gamma * ev.dq))
     s_w, _ = spectral_bounds(np.abs(game.w))
     scale = l_val * s_w + l_cost
     return float(np.clip(0.5 / (1.0 + scale), 1e-4, 1e-1))

@@ -1,10 +1,12 @@
-"""Scalar value and cost families with exact derivatives and smoothness constants.
+"""Scalar value and cost families with exact derivatives.
 
 Every family is a closed-form, immutable spec exposing zeroth/first/second
-derivative oracles plus analytically exact (or certified-conservative)
-curvature and Lipschitz constants over intervals.  Value families are concave
-and non-decreasing; cost families are convex and non-decreasing.  All
-evaluation methods accept scalars or numpy arrays.
+derivative oracles, its domain, the points where its second derivative jumps
+(``kinks``) and JSON serialization.  Value families are concave and
+non-decreasing; cost families are convex and non-decreasing.  All evaluation
+methods accept scalars or numpy arrays.  This is the one-player API; the
+curvature and Lipschitz constants the certificates need are computed for all
+players at once by ``game.Evaluator``.
 """
 
 from __future__ import annotations
@@ -15,29 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-
-#: grid resolution for the numeric Lipschitz fallback in closeness_sigma
-CLOSENESS_GRID_POINTS = 10_000
-#: safety inflation applied to grid-estimated Lipschitz constants
-CLOSENESS_SAFETY = 1.05
-
-
-@dataclass(frozen=True)
-class SmoothnessReport:
-    """Curvature/Lipschitz certificate for one spec over one interval.
-
-    ``modulus`` is the strong-concavity modulus for value families and the
-    strong-convexity modulus for cost families.  ``lipschitz_d2`` is None when
-    the second derivative is discontinuous inside the interval (clipped
-    family straddling its kink), in which case no finite constant exists.
-    """
-
-    lo: float
-    hi: float
-    modulus: float
-    lipschitz_d1: float
-    lipschitz_d2: float | None
-    strictly_increasing: bool
 
 
 class ScalarFunction:
@@ -60,51 +39,6 @@ class ScalarFunction:
     def kinks(self) -> tuple[float, ...]:
         """Points where the second derivative jumps."""
         return ()
-
-    def piecewise_linear_d1(self) -> bool:
-        """True when d1 is piecewise linear, enabling exact closeness constants."""
-        return False
-
-    def increasing_cutoff(self) -> float:
-        """Supremum of the region where d1 > 0 (inf if strictly increasing)."""
-        return math.inf
-
-    def modulus_on_increasing(self, lo: float, hi: float) -> float:
-        """Curvature modulus over the part of [lo, hi] where d1 > 0.
-
-        That is the only region an own-utility argmax can occupy, so it is the
-        right curvature constant for best-response sensitivity bounds.
-        Computed in the family's own coordinates, so the cutoff intersection
-        is exact even under affine reparameterization.
-        """
-        hi_eff = min(hi, self.increasing_cutoff())
-        if not lo < hi_eff:
-            return 0.0
-        return self.modulus_on(lo, hi_eff)
-
-    def modulus_on(self, lo: float, hi: float) -> float:
-        raise NotImplementedError
-
-    def lipschitz_d1_on(self, lo: float, hi: float) -> float:
-        raise NotImplementedError
-
-    def lipschitz_d2_on(self, lo: float, hi: float) -> float | None:
-        raise NotImplementedError
-
-    def strictly_increasing_on(self, lo: float, hi: float) -> bool:
-        raise NotImplementedError
-
-    def contains(self, lo: float, hi: float) -> bool:
-        dlo, dhi = self.domain()
-        return dlo <= lo and hi <= dhi
-
-    def require_interval(self, lo: float, hi: float) -> None:
-        if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
-            raise InputError(f"invalid interval [{lo}, {hi}]")
-        if not self.contains(lo, hi):
-            raise DomainError(
-                f"interval [{lo}, {hi}] not contained in domain {self.domain()} of {self!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -148,28 +82,6 @@ class QuadraticClippedValue(ScalarFunction):
     def kinks(self):
         return (self.clip_point,)
 
-    def piecewise_linear_d1(self):
-        return True
-
-    def increasing_cutoff(self):
-        return self.clip_point
-
-    def modulus_on(self, lo, hi):
-        # the flat branch contributes no curvature
-        return 2.0 * self.b if hi <= self.clip_point else 0.0
-
-    def lipschitz_d1_on(self, lo, hi):
-        # d1 is 2b-Lipschitz on the full domain; kept on any subinterval
-        return 2.0 * self.b
-
-    def lipschitz_d2_on(self, lo, hi):
-        if lo <= self.clip_point < hi:
-            return None  # d2 jumps inside the interval
-        return 0.0
-
-    def strictly_increasing_on(self, lo, hi):
-        return hi <= self.clip_point
-
 
 @dataclass(frozen=True)
 class QuadraticCost(ScalarFunction):
@@ -200,21 +112,6 @@ class QuadraticCost(ScalarFunction):
         out = np.full_like(x, self.c0)
         return out if out.ndim else float(out)
 
-    def piecewise_linear_d1(self):
-        return True
-
-    def modulus_on(self, lo, hi):
-        return self.c0
-
-    def lipschitz_d1_on(self, lo, hi):
-        return self.c0
-
-    def lipschitz_d2_on(self, lo, hi):
-        return 0.0
-
-    def strictly_increasing_on(self, lo, hi):
-        return True  # d1 vanishes only at the left domain endpoint
-
 
 @dataclass(frozen=True)
 class LinearCost(ScalarFunction):
@@ -244,21 +141,6 @@ class LinearCost(ScalarFunction):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         return out if out.ndim else float(out)
-
-    def piecewise_linear_d1(self):
-        return True
-
-    def modulus_on(self, lo, hi):
-        return 0.0
-
-    def lipschitz_d1_on(self, lo, hi):
-        return 0.0
-
-    def lipschitz_d2_on(self, lo, hi):
-        return 0.0
-
-    def strictly_increasing_on(self, lo, hi):
-        return True
 
 
 @dataclass(frozen=True)
@@ -291,26 +173,13 @@ class LogValue(ScalarFunction):
         out = -self.a / (self.s + k) ** 2
         return out if out.ndim else float(out)
 
-    def modulus_on(self, lo, hi):
-        return self.a / (self.s + hi) ** 2
-
-    def lipschitz_d1_on(self, lo, hi):
-        return self.a / (self.s + lo) ** 2
-
-    def lipschitz_d2_on(self, lo, hi):
-        return 2.0 * self.a / (self.s + lo) ** 3
-
-    def strictly_increasing_on(self, lo, hi):
-        return True
-
 
 @dataclass(frozen=True)
 class AffineReparam(ScalarFunction):
     """inner((y - shift) / scale): the affine change of variable used by game equivalence.
 
     Exact chain rule: g'(y) = inner'(t)/scale and g''(y) = inner''(t)/scale^2
-    with t = (y - shift)/scale.  Smoothness constants rescale as modulus/scale^2,
-    L1/scale^2 and L2/scale^3 of the inner spec over the pre-image interval.
+    with t = (y - shift)/scale.
     """
 
     inner: ScalarFunction
@@ -327,9 +196,6 @@ class AffineReparam(ScalarFunction):
 
     def _pre(self, y):
         return (np.asarray(y, dtype=float) - self.shift) / self.scale
-
-    def _pre_interval(self, lo, hi):
-        return (lo - self.shift) / self.scale, (hi - self.shift) / self.scale
 
     def domain(self):
         ilo, ihi = self.inner.domain()
@@ -352,31 +218,6 @@ class AffineReparam(ScalarFunction):
     def kinks(self):
         return tuple(k * self.scale + self.shift for k in self.inner.kinks())
 
-    def piecewise_linear_d1(self):
-        return self.inner.piecewise_linear_d1()
-
-    def increasing_cutoff(self):
-        cut = self.inner.increasing_cutoff()
-        return math.inf if cut == math.inf else cut * self.scale + self.shift
-
-    def modulus_on_increasing(self, lo, hi):
-        # delegate before intersecting so the inner cutoff is used exactly,
-        # with no float round-trip through the mapped coordinates
-        return self.inner.modulus_on_increasing(*self._pre_interval(lo, hi)) / self.scale**2
-
-    def modulus_on(self, lo, hi):
-        return self.inner.modulus_on(*self._pre_interval(lo, hi)) / self.scale**2
-
-    def lipschitz_d1_on(self, lo, hi):
-        return self.inner.lipschitz_d1_on(*self._pre_interval(lo, hi)) / self.scale**2
-
-    def lipschitz_d2_on(self, lo, hi):
-        l2 = self.inner.lipschitz_d2_on(*self._pre_interval(lo, hi))
-        return None if l2 is None else l2 / self.scale**3
-
-    def strictly_increasing_on(self, lo, hi):
-        return self.inner.strictly_increasing_on(*self._pre_interval(lo, hi))
-
 
 def evaluate(spec: ScalarFunction, point: float) -> tuple[float, float, float]:
     """Exact (value, d1, d2) at a point inside the declared domain."""
@@ -384,53 +225,6 @@ def evaluate(spec: ScalarFunction, point: float) -> tuple[float, float, float]:
     if not (dlo <= point <= dhi):
         raise DomainError(f"point {point} outside domain [{dlo}, {dhi}] of {spec!r}")
     return float(spec.value(point)), float(spec.d1(point)), float(spec.d2(point))
-
-
-def smoothness(spec: ScalarFunction, interval: tuple[float, float]) -> SmoothnessReport:
-    """Analytically exact smoothness constants of a spec over an interval."""
-    lo, hi = float(interval[0]), float(interval[1])
-    spec.require_interval(lo, hi)
-    return SmoothnessReport(
-        lo=lo,
-        hi=hi,
-        modulus=float(spec.modulus_on(lo, hi)),
-        lipschitz_d1=float(spec.lipschitz_d1_on(lo, hi)),
-        lipschitz_d2=spec.lipschitz_d2_on(lo, hi),
-        strictly_increasing=spec.strictly_increasing_on(lo, hi),
-    )
-
-
-def closeness_sigma(
-    f_i: ScalarFunction,
-    f: ScalarFunction,
-    gamma: float,
-    interval: tuple[float, float],
-) -> float:
-    """Lipschitz constant of h(k) = gamma*f_i'(k) - f'(k) over an interval.
-
-    Exact when both first derivatives are piecewise linear (the quadratic
-    families); otherwise the maximum slope over a dense deterministic grid,
-    inflated by a 5% safety factor.
-    """
-    if gamma <= 0:
-        raise InputError(f"gamma must be positive, got {gamma}")
-    lo, hi = float(interval[0]), float(interval[1])
-    f_i.require_interval(lo, hi)
-    f.require_interval(lo, hi)
-
-    if f_i.piecewise_linear_d1() and f.piecewise_linear_d1():
-        cuts = sorted(k for k in set(f_i.kinks()) | set(f.kinks()) if lo < k < hi)
-        edges = [lo, *cuts, hi]
-        sigma = 0.0
-        for left, right in zip(edges[:-1], edges[1:]):
-            mid = 0.5 * (left + right)
-            sigma = max(sigma, abs(gamma * float(f_i.d2(mid)) - float(f.d2(mid))))
-        return sigma
-
-    grid = np.linspace(lo, hi, CLOSENESS_GRID_POINTS)
-    h = gamma * np.asarray(f_i.d1(grid)) - np.asarray(f.d1(grid))
-    step = grid[1] - grid[0]
-    return float(np.max(np.abs(np.diff(h))) / step) * CLOSENESS_SAFETY
 
 
 # --- serialization -----------------------------------------------------------

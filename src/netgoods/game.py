@@ -44,16 +44,32 @@ def _fold(spec: ScalarFunction) -> tuple[ScalarFunction, float, float]:
 
 
 class Evaluator:
-    """Values, costs and first derivatives of many players at once, players on the last axis.
+    """Values, costs, their derivatives and interval constants of many players at once.
 
-    Each player's AffineReparam chain folds into one (scale, shift) pair,
-    t = (y - shift)/scale.  A value is a quadratic term a*t - b*t^2 (flat past
-    its peak) plus a log term log*ln(mu*t + s), one of them exactly zero for each
-    player; a cost is 0.5*q*t^2 + l*t, and its slope in x is the one affine map
-    dq*x + dl, folded when the evaluator is built (the same bits as the unfolded
-    slope for a player without reparameterization).  Gains outside a value domain
-    by at most GAIN_CLAMP_TOL are clamped back in; a gain further out raises
-    DomainError.
+    Players lie on the last axis.  Each player's AffineReparam chain folds into
+    one (scale, shift) pair, t = (y - shift)/scale.  A value is a quadratic term
+    a*t - b*t^2 (flat past its peak) plus a log term log*ln(mu*t + s), one of
+    them exactly zero for each player; a cost is 0.5*q*t^2 + l*t, and its slope
+    in x is the one affine map dq*x + dl, folded when the evaluator is built (the
+    same bits as the unfolded slope for a player without reparameterization).
+    Gains outside a value domain by at most GAIN_CLAMP_TOL are clamped back in; a
+    gain further out raises DomainError.
+
+    Rows, one entry per player: ``k_lo``, ``k_hi`` (the value domain); the value
+    parameters ``v_scale``, ``v_shift``, ``a``, ``b``, ``b2`` = 2b, ``clip`` (the
+    peak in t), ``peak``, ``log``, ``mu``, ``s``; the cost parameters
+    ``c_scale``, ``c_shift``, ``q``, ``l``; and the folded slope ``dq``, ``dl``.
+    ``dq`` is c'', a constant, so it is also each cost's modulus and the
+    Lipschitz constant of c'.
+
+    Methods at points: ``value``, ``value_d1``, ``value_d2``, ``cost``,
+    ``cost_d1``.  ``value_kink`` is where f'' jumps, in gain coordinates.  Over
+    gain intervals [lo, hi]: ``value_modulus`` (inf of -f''),
+    ``value_modulus_increasing`` (the same where f' > 0), ``value_lipschitz_d1``
+    (sup of |f''|), ``value_lipschitz_d2`` (sup of |f'''|) and ``closeness``
+    (sup of |gamma f_i'' - f''| for a common value f).  These constants are exact
+    closed forms for intervals inside the value domains; like the derivative
+    oracles, they read f'' at a peak on the curved side.
     """
 
     def __init__(self, cols: np.ndarray):
@@ -98,15 +114,78 @@ class Evaluator:
 
     def value(self, k: np.ndarray) -> np.ndarray:
         """f_i(k_i)."""
-        t = (self.clamp_gains(k) - self.v_shift) / self.v_scale
+        t = self._t(self.clamp_gains(k))
         quad = np.where(t <= self.clip, self.a * t - self.b * t * t, self.peak)
         return quad + self.log * np.log(self.mu * t + self.s)
 
     def value_d1(self, k: np.ndarray) -> np.ndarray:
         """f_i'(k_i)."""
-        t = (self.clamp_gains(k) - self.v_shift) / self.v_scale
+        t = self._t(self.clamp_gains(k))
         quad = np.where(t <= self.clip, self.a - self.b2 * t, 0.0)
         return (self.log / (self.mu * t + self.s) + quad) / self.v_scale
+
+    def value_d2(self, k: np.ndarray) -> np.ndarray:
+        """f_i''(k_i)."""
+        t = self._t(self.clamp_gains(k))
+        return self._d2(t, t)
+
+    def value_kink(self) -> np.ndarray:
+        """Each value's peak in gain coordinates, where f_i'' jumps; -inf for a log value."""
+        return self.clip * self.v_scale + self.v_shift
+
+    def value_modulus(self, lo, hi) -> np.ndarray:
+        """inf of -f_i'' over [lo_i, hi_i]."""
+        return self._curvature(np.where(self._t(hi) <= self.clip, self.b2, 0.0), hi)
+
+    def value_modulus_increasing(self, lo, hi) -> np.ndarray:
+        """inf of -f_i'' over the part of [lo_i, hi_i] where f_i' > 0, the only gains an argmax takes."""
+        return self._curvature(np.where(self._t(lo) < self.clip, self.b2, 0.0), hi)
+
+    def value_lipschitz_d1(self, lo, hi) -> np.ndarray:
+        """sup of |f_i''| over [lo_i, hi_i]."""
+        return self._curvature(self.b2, lo)
+
+    def value_lipschitz_d2(self, lo, hi) -> np.ndarray:
+        """sup of |f_i'''| over [lo_i, hi_i]; inf where the peak lies in [lo_i, hi_i)."""
+        t_lo = self._t(lo)
+        jump = np.where((t_lo <= self.clip) & (self.clip < self._t(hi)), np.inf, 0.0)
+        return (jump + 2.0 * self.log / (self.mu * t_lo + self.s) ** 3) / self.v_scale**3
+
+    def closeness(self, common: Evaluator, gamma, lo, hi) -> np.ndarray:
+        """sup of |gamma_i f_i'' - f''| over [lo_i, hi_i], f the value of the one-player ``common``.
+
+        The two peaks cut the interval into at most three pieces.  On each, the
+        difference is a constant plus A/(k - p)^2 - gamma_i A_i/(k - p_i)^2 (A the
+        log coefficients, p their poles in gain coordinates), so its modulus
+        peaks at a piece end or where its derivative vanishes:
+        k - p = r (k - p_i) with r = cbrt(A / (gamma_i A_i)).
+        """
+        kinks = self.value_kink(), common.value_kink()
+        cuts = np.clip(np.minimum(*kinks), lo, hi), np.clip(np.maximum(*kinks), lo, hi)
+        edges = np.stack(np.broadcast_arrays(lo, *cuts, hi))
+        left, right = edges[:-1], edges[1:]
+        mid = 0.5 * (left + right)
+        branch_i, branch = self._t(mid), common._t(mid)  # the quadratic branches of each piece
+        p_i, p = self.v_shift - self.s * self.v_scale, common.v_shift - common.s * common.v_scale
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.cbrt(common.log / (gamma * self.log))
+            k_star = np.where((self.log > 0) & (common.log > 0), (p - r * p_i) / (1.0 - r), np.nan)
+        ends = (left, right, np.fmax(np.fmin(k_star, right), left))  # fmin takes nan to right
+        gaps = [np.abs(gamma * self._d2(self._t(k), branch_i) - common._d2(common._t(k), branch))
+                for k in ends]
+        return np.max(np.where(right > left, gaps, 0.0), axis=(0, 1))
+
+    def _t(self, k):
+        return (k - self.v_shift) / self.v_scale
+
+    def _d2(self, t, branch):
+        # f'' at t, on the quadratic branch that `branch` lies on
+        quad = np.where(branch <= self.clip, -self.b2, 0.0)
+        return (quad - self.log / (self.mu * t + self.s) ** 2) / self.v_scale**2
+
+    def _curvature(self, quad, at) -> np.ndarray:
+        # a quadratic curvature plus the log term's |f''| at the gain `at`
+        return (quad + self.log / (self.mu * self._t(at) + self.s) ** 2) / self.v_scale**2
 
     def cost(self, x: np.ndarray) -> np.ndarray:
         """c_i(x_i)."""
@@ -172,9 +251,13 @@ class Game:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "costs", costs)
 
+        gb = _compute_gain_bounds(w, lower, upper)
+        for arr in (gb.k_lo, gb.k_hi, gb.d_lo, gb.d_hi):
+            arr.setflags(write=False)
+        object.__setattr__(self, "_gain_bounds", gb)
+
         # reachable gains must live inside the value domains, actions inside
         # the cost domains; rejecting here keeps every downstream evaluation safe
-        gb = gain_bounds(self)
         for i in range(n):
             dlo, dhi = values[i].domain()
             if gb.k_lo[i] < dlo - GAIN_CLAMP_TOL or gb.k_hi[i] > dhi + GAIN_CLAMP_TOL:
@@ -227,13 +310,16 @@ def gains(game: Game, x: np.ndarray) -> np.ndarray:
 
 
 def gain_bounds(game: Game) -> GainBounds:
-    """Tight componentwise bounds on gains and externalities over the box.
+    """Tight componentwise bounds on gains and externalities over the box (read-only).
 
     Positive weights contribute their source's bound of matching direction,
     negative weights the opposite one; the diagonal is excluded for the
-    externality interval.
+    externality interval.  Computed once, when the game is built.
     """
-    w, lower, upper = game.w, game.lower, game.upper
+    return game._gain_bounds
+
+
+def _compute_gain_bounds(w: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> GainBounds:
     pos = np.maximum(w, 0.0)
     neg = np.minimum(w, 0.0)
     k_lo = pos @ lower + neg @ upper

@@ -83,20 +83,13 @@ def _interior_curvatures(game: Game, x_star: np.ndarray):
             f"x_star sits on the box boundary (margin {margin:.3g}); "
             "interior equilibrium required"
         )
-    k = game.evaluator.clamp_gains(gains(game, x_star))
-    fp = game.evaluator.value_d1(k)
-    fpp = np.array([float(game.values[i].d2(k[i])) for i in range(game.n)])
-    cp = game.evaluator.cost_d1(x_star)
-    cpp = np.array([float(game.costs[i].d2(x_star[i])) for i in range(game.n)])
-    warnings = []
-    for i in range(game.n):
-        for q in game.values[i].kinks():
-            if abs(k[i] - q) < KINK_WARN_TOL:
-                warnings.append(
-                    f"player {i}: equilibrium gain within {KINK_WARN_TOL:g} of a value "
-                    "kink; second derivative uses the curved-side convention"
-                )
-    return x_star, k, fp, fpp, cp, cpp, margin, tuple(warnings)
+    ev = game.evaluator
+    k = ev.clamp_gains(gains(game, x_star))
+    fp, fpp, cp, cpp = ev.value_d1(k), ev.value_d2(k), ev.cost_d1(x_star), ev.dq
+    warnings = tuple(f"player {i}: equilibrium gain within {KINK_WARN_TOL:g} of a value "
+                     "kink; second derivative uses the curved-side convention"
+                     for i in np.flatnonzero(np.abs(k - ev.value_kink()) < KINK_WARN_TOL))
+    return x_star, k, fp, fpp, cp, cpp, margin, warnings
 
 
 def _solve(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:

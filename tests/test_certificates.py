@@ -230,6 +230,20 @@ class TestNearPotential:
         assert rep.margin == -math.inf
         assert any("not applicable" in note for note in rep.notes)
 
+    def test_log_closeness_is_the_true_sup_no_false_pass(self):
+        # sup |f_i'' - f''| on [0, 100] sits at k = 0: 1/0.001^2 - 1/1^2 = 999 999.  A grid
+        # estimate of that slope fell 10x short and turned this fail into a pass (margin +9.1e3).
+        g = Game(
+            w=np.ones((2, 2)), lower=np.zeros(2), upper=np.full(2, 50.0),
+            values=tuple(LogValue(a=1.0, s=1e-3) for _ in range(2)),
+            costs=tuple(QuadraticCost(c0=2e5) for _ in range(2)),
+        )
+        rep = cert_near_potential(g, LogValue(a=1.0, s=1.0))
+        assert rep.details["sigma_i"] == pytest.approx([999_999.0] * 2, rel=1e-12)
+        assert rep.verdict == "fail"
+        # c = 2e5 + 1/101^2 against sigma_max(B) = 2 * 999 999 (B = sigma_i times the ones matrix)
+        assert rep.margin == pytest.approx(2e5 + 101.0**-2 - 2 * 999_999.0, rel=1e-12)
+
     def test_domain_coverage_error(self):
         # reachable gains start at -0.15, below the candidate's domain edge -0.1
         g = Game(

@@ -1,7 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from netgoods.errors import DomainError, InputError
 from netgoods.functions import (
@@ -10,12 +13,11 @@ from netgoods.functions import (
     LogValue,
     QuadraticClippedValue,
     QuadraticCost,
-    closeness_sigma,
     evaluate,
-    smoothness,
     spec_from_dict,
     spec_to_dict,
 )
+from netgoods.game import Evaluator
 
 ALL_SPECS = [
     QuadraticClippedValue(a=3.0, b=1.0),
@@ -100,64 +102,73 @@ def test_curvature_sign_matches_kind(spec):
         assert np.all(d2 >= -1e-12)
 
 
+PARTNER_VALUE = QuadraticClippedValue(a=3.0, b=1.0)
+PARTNER_COST = QuadraticCost(c0=1.0)
+
+
+def one_player(spec):
+    """The one-player evaluator holding spec, beside a fixed spec of the other kind."""
+    if spec.kind == "value":
+        return Evaluator.of([spec], [PARTNER_COST])
+    return Evaluator.of([PARTNER_VALUE], [spec])
+
+
+def constants(spec, lo, hi):
+    """(modulus, Lipschitz constant of d1, of d2) over [lo, hi], as the evaluator gives them."""
+    ev = one_player(spec)
+    if spec.kind == "cost":  # c'' is the constant dq: it is both the modulus and L1, and L2 = 0
+        return float(ev.dq[0]), float(ev.dq[0]), 0.0
+    return (float(ev.value_modulus(lo, hi)[0]), float(ev.value_lipschitz_d1(lo, hi)[0]),
+            float(ev.value_lipschitz_d2(lo, hi)[0]))
+
+
+def closeness(f_i, f, gamma, lo, hi):
+    """sup |gamma f_i'' - f''| over [lo, hi], as the evaluator gives it."""
+    return float(one_player(f_i).closeness(one_player(f), np.array([gamma]), lo, hi)[0])
+
+
 def test_smoothness_clipped_on_unclipped_interval():
-    rep = smoothness(QuadraticClippedValue(a=3.0, b=1.0), (0.0, 1.5))
-    assert rep.modulus == 2.0
-    assert rep.lipschitz_d1 == 2.0
-    assert rep.lipschitz_d2 == 0.0
-    assert rep.strictly_increasing
+    f = QuadraticClippedValue(a=3.0, b=1.0)
+    assert constants(f, 0.0, 1.5) == (2.0, 2.0, 0.0)
+    assert one_player(f).value_modulus_increasing(0.0, 1.5)[0] == 2.0
 
 
 def test_smoothness_clipped_crossing_interval():
     # flat branch contributes zero curvature; verified by a dense d2 scan
     f = QuadraticClippedValue(a=3.0, b=1.0)
-    rep = smoothness(f, (0.0, 2.0))
-    assert rep.modulus == 0.0
-    assert rep.lipschitz_d1 == 2.0
-    assert rep.lipschitz_d2 is None
-    assert not rep.strictly_increasing
+    assert constants(f, 0.0, 2.0) == (0.0, 2.0, math.inf)  # no finite L2: d2 jumps at 1.5
+    assert constants(f, 1.5, 2.0)[2] == math.inf  # d2 at the peak itself is the curved side's
+    assert one_player(f).value_modulus_increasing(0.0, 2.0)[0] == 2.0  # f' > 0 on [0, 1.5)
     grid = np.linspace(0.0, 2.0, 10_000)
     assert float(np.min(np.abs(f.d2(grid)))) == 0.0
 
 
 def test_smoothness_linear_cost():
-    rep = smoothness(LinearCost(c1=2.0), (0.0, 1.0))
-    assert rep.modulus == 0.0
-    assert rep.lipschitz_d1 == 0.0
-    assert rep.strictly_increasing
-
-
-def test_smoothness_invalid_interval():
-    with pytest.raises(InputError):
-        smoothness(LinearCost(c1=1.0), (1.0, 1.0))
-    with pytest.raises(InputError):
-        smoothness(QuadraticCost(c0=1.0), (1.0, 0.0))
-    with pytest.raises(DomainError):
-        smoothness(QuadraticCost(c0=1.0), (-1.0, 1.0))
+    assert constants(LinearCost(c1=2.0), 0.0, 1.0) == (0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: repr(s))
 def test_smoothness_constants_are_valid_certificates(spec):
     rng = np.random.default_rng(202)
     lo, hi = sample_interval(spec)
-    rep = smoothness(spec, (lo, hi))
-    assert rep.modulus >= 0 and rep.lipschitz_d1 >= 0
+    modulus, lipschitz_d1, lipschitz_d2 = constants(spec, lo, hi)
+    assert modulus >= 0 and lipschitz_d1 >= 0
     k1 = rng.uniform(lo, hi, size=1000)
     k2 = rng.uniform(lo, hi, size=1000)
     d1_1 = np.asarray(spec.d1(k1))
     d1_2 = np.asarray(spec.d1(k2))
-    assert np.all(np.abs(d1_1 - d1_2) <= rep.lipschitz_d1 * np.abs(k1 - k2) + 1e-12)
+    assert np.all(np.abs(d1_1 - d1_2) <= lipschitz_d1 * np.abs(k1 - k2) + 1e-12)
     # strong concavity/convexity inequality at the reported modulus
     v1 = np.asarray(spec.value(k1))
     v2 = np.asarray(spec.value(k2))
     sign = -1.0 if spec.kind == "value" else 1.0
     # value: f(k2) <= f(k1) + f'(k1)(k2-k1) - (c/2)(k2-k1)^2 ; cost: flipped
     lhs = sign * (v2 - v1 - d1_1 * (k2 - k1))
-    assert np.all(lhs >= 0.5 * rep.modulus * (k2 - k1) ** 2 - 1e-12)
-    if rep.lipschitz_d2 is not None:
+    assert np.all(lhs >= 0.5 * modulus * (k2 - k1) ** 2 - 1e-12)
+    if math.isfinite(lipschitz_d2):
         d2_1 = np.asarray(spec.d2(k1))
         d2_2 = np.asarray(spec.d2(k2))
-        assert np.all(np.abs(d2_1 - d2_2) <= rep.lipschitz_d2 * np.abs(k1 - k2) + 1e-12)
+        assert np.all(np.abs(d2_1 - d2_2) <= lipschitz_d2 * np.abs(k1 - k2) + 1e-12)
 
 
 def test_affine_reparam_chain_rule_exact():
@@ -175,12 +186,9 @@ def test_affine_reparam_smoothness_rescaling():
     d, m = 3.0, -1.0
     g = AffineReparam(inner, scale=d, shift=m)
     lo, hi = 0.0, 5.0
-    pre = ((lo - m) / d, (hi - m) / d)
-    rep_g = smoothness(g, (lo, hi))
-    rep_i = smoothness(inner, pre)
-    assert rep_g.modulus == pytest.approx(rep_i.modulus / d**2, rel=1e-14)
-    assert rep_g.lipschitz_d1 == pytest.approx(rep_i.lipschitz_d1 / d**2, rel=1e-14)
-    assert rep_g.lipschitz_d2 == pytest.approx(rep_i.lipschitz_d2 / d**3, rel=1e-14)
+    rep_g = constants(g, lo, hi)
+    rep_i = constants(inner, (lo - m) / d, (hi - m) / d)
+    assert rep_g == pytest.approx((rep_i[0] / d**2, rep_i[1] / d**2, rep_i[2] / d**3), rel=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -202,42 +210,50 @@ def test_affine_reparam_roundtrip_identity(spec):
 
 def test_closeness_identical_specs_zero():
     f = QuadraticClippedValue(a=3.0, b=1.0)
-    assert closeness_sigma(f, f, 1.0, (0.0, 1.4)) == 0.0
+    assert closeness(f, f, 1.0, 0.0, 1.4) == 0.0
     g = LogValue(a=1.0, s=1.0)
-    assert closeness_sigma(g, g, 1.0, (0.0, 2.0)) == 0.0
+    assert closeness(g, g, 1.0, 0.0, 2.0) == 0.0
 
 
 def test_closeness_scaled_quadratic_analytic():
     # h(k) = 2 f'(k) - f'(k) = 3 - 2k on the unclipped branch: slope -2
     f = QuadraticClippedValue(a=3.0, b=1.0)
-    assert closeness_sigma(f, f, 2.0, (0.0, 1.5)) == 2.0
+    assert closeness(f, f, 2.0, 0.0, 1.5) == 2.0
     # beyond the clip both derivatives vanish; the max piece slope still rules
-    assert closeness_sigma(f, f, 2.0, (0.0, 2.5)) == 2.0
+    assert closeness(f, f, 2.0, 0.0, 2.5) == 2.0
 
 
 def test_closeness_two_different_quadratics():
     f_i = QuadraticClippedValue(a=3.0, b=1.0)
     f = QuadraticClippedValue(a=4.0, b=0.5)
     # h'(k) = gamma*(-2) - (-1) on the jointly unclipped branch
-    assert closeness_sigma(f_i, f, 1.0, (0.0, 1.4)) == pytest.approx(1.0)
-    assert closeness_sigma(f_i, f, 0.5, (0.0, 1.4)) == pytest.approx(0.0)
+    assert closeness(f_i, f, 1.0, 0.0, 1.4) == pytest.approx(1.0)
+    assert closeness(f_i, f, 0.5, 0.0, 1.4) == pytest.approx(0.0)
+    # past f_i's peak at 1.5 only f curves, |0 - (-1)| = 1; past f's peak at 4 neither does
+    assert closeness(f_i, f, 3.0, 2.0, 5.0) == 1.0
+    assert closeness(f_i, f, 3.0, 4.5, 5.0) == 0.0
+    # from f_i's peak on, f_i is flat: the curved-side value at the peak is no piece of its own
+    assert closeness(f_i, f, 3.0, 1.5, 3.0) == 1.0
 
 
-def test_closeness_numeric_fallback_conservative():
-    # log vs log has analytic Lipschitz constant max|gamma*f_i'' - f''|
+def test_closeness_log_pair_exact():
+    # h'(k) = 2*(-2/(1+k)^2) + 1/(2+k)^2 is largest in modulus at k = 0: |-4 + 1/4|
     f_i = LogValue(a=2.0, s=1.0)
     f = LogValue(a=1.0, s=2.0)
     lo, hi = 0.0, 2.0
     grid = np.linspace(lo, hi, 200_001)
     hprime = 2.0 * np.asarray(f_i.d2(grid)) - np.asarray(f.d2(grid))
-    exact = float(np.max(np.abs(hprime)))
-    got = closeness_sigma(f_i, f, 2.0, (lo, hi))
-    assert exact <= got <= 1.1 * exact
+    assert closeness(f_i, f, 2.0, lo, hi) == 3.75 == float(np.max(np.abs(hprime)))
 
 
-def test_closeness_domain_mismatch():
-    with pytest.raises(DomainError):
-        closeness_sigma(LogValue(a=1.0, s=1.0), LogValue(a=1.0, s=0.1), 1.0, (-0.5, 1.0))
+def test_closeness_interior_stationary_point():
+    # h'(k) = -1/(1+k)^2 + 8/(2+k)^2 peaks at the zero k = 0 of h'' (2+k = 2(1+k)), h'(0) = 1,
+    # above both ends: |h'(-0.5)| = 4/9 and h'(5) = 8/49 - 1/36
+    f_i, f = LogValue(a=1.0, s=1.0), LogValue(a=8.0, s=2.0)
+    grid = np.linspace(-0.5, 5.0, 400_001)
+    hprime = np.asarray(f_i.d2(grid)) - np.asarray(f.d2(grid))
+    assert closeness(f_i, f, 1.0, -0.5, 5.0) == 1.0
+    assert 1.0 - 1e-9 < float(np.max(np.abs(hprime))) <= 1.0
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: repr(s))
@@ -258,7 +274,187 @@ def test_deserialization_errors_name_the_field():
 
 def test_increasing_cutoff():
     f = QuadraticClippedValue(a=3.0, b=1.0)
-    assert f.increasing_cutoff() == 1.5
-    assert LogValue(a=1.0, s=1.0).increasing_cutoff() == math.inf
     g = AffineReparam(f, scale=2.0, shift=1.0)
-    assert g.increasing_cutoff() == 4.0
+    ev = Evaluator.of([f, LogValue(a=1.0, s=1.0), g], [PARTNER_COST] * 3)
+    assert ev.value_kink().tolist() == [1.5, -math.inf, 4.0]
+    # f' > 0 left of the peak only; there g'' = -2/2^2
+    lo, hi = np.array([0.0, 0.0, 3.0]), np.array([3.0, 3.0, 5.0])
+    assert ev.value_modulus_increasing(lo, hi).tolist() == [2.0, 1.0 / 16.0, 0.5]
+    lo, hi = np.array([1.5, 4.0, 4.0]), np.full(3, 5.0)
+    assert ev.value_modulus_increasing(lo, hi).tolist() == [0.0, 1.0 / 36.0, 0.0]
+
+
+# --- every interval constant against an exact evaluation ----------------------
+
+VALUE_FAMILIES = st.one_of(
+    st.builds(QuadraticClippedValue, a=st.floats(0.1, 10.0), b=st.floats(0.05, 5.0)),
+    st.builds(LogValue, a=st.floats(0.1, 10.0), s=st.floats(0.01, 5.0)),
+)
+COST_FAMILIES = st.one_of(st.builds(QuadraticCost, c0=st.floats(0.1, 10.0)),
+                          st.builds(LinearCost, c1=st.floats(0.1, 10.0)))
+
+
+@st.composite
+def nested(draw, families):
+    spec = draw(families)
+    for _ in range(draw(st.integers(0, 2))):
+        spec = AffineReparam(spec, scale=draw(st.floats(0.3, 3.0)), shift=draw(st.floats(-1.0, 1.0)))
+    return spec
+
+
+class ExactSpec:
+    """A spec evaluated in mpmath through its AffineReparam chain, level by level."""
+
+    def __init__(self, spec):
+        self.levels = []  # (scale, shift), outermost first
+        while isinstance(spec, AffineReparam):
+            self.levels.append((mp.mpf(spec.scale), mp.mpf(spec.shift)))
+            spec = spec.inner
+        self.base = spec
+        self.factor = mp.fprod(scale for scale, _ in self.levels)
+
+    def _pre(self, y):
+        for scale, shift in self.levels:
+            y = (y - shift) / scale
+        return y
+
+    def _post(self, t):
+        for scale, shift in reversed(self.levels):
+            t = t * scale + shift
+        return t
+
+    def kink(self):
+        base = self.base
+        if isinstance(base, QuadraticClippedValue):
+            return self._post(mp.mpf(base.a) / (2 * mp.mpf(base.b)))
+        return None
+
+    def pole_and_weight(self):
+        """(p, A) with f'' = -A/(k - p)^2 + a constant, or None for a quadratic value."""
+        if isinstance(self.base, LogValue):
+            return self._post(-mp.mpf(self.base.s)), mp.mpf(self.base.a)
+        return None
+
+    def d2(self, k, branch):
+        """f''(k), reading a quadratic value on the branch of the gain ``branch``."""
+        base, t = self.base, self._pre(mp.mpf(k))
+        if isinstance(base, LogValue):
+            out = -mp.mpf(base.a) / (mp.mpf(base.s) + t) ** 2
+        elif isinstance(base, QuadraticClippedValue):
+            out = -2 * mp.mpf(base.b) if self._pre(branch) <= mp.mpf(base.a) / (2 * mp.mpf(base.b)) else 0
+        elif isinstance(base, QuadraticCost):
+            out = mp.mpf(base.c0)
+        else:
+            out = mp.mpf(0)
+        return out / self.factor**2
+
+    def d3(self, k):
+        base = self.base
+        if not isinstance(base, LogValue):
+            return mp.mpf(0)
+        return 2 * mp.mpf(base.a) / (mp.mpf(base.s) + self._pre(mp.mpf(k))) ** 3 / self.factor**3
+
+
+def pieces(lo, hi, *kinks):
+    cuts = sorted({k for k in kinks if k is not None and lo < k < hi})
+    edges = [mp.mpf(lo), *cuts, mp.mpf(hi)]
+    return [(u, v, (u + v) / 2) for u, v in zip(edges[:-1], edges[1:])]
+
+
+def stationary_points(f_i, f, gamma, u, v):
+    """Zeros in (u, v) of d/dk [gamma f_i'' - f''], as real roots of a cubic."""
+    both = f_i.pole_and_weight(), f.pole_and_weight()
+    if None in both:
+        return []  # one log term at most: monotone on every piece
+    (p_i, a_i), (p, a) = both
+    if p == p_i:
+        return []  # one pole: h' = constant + constant/(k - p)^2 is monotone
+    c = mp.mpf(gamma) * a_i
+    # c (k - p)^3 = a (k - p_i)^3, expanded
+    coeffs = [c - a, -3 * c * p + 3 * a * p_i, 3 * c * p**2 - 3 * a * p_i**2, -c * p**3 + a * p_i**3]
+    while coeffs and coeffs[0] == 0:
+        coeffs.pop(0)
+    if len(coeffs) < 2:
+        return []
+    roots = mp.polyroots(coeffs, maxsteps=100, extraprec=100)
+    return [mp.re(r) for r in roots if abs(mp.im(r)) < mp.mpf(10) ** -30 and u < mp.re(r) < v]
+
+
+def away_from(x, *points):
+    return all(q is None or abs(x - q) > 1e-9 * (1 + abs(q)) for q in points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f_i=nested(VALUE_FAMILIES), f=nested(VALUE_FAMILIES), cost=nested(COST_FAMILIES),
+       gamma=st.floats(0.1, 10.0), where=st.tuples(*[st.floats(0.0, 1.0)] * 3))
+def test_interval_constants_match_mpmath(f_i, f, cost, gamma, where):
+    # an interval inside both value domains, kept 1e-2 (relative) off their poles
+    floor = max(f_i.domain()[0], f.domain()[0])
+    if floor == -math.inf:
+        lo = -5.0 + 10.0 * where[0]
+    else:
+        lo = floor + (1 + abs(floor)) * 10 ** (-2 + 3 * where[0])
+    hi = lo + (1 + abs(lo)) * 10 ** (-3 + 4.5 * where[1])
+    point = lo + where[2] * (hi - lo)
+    ev, common = Evaluator.of([f_i], [cost]), one_player(f)
+    with mp.workdps(50):
+        x_i, x = ExactSpec(f_i), ExactSpec(f)
+        kinks = x_i.kink(), x.kink()
+        # which side of a peak a point lies on depends on rounding there: keep clear of the peaks
+        assume(all(away_from(e, *kinks) for e in (lo, hi, point)))
+        assume(None in kinks or kinks[0] == kinks[1] or away_from(kinks[0], kinks[1]))
+
+        # closeness: |h'| on each piece peaks at an end or at a zero of h''
+        exact = max(abs(gamma * x_i.d2(k, mid) - x.d2(k, mid))
+                    for u, v, mid in pieces(lo, hi, *kinks)
+                    for k in [u, v, *stationary_points(x_i, x, gamma, u, v)])
+        # -f'' and |f''| are monotone on each piece, so their inf and sup lie at piece ends
+        sup = {spec: max(abs(spec.d2(k, mid)) for u, v, mid in pieces(lo, hi, spec.kink()) for k in (u, v))
+               for spec in (x_i, x)}
+        got = float(ev.closeness(common, np.array([gamma]), lo, hi)[0])
+        assert abs(got - exact) <= 1e-12 * (gamma * sup[x_i] + sup[x])
+
+        for evaluator, spec in ((ev, x_i), (common, x)):
+            kink, cuts = spec.kink(), pieces(lo, hi, spec.kink())
+            climbing = [(u, v, mid) for u, v, mid in cuts if kink is None or mid < kink]
+            checks = [
+                (evaluator.value_modulus(lo, hi), min(-spec.d2(k, mid) for u, v, mid in cuts for k in (u, v))),
+                (evaluator.value_modulus_increasing(lo, hi),
+                 min((-spec.d2(k, mid) for u, v, mid in climbing for k in (u, v)), default=0)),
+                (evaluator.value_d2(np.array([point])), spec.d2(point, point)),
+            ]
+            for got, want in checks:
+                assert abs(float(got[0]) - want) <= 1e-12 * sup[spec]
+            # past its peak a quadratic value keeps L1 = 2b/scale^2: a bound there, exact for a log
+            got = float(evaluator.value_lipschitz_d1(lo, hi)[0])
+            assert got >= sup[spec] * (1 - 1e-12)
+            assert kink is not None or got <= sup[spec] * (1 + 1e-12)
+            got = float(evaluator.value_lipschitz_d2(lo, hi)[0])
+            if kink is not None and lo <= kink < hi:
+                assert got == math.inf  # f'' jumps inside
+            else:
+                assert abs(got - spec.d3(lo)) <= 1e-12 * spec.d3(lo)
+            got = float(evaluator.value_kink()[0])
+            assert got == -math.inf if kink is None else abs(got - kink) <= 1e-12 * (1 + abs(kink))
+        want = ExactSpec(cost).d2(0, 0)
+        assert abs(float(ev.dq[0]) - want) <= 1e-12 * want
+
+
+@settings(max_examples=200, deadline=None)
+@given(f_i=nested(st.builds(LogValue, a=st.floats(0.1, 10.0), s=st.floats(0.01, 5.0))),
+       f=nested(st.builds(LogValue, a=st.floats(0.1, 10.0), s=st.floats(0.01, 5.0))),
+       gamma=st.floats(0.1, 10.0), where=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+def test_closeness_at_an_interior_stationary_point_matches_mpmath(f_i, f, gamma, where):
+    # two log values and an interval around the zero of h'' = d/dk [gamma f_i'' - f'']
+    floor = max(f_i.domain()[0], f.domain()[0])
+    with mp.workdps(50):
+        x_i, x = ExactSpec(f_i), ExactSpec(f)
+        inside = stationary_points(x_i, x, gamma, floor + 1e-2 * (1 + abs(floor)), mp.inf)
+        assume(inside)
+        k_star = float(inside[0])
+        lo = k_star - (k_star - floor) * where[0] * 0.9
+        hi = k_star + (1 + abs(k_star)) * 10 ** (-2 + 3 * where[1])
+        exact = max(abs(gamma * x_i.d2(k, k) - x.d2(k, k)) for k in (lo, hi, inside[0]))
+        scale = gamma * abs(x_i.d2(lo, lo)) + abs(x.d2(lo, lo))
+        got = float(one_player(f_i).closeness(one_player(f), np.array([gamma]), lo, hi)[0])
+        assert abs(got - exact) <= 1e-12 * scale

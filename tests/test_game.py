@@ -140,6 +140,25 @@ class TestGainBounds:
             assert gb.k_hi[i] == pytest.approx(float(w[i] @ x_hi), abs=1e-12)
             assert gb.k_lo[i] == pytest.approx(float(w[i] @ x_lo), abs=1e-12)
 
+    def test_computed_once_read_only_same_bits(self):
+        rng = np.random.default_rng(12)
+        w = rng.uniform(-1, 1, size=(6, 6))
+        np.fill_diagonal(w, 1.0)
+        g = Game(w=w, lower=rng.uniform(-1.0, 0.0, 6), upper=rng.uniform(0.5, 2.0, 6),
+                 values=tuple(QUAD for _ in range(6)), costs=tuple(LinearCost(c1=1.0) for _ in range(6)))
+        gb = gain_bounds(g)
+        assert gain_bounds(g) is gb
+        # the formula the bounds were computed with before they were stored
+        pos, neg = np.maximum(g.w, 0.0), np.minimum(g.w, 0.0)
+        off = g.w - np.diag(np.diag(g.w))
+        pos_o, neg_o = np.maximum(off, 0.0), np.minimum(off, 0.0)
+        want = (pos @ g.lower + neg @ g.upper, pos @ g.upper + neg @ g.lower,
+                pos_o @ g.lower + neg_o @ g.upper, pos_o @ g.upper + neg_o @ g.lower)
+        for got, ref in zip((gb.k_lo, gb.k_hi, gb.d_lo, gb.d_hi), want):
+            assert got.tobytes() == ref.tobytes()
+            with pytest.raises(ValueError):
+                got[0] = 0.0
+
 
 class TestUtilities:
     def test_n1(self, n1_game):
@@ -299,6 +318,7 @@ class TestEvaluator:
         want = {
             "value": np.stack([v.value(k[:, i]) for i, v in enumerate(values)], axis=1),
             "value_d1": np.stack([v.d1(k[:, i]) for i, v in enumerate(values)], axis=1),
+            "value_d2": np.stack([v.d2(k[:, i]) for i, v in enumerate(values)], axis=1),
             "cost": np.stack([c.value(x[:, i]) for i, c in enumerate(costs)], axis=1),
             "cost_d1": np.stack([c.d1(x[:, i]) for i, c in enumerate(costs)], axis=1),
         }
