@@ -38,7 +38,8 @@ class CertificateReport:
     margin is positive.  ``details`` carries the per-player constants for
     audit; ``transform`` names the equivalence map the certificate was
     evaluated under, if any; ``attempts`` lists, for ``certify_any``, every
-    certificate it tried.
+    certificate it tried.  A report whose margin is not finite is a "fail",
+    and its last note says why.
     """
 
     theorem: str
@@ -76,7 +77,11 @@ def _slack(m: np.ndarray) -> np.ndarray:
 def _sigma_bound(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(upper bound on sigma_max, its slack) for each matrix of an (..., n, n) stack."""
     slack = _slack(m)
-    return np.linalg.svd(m, compute_uv=False)[..., 0] + slack, slack
+    try:
+        top = np.linalg.svd(m, compute_uv=False)[..., 0]
+    except np.linalg.LinAlgError:  # LAPACK does not converge on a nan entry (an inf one gives nan)
+        top = np.full(m.shape[:-2], np.nan)
+    return top + slack, slack
 
 
 def _eig_bounds(m: np.ndarray) -> tuple[float, float, float]:
@@ -104,6 +109,13 @@ def spectral_bounds(m: np.ndarray) -> tuple[float, tuple[float, float] | None]:
     if np.max(np.abs(m - m.T)) <= 1e-12 * max(1.0, float(np.max(np.abs(m)))):
         sym_eigs = _eig_bounds(m)[:2]
     return float(sigma), sym_eigs
+
+
+def _verdict(ok: bool, margin: float, notes) -> tuple[str, tuple[str, ...]]:
+    """"pass" exactly when ok and the margin is finite and positive; a margin not finite gets a reason."""
+    if not math.isfinite(margin):
+        return "fail", (*notes, f"margin is {margin}: a constant it is computed from is not finite")
+    return "pass" if ok and margin > 0 else "fail", tuple(notes)
 
 
 def _default_gamma(game: Game, gamma) -> np.ndarray:
@@ -146,6 +158,7 @@ def cert_near_individual(game: Game, gamma: np.ndarray | None = None) -> Certifi
     notes = _kink_caveats(game, gb)
     if c == 0.0:
         notes = notes + ("zero modulus: no strong concavity available",)
+    verdict, notes = _verdict(c > 0, margin, notes)
     return CertificateReport(
         theorem="near_individual",
         gamma=gamma,
@@ -153,7 +166,7 @@ def cert_near_individual(game: Game, gamma: np.ndarray | None = None) -> Certifi
         sigma_max=float(s_max),
         threshold=c,
         margin=margin,
-        verdict="pass" if (c > 0 and margin > 0) else "fail",
+        verdict=verdict,
         notes=notes,
         details={"c": c, "l0": l0, "per_player_c": per_c.tolist()},
         slack=l0 * float(slack),
@@ -227,6 +240,7 @@ def cert_near_potential(
     margin = c - float(s_max)
     if c == 0.0:
         notes.append("zero modulus: no strong concavity available")
+    verdict, notes = _verdict(c > 0, margin, notes)
     return CertificateReport(
         theorem="near_potential",
         gamma=gamma,
@@ -234,8 +248,8 @@ def cert_near_potential(
         sigma_max=float(s_max),
         threshold=c,
         margin=margin,
-        verdict="pass" if (c > 0 and margin > 0) else "fail",
-        notes=tuple(notes),
+        verdict=verdict,
+        notes=notes,
         details={"c": c, "c1": c1, "c2": c2, "sigma_i": sigmas.tolist()},
         slack=float(slack),
     )
@@ -282,6 +296,7 @@ def cert_near_symmetric(game: Game, w0: np.ndarray) -> CertificateReport:
     np.fill_diagonal(sigma, 0.0)
     s_max, slack = _sigma_bound(sigma)
     margin = sigma_0 - float(s_max)
+    verdict, notes = _verdict(True, margin, notes)
     return CertificateReport(
         theorem="near_symmetric",
         gamma=gamma,
@@ -289,8 +304,8 @@ def cert_near_symmetric(game: Game, w0: np.ndarray) -> CertificateReport:
         sigma_max=float(s_max),
         threshold=sigma_0,
         margin=margin,
-        verdict="pass" if margin > 0 else "fail",
-        notes=tuple(notes),
+        verdict=verdict,
+        notes=notes,
         details=details,
         slack=slack_0 + float(slack),
     )
@@ -336,7 +351,7 @@ def certify_any(
                              "margin": None, "reason": str(exc)})
             return
         reports.append(rep)
-        # a certificate that cannot be evaluated reports margin -inf, its reason last in notes
+        # a report whose margin is not finite carries its reason last in notes
         attempts.append({"theorem": theorem, "transform": label, "verdict": rep.verdict,
                          "margin": _json_num(rep.margin),
                          "reason": None if math.isfinite(rep.margin) else rep.notes[-1]})
@@ -376,6 +391,6 @@ def report_to_dict(report: CertificateReport) -> dict:
         "notes": list(report.notes),
         "details": report.details,
         "transform": report.transform,
-        "slack": report.slack,
+        "slack": _json_num(report.slack),
         "attempts": list(report.attempts),
     }

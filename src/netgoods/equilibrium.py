@@ -208,11 +208,14 @@ def multi_start_probe(
     rng = np.random.default_rng(seed)
     xs = game.lower + rng.random((n_starts, game.n)) * (game.upper - game.lower)
     status, iters, residuals = _iterate(game, None, gamma_v, eps, xs, tol, max_iter)
+    converged = np.nonzero(status == "converged")[0]
     reps: list[SolveResult] = []
-    for s in np.nonzero(status == "converged")[0]:
+    centres = np.empty((converged.size, game.n))  # reps' x_star, stacked in the first len(reps) rows
+    for s in converged:
         x = xs[s]
-        if any(np.max(np.abs(x - r.x_star)) <= cluster_tol for r in reps):
+        if (np.abs(x - centres[:len(reps)]).max(axis=1) <= cluster_tol).any():
             continue
+        centres[len(reps)] = x
         reps.append(SolveResult(
             x_star=x.copy(), status="converged", iterations=int(iters[s]),
             final_gap=br_gap(game, x)[0], residual=float(residuals[s]),
@@ -270,7 +273,7 @@ def grid_oracle(game: Game, m: int, eps: float) -> list[np.ndarray]:
     return found
 
 
-def backward_induction(game: Game, tol: float = 1e-12) -> np.ndarray:
+def backward_induction(game: Game) -> np.ndarray:
     """Exact NE of an upper-triangular network by solving players n..1 in turn.
 
     With w_ij = 0 below the diagonal, player n faces no externalities, so her
@@ -281,5 +284,5 @@ def backward_induction(game: Game, tol: float = 1e-12) -> np.ndarray:
         raise InputError("W must be upper-triangular (w_ij = 0 for i > j)")
     x = game.lower.copy()
     for i in range(game.n - 1, -1, -1):
-        x[i] = best_response(game, i, x, tol=tol)
+        x[i] = best_response(game, i, x)
     return x

@@ -19,8 +19,6 @@ from .functions import (AffineReparam, LinearCost, LogValue, QuadraticClippedVal
 
 #: slack allowed when clamping a marginally out-of-domain gain back inside
 GAIN_CLAMP_TOL = 1e-9
-#: default bisection tolerance for 1-D best responses
-BR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,7 +61,8 @@ class Evaluator:
     Lipschitz constant of c'.
 
     Methods at points: ``value``, ``value_d1``, ``value_d2``, ``cost``,
-    ``cost_d1``.  ``value_kink`` is where f'' jumps, in gain coordinates.  Over
+    ``cost_d1``, and ``slope_root``, the root of the own-utility slope that a
+    best response takes.  ``value_kink`` is where f'' jumps, in gain coordinates.  Over
     gain intervals [lo, hi]: ``value_modulus`` (inf of -f''),
     ``value_modulus_increasing`` (the same where f' > 0), ``value_lipschitz_d1``
     (sup of |f''|), ``value_lipschitz_d2`` (sup of |f'''|) and ``closeness``
@@ -196,6 +195,30 @@ class Evaluator:
         """c_i'(x_i)."""
         return self.dq * x + self.dl
 
+    def slope_root(self, d: np.ndarray) -> np.ndarray:
+        """The action t at which f_i'(t + d_i) = c_i'(t), in closed form.
+
+        In gain coordinates a quadratic value has f'(k) = max(A - B*k, 0), so
+        the root is the larger of the roots of the curved piece and of the flat
+        one, -dl/dq (-inf for a linear cost).  A log value has f'(k) = L/(k - p),
+        p its pole, so the root is the larger root of (dq*t + dl)*(t + P) = L,
+        P = d - p, where both factors are positive; it is taken from the form of
+        the quadratic formula free of cancellation (the linear root when dq = 0),
+        with the discriminant (dq*P - dl)^2 + 4*dq*L kept from rounding below 0.
+        Meaningful where the root exists; callers clip it into the box.
+        """
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = self.b2 / self.v_scale**2  # B
+            curved = (self.a / self.v_scale - b * (d - self.v_shift) - self.dl) / (b + self.dq)
+            quad = np.maximum(curved, -self.dl / self.dq)
+            dp = d - (self.v_shift - self.s * self.v_scale)  # P
+            # t^2 coefficient dq; a1, a0 those of t and 1
+            a1 = self.dq * dp + self.dl
+            a0 = self.dl * dp - self.log
+            root = np.sqrt(np.maximum(a1 * a1 - 4.0 * self.dq * a0, 0.0))
+            t = np.where(a1 >= 0.0, -2.0 * a0 / (a1 + root), (root - a1) / (2.0 * self.dq))
+            return np.where(self.log > 0.0, t, quad)
+
 
 @dataclass(frozen=True)
 class Game:
@@ -257,10 +280,11 @@ class Game:
         object.__setattr__(self, "_gain_bounds", gb)
 
         # reachable gains must live inside the value domains, actions inside
-        # the cost domains; rejecting here keeps every downstream evaluation safe
+        # the cost domains; rejecting here keeps every downstream evaluation safe.
+        # A value domain's finite lower end is a log value's pole, open and strict
         for i in range(n):
             dlo, dhi = values[i].domain()
-            if gb.k_lo[i] < dlo - GAIN_CLAMP_TOL or gb.k_hi[i] > dhi + GAIN_CLAMP_TOL:
+            if not gb.k_lo[i] > dlo or gb.k_hi[i] > dhi + GAIN_CLAMP_TOL:
                 raise InputError(
                     f"player {i}: gain interval [{gb.k_lo[i]}, {gb.k_hi[i]}] "
                     f"not contained in value domain [{dlo}, {dhi}]"
@@ -374,16 +398,16 @@ def externality(game: Game, i: int, x: np.ndarray) -> float:
     return float(game.w[i] @ x - game.w[i, i] * x[i])
 
 
-def _bisect(ev: Evaluator, d: np.ndarray, lo, hi, tol: float) -> np.ndarray:
-    """Smallest maximizers of f(t + d) - c(t) over [lo, hi], bisected in lockstep.
+def _best_responses(ev: Evaluator, d: np.ndarray, lo, hi) -> np.ndarray:
+    """Smallest maximizers of f(t + d) - c(t) over [lo, hi].
 
     The own-utility derivative g(t) = f'(t + d) - c'(t) is non-increasing
     (concave value, convex cost), so the smallest maximizer, which also breaks
     ties across a flat optimum, is the left edge of {g <= 0}.  The slopes at the
     edges settle some entries on the whole array; the rest are gathered with
     their players' parameters (ev's players lie on the last axis of d, or ev has
-    one column), bisected, each entry following the scalar bisection's steps and
-    stopping on its own, and scattered back.
+    one column), take the root of g in closed form (``Evaluator.slope_root``),
+    clipped into [lo, hi], and are scattered back.
     """
     lo, hi = np.broadcast_to(lo, d.shape), np.broadcast_to(hi, d.shape)
     at_lo = ev.value_d1(lo + d) - ev.cost_d1(lo) <= 0.0
@@ -391,23 +415,14 @@ def _bisect(ev: Evaluator, d: np.ndarray, lo, hi, tol: float) -> np.ndarray:
     out = np.where(at_lo, lo, hi)
     undecided = np.nonzero(~(at_lo | at_hi))
     ev = ev if ev.cols.shape[1] == 1 else Evaluator(ev.cols[:, undecided[-1]])
-    d, a, b = d[undecided], lo[undecided], hi[undecided]  # slope(a) > 0 >= slope(b)
-    active = np.ones(d.shape, dtype=bool)
-    while True:
-        m = 0.5 * (a + b)
-        active &= (b - a > tol) & (a < m) & (m < b)  # else: done, or at machine resolution
-        if not active.any():
-            break
-        down = ev.value_d1(m + d) - ev.cost_d1(m) <= 0.0
-        a, b = np.where(active & ~down, m, a), np.where(active & down, m, b)
-    out[undecided] = 0.5 * (a + b)
+    out[undecided] = np.clip(ev.slope_root(d[undecided]), lo[undecided], hi[undecided])
     return out
 
 
-def best_response(game: Game, i: int, x: np.ndarray, tol: float = BR_TOL) -> float:
+def best_response(game: Game, i: int, x: np.ndarray) -> float:
     """Smallest maximizer of f_i(t + d_i) - c_i(t) over [lower_i, upper_i]."""
     d, lo, hi = np.array([externality(game, i, x)]), game.lower[i:i + 1], game.upper[i:i + 1]
-    return float(_bisect(game.evaluator.column(i), d, lo, hi, tol)[0])
+    return float(_best_responses(game.evaluator.column(i), d, lo, hi)[0])
 
 
 def br_gap(game: Game, x: np.ndarray) -> tuple[float, int]:
@@ -417,7 +432,7 @@ def br_gap(game: Game, x: np.ndarray) -> tuple[float, int]:
     """
     x = game.require_feasible(x)
     ev, d = game.evaluator, gains(game, x) - np.diag(game.w) * x
-    br = _bisect(ev, d, game.lower, game.upper, BR_TOL)
+    br = _best_responses(ev, d, game.lower, game.upper)
     gaps = (ev.value(br + d) - ev.cost(br)) - (ev.value(x + d) - ev.cost(x))
     gap, worst = np.maximum(np.max(gaps, axis=-1), 0.0), np.argmax(gaps, axis=-1)
     return (float(gap), int(worst)) if x.ndim == 1 else (gap, worst)

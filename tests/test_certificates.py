@@ -347,6 +347,23 @@ class TestNearSymmetric:
 
 
 class TestCertifyAny:
+    def test_non_finite_margin_fails_with_a_reason(self):
+        # the gain 0 lies 1e-200 off the log pole: L0 overflows to inf and sigma_max(Sigma) = 0
+        g = Game(w=np.eye(1), lower=np.zeros(1), upper=np.ones(1),
+                 values=(LogValue(a=1.0, s=1e-200),), costs=(QuadraticCost(c0=1.0),))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            rep = cert_near_individual(g)
+            best = certify_any(g)
+        assert math.isnan(rep.margin) and rep.verdict == "fail"
+        assert rep.notes[-1].startswith("margin is nan")
+        assert report_to_dict(rep)["slack"] is None  # l0 * 0 = nan: no bound, like the margin
+        tried = {a["theorem"]: a for a in best.attempts}
+        assert tried["near_individual"]["verdict"] == "fail"
+        assert tried["near_individual"]["reason"] == rep.notes[-1]
+        # the potential certificate's matrix holds a nan, on which the SVD does not converge
+        assert tried["near_potential"]["verdict"] == "fail"
+        assert tried["near_potential"]["reason"].startswith("margin is nan")
+
     def test_identity_network_passes_directly(self):
         rep = certify_any(quad_game(np.eye(4)))
         assert rep.passed

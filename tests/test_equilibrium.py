@@ -238,6 +238,22 @@ class TestMultiStart:
             assert match and match[0].status == "converged"
             assert abs(match[0].iterations - r.iterations) <= 1
 
+    @pytest.mark.parametrize("cluster_tol", [1e-4, 0.3])
+    def test_clusters_match_a_pairwise_loop(self, fig1a_game, cluster_tol):
+        # reference: each converged limit against each representative so far, in start order
+        g, n_starts, seed = fig1a_game, 300, 9
+        reps = multi_start_probe(g, n_starts=n_starts, seed=seed, cluster_tol=cluster_tol)
+        xs = g.lower + np.random.default_rng(seed).random((n_starts, g.n)) * (g.upper - g.lower)
+        gamma = np.ones(g.n)
+        status, _, _ = _iterate(g, None, gamma, default_step_eps(g, gamma), xs, 1e-10, 50_000)
+        want = []
+        for s in np.nonzero(status == "converged")[0]:
+            if not any(np.max(np.abs(xs[s] - r)) <= cluster_tol for r in want):
+                want.append(xs[s])
+        assert len(reps) == len(want) >= 2
+        for r, x in zip(reps, want):
+            assert np.array_equal(r.x_star, x)
+
     def test_deterministic(self, fig1a_game):
         a = multi_start_probe(fig1a_game, n_starts=12, seed=5)
         b = multi_start_probe(fig1a_game, n_starts=12, seed=5)

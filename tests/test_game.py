@@ -1,5 +1,10 @@
+import warnings
+
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netgoods.errors import DomainError, InputError
 from netgoods.functions import (
@@ -10,11 +15,10 @@ from netgoods.functions import (
     QuadraticCost,
 )
 from netgoods.game import (
-    BR_TOL,
     GAIN_CLAMP_TOL,
     Evaluator,
     Game,
-    _bisect,
+    _best_responses,
     _fold,
     _pseudo_gradient,
     _sw_gradient,
@@ -31,6 +35,8 @@ from netgoods.game import (
 
 QUAD = QuadraticClippedValue(a=3.0, b=1.0)
 COST = QuadraticCost(c0=1.0)
+#: stopping width of the reference bisections below
+REF_TOL = 1e-12
 
 
 def make_game(w, lo, hi):
@@ -71,6 +77,15 @@ class TestValidation:
             Game(w=w, lower=np.zeros(2), upper=np.ones(2),
                  values=(LogValue(a=1.0, s=1.0), LogValue(a=1.0, s=1.0)),
                  costs=(COST, COST))
+
+    @pytest.mark.parametrize("lower0", [-1.0, -1.0 - 0.5e-9])
+    def test_gain_at_a_log_pole_rejected(self, lower0):
+        # player 0 can reach the gain -1 = -s, where f' and f'' are unbounded
+        with pytest.raises(InputError, match=r"player 0: gain interval"):
+            Game(w=np.eye(2), lower=np.array([lower0, 0.0]), upper=np.ones(2),
+                 values=(LogValue(a=1.0, s=1.0),) * 2, costs=(LinearCost(c1=1.0),) * 2)
+        Game(w=np.eye(2), lower=np.array([np.nextafter(-1.0, 0.0), 0.0]), upper=np.ones(2),
+             values=(LogValue(a=1.0, s=1.0),) * 2, costs=(LinearCost(c1=1.0),) * 2)
 
     def test_action_outside_cost_domain_rejected(self):
         with pytest.raises(InputError, match="cost domain"):
@@ -405,7 +420,7 @@ class TestRequireFeasible:
         assert g.require_feasible(np.empty((0, 2))).shape == (0, 2)
 
 
-def scalar_best_response(game, i, x, tol=BR_TOL):
+def scalar_best_response(game, i, x, tol=REF_TOL):
     """Reference: one player's bisection on the scalar spec oracles."""
     d = externality(game, i, x)
     f, c = game.values[i], game.costs[i]
@@ -440,22 +455,22 @@ class TestLockstepBestResponses:
             g = random_small_interaction_game(rng, n=6)
             xs = rng.uniform(g.lower, g.upper, size=(9, g.n))
             d = xs @ g.w.T - np.diag(g.w) * xs
-            batch = _bisect(g.evaluator, d, g.lower, g.upper, BR_TOL)
+            batch = _best_responses(g.evaluator, d, g.lower, g.upper)
             for s in range(xs.shape[0]):
                 for i in range(g.n):
                     ref = scalar_best_response(g, i, xs[s])
-                    assert abs(batch[s, i] - ref) <= BR_TOL
-                    assert abs(best_response(g, i, xs[s]) - ref) <= BR_TOL
+                    assert abs(batch[s, i] - ref) <= REF_TOL
+                    assert abs(best_response(g, i, xs[s]) - ref) <= REF_TOL
 
     def test_flat_optimum_tie_break_fig1a(self, fig1a_game):
         # players 2 and 3 face a gain already at the value peak: the whole
         # box is optimal for them and the smallest maximizer, 0, must win
         x = np.array([1.0, 1.0, 0.5, 0.0])
         d = fig1a_game.w @ x - x
-        got = _bisect(fig1a_game.evaluator, d, fig1a_game.lower, fig1a_game.upper, BR_TOL)
+        got = _best_responses(fig1a_game.evaluator, d, fig1a_game.lower, fig1a_game.upper)
         ref = [scalar_best_response(fig1a_game, i, x) for i in range(4)]
         assert got[2] == got[3] == ref[2] == ref[3] == 0.0
-        assert np.all(np.abs(got - ref) <= BR_TOL)
+        assert np.all(np.abs(got - ref) <= REF_TOL)
 
     def test_batched_br_gap_matches_rows(self, fig1a_game):
         rng = np.random.default_rng(71)
@@ -573,12 +588,17 @@ class TestUndecidedOnlyBisection:
         return ev, d, lo, hi
 
     def check(self, ev, d, lo, hi):
-        want = full_array_bisect(ev, d, lo, hi, BR_TOL)
-        assert same_bits(_bisect(ev, d, lo, hi, BR_TOL), want)
+        """Edge entries bit for bit those of the reference, interior ones within its tolerance."""
+        want = full_array_bisect(ev, d, lo, hi, REF_TOL)
+        got = _best_responses(ev, d, lo, hi)
+        edge = (want == np.broadcast_to(lo, d.shape)) | (want == np.broadcast_to(hi, d.shape))
+        assert got.shape == want.shape
+        assert same_bits(got[edge], want[edge])
+        assert np.all(np.abs(got[~edge] - want[~edge]) <= REF_TOL)
         return want
 
     @pytest.mark.parametrize("depth", [0, 2])
-    def test_bitwise_equal_to_full_array_bisection(self, depth):
+    def test_edges_bitwise_interior_within_tol_of_full_array_bisection(self, depth):
         ev, d, lo, hi = self.mixed(depth)
         want = self.check(ev, d, lo, hi)  # (S, n)
         at_lo, at_hi = want == lo, want == hi
@@ -591,7 +611,7 @@ class TestUndecidedOnlyBisection:
             self.check(col, d[:, i:i + 1], lo[i:i + 1], hi[i:i + 1])
             self.check(col, d[:, i], lo[i], hi[i])
 
-    def test_bitwise_equal_on_fig1a_flat_optimum(self, fig1a_game):
+    def test_edges_bitwise_on_fig1a_flat_optimum(self, fig1a_game):
         g = fig1a_game
         rng = np.random.default_rng(81)
         xs = np.vstack([[1.0, 1.0, 0.5, 0.0], g.lower, g.upper, rng.uniform(0, 1, (20, 4))])
@@ -600,16 +620,117 @@ class TestUndecidedOnlyBisection:
         assert tie[2] == tie[3] == 0.0
         self.check(g.evaluator, d, g.lower, g.upper)
 
+    def test_root_on_the_flat_side_of_a_peak(self):
+        # a box reaching just below the quadratic cost's floor (within the
+        # tolerance a Game allows) and a gain past the peak: f' = 0 there, and
+        # g = -c' has its root at the floor, not on the value's curved piece
+        ev = Evaluator.of([QUAD], [COST])
+        lo, hi = np.array([-0.5 * GAIN_CLAMP_TOL]), np.ones(1)
+        d = np.array([2.0])
+        got = _best_responses(ev, d, lo, hi)
+        assert got[0] == 0.0
+        assert abs(got[0] - full_array_bisect(ev, d, lo, hi, REF_TOL)[0]) <= REF_TOL
+
     def test_domain_error_when_only_an_undecided_entry_leaves_its_domain(self):
         # player 1's log value lives on gains > -1; every other entry sits at an edge
         f = LogValue(a=1.0, s=1.0)
         ev = Evaluator.of([QUAD, f, QUAD], [LinearCost(c1=0.1), COST, LinearCost(c1=5.0)])
         lo, hi = np.zeros(3), np.ones(3)
         inside = np.array([0.0, 0.5, 0.0])
-        got = _bisect(ev, inside, lo, hi, BR_TOL)
+        got = _best_responses(ev, inside, lo, hi)
         assert got[0] == 1.0 and got[2] == 0.0 and 0.0 < got[1] < 1.0
         outside = inside - np.array([0.0, 2.0, 0.0])  # player 1's gain at lo is -1.5, below -1
         with pytest.raises(DomainError):
-            _bisect(ev, outside, lo, hi, BR_TOL)
+            _best_responses(ev, outside, lo, hi)
         with pytest.raises(DomainError):
-            _bisect(ev, np.stack([inside, outside, inside]), lo, hi, BR_TOL)
+            _best_responses(ev, np.stack([inside, outside, inside]), lo, hi)
+
+
+# --- best responses against an exact root ---------------------------------------
+
+def exact_d1(spec, k):
+    """spec'(k) in mpmath, through its AffineReparam chain level by level."""
+    factor = mp.mpf(1)
+    while isinstance(spec, AffineReparam):
+        k, factor = (k - mp.mpf(spec.shift)) / mp.mpf(spec.scale), factor * mp.mpf(spec.scale)
+        spec = spec.inner
+    if isinstance(spec, LogValue):
+        out = mp.mpf(spec.a) / (mp.mpf(spec.s) + k)
+    elif isinstance(spec, QuadraticClippedValue):
+        out = max(mp.mpf(spec.a) - 2 * mp.mpf(spec.b) * k, mp.mpf(0))
+    elif isinstance(spec, QuadraticCost):
+        out = mp.mpf(spec.c0) * k
+    else:
+        out = mp.mpf(spec.c1)
+    return out / factor
+
+
+def nested_spec(families):
+    @st.composite
+    def build(draw):
+        spec = draw(families)
+        for _ in range(draw(st.integers(0, 2))):
+            spec = AffineReparam(spec, scale=draw(st.floats(0.5, 2.0)), shift=draw(st.floats(-1.0, 1.0)))
+        return spec
+    return build()
+
+
+# parameters keep the own-utility slope's condition number moderate, so that the
+# rounding of the folded parameters moves a root by well under the tolerance
+PLAYER = st.tuples(
+    nested_spec(st.one_of(st.builds(QuadraticClippedValue, a=st.floats(1.0, 5.0), b=st.floats(0.5, 2.0)),
+                          st.builds(LogValue, a=st.floats(0.5, 3.0), s=st.floats(0.1, 3.0)))),
+    nested_spec(st.one_of(st.builds(QuadraticCost, c0=st.floats(0.5, 2.0)),
+                          st.builds(LinearCost, c1=st.floats(0.1, 2.0)))),
+    st.floats(0.05, 1.0),  # offset of the box above the floors
+    st.floats(0.1, 3.0),  # box width
+)
+
+
+@st.composite
+def games_and_profiles(draw):
+    """A game of 1-4 players whose reachable gains stay clear of any log pole, and a profile."""
+    players = draw(st.lists(PLAYER, min_size=1, max_size=4))
+    n = len(players)
+    # at or above 0, the cost floor and any log pole
+    floors = [max(0.0, c.domain()[0], v.domain()[0]) for v, c, _, _ in players]
+    lower = np.array([f + off for f, (_, _, off, _) in zip(floors, players)])
+    upper = lower + np.array([width for *_, width in players])
+    raw = np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=n * n, max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(raw, 0.0)
+    # lower >= 0, so only negative weights pull a gain below its own lower bound:
+    # shrink each row until they take at most half the offset
+    pull = np.maximum(-raw, 0.0) @ upper
+    offsets = np.array([off for _, _, off, _ in players])
+    w = raw * (0.5 * offsets / np.maximum(pull, 0.5 * offsets))[:, None] + np.eye(n)
+    game = Game(w=w, lower=lower, upper=upper, values=tuple(v for v, *_ in players),
+                costs=tuple(c for _, c, *_ in players))
+    where = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    return game, lower + where * (upper - lower)
+
+
+@settings(max_examples=300, deadline=None)
+@given(games_and_profiles())
+def test_best_responses_match_an_exact_root_and_the_grid_argmax(case):
+    game, x = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = [best_response(game, i, x) for i in range(game.n)]
+        batch = _best_responses(game.evaluator, x @ game.w.T - x, game.lower, game.upper)
+    assert np.all(np.abs(batch - got) <= 1e-12)  # batched externalities round differently
+    for i, t in enumerate(got):
+        f, c, d = game.values[i], game.costs[i], externality(game, i, x)
+        lo, hi = float(game.lower[i]), float(game.upper[i])
+        with mp.workdps(50):
+            def slope(u):
+                return exact_d1(f, mp.mpf(u) + mp.mpf(d)) - exact_d1(c, mp.mpf(u))
+            if slope(lo) <= 0:
+                want = mp.mpf(lo)
+            elif slope(hi) > 0:
+                want = mp.mpf(hi)
+            else:
+                want = mp.findroot(slope, (mp.mpf(lo), mp.mpf(hi)), solver="anderson")
+            assert abs(t - want) <= 1e-13 * max(1.0, abs(lo), abs(hi))
+        grid = np.linspace(lo, hi, 4001)
+        u = f.value(grid + d) - c.value(grid)
+        assert abs(t - grid[np.argmax(u)]) <= grid[1] - grid[0]  # argmax: the first maximizer
