@@ -574,6 +574,16 @@ def full_array_bisect(ev, d, lo, hi, tol):
     return np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (a + b)))
 
 
+def full_array_roots(ev, d, lo, hi):
+    """Reference: the closed-form root taken on the whole array, settled entries carried along."""
+    lo, hi = np.broadcast_to(lo, d.shape), np.broadcast_to(hi, d.shape)
+    at_lo = ev.value_d1(lo + d) - ev.cost_d1(lo) <= 0.0
+    at_hi = ev.value_d1(hi + d) - ev.cost_d1(hi) > 0.0
+    with np.errstate(all="ignore"):  # settled entries may have no root
+        root = np.clip(ev.slope_root(d), lo, hi)
+    return np.where(at_lo, lo, np.where(at_hi, hi, root))
+
+
 class TestUndecidedOnlyBisection:
     def mixed(self, depth):
         """Players of every family pairing, externalities that put best responses at lo, hi and inside."""
@@ -588,9 +598,11 @@ class TestUndecidedOnlyBisection:
         return ev, d, lo, hi
 
     def check(self, ev, d, lo, hi):
-        """Edge entries bit for bit those of the reference, interior ones within its tolerance."""
+        """Bit for bit the full-array solve; edge entries bit for bit the full-array
+        bisection's, interior ones within its tolerance."""
         want = full_array_bisect(ev, d, lo, hi, REF_TOL)
         got = _best_responses(ev, d, lo, hi)
+        assert same_bits(got, full_array_roots(ev, d, lo, hi))
         edge = (want == np.broadcast_to(lo, d.shape)) | (want == np.broadcast_to(hi, d.shape))
         assert got.shape == want.shape
         assert same_bits(got[edge], want[edge])
@@ -598,7 +610,7 @@ class TestUndecidedOnlyBisection:
         return want
 
     @pytest.mark.parametrize("depth", [0, 2])
-    def test_edges_bitwise_interior_within_tol_of_full_array_bisection(self, depth):
+    def test_bitwise_equal_to_full_array_bisection(self, depth):
         ev, d, lo, hi = self.mixed(depth)
         want = self.check(ev, d, lo, hi)  # (S, n)
         at_lo, at_hi = want == lo, want == hi
@@ -611,7 +623,7 @@ class TestUndecidedOnlyBisection:
             self.check(col, d[:, i:i + 1], lo[i:i + 1], hi[i:i + 1])
             self.check(col, d[:, i], lo[i], hi[i])
 
-    def test_edges_bitwise_on_fig1a_flat_optimum(self, fig1a_game):
+    def test_bitwise_equal_on_fig1a_flat_optimum(self, fig1a_game):
         g = fig1a_game
         rng = np.random.default_rng(81)
         xs = np.vstack([[1.0, 1.0, 0.5, 0.0], g.lower, g.upper, rng.uniform(0, 1, (20, 4))])
