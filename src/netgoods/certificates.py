@@ -77,10 +77,12 @@ def _slack(m: np.ndarray) -> np.ndarray:
 def _sigma_bound(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(upper bound on sigma_max, its slack) for each matrix of an (..., n, n) stack."""
     slack = _slack(m)
-    try:
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    if finite.all():
         top = np.linalg.svd(m, compute_uv=False)[..., 0]
-    except np.linalg.LinAlgError:  # LAPACK does not converge on a nan entry (an inf one gives nan)
+    else:  # a matrix with a non-finite entry has no bound: nan, and LAPACK never sees it
         top = np.full(m.shape[:-2], np.nan)
+        top[finite] = np.linalg.svd(m[finite], compute_uv=False)[..., 0]
     return top + slack, slack
 
 

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_small_interaction_game
 from spectral_oracle import jacobi_eigenvalues
 from netgoods.certificates import (
+    _sigma_bound,
     cert_near_individual,
     cert_near_potential,
     cert_near_symmetric,
@@ -59,6 +60,16 @@ class TestSpectralBounds:
         m = 2.0 * np.outer(v, v) + 0.5 * np.outer(u, u)
         s, _ = spectral_bounds(m)
         assert s == pytest.approx(2.0, abs=1e-9)
+
+    def test_non_finite_matrix_in_a_stack_gets_nan_alone(self):
+        rng = np.random.default_rng(79)
+        stack = rng.normal(size=(4, 3, 3))
+        stack[1, 0, 2], stack[3, 1, 1] = math.nan, math.inf
+        got, slack = _sigma_bound(stack)
+        assert np.isnan(got[[1, 3]]).all()
+        for k in (0, 2):  # the finite matrices keep their bits
+            want, want_slack = _sigma_bound(stack[k])
+            assert got[k] == want and slack[k] == want_slack
 
 
 def _mp_extreme_eigs(a, mpmath):

@@ -362,22 +362,29 @@ def pieces(lo, hi, *kinks):
 
 
 def stationary_points(f_i, f, gamma, u, v):
-    """Zeros in (u, v) of d/dk [gamma f_i'' - f''], the real roots of a cubic."""
+    """Zeros in (u, v) of d/dk [gamma f_i'' - f''], as real roots of a cubic."""
     both = f_i.pole_and_weight(), f.pole_and_weight()
     if None in both:
         return []  # one log term at most: monotone on every piece
     (p_i, a_i), (p, a) = both
     if p == p_i:
         return []  # one pole: h' = constant + constant/(k - p)^2 is monotone
-    # c (k - p)^3 = a (k - p_i)^3 with c, a > 0: a real k has (k - p)/(k - p_i) equal
-    # to the real cube root r of a/c, so k = (p - r p_i)/(1 - r) is the only real
-    # root, and there is none when r = 1.  Taken in closed form: a root-finder may
-    # not converge when the poles nearly coincide (a near-triple root).
-    r = mp.cbrt(a / (mp.mpf(gamma) * a_i))
-    if r == 1:
+    c = mp.mpf(gamma) * a_i
+    # c (k - p)^3 = a (k - p_i)^3, expanded
+    coeffs = [c - a, -3 * c * p + 3 * a * p_i, 3 * c * p**2 - 3 * a * p_i**2, -c * p**3 + a * p_i**3]
+    while coeffs and coeffs[0] == 0:
+        coeffs.pop(0)
+    if len(coeffs) < 2:
         return []
-    k = (p - r * p_i) / (1 - r)
-    return [k] if u < k < v else []
+    try:
+        roots = mp.polyroots(coeffs, maxsteps=100, extraprec=100)
+    except mp.libmp.NoConvergence:
+        # poles that nearly coincide make a near-triple root polyroots may not converge on;
+        # with c, a > 0 a real k has (k - p)/(k - p_i) = r, the real cube root of a/c, so
+        # k = (p - r p_i)/(1 - r) is the only real root
+        r = mp.cbrt(a / c)
+        roots = [] if r == 1 else [(p - r * p_i) / (1 - r)]
+    return [mp.re(r) for r in roots if abs(mp.im(r)) < mp.mpf(10) ** -30 and u < mp.re(r) < v]
 
 
 def away_from(x, *points):

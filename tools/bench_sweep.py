@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 tools/bench_sweep.py --label <label> [--src <dir>] [--sizes 10,50,200,1000]
+    python3 tools/bench_sweep.py --label <label> [--src <dir>]
 
 It times, on ``random_er_game(n, 1, 3, 1, 1, seed=5)`` and on
 ``fixed_work_game(default_rng([2, 0]), n)`` (the generator of perfbench's
@@ -140,11 +140,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="names the output file BENCH_<label>.json")
     ap.add_argument("--src", default=os.path.join(ROOT, "src"), help="source tree to import netgoods from")
-    ap.add_argument("--sizes", default=",".join(map(str, SIZES)), help="comma-separated player counts")
     args = ap.parse_args(argv)
-    sizes = [int(v) for v in args.sizes.split(",")]
-    if min(sizes) < 1:
-        ap.error("--sizes must be positive")
 
     for var in THREAD_VARS:  # before numpy is first imported
         os.environ[var] = "1"
@@ -164,7 +160,7 @@ def main(argv=None) -> int:
     results = {}
     for name, make in families.items():
         results[name] = {}
-        for n in sizes:
+        for n in SIZES:
             row = results[name][str(n)] = sweep_game(make(n), timer)
             print(f"{name} n={n}: " + ", ".join(f"{k} {v['ref_s']:.4g}" for k, v in row.items()), file=sys.stderr)
 
