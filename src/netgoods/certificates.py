@@ -18,7 +18,7 @@ import numpy as np
 from .equivalence import EquivalenceMap, transform_game
 from .errors import InputError
 from .functions import LinearCost, ScalarFunction
-from .game import Evaluator, Game, gain_bounds
+from .game import Evaluator, Game, _weights, gain_bounds
 
 #: float64 unit roundoff
 UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
@@ -107,33 +107,57 @@ def spectral_bounds(m: np.ndarray) -> tuple[float, tuple[float, float] | None]:
     if not np.all(np.isfinite(m)):
         raise InputError("matrix has non-finite entries")
     sigma, _ = _sigma_bound(m)
-    sym_eigs = None
-    if np.max(np.abs(m - m.T)) <= 1e-12 * max(1.0, float(np.max(np.abs(m)))):
-        sym_eigs = _eig_bounds(m)[:2]
-    return float(sigma), sym_eigs
+    return float(sigma), _eig_bounds(m)[:2] if _symmetric(m) else None
 
 
-def _verdict(ok: bool, margin: float, notes) -> tuple[str, tuple[str, ...]]:
-    """"pass" exactly when ok and the margin is finite and positive; a margin not finite gets a reason."""
-    if not math.isfinite(margin):
-        return "fail", (*notes, f"margin is {margin}: a constant it is computed from is not finite")
-    return "pass" if ok and margin > 0 else "fail", tuple(notes)
+def _symmetric(m: np.ndarray) -> bool:
+    """max|M - M^T| <= 1e-12 * max(1, max|M|); a nan entry does not count against it."""
+    return not np.max(np.abs(m - m.T)) > 1e-12 * max(1.0, float(np.max(np.abs(m))))
+
+
+def _report(theorem: str, game: Game, gamma: np.ndarray, matrix: np.ndarray, threshold: float, *,
+            weight: float = 1.0, extra_slack: float = 0.0, notes=(), details: dict,
+            inapplicable: str | None = None) -> CertificateReport:
+    """The report of the inequality threshold > weight * sigma_max(matrix) on the game.
+
+    margin = threshold - weight * sigma_max, with sigma_max bounded from above
+    (``_sigma_bound``), and slack = extra_slack + weight * sigma_max's slack.
+    The verdict is "pass" exactly when threshold and margin are both positive.
+    Notes start with the players whose value kink lies inside their reachable
+    gains; a zero threshold gets a note, and a margin that is not finite fails
+    with the reason last.  A theorem that does not apply, for the reason
+    ``inapplicable``, gets sigma_max = inf and margin = -inf.
+    """
+    gb, kink = gain_bounds(game), game.evaluator.value_kink()
+    notes = tuple(f"player {i}: value kink inside reachable gain interval; "
+                  "second-order smoothness holds only piecewise"
+                  for i in np.flatnonzero((gb.k_lo < kink) & (kink < gb.k_hi))) + tuple(notes)
+    if inapplicable is not None:
+        sigma_max, margin, slack = math.inf, -math.inf, extra_slack
+        notes += (inapplicable,)
+    else:
+        s_max, s_slack = _sigma_bound(matrix)
+        sigma_max = float(s_max)
+        margin = threshold - weight * sigma_max
+        slack = extra_slack + weight * float(s_slack)
+        if threshold == 0.0:
+            notes += ("zero modulus: no strong concavity available",)
+        if not math.isfinite(margin):
+            notes += (f"margin is {margin}: a constant it is computed from is not finite",)
+    return CertificateReport(
+        theorem=theorem, gamma=gamma, matrix=matrix, sigma_max=sigma_max, threshold=threshold,
+        margin=margin, verdict="pass" if threshold > 0 and margin > 0 else "fail",
+        notes=notes, details=details, slack=slack,
+    )
 
 
 def _default_gamma(game: Game, gamma) -> np.ndarray:
-    if gamma is None:
-        return np.ones(game.n)
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (game.n,) or np.any(gamma <= 0):
-        raise InputError("gamma must be a strictly positive n-vector")
-    return gamma
+    return np.ones(game.n) if gamma is None else _weights(game, gamma, "gamma")
 
 
-def _kink_caveats(game: Game, gb) -> tuple[str, ...]:
-    kink = game.evaluator.value_kink()
-    return tuple(f"player {i}: value kink inside reachable gain interval; "
-                 "second-order smoothness holds only piecewise"
-                 for i in np.flatnonzero((gb.k_lo < kink) & (kink < gb.k_hi)))
+def common_value(game: Game) -> ScalarFunction | None:
+    """The value spec every player shares, or None when they differ."""
+    return game.values[0] if all(v == game.values[0] for v in game.values) else None
 
 
 def cert_near_individual(game: Game, gamma: np.ndarray | None = None) -> CertificateReport:
@@ -155,24 +179,8 @@ def cert_near_individual(game: Game, gamma: np.ndarray | None = None) -> Certifi
     off = abs_w.copy()
     np.fill_diagonal(off, 0.0)
     sigma = off.T @ (gamma[:, None] * abs_w)  # k = i dropped by the zero diagonal
-    s_max, slack = _sigma_bound(sigma)
-    margin = c - l0 * float(s_max)
-    notes = _kink_caveats(game, gb)
-    if c == 0.0:
-        notes = notes + ("zero modulus: no strong concavity available",)
-    verdict, notes = _verdict(c > 0, margin, notes)
-    return CertificateReport(
-        theorem="near_individual",
-        gamma=gamma,
-        matrix=sigma,
-        sigma_max=float(s_max),
-        threshold=c,
-        margin=margin,
-        verdict=verdict,
-        notes=notes,
-        details={"c": c, "l0": l0, "per_player_c": per_c.tolist()},
-        slack=l0 * float(slack),
-    )
+    return _report("near_individual", game, gamma, sigma, c, weight=l0,
+                   details={"c": c, "l0": l0, "per_player_c": per_c.tolist()})
 
 
 def cert_near_potential(
@@ -214,47 +222,20 @@ def cert_near_potential(
     box_mag = np.maximum(-game.lower, game.upper)
     s_row = dev @ box_mag  # per-row sum |w_il - 1| * max(-lo_l, hi_l)
 
-    notes = list(_kink_caveats(game, gb))
+    notes, inapplicable = (), None
     if c2 == math.inf:  # f_common'' jumps inside the hull
         if float(np.max(s_row)) == 0.0:
             c2 = 0.0
-            notes.append("f_common'' Lipschitz constant unused: W is exactly all-ones")
+            notes = ("f_common'' Lipschitz constant unused: W is exactly all-ones",)
         else:
-            b_part = sigmas[:, None] * np.abs(game.w) + c1 * dev
-            notes.append(
-                "not applicable: f_common'' is discontinuous on the required interval "
-                "and W deviates from all-ones"
-            )
-            return CertificateReport(
-                theorem="near_potential",
-                gamma=gamma,
-                matrix=b_part,
-                sigma_max=math.inf,
-                threshold=c,
-                margin=-math.inf,
-                verdict="fail",
-                notes=tuple(notes),
-                details={"c": c, "c1": c1, "c2": None, "sigma_i": sigmas.tolist()},
-            )
-
-    b = sigmas[:, None] * np.abs(game.w) + c1 * dev + c2 * s_row[:, None]
-    s_max, slack = _sigma_bound(b)
-    margin = c - float(s_max)
-    if c == 0.0:
-        notes.append("zero modulus: no strong concavity available")
-    verdict, notes = _verdict(c > 0, margin, notes)
-    return CertificateReport(
-        theorem="near_potential",
-        gamma=gamma,
-        matrix=b,
-        sigma_max=float(s_max),
-        threshold=c,
-        margin=margin,
-        verdict=verdict,
-        notes=notes,
-        details={"c": c, "c1": c1, "c2": c2, "sigma_i": sigmas.tolist()},
-        slack=float(slack),
-    )
+            inapplicable = ("not applicable: f_common'' is discontinuous on the required interval "
+                            "and W deviates from all-ones")
+    with np.errstate(invalid="ignore"):  # inf * 0 at a log pole: nan, and the margin fails
+        b = sigmas[:, None] * np.abs(game.w) + c1 * dev
+    if inapplicable is None:
+        b = b + c2 * s_row[:, None]
+    return _report("near_potential", game, gamma, b, c, notes=notes, inapplicable=inapplicable,
+                   details={"c": c, "c1": c1, "c2": c2, "sigma_i": sigmas.tolist()})
 
 
 def cert_near_symmetric(game: Game, w0: np.ndarray) -> CertificateReport:
@@ -269,8 +250,7 @@ def cert_near_symmetric(game: Game, w0: np.ndarray) -> CertificateReport:
     w0 = np.asarray(w0, dtype=float)
     if w0.shape != game.w.shape:
         raise InputError(f"W0 must have shape {game.w.shape}, got {w0.shape}")
-    gamma = np.ones(game.n)
-    if np.max(np.abs(w0 - w0.T)) > 1e-12 * max(1.0, float(np.max(np.abs(w0)))):
+    if not _symmetric(w0):
         raise InputError("W0 must be symmetric")
     if np.max(np.abs(np.diag(w0) - 1.0)) > 1e-12:
         raise InputError("W0 must have unit diagonal")
@@ -278,39 +258,20 @@ def cert_near_symmetric(game: Game, w0: np.ndarray) -> CertificateReport:
     w0 = 0.5 * (w0 + w0.T)
     sigma_0, _, slack_0 = _eig_bounds(w0)
     gb = gain_bounds(game)
-    notes = list(_kink_caveats(game, gb))
     l_costs = game.evaluator.dq
     c_vals = game.evaluator.value_modulus_increasing(gb.k_lo, gb.k_hi)
 
-    details = {"sigma_0": sigma_0, "l_costs": l_costs.tolist(), "c_values": c_vals.tolist()}
-    if sigma_0 <= 0.0 or np.any(c_vals <= 0.0):
-        notes.append(
-            "W0 is not positive definite beyond the rounding slack" if sigma_0 <= 0.0
-            else "zero modulus: some value has no curvature over its optimal-gain range"
-        )
-        return CertificateReport(
-            theorem="near_symmetric", gamma=gamma, matrix=np.abs(w0 - game.w),
-            sigma_max=math.inf, threshold=sigma_0, margin=-math.inf,
-            verdict="fail", notes=tuple(notes), details=details, slack=slack_0,
-        )
-
-    sigma = (2.0 * l_costs / c_vals)[:, None] * np.abs(game.w) + np.abs(w0 - game.w)
-    np.fill_diagonal(sigma, 0.0)
-    s_max, slack = _sigma_bound(sigma)
-    margin = sigma_0 - float(s_max)
-    verdict, notes = _verdict(True, margin, notes)
-    return CertificateReport(
-        theorem="near_symmetric",
-        gamma=gamma,
-        matrix=sigma,
-        sigma_max=float(s_max),
-        threshold=sigma_0,
-        margin=margin,
-        verdict=verdict,
-        notes=notes,
-        details=details,
-        slack=slack_0 + float(slack),
-    )
+    inapplicable = ("W0 is not positive definite beyond the rounding slack" if sigma_0 <= 0.0
+                    else "zero modulus: some value has no curvature over its optimal-gain range"
+                    if np.any(c_vals <= 0.0) else None)
+    sigma = np.abs(w0 - game.w)
+    if inapplicable is None:
+        sigma = (2.0 * l_costs / c_vals)[:, None] * np.abs(game.w) + sigma
+        np.fill_diagonal(sigma, 0.0)
+    return _report("near_symmetric", game, np.ones(game.n), sigma, sigma_0, extra_slack=slack_0,
+                   inapplicable=inapplicable,
+                   details={"sigma_0": sigma_0, "l_costs": l_costs.tolist(),
+                            "c_values": c_vals.tolist()})
 
 
 def _sym_candidates(game: Game) -> list[np.ndarray]:
@@ -360,9 +321,7 @@ def certify_any(
 
     for label, g in candidates:
         attempt("near_individual", label, lambda: cert_near_individual(g, gamma))
-        fc = f_common
-        if fc is None and all(v == g.values[0] for v in g.values):
-            fc = g.values[0]
+        fc = f_common if f_common is not None else common_value(g)
         if fc is not None:
             attempt("near_potential", label, lambda: cert_near_potential(g, fc, gamma))
         for w0 in (w0_candidates if w0_candidates is not None else _sym_candidates(g)):
@@ -373,25 +332,27 @@ def certify_any(
 
 
 def _json_num(v):
-    v = float(v)
-    return v if math.isfinite(v) else None
+    """A number or an array of them as JSON-ready floats or nested lists, non-finite entries None."""
+    a = np.asarray(v, dtype=float)
+    finite = np.isfinite(a)
+    return (a if finite.all() else np.where(finite, a, None)).tolist()
 
 
 def report_to_dict(report: CertificateReport) -> dict:
     """JSON-ready form of a certificate report, including the full matrix.
 
-    Non-finite constants (inapplicable certificates) serialize as null.
+    Non-finite numbers (inapplicable certificates, constants at a pole) serialize as null.
     """
     return {
         "theorem": report.theorem,
-        "gamma": [float(v) for v in report.gamma],
-        "matrix": [[float(v) for v in row] for row in np.atleast_2d(report.matrix)],
+        "gamma": _json_num(report.gamma),
+        "matrix": _json_num(np.atleast_2d(report.matrix)),
         "sigma_max": _json_num(report.sigma_max),
         "threshold": _json_num(report.threshold),
         "margin": _json_num(report.margin),
         "verdict": report.verdict,
         "notes": list(report.notes),
-        "details": report.details,
+        "details": {k: _json_num(v) for k, v in report.details.items()},
         "transform": report.transform,
         "slack": _json_num(report.slack),
         "attempts": list(report.attempts),

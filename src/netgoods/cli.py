@@ -24,6 +24,7 @@ from .certificates import (
     cert_near_potential,
     cert_near_symmetric,
     certify_any,
+    common_value,
     report_to_dict,
 )
 from .dynamics import integrate_pseudo_gradient, integrate_sw_flow, trajectory_to_csv
@@ -197,10 +198,9 @@ def _cmd_certify(args) -> tuple[dict, int]:
     elif args.theorem == "near-individual":
         rep = cert_near_individual(game, gamma)
     elif args.theorem == "near-potential":
+        f_common = f_common if f_common is not None else common_value(game)
         if f_common is None:
-            if not all(v == game.values[0] for v in game.values):
-                raise InputError("--f-common is required for heterogeneous values")
-            f_common = game.values[0]
+            raise InputError("--f-common is required for heterogeneous values")
         rep = cert_near_potential(game, f_common, gamma)
     else:
         rep = cert_near_symmetric(game, _load_w0(args, game))

@@ -19,6 +19,7 @@ from .game import (
     Game,
     _pseudo_gradient,
     _sw_gradient,
+    _weights,
     br_gap,
     utility_profile,
     weighted_welfare_gradient,
@@ -131,9 +132,7 @@ def integrate_pseudo_gradient(
     U = sum_i alpha_i u_i, the quantity that decays exponentially under a
     passing uniqueness certificate.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (game.n,) or np.any(alpha <= 0):
-        raise InputError("alpha must be a strictly positive n-vector")
+    alpha = _weights(game, alpha, "alpha")
 
     def field(x):  # on in-box states only: the start is validated, every stage projected
         return alpha * _pseudo_gradient(game, x)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .certificates import spectral_bounds
 from .errors import InputError
-from .game import Game, _pseudo_gradient, best_response, br_gap, gain_bounds, gains
+from .game import Game, _pseudo_gradient, _weights, best_response, br_gap, gain_bounds, gains
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 50_000
@@ -67,9 +67,7 @@ def _prep(game, gamma, step_eps, x0, tol, max_iter):
         raise InputError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise InputError(f"max_iter must be at least 1, got {max_iter}")
-    gamma = np.ones(game.n) if gamma is None else np.asarray(gamma, dtype=float)
-    if gamma.shape != (game.n,) or np.any(gamma <= 0):
-        raise InputError("gamma must be a strictly positive n-vector")
+    gamma = np.ones(game.n) if gamma is None else _weights(game, gamma, "gamma")
     if step_eps is None:
         step_eps = default_step_eps(game, gamma)
     if step_eps <= 0:

@@ -9,7 +9,6 @@ Game is immutable, so everything here is safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -53,10 +52,11 @@ class Evaluator:
     Gains outside a value domain by at most GAIN_CLAMP_TOL are clamped back in; a
     gain further out raises DomainError.
 
-    Rows, one entry per player: ``k_lo``, ``k_hi`` (the value domain); the value
-    parameters ``v_scale``, ``v_shift``, ``a``, ``b``, ``b2`` = 2b, ``clip`` (the
-    peak in t), ``peak``, ``log``, ``mu``, ``s``; the cost parameters
-    ``c_scale``, ``c_shift``, ``q``, ``l``; and the folded slope ``dq``, ``dl``.
+    Rows, one entry per player: ``k_lo``, ``k_hi`` (the value domain); ``x_lo``,
+    ``x_hi`` (the cost domain); the value parameters ``v_scale``, ``v_shift``,
+    ``a``, ``b``, ``b2`` = 2b, ``clip`` (the peak in t), ``peak``, ``log``, ``mu``,
+    ``s``; the cost parameters ``c_scale``, ``c_shift``, ``q``, ``l``; and the
+    folded slope ``dq``, ``dl``.
     ``dq`` is c'', a constant, so it is also each cost's modulus and the
     Lipschitz constant of c'.
 
@@ -74,15 +74,19 @@ class Evaluator:
     def __init__(self, cols: np.ndarray):
         cols.setflags(write=False)  # frozen like the Game fields the parameters come from
         self.cols = cols  # one row per parameter, one column per player
-        (self.k_lo, self.k_hi, self.v_scale, self.v_shift, self.a, self.b, self.b2, self.clip,
-         self.peak, self.log, self.mu, self.s, self.c_scale, self.c_shift, self.q, self.l,
-         self.dq, self.dl) = cols
+        (self.k_lo, self.k_hi, self.x_lo, self.x_hi, self.v_scale, self.v_shift, self.a, self.b,
+         self.b2, self.clip, self.peak, self.log, self.mu, self.s, self.c_scale, self.c_shift,
+         self.q, self.l, self.dq, self.dl) = cols
 
     @classmethod
     def of(cls, values, costs) -> Evaluator:
-        """The evaluator of players with these value and cost specs."""
+        """The evaluator of players with these value and cost specs (InputError on a wrong kind)."""
         rows = []
-        for value, cost in zip(values, costs):
+        for i, (value, cost) in enumerate(zip(values, costs)):
+            if value.kind != "value":
+                raise InputError(f"player {i}: values[{i}] is a {value.kind} family, expected a value")
+            if cost.kind != "cost":
+                raise InputError(f"player {i}: costs[{i}] is a {cost.kind} family, expected a cost")
             (f, v_scale, v_shift), (c, c_scale, c_shift) = _fold(value), _fold(cost)
             if not (isinstance(f, (LogValue, QuadraticClippedValue))
                     and isinstance(c, (QuadraticCost, LinearCost))):
@@ -93,8 +97,9 @@ class Evaluator:
             q, l = (c.c0, 0.0) if isinstance(c, QuadraticCost) else (0.0, c.c1)
             # d/dx [0.5*q*t^2 + l*t] with t = (x - c_shift)/c_scale, as dq*x + dl
             slope = (q / c_scale / c_scale, (l - q * c_shift / c_scale) / c_scale)
-            rows.append((*value.domain(), v_scale, v_shift, *fam, c_scale, c_shift, q, l, *slope))
-        return cls(np.array(rows, dtype=float).reshape(-1, 18).T.copy())
+            rows.append((*value.domain(), *cost.domain(), v_scale, v_shift, *fam, c_scale, c_shift,
+                         q, l, *slope))
+        return cls(np.array(rows, dtype=float).reshape(-1, 20).T.copy())
 
     def column(self, i: int) -> Evaluator:
         """The evaluator of player i alone, broadcasting over any trailing axis."""
@@ -148,7 +153,8 @@ class Evaluator:
         """sup of |f_i'''| over [lo_i, hi_i]; inf where the peak lies in [lo_i, hi_i)."""
         t_lo = self._t(lo)
         jump = np.where((t_lo <= self.clip) & (self.clip < self._t(hi)), np.inf, 0.0)
-        return (jump + 2.0 * self.log / (self.mu * t_lo + self.s) ** 3) / self.v_scale**3
+        with np.errstate(divide="ignore", over="ignore"):  # inf at a log pole
+            return (jump + 2.0 * self.log / (self.mu * t_lo + self.s) ** 3) / self.v_scale**3
 
     def closeness(self, common: Evaluator, gamma, lo, hi) -> np.ndarray:
         """sup of |gamma_i f_i'' - f''| over [lo_i, hi_i], f the value of the one-player ``common``.
@@ -166,12 +172,12 @@ class Evaluator:
         mid = 0.5 * (left + right)
         branch_i, branch = self._t(mid), common._t(mid)  # the quadratic branches of each piece
         p_i, p = self.v_shift - self.s * self.v_scale, common.v_shift - common.s * common.v_scale
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):  # also inf - inf at a log pole
             r = np.cbrt(common.log / (gamma * self.log))
             k_star = np.where((self.log > 0) & (common.log > 0), (p - r * p_i) / (1.0 - r), np.nan)
-        ends = (left, right, np.fmax(np.fmin(k_star, right), left))  # fmin takes nan to right
-        gaps = [np.abs(gamma * self._d2(self._t(k), branch_i) - common._d2(common._t(k), branch))
-                for k in ends]
+            ends = (left, right, np.fmax(np.fmin(k_star, right), left))  # fmin takes nan to right
+            gaps = [np.abs(gamma * self._d2(self._t(k), branch_i) - common._d2(common._t(k), branch))
+                    for k in ends]
         return np.max(np.where(right > left, gaps, 0.0), axis=(0, 1))
 
     def _t(self, k):
@@ -180,11 +186,13 @@ class Evaluator:
     def _d2(self, t, branch):
         # f'' at t, on the quadratic branch that `branch` lies on
         quad = np.where(branch <= self.clip, -self.b2, 0.0)
-        return (quad - self.log / (self.mu * t + self.s) ** 2) / self.v_scale**2
+        with np.errstate(divide="ignore", over="ignore"):  # -inf at a log pole
+            return (quad - self.log / (self.mu * t + self.s) ** 2) / self.v_scale**2
 
     def _curvature(self, quad, at) -> np.ndarray:
-        # a quadratic curvature plus the log term's |f''| at the gain `at`
-        return (quad + self.log / (self.mu * self._t(at) + self.s) ** 2) / self.v_scale**2
+        # a quadratic curvature plus the log term's |f''| at the gain `at`, inf at a log pole
+        with np.errstate(divide="ignore", over="ignore"):
+            return (quad + self.log / (self.mu * self._t(at) + self.s) ** 2) / self.v_scale**2
 
     def cost(self, x: np.ndarray) -> np.ndarray:
         """c_i(x_i)."""
@@ -227,7 +235,8 @@ class Game:
     ``w[i, j]`` is the marginal gain of player i from player j's effort, with
     unit diagonal.  ``values[i]``/``costs[i]`` are the concave value and convex
     cost specs of player i; the box action space of player i is
-    [lower[i], upper[i]].
+    [lower[i], upper[i]].  ``evaluator``, the array form of all players'
+    families (an ``Evaluator``), is built with the game.
     """
 
     w: np.ndarray
@@ -259,12 +268,7 @@ class Game:
         costs = tuple(self.costs)
         if len(values) != n or len(costs) != n:
             raise InputError("need one value spec and one cost spec per player")
-        for i, v in enumerate(values):
-            if v.kind != "value":
-                raise InputError(f"player {i}: values[{i}] is a {v.kind} family, expected a value")
-        for i, c in enumerate(costs):
-            if c.kind != "cost":
-                raise InputError(f"player {i}: costs[{i}] is a {c.kind} family, expected a cost")
+        ev = Evaluator.of(values, costs)
 
         for arr in (w, lower, upper):
             arr.setflags(write=False)
@@ -278,32 +282,24 @@ class Game:
         for arr in (gb.k_lo, gb.k_hi, gb.d_lo, gb.d_hi):
             arr.setflags(write=False)
         object.__setattr__(self, "_gain_bounds", gb)
+        object.__setattr__(self, "evaluator", ev)
 
         # reachable gains must live inside the value domains, actions inside
         # the cost domains; rejecting here keeps every downstream evaluation safe.
         # A value domain's finite lower end is a log value's pole, open and strict
-        for i in range(n):
-            dlo, dhi = values[i].domain()
-            if not gb.k_lo[i] > dlo or gb.k_hi[i] > dhi + GAIN_CLAMP_TOL:
-                raise InputError(
-                    f"player {i}: gain interval [{gb.k_lo[i]}, {gb.k_hi[i]}] "
-                    f"not contained in value domain [{dlo}, {dhi}]"
-                )
-            clo, chi = costs[i].domain()
-            if lower[i] < clo - GAIN_CLAMP_TOL or upper[i] > chi + GAIN_CLAMP_TOL:
-                raise InputError(
-                    f"player {i}: action box [{lower[i]}, {upper[i]}] "
-                    f"not contained in cost domain [{clo}, {chi}]"
-                )
+        bad_value = ~(gb.k_lo > ev.k_lo) | (gb.k_hi > ev.k_hi + GAIN_CLAMP_TOL)
+        bad_cost = (lower < ev.x_lo - GAIN_CLAMP_TOL) | (upper > ev.x_hi + GAIN_CLAMP_TOL)
+        if (bad_value | bad_cost).any():
+            i = int(np.argmax(bad_value | bad_cost))
+            if bad_value[i]:
+                raise InputError(f"player {i}: gain interval [{gb.k_lo[i]}, {gb.k_hi[i]}] "
+                                 f"not contained in value domain [{ev.k_lo[i]}, {ev.k_hi[i]}]")
+            raise InputError(f"player {i}: action box [{lower[i]}, {upper[i]}] "
+                             f"not contained in cost domain [{ev.x_lo[i]}, {ev.x_hi[i]}]")
 
     @property
     def n(self) -> int:
         return self.w.shape[0]
-
-    @cached_property
-    def evaluator(self) -> Evaluator:
-        """Array form of all players' families, built on first use."""
-        return Evaluator.of(self.values, self.costs)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Componentwise projection onto the action box."""
@@ -384,9 +380,17 @@ def sw_gradient(game: Game, x: np.ndarray) -> np.ndarray:
     return _sw_gradient(game, game.require_feasible(x))
 
 
+def _weights(game: Game, v, name: str) -> np.ndarray:
+    """v as floats, or InputError unless it is a strictly positive n-vector."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (game.n,) or not np.all(v > 0):
+        raise InputError(f"{name} must be a strictly positive n-vector")
+    return v
+
+
 def weighted_welfare_gradient(game: Game, gamma: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Gradient of the gamma-weighted welfare (batched)."""
-    gamma = np.asarray(gamma, dtype=float)
+    gamma = _weights(game, gamma, "gamma")
     x = game.require_feasible(x)
     fp = gamma * game.evaluator.value_d1(gains(game, x))
     return fp @ game.w - gamma * game.evaluator.cost_d1(x)

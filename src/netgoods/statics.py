@@ -23,8 +23,6 @@ from .game import Game, gains, pseudo_gradient, utility_profile
 STATIONARITY_TOL = 1e-8
 #: minimum distance of x* from every box face
 BOUNDARY_TOL = 1e-6
-#: |c'(x*) - f'(k*)| allowed when applying the equilibrium identity
-IDENTITY_TOL = 1e-6
 #: reciprocal condition number below which the system counts as singular
 RCOND_SINGULAR = 1e-12
 KINK_WARN_TOL = 1e-6
@@ -54,9 +52,7 @@ class FdReport:
 
 def perturb_money(game: Game, delta: np.ndarray, t: float) -> Game:
     """The game whose values read f_i(k + delta_i*t); W, costs, bounds unchanged."""
-    delta = np.asarray(delta, dtype=float)
-    if delta.shape != (game.n,):
-        raise InputError(f"delta must have shape ({game.n},), got {delta.shape}")
+    delta = _delta(game, delta)
     values = []
     for i in range(game.n):
         shift = -float(delta[i]) * float(t)
@@ -66,6 +62,13 @@ def perturb_money(game: Game, delta: np.ndarray, t: float) -> Game:
             values.append(AffineReparam(inner=game.values[i], scale=1.0, shift=shift))
     return Game(w=game.w, lower=game.lower, upper=game.upper,
                 values=tuple(values), costs=tuple(game.costs))
+
+
+def _delta(game: Game, delta) -> np.ndarray:
+    delta = np.asarray(delta, dtype=float)
+    if delta.shape != (game.n,):
+        raise InputError(f"delta must have shape ({game.n},), got {delta.shape}")
+    return delta
 
 
 def _interior_curvatures(game: Game, x_star: np.ndarray):
@@ -85,11 +88,11 @@ def _interior_curvatures(game: Game, x_star: np.ndarray):
         )
     ev = game.evaluator
     k = ev.clamp_gains(gains(game, x_star))
-    fp, fpp, cp, cpp = ev.value_d1(k), ev.value_d2(k), ev.cost_d1(x_star), ev.dq
+    fp, fpp, cpp = ev.value_d1(k), ev.value_d2(k), ev.dq
     warnings = tuple(f"player {i}: equilibrium gain within {KINK_WARN_TOL:g} of a value "
                      "kink; second derivative uses the curved-side convention"
                      for i in np.flatnonzero(np.abs(k - ev.value_kink()) < KINK_WARN_TOL))
-    return x_star, k, fp, fpp, cp, cpp, margin, warnings
+    return fp, fpp, cpp, margin, warnings
 
 
 def _solve(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -102,34 +105,27 @@ def _solve(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     return sol, cond
 
 
+def _dx_dt(game: Game, fpp: np.ndarray, cpp: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, float]:
+    """dx*/dt and the condition number of its system, from the curvatures at x*."""
+    return _solve(np.diag(cpp) - fpp[:, None] * game.w, fpp * delta)
+
+
 def equilibrium_derivative(game: Game, x_star: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """dx*/dt at t=0 for the money-redistribution direction delta."""
-    delta = np.asarray(delta, dtype=float)
-    if delta.shape != (game.n,):
-        raise InputError(f"delta must have shape ({game.n},), got {delta.shape}")
-    x_star, _, _, fpp, _, cpp, _, _ = _interior_curvatures(game, x_star)
-    a = np.diag(cpp) - fpp[:, None] * game.w
-    sol, _ = _solve(a, fpp * delta)
-    return sol
+    delta = _delta(game, delta)
+    _, fpp, cpp, _, _ = _interior_curvatures(game, x_star)
+    return _dx_dt(game, fpp, cpp, delta)[0]
 
 
 def utility_derivative(game: Game, x_star: np.ndarray, delta: np.ndarray) -> StaticsResult:
     """u'(0) and dx*/dt at t=0, with condition and boundary diagnostics.
 
-    Requires the equilibrium identity c'(x*) = f'(k*) (interior stationarity
-    written through the unit diagonal), which the closed form relies on.
+    The closed form rests on the equilibrium identity c'(x*) = f'(k*), the
+    interior stationarity (through the unit diagonal) that x* is checked for.
     """
-    delta = np.asarray(delta, dtype=float)
-    if delta.shape != (game.n,):
-        raise InputError(f"delta must have shape ({game.n},), got {delta.shape}")
-    x_star, _, fp, fpp, cp, cpp, margin, warnings = _interior_curvatures(game, x_star)
-    if np.max(np.abs(cp - fp)) > IDENTITY_TOL:
-        raise InputError(
-            f"equilibrium identity violated: max |c'(x*) - f'(k*)| = "
-            f"{float(np.max(np.abs(cp - fp))):.3g} > {IDENTITY_TOL:g}"
-        )
-    a_x = np.diag(cpp) - fpp[:, None] * game.w
-    dx_dt, cond_x = _solve(a_x, fpp * delta)
+    delta = _delta(game, delta)
+    fp, fpp, cpp, margin, warnings = _interior_curvatures(game, x_star)
+    dx_dt, cond_x = _dx_dt(game, fpp, cpp, delta)
     a_u = np.diag(cpp) - game.w * fpp[None, :]
     y, cond_u = _solve(a_u, delta)
     du_dt = fp * (cpp - fpp) * y

@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,11 +16,12 @@ from netgoods.certificates import (
     report_to_dict,
     spectral_bounds,
 )
-from netgoods.equilibrium import multi_start_probe
+from netgoods.equilibrium import multi_start_probe, solve_ne
 from netgoods.equivalence import upper_triangular_normalizer
 from netgoods.errors import InputError
 from netgoods.functions import LinearCost, LogValue, QuadraticClippedValue, QuadraticCost
 from netgoods.game import Game
+from netgoods.gamefile import dumps_canonical
 
 
 class TestSpectralBounds:
@@ -357,14 +360,22 @@ class TestNearSymmetric:
         assert any("zero modulus" in note for note in rep.notes)
 
 
+def near_pole_game():
+    # the gain 0 lies 1e-200 off the log pole: L0 overflows to inf and sigma_max(Sigma) = 0
+    return Game(w=np.eye(1), lower=np.zeros(1), upper=np.ones(1),
+                values=(LogValue(a=1.0, s=1e-200),), costs=(QuadraticCost(c0=1.0),))
+
+
+def near_pole_reports(g):
+    return [certify_any(g), cert_near_individual(g), cert_near_potential(g, g.values[0]),
+            cert_near_symmetric(g, np.eye(1))]
+
+
 class TestCertifyAny:
     def test_non_finite_margin_fails_with_a_reason(self):
-        # the gain 0 lies 1e-200 off the log pole: L0 overflows to inf and sigma_max(Sigma) = 0
-        g = Game(w=np.eye(1), lower=np.zeros(1), upper=np.ones(1),
-                 values=(LogValue(a=1.0, s=1e-200),), costs=(QuadraticCost(c0=1.0),))
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            rep = cert_near_individual(g)
-            best = certify_any(g)
+        g = near_pole_game()
+        rep = cert_near_individual(g)
+        best = certify_any(g)
         assert math.isnan(rep.margin) and rep.verdict == "fail"
         assert rep.notes[-1].startswith("margin is nan")
         assert report_to_dict(rep)["slack"] is None  # l0 * 0 = nan: no bound, like the margin
@@ -374,6 +385,23 @@ class TestCertifyAny:
         # the potential certificate's matrix holds a nan, on which the SVD does not converge
         assert tried["near_potential"]["verdict"] == "fail"
         assert tried["near_potential"]["reason"].startswith("margin is nan")
+
+    def test_non_finite_numbers_written_as_null(self):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        docs = [json.loads(dumps_canonical(report_to_dict(rep)), parse_constant=reject)
+                for rep in near_pole_reports(near_pole_game())]
+        assert docs[1]["details"]["l0"] is None and docs[1]["details"]["c"] == 2.0
+        assert docs[2]["details"]["sigma_i"] == [None] and docs[2]["matrix"] == [[None]]
+
+    def test_no_runtime_warning_at_a_log_pole(self):
+        g = near_pole_game()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = near_pole_reports(g)
+            solve_ne(g)
+        assert [r.verdict for r in reports] == ["pass", "fail", "fail", "pass"]
 
     def test_identity_network_passes_directly(self):
         rep = certify_any(quad_game(np.eye(4)))

@@ -1,10 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import make_fig1a_game
 from netgoods.cli import build_parser, main
+from netgoods.functions import QuadraticClippedValue
 from netgoods.gamefile import save_game
 
 
@@ -126,6 +128,18 @@ class TestCertify:
         assert [a["theorem"] for a in doc["attempts"]] == [
             "near_individual", "near_potential", "near_symmetric", "near_symmetric"]
         assert doc["margin"] == max(a["margin"] for a in doc["attempts"] if a["margin"] is not None)
+
+    def test_near_potential_takes_the_shared_value(self, fig1a_path, tmp_path, capsys):
+        code, doc = run(["certify", "--game", fig1a_path, "--theorem", "near-potential"],
+                        tmp_path / "r.json")
+        assert code == 0 and doc["theorem"] == "near_potential"
+        game = make_fig1a_game()
+        hetero = tmp_path / "hetero.json"
+        save_game(replace(game, values=(QuadraticClippedValue(a=4.0, b=1.0), *game.values[1:])), hetero)
+        code, doc = run(["certify", "--game", str(hetero), "--theorem", "near-potential"],
+                        tmp_path / "r2.json")
+        assert code == 2 and doc is None
+        assert "--f-common is required for heterogeneous values" in capsys.readouterr().err
 
     def test_w0_from_matrix_file(self, fig1a_path, tmp_path):
         w0_path = tmp_path / "w0.json"

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netgoods.certificates import cert_near_individual
+from netgoods.dynamics import integrate_pseudo_gradient
+from netgoods.equilibrium import solve_ne
 from netgoods.errors import DomainError, InputError
 from netgoods.functions import (
     AffineReparam,
@@ -91,6 +94,37 @@ class TestValidation:
         with pytest.raises(InputError, match="cost domain"):
             Game(w=np.eye(1), lower=np.array([-1.0]), upper=np.array([1.0]),
                  values=(QUAD,), costs=(COST,))
+
+    def test_first_offending_player_named(self):
+        # players 0 and 1 are fine; player 2 breaks each rule in turn
+        ok_values, ok_costs = (QUAD, QUAD), (COST, COST)
+        with pytest.raises(InputError, match=r"player 2: values\[2\] is a cost family"):
+            Game(w=np.eye(3), lower=np.zeros(3), upper=np.ones(3),
+                 values=(*ok_values, COST), costs=(*ok_costs, COST))
+        with pytest.raises(InputError, match=r"player 2: costs\[2\] is a value family"):
+            Game(w=np.eye(3), lower=np.zeros(3), upper=np.ones(3),
+                 values=(*ok_values, QUAD), costs=(*ok_costs, QUAD))
+        with pytest.raises(InputError, match=r"player 2: gain interval \[-1\.0, 1\.0\] "
+                                             r"not contained in value domain \[-1\.0, inf\]"):
+            Game(w=np.eye(3), lower=np.array([0.0, 0.0, -1.0]), upper=np.ones(3),
+                 values=(*ok_values, LogValue(a=1.0, s=1.0)), costs=(*ok_costs, LinearCost(c1=1.0)))
+        with pytest.raises(InputError, match=r"player 1: action box \[-1\.0, 1\.0\] "
+                                             r"not contained in cost domain \[0\.0, inf\]"):
+            Game(w=np.eye(3), lower=np.array([0.0, -1.0, -1.0]), upper=np.ones(3),
+                 values=(QUAD,) * 3, costs=(COST, COST, LinearCost(c1=1.0)))
+
+    def test_weights_must_be_a_strictly_positive_n_vector(self):
+        g = make_game(np.eye(2), 0, 1)
+        x = np.full(2, 0.5)
+        for bad in ([2.0], [-1.0, 1.0], [0.0, 1.0], [np.nan, 1.0]):
+            with pytest.raises(InputError, match="gamma must be a strictly positive n-vector"):
+                weighted_welfare_gradient(g, bad, x)
+            with pytest.raises(InputError, match="gamma must be a strictly positive n-vector"):
+                solve_ne(g, gamma=bad)
+            with pytest.raises(InputError, match="gamma must be a strictly positive n-vector"):
+                cert_near_individual(g, bad)
+            with pytest.raises(InputError, match="alpha must be a strictly positive n-vector"):
+                integrate_pseudo_gradient(g, bad, x)
 
     def test_immutability(self):
         g = make_game(np.eye(2), 0, 1)
@@ -396,9 +430,9 @@ class TestEvaluator:
         ev = Evaluator.of(values, [COST] * 6)
         assert np.all(ev.k_hi == np.inf)
 
-    def test_built_lazily_once(self):
+    def test_built_with_the_game(self):
         g = make_game(np.eye(2), 0, 1)
-        assert "evaluator" not in vars(g)
+        assert "evaluator" in vars(g)
         assert g.evaluator is g.evaluator
 
     def test_parameters_read_only(self):
