@@ -223,17 +223,16 @@ def cert_near_potential(
     s_row = dev @ box_mag  # per-row sum |w_il - 1| * max(-lo_l, hi_l)
 
     notes, inapplicable = (), None
-    if c2 == math.inf:  # f_common'' jumps inside the hull
-        if float(np.max(s_row)) == 0.0:
-            c2 = 0.0
-            notes = ("f_common'' Lipschitz constant unused: W is exactly all-ones",)
-        else:
-            inapplicable = ("not applicable: f_common'' is discontinuous on the required interval "
-                            "and W deviates from all-ones")
+    if c2 == math.inf and float(np.max(s_row)) == 0.0:
+        c2 = 0.0
+        notes = ("f_common'' Lipschitz constant unused: W is exactly all-ones",)
+    elif common.value_jumps(hull_lo, hull_hi)[0]:
+        inapplicable = ("not applicable: f_common'' is discontinuous on the required interval "
+                        "and W deviates from all-ones")
     with np.errstate(invalid="ignore"):  # inf * 0 at a log pole: nan, and the margin fails
         b = sigmas[:, None] * np.abs(game.w) + c1 * dev
-    if inapplicable is None:
-        b = b + c2 * s_row[:, None]
+        if inapplicable is None:
+            b = b + c2 * s_row[:, None]
     return _report("near_potential", game, gamma, b, c, notes=notes, inapplicable=inapplicable,
                    details={"c": c, "c1": c1, "c2": c2, "sigma_i": sigmas.tolist()})
 
@@ -250,6 +249,8 @@ def cert_near_symmetric(game: Game, w0: np.ndarray) -> CertificateReport:
     w0 = np.asarray(w0, dtype=float)
     if w0.shape != game.w.shape:
         raise InputError(f"W0 must have shape {game.w.shape}, got {w0.shape}")
+    if not np.all(np.isfinite(w0)):
+        raise InputError("W0 has non-finite entries")
     if not _symmetric(w0):
         raise InputError("W0 must be symmetric")
     if np.max(np.abs(np.diag(w0) - 1.0)) > 1e-12:

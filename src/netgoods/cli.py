@@ -27,8 +27,17 @@ from .certificates import (
     common_value,
     report_to_dict,
 )
-from .dynamics import integrate_pseudo_gradient, integrate_sw_flow, trajectory_to_csv
+from .dynamics import (
+    DEFAULT_HORIZON,
+    DEFAULT_STEP,
+    integrate_pseudo_gradient,
+    integrate_sw_flow,
+    trajectory_to_csv,
+)
 from .equilibrium import (
+    DEFAULT_CLUSTER_TOL,
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     backward_induction,
     grid_oracle,
     multi_start_probe,
@@ -340,12 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", default="ones")
     p.add_argument("--x0", default=None)
     p.add_argument("--step-eps", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=50_000)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--beta-schedule", default="1e-1,1e-2,1e-3,1e-4,1e-5,1e-6")
     p.add_argument("--n-starts", type=int, default=20)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--cluster-tol", type=float, default=1e-4)
+    p.add_argument("--cluster-tol", type=float, default=DEFAULT_CLUSTER_TOL)
     common(p)
     p.set_defaults(func=_cmd_solve)
 
@@ -361,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", default="pseudo", choices=["pseudo", "sw"])
     p.add_argument("--alpha", default="ones")
     p.add_argument("--x0", default="mid")
-    p.add_argument("--step", type=float, default=1e-2)
-    p.add_argument("--horizon", type=float, default=50.0)
+    p.add_argument("--step", type=float, default=DEFAULT_STEP)
+    p.add_argument("--horizon", type=float, default=DEFAULT_HORIZON)
     p.add_argument("--csv", help="trajectory CSV path")
     common(p)
     p.set_defaults(func=_cmd_dynamics)

@@ -16,13 +16,14 @@ import numpy as np
 
 from .certificates import spectral_bounds
 from .errors import InputError
-from .game import Game, _pseudo_gradient, _weights, best_response, br_gap, gain_bounds, gains
+from .game import Game, _pseudo_gradient, _weights, best_response, br_gap, gain_bounds
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 50_000
+DEFAULT_CLUSTER_TOL = 1e-4
 #: hard cap on grid-oracle size
 GRID_POINT_CAP = 10_000_000
-_GRID_CHUNK = 1 << 18
+_GRID_CHUNK = 1 << 16  # rows per br_gap call: bounds the oracle's peak memory
 
 
 @dataclass(frozen=True)
@@ -117,19 +118,15 @@ def solve_ne(
     max_iter: int = DEFAULT_MAX_ITER,
     x0: np.ndarray | None = None,
     keep_iterates: bool = False,
-    field=None,
 ) -> SolveResult:
     """Projected fixed-point iteration on the (gamma-scaled) pseudo-gradient.
 
-    Stops when the iteration displacement drops below tol*step_eps.  ``field``
-    overrides the driving field (used internally by the regularized path); it
-    must have the same signature as pseudo_gradient's partial application and
-    is called on (1, n) batches.
+    Stops when the iteration displacement drops below tol*step_eps.
     """
     gamma, eps, x = _prep(game, gamma, step_eps, x0, tol, max_iter)
     history = [x.copy()] if keep_iterates else None
     xs = x[None, :].copy()
-    (status,), (iterations,), (residual,) = _iterate(game, field, gamma, eps, xs, tol, max_iter, history)
+    (status,), (iterations,), (residual,) = _iterate(game, None, gamma, eps, xs, tol, max_iter, history)
     gap = float("nan") if status == "diverged" else br_gap(game, xs[0])[0]
     return SolveResult(
         x_star=xs[0], status=str(status), iterations=int(iterations),
@@ -138,10 +135,14 @@ def solve_ne(
     )
 
 
+def _check_eps(eps: float) -> None:
+    if not eps >= 0:  # also rejects NaN
+        raise InputError(f"eps must be non-negative, got {eps}")
+
+
 def verify_ne(game: Game, x: np.ndarray, eps: float) -> tuple[bool, float, int]:
     """Accept x as an eps-NE iff no unilateral deviation gains more than eps."""
-    if eps < 0:
-        raise InputError(f"eps must be non-negative, got {eps}")
+    _check_eps(eps)
     gap, worst = br_gap(game, x)
     return gap <= eps, gap, worst
 
@@ -188,7 +189,7 @@ def multi_start_probe(
     game: Game,
     n_starts: int,
     seed: int,
-    cluster_tol: float = 1e-4,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
     gamma: np.ndarray | None = None,
     step_eps: float | None = None,
     tol: float = DEFAULT_TOL,
@@ -221,32 +222,13 @@ def multi_start_probe(
     return reps
 
 
-#: own-axis deviation resolution for the oracle's second pass
-_FINE_DEVIATIONS = 2048
-
-
-def _deviation_gains(game: Game, coords: np.ndarray, devs: list[np.ndarray]) -> np.ndarray:
-    """Best single-player deviation gain per profile, scanning dev grids per player."""
-    ev = game.evaluator
-    ks = ev.clamp_gains(gains(game, coords))
-    u_base = ev.value(ks) - ev.cost(coords)
-    best = np.full(coords.shape[0], -np.inf)
-    for i in range(game.n):
-        k_alt = ev.column(i).clamp_gains(ks[:, i, None] + (devs[i][None, :] - coords[:, i, None]))
-        u_alt = game.values[i].value(k_alt) - game.costs[i].value(devs[i])[None, :]
-        best = np.maximum(best, u_alt.max(axis=1) - u_base[:, i])
-    return best
-
-
 def grid_oracle(game: Game, m: int, eps: float) -> list[np.ndarray]:
-    """All profiles on the m^n uniform grid where no unilateral deviation gains > eps.
+    """All profiles on the m^n uniform grid that ``verify_ne`` accepts at eps.
 
-    Brute force: a first pass screens all m^n profiles against deviations on
-    the m-point axis grid; survivors are re-checked against a dense own-axis
-    deviation grid, which rejects grid-locked near-equilibria (profiles that
-    only look stable because the coarse grid cannot express the profitable
-    move) and keeps exactly the grid points that are epsilon-NEs of the game.
+    Brute force: every grid profile is judged by its exact best-response gap
+    (``br_gap``), in chunks of rows.
     """
+    _check_eps(eps)
     if game.n > 6:
         raise InputError(f"grid oracle supports n <= 6, got n={game.n}")
     if m < 2:
@@ -256,18 +238,11 @@ def grid_oracle(game: Game, m: int, eps: float) -> list[np.ndarray]:
         raise InputError(f"instance too large: {m}^{game.n} = {total} > {GRID_POINT_CAP}")
 
     axes = [np.linspace(game.lower[i], game.upper[i], m) for i in range(game.n)]
-    fine = [
-        np.union1d(np.linspace(game.lower[i], game.upper[i], _FINE_DEVIATIONS), axes[i])
-        for i in range(game.n)
-    ]
     found: list[np.ndarray] = []
     for start in range(0, total, _GRID_CHUNK):
         idx = np.arange(start, min(start + _GRID_CHUNK, total))
         coords = np.stack([ax[j] for ax, j in zip(axes, np.unravel_index(idx, (m,) * game.n))], axis=1)
-        survivors = coords[_deviation_gains(game, coords, axes) <= eps]
-        for s0 in range(0, survivors.shape[0], 4096):
-            block = survivors[s0:s0 + 4096]
-            found.extend(block[_deviation_gains(game, block, fine) <= eps])
+        found.extend(coords[br_gap(game, coords)[0] <= eps])
     return found
 
 

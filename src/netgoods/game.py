@@ -64,7 +64,8 @@ class Evaluator:
     ``cost_d1``, and ``slope_root``, the root of the own-utility slope that a
     best response takes.  ``value_kink`` is where f'' jumps, in gain coordinates.  Over
     gain intervals [lo, hi]: ``value_modulus`` (inf of -f''),
-    ``value_modulus_increasing`` (the same where f' > 0), ``value_lipschitz_d1``
+    ``value_modulus_increasing`` (the same where f' > 0), ``value_jumps`` (whether
+    the peak lies inside), ``value_lipschitz_d1``
     (sup of |f''|), ``value_lipschitz_d2`` (sup of |f'''|) and ``closeness``
     (sup of |gamma f_i'' - f''| for a common value f).  These constants are exact
     closed forms for intervals inside the value domains; like the derivative
@@ -149,12 +150,15 @@ class Evaluator:
         """sup of |f_i''| over [lo_i, hi_i]."""
         return self._curvature(self.b2, lo)
 
+    def value_jumps(self, lo, hi) -> np.ndarray:
+        """Whether f_i'' jumps in [lo_i, hi_i): the peak lies there (never for a log value)."""
+        return (self._t(lo) <= self.clip) & (self.clip < self._t(hi))
+
     def value_lipschitz_d2(self, lo, hi) -> np.ndarray:
-        """sup of |f_i'''| over [lo_i, hi_i]; inf where the peak lies in [lo_i, hi_i)."""
-        t_lo = self._t(lo)
-        jump = np.where((t_lo <= self.clip) & (self.clip < self._t(hi)), np.inf, 0.0)
-        with np.errstate(divide="ignore", over="ignore"):  # inf at a log pole
-            return (jump + 2.0 * self.log / (self.mu * t_lo + self.s) ** 3) / self.v_scale**3
+        """sup of |f_i'''| over [lo_i, hi_i]; inf where f_i'' jumps, or overflows at a log pole."""
+        jump = np.where(self.value_jumps(lo, hi), np.inf, 0.0)
+        with np.errstate(divide="ignore", over="ignore"):
+            return (jump + 2.0 * self.log / (self.mu * self._t(lo) + self.s) ** 3) / self.v_scale**3
 
     def closeness(self, common: Evaluator, gamma, lo, hi) -> np.ndarray:
         """sup of |gamma_i f_i'' - f''| over [lo_i, hi_i], f the value of the one-player ``common``.

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from netgoods.functions import (
+    AffineReparam,
     LinearCost,
     LogValue,
     QuadraticClippedValue,
@@ -96,3 +98,47 @@ def random_small_interaction_game(rng, n=None, coupling=0.25):
         else:
             costs.append(LinearCost(c1=float(rng.uniform(0.3, 1.0))))
     return Game(w=w, lower=lower, upper=upper, values=tuple(values), costs=tuple(costs))
+
+
+def nested_spec(families):
+    @st.composite
+    def build(draw):
+        spec = draw(families)
+        for _ in range(draw(st.integers(0, 2))):
+            spec = AffineReparam(spec, scale=draw(st.floats(0.5, 2.0)), shift=draw(st.floats(-1.0, 1.0)))
+        return spec
+    return build()
+
+
+# parameters keep the own-utility slope's condition number moderate, so that the
+# rounding of the folded parameters moves a root by well under the tolerance
+PLAYER = st.tuples(
+    nested_spec(st.one_of(st.builds(QuadraticClippedValue, a=st.floats(1.0, 5.0), b=st.floats(0.5, 2.0)),
+                          st.builds(LogValue, a=st.floats(0.5, 3.0), s=st.floats(0.1, 3.0)))),
+    nested_spec(st.one_of(st.builds(QuadraticCost, c0=st.floats(0.5, 2.0)),
+                          st.builds(LinearCost, c1=st.floats(0.1, 2.0)))),
+    st.floats(0.05, 1.0),  # offset of the box above the floors
+    st.floats(0.1, 3.0),  # box width
+)
+
+
+@st.composite
+def games_and_profiles(draw):
+    """A game of 1-4 players whose reachable gains stay clear of any log pole, and a profile."""
+    players = draw(st.lists(PLAYER, min_size=1, max_size=4))
+    n = len(players)
+    # at or above 0, the cost floor and any log pole
+    floors = [max(0.0, c.domain()[0], v.domain()[0]) for v, c, _, _ in players]
+    lower = np.array([f + off for f, (_, _, off, _) in zip(floors, players)])
+    upper = lower + np.array([width for *_, width in players])
+    raw = np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=n * n, max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(raw, 0.0)
+    # lower >= 0, so only negative weights pull a gain below its own lower bound:
+    # shrink each row until they take at most half the offset
+    pull = np.maximum(-raw, 0.0) @ upper
+    offsets = np.array([off for _, _, off, _ in players])
+    w = raw * (0.5 * offsets / np.maximum(pull, 0.5 * offsets))[:, None] + np.eye(n)
+    game = Game(w=w, lower=lower, upper=upper, values=tuple(v for v, *_ in players),
+                costs=tuple(c for _, c, *_ in players))
+    where = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    return game, lower + where * (upper - lower)

@@ -244,6 +244,20 @@ class TestNearPotential:
         assert rep.margin == -math.inf
         assert any("not applicable" in note for note in rep.notes)
 
+    def test_overflow_at_a_log_pole_is_not_a_jump(self):
+        # the hull starts 1e-120 off the log pole, so the Lipschitz constant c2 of
+        # f_common'' overflows to inf; f_common'' is continuous, so the theorem applies
+        f = LogValue(a=1.0, s=1e-120)
+        g = self.log_players_game([[1.0, 0.5], [0.5, 1.0]], f=f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = cert_near_potential(g, f)
+        assert rep.details["c2"] == math.inf and rep.verdict == "fail"
+        assert not any("not applicable" in note for note in rep.notes)
+        assert rep.notes[-1].startswith("margin is nan")
+        ones = cert_near_potential(self.log_players_game(np.ones((2, 2)), f=f), f)
+        assert ones.details["c2"] == 0.0 and any("all-ones" in note for note in ones.notes)
+
     def test_log_closeness_is_the_true_sup_no_false_pass(self):
         # sup |f_i'' - f''| on [0, 100] sits at k = 0: 1/0.001^2 - 1/1^2 = 999 999.  A grid
         # estimate of that slope fell 10x short and turned this fail into a pass (margin +9.1e3).
@@ -324,6 +338,11 @@ class TestNearSymmetric:
         bad[0, 0] = 2.0
         with pytest.raises(InputError, match="unit diagonal"):
             cert_near_symmetric(fig1a_game, bad)
+
+    def test_w0_with_nan_is_an_input_error(self):
+        w0 = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(InputError, match="W0 has non-finite entries"):
+            cert_near_symmetric(quad_game(np.array([[1.0, 0.5], [0.5, 1.0]])), w0)
 
     def test_exact_zero_margin_fails(self):
         # Sigma = M, a circulant with row and column sums 1, so sigma_max(M) = 1

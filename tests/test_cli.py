@@ -79,6 +79,11 @@ class TestVerify:
     def test_wrong_length_vector(self, fig1a_path, tmp_path):
         assert main(["verify", "--game", fig1a_path, "--x", "1,1"]) == 2
 
+    def test_nan_eps_is_an_input_error(self, fig1a_path, tmp_path):
+        code, doc = run(["verify", "--game", fig1a_path, "--x", "1,1,0,0", "--eps", "nan"],
+                        tmp_path / "r.json")
+        assert code == 2 and doc is None
+
 
 class TestDynamics:
     def test_sw_flow_with_csv(self, n1_path, tmp_path):
@@ -152,6 +157,16 @@ class TestCertify:
         assert code == 0
         assert doc["theorem"] == "near_symmetric"
         assert doc["threshold"] == pytest.approx(1.0, abs=1e-10)
+
+    def test_w0_file_with_nan_exits_2(self, fig1a_path, tmp_path, capsys):
+        w0 = np.eye(4)
+        w0[0, 1] = w0[1, 0] = np.nan
+        w0_path = tmp_path / "w0.json"
+        w0_path.write_text(json.dumps(w0.ravel().tolist()))  # json writes and reads NaN
+        code, doc = run(["certify", "--game", fig1a_path, "--theorem", "near-symmetric",
+                         "--w0", str(w0_path)], tmp_path / "r.json")
+        assert code == 2 and doc is None
+        assert "W0 has non-finite entries" in capsys.readouterr().err
 
     def test_maps_file_enables_transform_pass(self, tmp_path, two_player_triangular):
         src = tmp_path / "tri.json"

@@ -1,7 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_small_interaction_game
+from conftest import games_and_profiles, random_small_interaction_game
+from netgoods import equilibrium
 from netgoods.casestudy import random_er_game
 from netgoods.certificates import cert_near_individual
 from netgoods.equilibrium import (
@@ -64,14 +69,15 @@ class TestSolveNe:
             d = np.max(np.abs(res.iterates - res.x_star[None, :]), axis=1)
             assert np.all(np.diff(d) <= 1e-12)
 
-    def test_diverged_keeps_last_finite_point(self, n1_game):
+    def test_diverged_keeps_last_finite_point(self, n1_game, monkeypatch):
         calls = []
 
-        def field(y):
+        def field(game, y):
             calls.append(y.shape)
             return np.full_like(y, np.nan if len(calls) == 4 else 0.1)
 
-        res = solve_ne(n1_game, x0=np.zeros(1), step_eps=0.1, keep_iterates=True, field=field)
+        monkeypatch.setattr(equilibrium, "_pseudo_gradient", field)
+        res = solve_ne(n1_game, x0=np.zeros(1), step_eps=0.1, keep_iterates=True)
         assert res.status == "diverged" and res.iterations == 4
         assert np.isnan(res.final_gap) and res.residual == np.inf
         assert np.allclose(res.x_star, [0.03]) and res.iterates.shape == (4, 1)
@@ -108,6 +114,13 @@ class TestVerifyNe:
     def test_gap_threshold_boundary(self, fig1a_game):
         ok, gap, _ = verify_ne(fig1a_game, np.ones(4), 0.5 + 1e-6)
         assert ok and gap <= 0.5 + 1e-6
+
+    def test_eps_must_be_a_non_negative_number(self, fig1a_game):
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(InputError, match="eps must be non-negative"):
+                verify_ne(fig1a_game, np.ones(4), bad)
+            with pytest.raises(InputError, match="eps must be non-negative"):
+                grid_oracle(fig1a_game, m=3, eps=bad)
 
 
 class TestSolveRegularized:
@@ -200,6 +213,25 @@ class TestGridOracle:
     def test_size_guard(self, fig1a_game):
         with pytest.raises(InputError, match="too large"):
             grid_oracle(fig1a_game, m=100, eps=1e-8)
+
+    def test_no_point_closer_to_the_best_response_is_no_pass(self):
+        # the best response is 0.5001, off the grid {0, 0.5, 1}; at 0.5 the gap is
+        # 1.5 * 1e-4^2 = 1.5e-8 > eps, although no 2048-point deviation grid beats 0.5
+        g = Game(w=np.eye(1), lower=np.zeros(1), upper=np.ones(1),
+                 values=(QuadraticClippedValue(a=1.5003, b=1.0),), costs=(QuadraticCost(c0=1.0),))
+        assert not verify_ne(g, np.array([0.5]), 1e-8)[0]
+        assert grid_oracle(g, m=3, eps=1e-8) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(games_and_profiles(), st.integers(2, 6), st.sampled_from([1e-8, 1e-3, 1e-1]))
+def test_grid_oracle_keeps_exactly_the_points_verify_ne_accepts(case, m, eps):
+    game, _ = case
+    axes = [np.linspace(lo, hi, m) for lo, hi in zip(game.lower, game.upper)]
+    want = [x for x in map(np.array, itertools.product(*axes)) if verify_ne(game, x, eps)[0]]
+    got = grid_oracle(game, m=m, eps=eps)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestMultiStart:

@@ -4,8 +4,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from conftest import games_and_profiles
 from netgoods.certificates import cert_near_individual
 from netgoods.dynamics import integrate_pseudo_gradient
 from netgoods.equilibrium import solve_ne
@@ -410,17 +410,11 @@ class TestEvaluator:
                 ev.column(1).value(batch[:, 1:])
 
     def test_deviation_scan_rejects_unreachable_gains(self):
-        from netgoods.equilibrium import _deviation_gains
-
         w = np.array([[1.0, -1.0], [0.0, 1.0]])
         g = Game(w=w, lower=np.zeros(2), upper=np.ones(2),
                  values=(LogValue(a=1.0, s=1.0 + 1e-12), QUAD), costs=(COST, COST))
-        devs = [np.linspace(0.0, 1.0, 5)] * 2
-        _deviation_gains(g, np.array([[0.5, 1.0]]), devs)  # reachable: fine
         with pytest.raises(DomainError):
-            _deviation_gains(g, np.array([[0.0, 1.5]]), devs)  # gain -1.5, beyond the domain
-        with pytest.raises(DomainError):
-            best_response(g, 0, np.array([0.0, 1.5]))
+            best_response(g, 0, np.array([0.0, 1.5]))  # gain -1.5, beyond the domain
 
     @pytest.mark.parametrize("depth", [0, 1, 2])
     def test_value_domains_unbounded_above(self, depth):
@@ -709,50 +703,6 @@ def exact_d1(spec, k):
     else:
         out = mp.mpf(spec.c1)
     return out / factor
-
-
-def nested_spec(families):
-    @st.composite
-    def build(draw):
-        spec = draw(families)
-        for _ in range(draw(st.integers(0, 2))):
-            spec = AffineReparam(spec, scale=draw(st.floats(0.5, 2.0)), shift=draw(st.floats(-1.0, 1.0)))
-        return spec
-    return build()
-
-
-# parameters keep the own-utility slope's condition number moderate, so that the
-# rounding of the folded parameters moves a root by well under the tolerance
-PLAYER = st.tuples(
-    nested_spec(st.one_of(st.builds(QuadraticClippedValue, a=st.floats(1.0, 5.0), b=st.floats(0.5, 2.0)),
-                          st.builds(LogValue, a=st.floats(0.5, 3.0), s=st.floats(0.1, 3.0)))),
-    nested_spec(st.one_of(st.builds(QuadraticCost, c0=st.floats(0.5, 2.0)),
-                          st.builds(LinearCost, c1=st.floats(0.1, 2.0)))),
-    st.floats(0.05, 1.0),  # offset of the box above the floors
-    st.floats(0.1, 3.0),  # box width
-)
-
-
-@st.composite
-def games_and_profiles(draw):
-    """A game of 1-4 players whose reachable gains stay clear of any log pole, and a profile."""
-    players = draw(st.lists(PLAYER, min_size=1, max_size=4))
-    n = len(players)
-    # at or above 0, the cost floor and any log pole
-    floors = [max(0.0, c.domain()[0], v.domain()[0]) for v, c, _, _ in players]
-    lower = np.array([f + off for f, (_, _, off, _) in zip(floors, players)])
-    upper = lower + np.array([width for *_, width in players])
-    raw = np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=n * n, max_size=n * n))).reshape(n, n)
-    np.fill_diagonal(raw, 0.0)
-    # lower >= 0, so only negative weights pull a gain below its own lower bound:
-    # shrink each row until they take at most half the offset
-    pull = np.maximum(-raw, 0.0) @ upper
-    offsets = np.array([off for _, _, off, _ in players])
-    w = raw * (0.5 * offsets / np.maximum(pull, 0.5 * offsets))[:, None] + np.eye(n)
-    game = Game(w=w, lower=lower, upper=upper, values=tuple(v for v, *_ in players),
-                costs=tuple(c for _, c, *_ in players))
-    where = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
-    return game, lower + where * (upper - lower)
 
 
 @settings(max_examples=300, deadline=None)
