@@ -23,7 +23,7 @@ from .functions import QuadraticClippedValue, QuadraticCost
 from .game import Game
 
 _MASK64 = (1 << 64) - 1
-#: case-1 samples per stacked singular-value call; bounds the stack's memory
+#: case-1 samples per stacked sigma_max bound (one Gram eigen-solve); bounds the stack's memory
 SIGMA_CHUNK = 8
 
 
@@ -193,7 +193,7 @@ def monte_carlo_case1(
     homogeneous family: curvature c0 against Lipschitz constant 2b, so the
     condition is sigma_max(residual) < c0/(2b), with sigma_max bounded from
     above.  Only each sample's W is drawn (as ``random_er_game`` draws it), and
-    the residuals, their delta statistics and their singular values are
+    the residuals, their delta statistics and their sigma_max bounds are
     computed in stacks of ``SIGMA_CHUNK``.
     """
     if samples < 100:

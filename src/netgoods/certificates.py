@@ -61,13 +61,13 @@ class CertificateReport:
 
 
 def _slack(m: np.ndarray) -> np.ndarray:
-    """Rounding slack c * n * u * ||M||_F of each matrix of an (..., n, n) stack.
+    """Rounding slack c * n * u * ||M||_F of the eigenvalues of each matrix of an (..., n, n) stack.
 
-    LAPACK's SVD and symmetric eigen-solvers are backward stable: the values
-    they return are exact for some M + E with ||E||_2 <= p(n) u ||M||_2, p(n)
-    a modest multiple of n, so by Weyl's theorem each returned value lies
-    within ||E||_2 of the true one.  ``SLACK_C`` * n covers p(n), the rounding
-    of the certificate matrices' own non-negative sums and products (at most
+    LAPACK's symmetric eigen-solver is backward stable: the values it returns
+    are exact for some M + E with ||E||_2 <= p(n) u ||M||_2, p(n) a modest
+    multiple of n, so by Weyl's theorem each returned value lies within
+    ||E||_2 of the true one.  ``SLACK_C`` * n covers p(n), the rounding of the
+    certificate matrices' own non-negative sums and products (at most
     (n + 2) u ||M||_2 entrywise-relative error), and the rounding of adding the
     slack; ||M||_2 <= ||M||_F.  Entries are assumed far from underflow.
     """
@@ -75,15 +75,40 @@ def _slack(m: np.ndarray) -> np.ndarray:
 
 
 def _sigma_bound(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(upper bound on sigma_max, its slack) for each matrix of an (..., n, n) stack."""
-    slack = _slack(m)
-    finite = np.isfinite(m).all(axis=(-2, -1))
-    if finite.all():
-        top = np.linalg.svd(m, compute_uv=False)[..., 0]
-    else:  # a matrix with a non-finite entry has no bound: nan, and LAPACK never sees it
-        top = np.full(m.shape[:-2], np.nan)
-        top[finite] = np.linalg.svd(m[finite], compute_uv=False)[..., 0]
-    return top + slack, slack
+    """(upper bound on sigma_max, its slack) for each matrix of an (..., n, n) stack.
+
+    sigma_max(M)^2 is the largest eigenvalue of the Gram matrix G = M^T M.
+    Each M is first scaled by the power of two 2^-e that puts its largest
+    |entry| in [1/2, 1), so neither G nor ||M||_F^2 over- or underflows; the
+    scaling is exact except for entries that land below 2^-1022, which move
+    by at most 2^-1075 each, far inside the slack.  The computed G is within
+    gamma_n ||M||_F^2 of the exact one in the 2-norm (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, section 3.5), and ``eigvalsh`` is
+    backward stable with error p(n) u ||G||_2, p(n) <= 6n as in ``_slack``;
+    by Weyl's theorem lambda_max(M^T M) <= lambda_hat + SLACK_C n u ||M||_F^2,
+    the SLACK_C * n = 8n covering both terms (7n) and the rounding of
+    ||M||_F^2, of the sum and of the square root.  Like ``_slack`` this rests
+    on LAPACK's backward-error model; the rounding in forming a certificate
+    matrix (up to (n + 2) u relative per non-negative entry) is left to the
+    remaining n and to p(n) falling well short of 6n in practice.  The bound
+    is 2^e sqrt(max(lambda_hat, 0) + that slack), and its slack is the bound
+    minus 2^e sqrt(max(lambda_hat, 0)).
+    A matrix with a non-finite entry gets nan for both, and LAPACK never
+    sees it.
+    """
+    peak = np.abs(m).max(axis=(-2, -1), initial=0.0)  # not finite exactly when an entry is not
+    finite = np.isfinite(peak)
+    if not finite.all():
+        top, slack = np.full(m.shape[:-2], np.nan), np.full(m.shape[:-2], np.nan)
+        top[finite], slack[finite] = _sigma_bound(m[finite])
+        return top, slack
+    _, e = np.frexp(peak)
+    s = np.ldexp(m, -e[..., None, None])
+    g = np.swapaxes(s, -1, -2) @ s
+    lam = np.maximum(np.linalg.eigvalsh(g)[..., -1], 0.0)
+    fro2 = np.trace(g, axis1=-2, axis2=-1)  # ||M||_F^2, scaled
+    top = np.sqrt(lam + SLACK_C * m.shape[-1] * UNIT_ROUNDOFF * fro2)
+    return np.ldexp(top, e), np.ldexp(top - np.sqrt(lam), e)
 
 
 def _eig_bounds(m: np.ndarray) -> tuple[float, float, float]:
@@ -93,13 +118,26 @@ def _eig_bounds(m: np.ndarray) -> tuple[float, float, float]:
     return float(eigs[0]) - slack, float(eigs[-1]) + slack, slack
 
 
+def _lambda_min_bound(w0: np.ndarray) -> tuple[float, float]:
+    """(lower bound on lambda_min, slack) of the symmetric w0, as ``_eig_bounds`` gives them.
+
+    The identity needs no eigen-solve: its eigenvalues are exactly 1.
+    """
+    if np.count_nonzero(w0) == w0.shape[0] and np.all(np.diag(w0) == 1.0):
+        slack = float(_slack(w0))
+        return 1.0 - slack, slack
+    lo, _, slack = _eig_bounds(w0)
+    return lo, slack
+
+
 def spectral_bounds(m: np.ndarray) -> tuple[float, tuple[float, float] | None]:
     """(sigma_max, (min_eig, max_eig) when symmetric, else None), each widened to a bound.
 
-    sigma_max is LAPACK's largest singular value plus the rounding slack of
-    ``_slack``, so under the backward-error bound that slack rests on it never
-    falls short of the true value; the extreme eigenvalues come from
-    ``eigvalsh`` widened outward by the same slack.
+    sigma_max is the square root of the largest eigenvalue of M^T M widened
+    by its rounding slack (``_sigma_bound``), so under the backward-error
+    bound that slack rests on it never falls short of the true value; the
+    extreme eigenvalues come from ``eigvalsh`` widened outward by the slack of
+    ``_slack``.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -257,7 +295,7 @@ def cert_near_symmetric(game: Game, w0: np.ndarray) -> CertificateReport:
         raise InputError("W0 must have unit diagonal")
 
     w0 = 0.5 * (w0 + w0.T)
-    sigma_0, _, slack_0 = _eig_bounds(w0)
+    sigma_0, slack_0 = _lambda_min_bound(w0)
     gb = gain_bounds(game)
     l_costs = game.evaluator.dq
     c_vals = game.evaluator.value_modulus_increasing(gb.k_lo, gb.k_hi)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import spectral_bounds
+from .certificates import _sigma_bound
 from .errors import InputError
 from .game import Game, _pseudo_gradient, _weights, best_response, br_gap, gain_bounds
 
@@ -58,7 +58,7 @@ def default_step_eps(game: Game, gamma: np.ndarray) -> float:
     gb, ev = gain_bounds(game), game.evaluator
     l_val = float(np.max(gamma * ev.value_lipschitz_d1(gb.k_lo, gb.k_hi)))
     l_cost = float(np.max(gamma * ev.dq))
-    s_w, _ = spectral_bounds(np.abs(game.w))
+    s_w = float(_sigma_bound(np.abs(game.w))[0])
     scale = l_val * s_w + l_cost
     return float(np.clip(0.5 / (1.0 + scale), 1e-4, 1e-1))
 

@@ -8,6 +8,8 @@ import pytest
 from conftest import random_small_interaction_game
 from spectral_oracle import jacobi_eigenvalues
 from netgoods.certificates import (
+    _eig_bounds,
+    _lambda_min_bound,
     _sigma_bound,
     cert_near_individual,
     cert_near_potential,
@@ -74,6 +76,25 @@ class TestSpectralBounds:
             want, want_slack = _sigma_bound(stack[k])
             assert got[k] == want and slack[k] == want_slack
 
+    def test_stack_matches_single_at_full_size(self):
+        # monte_carlo_case1 bounds its residuals in stacks; each must get its own bits
+        stack = np.random.default_rng(80).normal(size=(8, 50, 50))
+        got, slack = _sigma_bound(stack)
+        for k in range(len(stack)):
+            want, want_slack = _sigma_bound(stack[k])
+            assert got[k] == want and slack[k] == want_slack
+
+    def test_identity_lambda_min_needs_no_eigen_solve(self):
+        for n in (1, 2, 10, 100, 1000):
+            lo, _, slack = _eig_bounds(np.eye(n))
+            got = _lambda_min_bound(np.eye(n))
+            assert got[0] == lo and got[1] == slack
+        # a unit diagonal within the 1e-12 tolerance is not the identity
+        w0 = np.diag([1.0, 1.0 + 2e-13, 1.0])
+        assert _lambda_min_bound(w0) == _eig_bounds(w0)[::2]
+        w0 = np.array([[1.0, 0.5], [0.5, 1.0]])
+        assert _lambda_min_bound(w0) == _eig_bounds(w0)[::2]
+
 
 def _mp_extreme_eigs(a, mpmath):
     """(min, max) eigenvalue of the symmetric float matrix a, at 30 digits."""
@@ -107,6 +128,24 @@ class TestSpectralSoundness:
             s, _ = spectral_bounds(m)
             assert s >= exact
             assert s - exact <= 1e-12 * exact
+
+    def test_sigma_max_is_an_upper_bound_at_extreme_scales(self):
+        # M^T M and ||M||_F^2 would over- or underflow here without the power-of-two scaling
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(84)
+        for scale in (1e150, 1e-150, 1e200, 1e-200):
+            for k in range(20):
+                n = int(rng.integers(1, 21))
+                m = rng.normal(size=(n, n)) if k % 2 == 0 else (rng.random((n, n)) < 0.3) * 1.0
+                m = m * scale
+                with mpmath.workdps(30):
+                    a = mpmath.matrix(m.tolist())
+                    exact = mpmath.sqrt(max(mpmath.eigsy(a.T * a, eigvals_only=True)))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    s, _ = _sigma_bound(m)
+                assert s >= exact
+                assert s - exact <= 1e-12 * exact
 
     def test_eigenvalue_bounds_enclose(self):
         mpmath = pytest.importorskip("mpmath")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import games_and_profiles, random_small_interaction_game
 from netgoods import equilibrium
 from netgoods.casestudy import random_er_game
-from netgoods.certificates import cert_near_individual
+from netgoods.certificates import cert_near_individual, spectral_bounds
 from netgoods.equilibrium import (
     _iterate,
     backward_induction,
@@ -91,6 +91,14 @@ class TestSolveNe:
     def test_default_step_in_declared_range(self, fig1a_game):
         eps = default_step_eps(fig1a_game, np.ones(4))
         assert 1e-4 <= eps <= 1e-1
+
+    def test_default_step_reads_only_sigma(self, fig1a_game):
+        # 0.5 / (1 + L * sigma_max(|W|) + c0) with L = 2b = 2, sigma_max = 3, c0 = 1:
+        # the same step spectral_bounds' sigma gives, never above the exact 1/16
+        eps = default_step_eps(fig1a_game, np.ones(4))
+        sigma, _ = spectral_bounds(np.abs(fig1a_game.w))
+        assert eps == 0.5 / (1.0 + 2.0 * sigma + 1.0)
+        assert eps <= 0.0625 and eps == pytest.approx(0.0625, rel=1e-14)
 
 
 class TestVerifyNe:

@@ -16,7 +16,14 @@ flow-rk4 games):
 - one ``integrate_sw_flow`` run of 200 steps (step 1e-2, horizon 2) from the
   box centre, diagnostics included (it stops early if the field vanishes;
   ``steps`` records how many it took);
-- ``certify_any`` with its defaults.
+- ``certify_any`` with its defaults;
+- ``_sigma_bound`` (the rounding-safe sigma_max behind every certificate and
+  the default solver step) on the game's |W|.
+
+Once per run it also times the case-1 Monte Carlo at n = 50, p0 = 1 (a = 3,
+b = 1, c0 = 1): ``_sigma_bound`` on one stack of ``SIGMA_CHUNK`` coupling
+residuals of ``random_er_game`` draws, and ``monte_carlo_case1`` with 100
+samples.
 
 Each timing is the minimum over ``REPEATS`` runs (blocks of calls for the
 fast ones, see ``Timer``), in *reference seconds*:
@@ -48,6 +55,9 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 SIZES = (10, 50, 200, 1000)
 REPEATS = 5
 BATCH_ROWS = 201
+#: (n, p0, a, b, c0) of the case-1 Monte Carlo rows, and their sample count
+CASE1 = (50, 1.0, 3.0, 1.0, 1.0)
+CASE1_SAMPLES = 100
 
 
 def _load(name: str, path: str):
@@ -111,7 +121,7 @@ class Timer:
 def sweep_game(game, timer) -> dict:
     import numpy as np
 
-    from netgoods.certificates import certify_any
+    from netgoods.certificates import _sigma_bound, certify_any
     from netgoods.dynamics import integrate_sw_flow
     from netgoods.equilibrium import solve_ne
     from netgoods.game import best_response, br_gap, pseudo_gradient
@@ -133,7 +143,31 @@ def sweep_game(game, timer) -> dict:
     row["integrate_sw_flow"]["steps"] = len(traj.times) - 1
     row["certify_any"], rep = timer(lambda: certify_any(game))
     row["certify_any"].update(theorem=rep.theorem, verdict=rep.verdict)
+    abs_w = np.abs(game.w)
+    row["sigma_bound"], _ = timer(lambda: _sigma_bound(abs_w))
     return row
+
+
+def sweep_case1(timer) -> dict:
+    import numpy as np
+
+    from netgoods.casestudy import (SIGMA_CHUNK, coupling_residual, monte_carlo_case1,
+                                    random_er_game, sample_seed)
+    from netgoods.certificates import _sigma_bound
+
+    n, p0, a, b, c0 = CASE1
+    residuals = coupling_residual(np.stack(
+        [random_er_game(n, p0, a, b, c0, sample_seed(5, s)).w for s in range(SIGMA_CHUNK)]))
+    row = {}
+    row["sigma_bound_stack"], _ = timer(lambda: _sigma_bound(residuals))
+    row["sigma_bound_stack"]["stack"] = SIGMA_CHUNK
+    row["monte_carlo_case1"], rep = timer(lambda: monte_carlo_case1(n, p0, a, b, c0, CASE1_SAMPLES, 5))
+    row["monte_carlo_case1"].update(samples=CASE1_SAMPLES, frac_certificate=rep.frac_certificate)
+    return row
+
+
+def _progress(label: str, row: dict) -> None:
+    print(f"{label}: " + ", ".join(f"{k} {v['ref_s']:.4g}" for k, v in row.items()), file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -162,7 +196,9 @@ def main(argv=None) -> int:
         results[name] = {}
         for n in SIZES:
             row = results[name][str(n)] = sweep_game(make(n), timer)
-            print(f"{name} n={n}: " + ", ".join(f"{k} {v['ref_s']:.4g}" for k, v in row.items()), file=sys.stderr)
+            _progress(f"{name} n={n}", row)
+    results["case1"] = sweep_case1(timer)
+    _progress(f"case1 n={CASE1[0]}", results["case1"])
 
     doc = {
         "label": args.label,
