@@ -23,7 +23,7 @@ from .functions import QuadraticClippedValue, QuadraticCost
 from .game import Game
 
 _MASK64 = (1 << 64) - 1
-#: case-1 samples per stacked sigma_max bound (one Gram eigen-solve); bounds the stack's memory
+#: case-1 samples per drawn chunk and per stacked sigma_max bound; bounds the stacks' memory
 SIGMA_CHUNK = 8
 
 
@@ -87,11 +87,23 @@ def _edge_probability(n: int, p0: float) -> float:
     return p
 
 
+def _er_matrices(n: int, p: float, seeds) -> np.ndarray:
+    """(S, n, n) unit-diagonal 0/1 matrices with Bernoulli(p) off-diagonal entries, one per seed.
+
+    Each seed's uniforms fill its own slice of one buffer, which the
+    comparison with p then overwrites in place.
+    """
+    w = np.empty((len(seeds), n, n))
+    for k, seed in enumerate(seeds):
+        _philox(seed).random(out=w[k])
+    np.less(w, p, out=w)
+    w.reshape(len(seeds), -1)[:, ::n + 1] = 1.0
+    return w
+
+
 def _er_matrix(n: int, p: float, seed: int) -> np.ndarray:
     """Unit-diagonal 0/1 matrix with Bernoulli(p) off-diagonal entries, keyed by the seed."""
-    w = (_philox(seed).random((n, n)) < p).astype(float)
-    np.fill_diagonal(w, 1.0)
-    return w
+    return _er_matrices(n, p, [seed])[0]
 
 
 def random_er_game(n: int, p0: float, a: float, b: float, c0: float, seed: int) -> Game:
@@ -134,18 +146,17 @@ def delta_row_stats(w: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
 
 def _delta_stats(w: np.ndarray, residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """delta_row_stats on a matrix or stack whose coupling residual is already known."""
-    n = w.shape[-1]
-    if np.max(np.abs(np.diagonal(w, axis1=-2, axis2=-1) - 1.0)) > 0:
+    if np.any(np.diagonal(w, axis1=-2, axis2=-1) != 1.0):  # a nan diagonal entry fails too
         raise InputError("need unit diagonal")
-    off_vals = w[..., ~np.eye(n, dtype=bool)]
-    if not np.all((off_vals == 0.0) | (off_vals == 1.0)):
+    if not np.all((w == 0.0) | (w == 1.0)):  # the diagonal passed already
         raise InputError("need 0/1 off-diagonal entries")
-    indeg = w.sum(axis=-2) - 1.0
+    col_sums = w.sum(axis=-2)
     row_sums = w.sum(axis=-1)
-    # pair_i = sum_{k != i} w_ki * (#out-edges of k excluding targets i and k)
-    pair_all = (w * (row_sums[..., None] - w - 1.0)).sum(axis=-2)
+    # pair_i = sum_{k != i} w_ki * (#out-edges of k excluding targets i and k); on 0/1
+    # entries the sum over all k is (W^T (r - 1))_i - colsum_i, and every sum is an exact integer
+    pair_all = ((row_sums - 1.0)[..., None, :] @ w)[..., 0, :] - col_sums
     pair = pair_all - (row_sums - 2.0)  # drop the k = i term
-    delta = 2.0 * indeg + pair
+    delta = 2.0 * (col_sums - 1.0) + pair
     inf_norm = np.max(delta, axis=-1)
     sigma_route = np.max(residual.sum(axis=-1), axis=-1)
     if np.any(inf_norm != sigma_route):
@@ -192,9 +203,13 @@ def monte_carlo_case1(
     The certificate fraction instantiates the weak-coupling theorem for the
     homogeneous family: curvature c0 against Lipschitz constant 2b, so the
     condition is sigma_max(residual) < c0/(2b), with sigma_max bounded from
-    above.  Only each sample's W is drawn (as ``random_er_game`` draws it), and
-    the residuals, their delta statistics and their sigma_max bounds are
-    computed in stacks of ``SIGMA_CHUNK``.
+    above.  Only each sample's W is drawn (as ``random_er_game`` draws it).
+    The W, their residuals and delta statistics are computed in chunks of
+    ``SIGMA_CHUNK`` samples.  A residual's zero rows do not change its
+    sigma_max, so each residual's non-zero rows go to a bucket keyed by their
+    count, and a bucket is bounded as one stack when it holds ``SIGMA_CHUNK``
+    members; the partial buckets are bounded at the end.  Each sample gets
+    the bits ``_sigma_bound`` gives its residual alone.
     """
     if samples < 100:
         raise InputError(f"need samples >= 100, got {samples}")
@@ -210,14 +225,28 @@ def monte_carlo_case1(
     sq_means = np.empty(samples)
     inf_norms = np.empty(samples)
     sigma_maxes = np.empty(samples)
+    buckets: dict[int, tuple[list[int], list[np.ndarray]]] = {}  # non-zero row count -> waiting samples
+
+    def flush(count: int) -> None:
+        index, rows = buckets.pop(count)
+        sigma_maxes[index] = _sigma_bound(np.stack(rows))[0]
+
     for lo in range(0, samples, SIGMA_CHUNK):
-        ws = np.stack([_er_matrix(n, p, seeds[s]) for s in range(lo, min(lo + SIGMA_CHUNK, samples))])
-        rows = slice(lo, lo + len(ws))
+        ws = _er_matrices(n, p, seeds[lo:lo + SIGMA_CHUNK])
+        chunk = slice(lo, lo + len(ws))
         residual = coupling_residual(ws)
-        delta, inf_norms[rows] = _delta_stats(ws, residual)
-        means[rows] = np.mean(delta, axis=-1)
-        sq_means[rows] = np.mean(delta**2, axis=-1)
-        sigma_maxes[rows] = _sigma_bound(residual)[0]
+        delta, inf_norms[chunk] = _delta_stats(ws, residual)
+        means[chunk] = np.mean(delta, axis=-1)
+        sq_means[chunk] = np.mean(delta**2, axis=-1)
+        nonzero = residual.any(axis=-1)
+        for s, (r, keep, count) in enumerate(zip(residual, nonzero, nonzero.sum(axis=-1).tolist()), lo):
+            index, rows = buckets.setdefault(count, ([], []))
+            index.append(s)
+            rows.append(r[keep])
+            if len(index) == SIGMA_CHUNK:
+                flush(count)
+    for count in sorted(buckets):
+        flush(count)
 
     emp_mean = float(np.mean(means))
     emp_sq = float(np.mean(sq_means))

@@ -60,6 +60,22 @@ class CertificateReport:
         return self.verdict == "pass"
 
 
+def _peak(m: np.ndarray) -> np.ndarray:
+    """max |entry| of each matrix of a stack (0 for an empty one); not finite exactly when an entry is not."""
+    return np.abs(m).max(axis=(-2, -1), initial=0.0)
+
+
+def _pow2_scale(m: np.ndarray, peak: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(2^-e M, e) for each matrix of a stack, 2^e putting its ``_peak`` in [1/2, 1).
+
+    The scaling is exact except for entries that land below 2^-1022, which
+    move by at most 2^-1075 each; the scaled matrix's squares and sums of
+    squares neither over- nor underflow.
+    """
+    _, e = np.frexp(peak)
+    return np.ldexp(m, -e[..., None, None]), e
+
+
 def _slack(m: np.ndarray) -> np.ndarray:
     """Rounding slack c * n * u * ||M||_F of the eigenvalues of each matrix of an (..., n, n) stack.
 
@@ -69,45 +85,67 @@ def _slack(m: np.ndarray) -> np.ndarray:
     ||E||_2 of the true one.  ``SLACK_C`` * n covers p(n), the rounding of the
     certificate matrices' own non-negative sums and products (at most
     (n + 2) u ||M||_2 entrywise-relative error), and the rounding of adding the
-    slack; ||M||_2 <= ||M||_F.  Entries are assumed far from underflow.
+    slack; ||M||_2 <= ||M||_F.  ||M||_F is taken from M scaled by a power of
+    two (``_pow2_scale``), so it neither over- nor underflows, and scaled back:
+    at ordinary scales that moves no bit.
     """
-    return SLACK_C * m.shape[-1] * UNIT_ROUNDOFF * np.linalg.norm(m, axis=(-2, -1))
+    s, e = _pow2_scale(m, _peak(m))
+    return np.ldexp(SLACK_C * m.shape[-1] * UNIT_ROUNDOFF * np.linalg.norm(s, axis=(-2, -1)), e)
 
 
 def _sigma_bound(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(upper bound on sigma_max, its slack) for each matrix of an (..., n, n) stack.
+    """(upper bound on sigma_max, its slack) for each matrix of an (..., r, c) stack.
 
-    sigma_max(M)^2 is the largest eigenvalue of the Gram matrix G = M^T M.
-    Each M is first scaled by the power of two 2^-e that puts its largest
-    |entry| in [1/2, 1), so neither G nor ||M||_F^2 over- or underflows; the
-    scaling is exact except for entries that land below 2^-1022, which move
-    by at most 2^-1075 each, far inside the slack.  The computed G is within
-    gamma_n ||M||_F^2 of the exact one in the 2-norm (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, section 3.5), and ``eigvalsh`` is
-    backward stable with error p(n) u ||G||_2, p(n) <= 6n as in ``_slack``;
-    by Weyl's theorem lambda_max(M^T M) <= lambda_hat + SLACK_C n u ||M||_F^2,
-    the SLACK_C * n = 8n covering both terms (7n) and the rounding of
-    ||M||_F^2, of the sum and of the square root.  Like ``_slack`` this rests
-    on LAPACK's backward-error model; the rounding in forming a certificate
-    matrix (up to (n + 2) u relative per non-negative entry) is left to the
-    remaining n and to p(n) falling well short of 6n in practice.  The bound
-    is 2^e sqrt(max(lambda_hat, 0) + that slack), and its slack is the bound
-    minus 2^e sqrt(max(lambda_hat, 0)).
+    Zero rows do not change M^T M, so they are dropped first: sigma_max(M) is
+    that of the k x c matrix S of M's non-zero rows, exactly, and a matrix
+    with k = 0 gets 0 for both without an eigen-solve.  A stack whose members
+    have different k is bounded one k at a time, so each member gets the bits
+    it gets alone.  sigma_max(S)^2 is the largest eigenvalue of the Gram
+    matrix on S's smaller side, G = S S^T when k < c and S^T S otherwise, so
+    a square M without zero rows keeps the plain M^T M.  Each S is first
+    scaled by a power of two (``_pow2_scale``), so neither G nor ||M||_F^2
+    over- or underflows.  With n the larger side of M, which bounds both G's
+    order and the length of the inner products that form it, the computed G
+    is within gamma_n ||M||_F^2 of the exact one in the 2-norm (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, section 3.5), and
+    ``eigvalsh`` is backward stable with error p(n) u ||G||_2, p(n) <= 6n as
+    in ``_slack``; by Weyl's theorem sigma_max^2 <= lambda_hat + SLACK_C n u
+    ||M||_F^2, the SLACK_C * n = 8n covering both terms (7n) and the rounding
+    of ||M||_F^2, of the sum and of the square root.  Like ``_slack`` this
+    rests on LAPACK's backward-error model; the rounding in forming a
+    certificate matrix (up to (n + 2) u relative per non-negative entry) is
+    left to the remaining n and to p(n) falling well short of 6n in practice.
+    The bound is 2^e sqrt(max(lambda_hat, 0) + that slack), and its slack is
+    the bound minus 2^e sqrt(max(lambda_hat, 0)).
     A matrix with a non-finite entry gets nan for both, and LAPACK never
     sees it.
     """
-    peak = np.abs(m).max(axis=(-2, -1), initial=0.0)  # not finite exactly when an entry is not
+    peak = _peak(m)
     finite = np.isfinite(peak)
     if not finite.all():
         top, slack = np.full(m.shape[:-2], np.nan), np.full(m.shape[:-2], np.nan)
         top[finite], slack[finite] = _sigma_bound(m[finite])
         return top, slack
-    _, e = np.frexp(peak)
-    s = np.ldexp(m, -e[..., None, None])
-    g = np.swapaxes(s, -1, -2) @ s
+    n = max(m.shape[-2:])
+    nonzero = m.any(axis=-1)  # (..., r): the rows that are not zero
+    if m.shape[-2] and nonzero.all():
+        return _gram_bound(m, n, peak)
+    counts = np.count_nonzero(nonzero, axis=-1)
+    top, slack = np.zeros(m.shape[:-2]), np.zeros(m.shape[:-2])
+    for k in sorted(set(counts.ravel().tolist()) - {0}):
+        pick = counts == k
+        top[pick], slack[pick] = _gram_bound(
+            m[pick][nonzero[pick]].reshape(-1, k, m.shape[-1]), n, peak[pick])
+    return top, slack
+
+
+def _gram_bound(m: np.ndarray, n: int, peak: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_sigma_bound`` of each matrix of a finite stack by the Gram on its smaller side; n sets the slack."""
+    s, e = _pow2_scale(m, peak)
+    g = s @ np.swapaxes(s, -1, -2) if s.shape[-2] < s.shape[-1] else np.swapaxes(s, -1, -2) @ s
     lam = np.maximum(np.linalg.eigvalsh(g)[..., -1], 0.0)
     fro2 = np.trace(g, axis1=-2, axis2=-1)  # ||M||_F^2, scaled
-    top = np.sqrt(lam + SLACK_C * m.shape[-1] * UNIT_ROUNDOFF * fro2)
+    top = np.sqrt(lam + SLACK_C * n * UNIT_ROUNDOFF * fro2)
     return np.ldexp(top, e), np.ldexp(top - np.sqrt(lam), e)
 
 

@@ -90,6 +90,12 @@ class TestDeltaRowStats:
         with pytest.raises(InputError, match="0/1"):
             delta_row_stats(w)
 
+    def test_rejects_nan_diagonal(self):
+        w = np.eye(4)
+        w[2, 2] = math.nan
+        with pytest.raises(InputError, match="unit diagonal"):
+            delta_row_stats(w)
+
     def test_stack_matches_per_matrix(self):
         rng = np.random.default_rng(4)
         ws = (rng.random((6, 9, 9)) < 0.3).astype(float)
@@ -176,6 +182,33 @@ class TestMonteCarloCase1:
             w = random_er_game(12, 2.0, 3.0, 1.0, 1.0, sample_seed(6, s)).w
             assert rep.sigma_maxes[s] == spectral_bounds(coupling_residual(w))[0]
             assert rep.inf_norms[s] == delta_row_stats(w)[1]
+
+    def test_partial_buckets_keep_sample_order(self):
+        # at n = 5, p0 = 0.5 the residuals have 0 to 4 non-zero rows, and 100 samples
+        # leave partial buckets of several counts; each sample keeps its own bound
+        from netgoods.casestudy import SIGMA_CHUNK, sample_seed
+        from netgoods.certificates import _sigma_bound
+
+        rep = monte_carlo_case1(5, 0.5, 3.0, 1.0, 1.0, samples=100, seed=12)
+        residuals = [coupling_residual(random_er_game(5, 0.5, 3.0, 1.0, 1.0, sample_seed(12, s)).w)
+                     for s in range(100)]
+        counts = [int(r.any(axis=1).sum()) for r in residuals]
+        assert 0 in counts
+        assert sum(counts.count(c) % SIGMA_CHUNK != 0 for c in set(counts)) >= 2
+        for s, r in enumerate(residuals):
+            assert rep.sigma_maxes[s] == _sigma_bound(r)[0]
+        assert np.all(rep.sigma_maxes[np.array(counts) == 0] == 0.0)
+
+    def test_er_matrix_keeps_the_per_seed_stream(self):
+        # the chunk buffer draws what one (n, n) draw per seed gave
+        from netgoods.casestudy import _er_matrices, _er_matrix, _philox, sample_seed
+
+        seeds = [sample_seed(13, s) for s in range(5)]
+        ws = _er_matrices(20, 0.1, seeds)
+        for w, seed in zip(ws, seeds):
+            want = (_philox(seed).random((20, 20)) < 0.1).astype(float)
+            np.fill_diagonal(want, 1.0)
+            assert np.array_equal(w, want) and np.array_equal(_er_matrix(20, 0.1, seed), want)
 
     def test_parameters_checked_up_front(self):
         with pytest.raises(InputError, match="edge probability"):

@@ -26,6 +26,19 @@ from netgoods.game import Game
 from netgoods.gamefile import dumps_canonical
 
 
+@pytest.fixture
+def eigvalsh_shapes(monkeypatch):
+    """The shape of every matrix or stack that reaches np.linalg.eigvalsh, in call order."""
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+
+    def recording(g):
+        shapes.append(g.shape)
+        return eigvalsh(g)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return shapes
+
+
 class TestSpectralBounds:
     def test_permutation_matrix(self):
         s, eigs = spectral_bounds(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -83,6 +96,39 @@ class TestSpectralBounds:
         for k in range(len(stack)):
             want, want_slack = _sigma_bound(stack[k])
             assert got[k] == want and slack[k] == want_slack
+
+    def test_stack_mixing_row_counts_matches_single(self, eigvalsh_shapes):
+        # members with different non-zero row counts are bounded one count at a time
+        rng = np.random.default_rng(85)
+        stack = rng.normal(size=(6, 9, 9))
+        for k, zero_rows in enumerate(([], [0], [2, 5], [1, 3, 7], [4], range(9))):
+            stack[k, list(zero_rows)] = 0.0
+        got, slack = _sigma_bound(stack)
+        # the all-zero member is not solved
+        assert sum(int(np.prod(shape[:-2])) for shape in eigvalsh_shapes) == 5
+        assert got[5] == 0.0 and slack[5] == 0.0
+        for k in range(len(stack)):
+            want, want_slack = _sigma_bound(stack[k])
+            assert got[k] == want and slack[k] == want_slack
+        eigvalsh_shapes.clear()
+        assert _sigma_bound(stack[5]) == (0.0, 0.0) and not eigvalsh_shapes
+
+    def test_zero_rows_removed_keep_bits(self):
+        rng = np.random.default_rng(86)
+        for n in (2, 7, 30):
+            m = rng.normal(size=(n, n))
+            m[rng.random(n) < 0.4] = 0.0
+            m[0] = rng.normal(size=n)
+            kept = m[m.any(axis=1)]
+            assert _sigma_bound(m) == _sigma_bound(kept)
+
+    def test_rectangular_gram_on_smaller_side(self, eigvalsh_shapes):
+        m = np.random.default_rng(87).normal(size=(3, 7))
+        for a in (m, m.T):
+            s, _ = _sigma_bound(a)
+            exact = float(np.linalg.norm(a, 2))
+            assert exact <= s <= exact * (1 + 1e-12)
+        assert eigvalsh_shapes == [(3, 3), (3, 3)]
 
     def test_identity_lambda_min_needs_no_eigen_solve(self):
         for n in (1, 2, 10, 100, 1000):
@@ -157,6 +203,25 @@ class TestSpectralSoundness:
             scale = max(abs(lo_mp), abs(hi_mp))
             assert lo <= lo_mp and hi >= hi_mp
             assert lo_mp - lo <= 1e-12 * scale and hi - hi_mp <= 1e-12 * scale
+
+    def test_eigenvalue_bounds_enclose_at_extreme_scales(self):
+        # the eigenvalue slack's ||M||_F would over- or underflow here without the power-of-two scaling
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(88)
+        for scale in (1e150, 1e-150, 1e200, 1e-200):
+            for k in range(10):
+                n = int(rng.integers(1, 21))
+                m = rng.normal(size=(n, n)) if k % 2 == 0 else (rng.random((n, n)) < 0.3) * 1.0
+                m = (m + m.T) * scale
+                lo_mp, hi_mp = _mp_extreme_eigs(m, mpmath)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    _, (lo, hi) = spectral_bounds(m)
+                size = max(abs(lo_mp), abs(hi_mp))
+                assert lo <= lo_mp and hi >= hi_mp
+                assert lo_mp - lo <= 1e-12 * size and hi - hi_mp <= 1e-12 * size
+                if size > 0:
+                    assert lo < lo_mp and hi > hi_mp  # widened, not just rounded
 
 
 class TestJacobi:

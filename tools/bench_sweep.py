@@ -21,9 +21,17 @@ flow-rk4 games):
   the default solver step) on the game's |W|.
 
 Once per run it also times the case-1 Monte Carlo at n = 50, p0 = 1 (a = 3,
-b = 1, c0 = 1): ``_sigma_bound`` on one stack of ``SIGMA_CHUNK`` coupling
-residuals of ``random_er_game`` draws, and ``monte_carlo_case1`` with 100
-samples.
+b = 1, c0 = 1), on the draws of ``sample_seed(5, s)``:
+
+- drawing one chunk of ``SIGMA_CHUNK`` interaction matrices (``_er_matrices``;
+  a source tree without it stacks one ``_er_matrix`` per seed, as its Monte
+  Carlo did);
+- ``_delta_stats`` on that chunk;
+- ``_sigma_bound`` on the chunk's ``SIGMA_CHUNK`` full coupling residuals;
+- ``_sigma_bound`` on one stack of ``SIGMA_CHUNK`` residuals that share a
+  non-zero row count, with their zero rows removed (the stacks the Monte
+  Carlo bounds);
+- ``monte_carlo_case1`` with 100 samples.
 
 Each timing is the minimum over ``REPEATS`` runs (blocks of calls for the
 fast ones, see ``Timer``), in *reference seconds*:
@@ -151,16 +159,36 @@ def sweep_game(game, timer) -> dict:
 def sweep_case1(timer) -> dict:
     import numpy as np
 
-    from netgoods.casestudy import (SIGMA_CHUNK, coupling_residual, monte_carlo_case1,
-                                    random_er_game, sample_seed)
+    from netgoods import casestudy
+    from netgoods.casestudy import (SIGMA_CHUNK, _delta_stats, _er_matrix, coupling_residual,
+                                    monte_carlo_case1, sample_seed)
     from netgoods.certificates import _sigma_bound
 
     n, p0, a, b, c0 = CASE1
-    residuals = coupling_residual(np.stack(
-        [random_er_game(n, p0, a, b, c0, sample_seed(5, s)).w for s in range(SIGMA_CHUNK)]))
+    p = p0 / n
+    seeds = [sample_seed(5, s) for s in range(SIGMA_CHUNK)]
+    draw = getattr(casestudy, "_er_matrices", None) or (
+        lambda n, p, seeds: np.stack([_er_matrix(n, p, seed) for seed in seeds]))
     row = {}
+    row["er_matrices"], ws = timer(lambda: draw(n, p, seeds))
+    residuals = coupling_residual(ws)
+    row["delta_stats"], _ = timer(lambda: _delta_stats(ws, residuals))
     row["sigma_bound_stack"], _ = timer(lambda: _sigma_bound(residuals))
-    row["sigma_bound_stack"]["stack"] = SIGMA_CHUNK
+    # the first non-zero row count that SIGMA_CHUNK residuals share, in sample order
+    by_count, s = {}, SIGMA_CHUNK
+    while True:
+        r = coupling_residual(_er_matrix(n, p, sample_seed(5, s)))
+        keep = r.any(axis=1)
+        rows = by_count.setdefault(int(keep.sum()), [])
+        rows.append(r[keep])
+        if len(rows) == SIGMA_CHUNK:
+            compact = np.stack(rows)
+            break
+        s += 1
+    row["sigma_bound_compact"], _ = timer(lambda: _sigma_bound(compact))
+    row["sigma_bound_compact"]["rows"] = compact.shape[1]
+    for key in ("er_matrices", "delta_stats", "sigma_bound_stack", "sigma_bound_compact"):
+        row[key]["stack"] = SIGMA_CHUNK
     row["monte_carlo_case1"], rep = timer(lambda: monte_carlo_case1(n, p0, a, b, c0, CASE1_SAMPLES, 5))
     row["monte_carlo_case1"].update(samples=CASE1_SAMPLES, frac_certificate=rep.frac_certificate)
     return row
