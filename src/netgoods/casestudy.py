@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import CertificateReport, _sigma_bound, cert_near_symmetric
+from .certificates import CertificateReport, _sigma_bound, cert_near_symmetric, coupling_residual
 from .equilibrium import backward_induction, solve_ne, verify_ne
 from .equivalence import auto_epsilon, map_profile, transform_game, upper_triangular_normalizer
 from .errors import InputError
@@ -24,7 +24,7 @@ from .game import Game
 
 _MASK64 = (1 << 64) - 1
 #: case-1 samples per drawn chunk and per stacked sigma_max bound; bounds the stacks' memory
-SIGMA_CHUNK = 8
+SIGMA_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -123,15 +123,6 @@ def random_er_game(n: int, p0: float, a: float, b: float, c0: float, seed: int) 
     )
 
 
-def coupling_residual(w: np.ndarray) -> np.ndarray:
-    """The weak-coupling residual matrix for unit weights: sum_{k != i} w_ki w_kj.
-
-    Also maps an (S, n, n) stack of matrices to the stack of their residuals.
-    """
-    w = np.abs(np.asarray(w, dtype=float))
-    return np.swapaxes(w, -1, -2) @ w - w
-
-
 def delta_row_stats(w: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     """Row statistics delta_i = 2*indegree_i + paired-out-edge count, and max_i delta_i.
 
@@ -204,12 +195,10 @@ def monte_carlo_case1(
     homogeneous family: curvature c0 against Lipschitz constant 2b, so the
     condition is sigma_max(residual) < c0/(2b), with sigma_max bounded from
     above.  Only each sample's W is drawn (as ``random_er_game`` draws it).
-    The W, their residuals and delta statistics are computed in chunks of
-    ``SIGMA_CHUNK`` samples.  A residual's zero rows do not change its
-    sigma_max, so each residual's non-zero rows go to a bucket keyed by their
-    count, and a bucket is bounded as one stack when it holds ``SIGMA_CHUNK``
-    members; the partial buckets are bounded at the end.  Each sample gets
-    the bits ``_sigma_bound`` gives its residual alone.
+    The W, their residuals (``coupling_residual`` with unit weights), delta
+    statistics and sigma_max bounds are computed in chunks of ``SIGMA_CHUNK``
+    samples; ``_sigma_bound`` bounds a chunk's residuals as one stack, and
+    each sample gets the bits it gives that residual alone.
     """
     if samples < 100:
         raise InputError(f"need samples >= 100, got {samples}")
@@ -225,12 +214,6 @@ def monte_carlo_case1(
     sq_means = np.empty(samples)
     inf_norms = np.empty(samples)
     sigma_maxes = np.empty(samples)
-    buckets: dict[int, tuple[list[int], list[np.ndarray]]] = {}  # non-zero row count -> waiting samples
-
-    def flush(count: int) -> None:
-        index, rows = buckets.pop(count)
-        sigma_maxes[index] = _sigma_bound(np.stack(rows))[0]
-
     for lo in range(0, samples, SIGMA_CHUNK):
         ws = _er_matrices(n, p, seeds[lo:lo + SIGMA_CHUNK])
         chunk = slice(lo, lo + len(ws))
@@ -238,15 +221,7 @@ def monte_carlo_case1(
         delta, inf_norms[chunk] = _delta_stats(ws, residual)
         means[chunk] = np.mean(delta, axis=-1)
         sq_means[chunk] = np.mean(delta**2, axis=-1)
-        nonzero = residual.any(axis=-1)
-        for s, (r, keep, count) in enumerate(zip(residual, nonzero, nonzero.sum(axis=-1).tolist()), lo):
-            index, rows = buckets.setdefault(count, ([], []))
-            index.append(s)
-            rows.append(r[keep])
-            if len(index) == SIGMA_CHUNK:
-                flush(count)
-    for count in sorted(buckets):
-        flush(count)
+        sigma_maxes[chunk] = _sigma_bound(residual)[0]
 
     emp_mean = float(np.mean(means))
     emp_sq = float(np.mean(sq_means))

@@ -236,13 +236,27 @@ def common_value(game: Game) -> ScalarFunction | None:
     return game.values[0] if all(v == game.values[0] for v in game.values) else None
 
 
+def coupling_residual(w: np.ndarray, gamma: np.ndarray | None = None) -> np.ndarray:
+    """The weak-coupling matrix sigma_ij = sum_{k != i} gamma_k |w_ki| |w_kj|, gamma defaulting to ones.
+
+    It is off^T (gamma |W|), off being |W| with its diagonal zeroed, so the
+    k = i term drops out and every summand is non-negative.  An (S, n, n)
+    stack of W maps to the stack of their weak-coupling matrices.
+    """
+    abs_w = np.abs(np.asarray(w, dtype=float))
+    diag = np.arange(abs_w.shape[-1])
+    off = abs_w.copy()
+    off[..., diag, diag] = 0.0
+    return np.swapaxes(off, -1, -2) @ (abs_w if gamma is None else gamma[:, None] * abs_w)
+
+
 def cert_near_individual(game: Game, gamma: np.ndarray | None = None) -> CertificateReport:
     """Weak-coupling certificate: c > L0 * sigma_max(Sigma).
 
     c is the worst-case modulus of gamma_i*(f_i(x+d) - c_i(x)) over the box,
     minimized over reachable externalities (equivalently, the value modulus
     over the full gain interval plus the cost modulus); L0 bounds every f_i'
-    Lipschitz constant; sigma_ij = sum_{k != i} gamma_k |w_ki w_kj|.
+    Lipschitz constant; sigma_ij = sum_{k != i} gamma_k |w_ki w_kj| (``coupling_residual``).
     """
     gamma = _default_gamma(game, gamma)
     gb, ev = gain_bounds(game), game.evaluator
@@ -251,11 +265,7 @@ def cert_near_individual(game: Game, gamma: np.ndarray | None = None) -> Certifi
     c = float(np.min(per_c))
     l0 = float(np.max(l_ones))
 
-    abs_w = np.abs(game.w)
-    off = abs_w.copy()
-    np.fill_diagonal(off, 0.0)
-    sigma = off.T @ (gamma[:, None] * abs_w)  # k = i dropped by the zero diagonal
-    return _report("near_individual", game, gamma, sigma, c, weight=l0,
+    return _report("near_individual", game, gamma, coupling_residual(game.w, gamma), c, weight=l0,
                    details={"c": c, "l0": l0, "per_player_c": per_c.tolist()})
 
 

@@ -278,12 +278,11 @@ def _cmd_casestudy(args) -> tuple[dict, int]:
             with open(args.csv, "w") as fh:
                 fh.write("sample,seed,inf_norm,sigma_max,within_bound,certified\n")
                 thr = args.c0 / (2.0 * args.b)
-                for s in range(rep.samples):
-                    fh.write(
-                        f"{s},{rep.sample_seeds[s]},{rep.inf_norms[s]!r},"
-                        f"{rep.sigma_maxes[s]!r},{int(rep.inf_norms[s] <= rep.bound)},"
-                        f"{int(rep.sigma_maxes[s] < thr)}\n"
-                    )
+                # tolist() gives Python floats, whose repr is the plain number
+                rows = zip(rep.sample_seeds, rep.inf_norms.tolist(), rep.sigma_maxes.tolist())
+                for s, (seed, inf_norm, sigma_max) in enumerate(rows):
+                    fh.write(f"{s},{seed},{inf_norm!r},{sigma_max!r},"
+                             f"{int(inf_norm <= rep.bound)},{int(sigma_max < thr)}\n")
         report = {
             "case": "case1",
             "n": rep.n, "p0": rep.p0, "samples": rep.samples, "seed": rep.seed,

@@ -64,15 +64,15 @@ def default_step_eps(game: Game, gamma: np.ndarray) -> float:
 
 
 def _prep(game, gamma, step_eps, x0, tol, max_iter):
-    if tol <= 0:
-        raise InputError(f"tol must be positive, got {tol}")
+    if not 0 < tol < np.inf:  # also rejects NaN
+        raise InputError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise InputError(f"max_iter must be at least 1, got {max_iter}")
     gamma = np.ones(game.n) if gamma is None else _weights(game, gamma, "gamma")
     if step_eps is None:
         step_eps = default_step_eps(game, gamma)
-    if step_eps <= 0:
-        raise InputError(f"step_eps must be positive, got {step_eps}")
+    if not 0 < step_eps < np.inf:
+        raise InputError(f"step_eps must be positive and finite, got {step_eps}")
     if x0 is None:
         x0 = 0.5 * (game.lower + game.upper)
     x0 = game.require_feasible(np.asarray(x0, dtype=float))
@@ -136,8 +136,8 @@ def solve_ne(
 
 
 def _check_eps(eps: float) -> None:
-    if not eps >= 0:  # also rejects NaN
-        raise InputError(f"eps must be non-negative, got {eps}")
+    if not 0 <= eps < np.inf:  # also rejects NaN
+        raise InputError(f"eps must be non-negative and finite, got {eps}")
 
 
 def verify_ne(game: Game, x: np.ndarray, eps: float) -> tuple[bool, float, int]:
@@ -203,6 +203,8 @@ def multi_start_probe(
     """
     if n_starts < 1:
         raise InputError(f"need n_starts >= 1, got {n_starts}")
+    if not 0 <= cluster_tol < np.inf:
+        raise InputError(f"cluster_tol must be non-negative and finite, got {cluster_tol}")
     gamma_v, eps, _ = _prep(game, gamma, step_eps, None, tol, max_iter)
     rng = np.random.default_rng(seed)
     xs = game.lower + rng.random((n_starts, game.n)) * (game.upper - game.lower)

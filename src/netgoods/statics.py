@@ -158,8 +158,8 @@ def fd_check(
     ``warm_start_jump`` flags instances where the re-solved equilibrium moved
     more than 100*t away from x*, i.e. where the path visibly is not smooth.
     """
-    if t <= 0:
-        raise InputError(f"need t > 0, got {t}")
+    if not 0 < t < np.inf:  # also rejects NaN
+        raise InputError(f"need finite t > 0, got {t}")
     closed = utility_derivative(game, x_star, delta)
     x_star = np.asarray(x_star, dtype=float)
 

@@ -115,6 +115,34 @@ class TestDeltaRowStats:
             delta_row_stats(bad)
 
 
+class TestCouplingResidual:
+    @staticmethod
+    def definition(w, gamma):
+        n = w.shape[0]
+        return np.array([[sum(gamma[k] * abs(w[k, i]) * abs(w[k, j]) for k in range(n) if k != i)
+                          for j in range(n)] for i in range(n)])
+
+    def test_non_unit_diagonal_follows_the_definition(self):
+        # |W|^T|W| - |W| reads 2 at (0, 0) here; the sum over k != 0 is 0
+        w = np.array([[2.0, 1.0], [0.0, 1.0]])
+        assert np.array_equal(coupling_residual(w), self.definition(w, np.ones(2)))
+        assert coupling_residual(w)[0, 0] == 0.0
+
+    def test_weights_and_stacks(self):
+        rng = np.random.default_rng(8)
+        ws = rng.normal(size=(4, 5, 5))
+        gamma = rng.uniform(0.5, 2.0, size=5)
+        for w, r in zip(ws, coupling_residual(ws, gamma)):
+            assert np.allclose(r, self.definition(w, gamma), rtol=1e-13, atol=0.0)
+            assert np.array_equal(r, coupling_residual(w, gamma))
+
+    def test_is_the_near_individual_matrix(self):
+        from netgoods.certificates import cert_near_individual
+
+        g = random_er_game(30, 2.0, 3.0, 1.0, 1.0, seed=21)
+        assert np.array_equal(coupling_residual(g.w), cert_near_individual(g).matrix)
+
+
 class TestClosedForms:
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("p0_frac", [0.3, 0.8])
@@ -172,7 +200,7 @@ class TestMonteCarloCase1:
         assert a.sample_seeds == b.sample_seeds
 
     def test_samples_match_per_game_route(self):
-        # 100 samples end in a partial stack (SIGMA_CHUNK = 8); every sample must
+        # 100 samples end in a partial chunk (SIGMA_CHUNK = 16); every sample must
         # give what the game random_er_game draws for its seed gives on its own
         from netgoods.casestudy import sample_seed
         from netgoods.certificates import spectral_bounds
@@ -184,8 +212,8 @@ class TestMonteCarloCase1:
             assert rep.inf_norms[s] == delta_row_stats(w)[1]
 
     def test_partial_buckets_keep_sample_order(self):
-        # at n = 5, p0 = 0.5 the residuals have 0 to 4 non-zero rows, and 100 samples
-        # leave partial buckets of several counts; each sample keeps its own bound
+        # at n = 5, p0 = 0.5 the residuals have 0 to 4 non-zero rows, so _sigma_bound
+        # bounds each chunk's stack one count at a time; each sample keeps its own bound
         from netgoods.casestudy import SIGMA_CHUNK, sample_seed
         from netgoods.certificates import _sigma_bound
 

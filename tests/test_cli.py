@@ -244,6 +244,24 @@ class TestCasestudy:
         assert lines[0].startswith("sample,seed,inf_norm")
         assert len(lines) == 101
 
+    def test_case1_csv_fields_are_numbers(self, tmp_path):
+        from netgoods.casestudy import monte_carlo_case1
+
+        csv_path = tmp_path / "samples.csv"
+        code, _ = run(["casestudy", "case1", "--n", "12", "--p0", "2", "--samples", "100",
+                       "--seed", "4", "--csv", str(csv_path)], tmp_path / "r.json")
+        assert code == 0
+        rep = monte_carlo_case1(12, 2.0, 3.0, 1.0, 1.0, samples=100, seed=4)
+        header, *rows = csv_path.read_text().splitlines()
+        assert header == "sample,seed,inf_norm,sigma_max,within_bound,certified"
+        parsed = [(int(s), int(seed), float(inf), float(sig), int(within), int(cert))
+                  for s, seed, inf, sig, within, cert in (row.split(",") for row in rows)]
+        assert [row[0] for row in parsed] == list(range(100))
+        assert [row[1] for row in parsed] == rep.sample_seeds
+        assert np.array_equal([row[2] for row in parsed], rep.inf_norms)
+        sigma = np.array([row[3] for row in parsed])
+        assert sigma.tobytes() == rep.sigma_maxes.tobytes()
+
     def test_case2(self, tmp_path):
         code, doc = run(
             ["casestudy", "case2", "--n", "3", "--seed", "5"], tmp_path / "r.json"
@@ -261,6 +279,23 @@ class TestOracle:
         )
         assert code == 0
         assert doc["count"] == 3
+
+
+class TestNonFiniteFlags:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["dynamics", "--step"],
+        ["dynamics", "--horizon"],
+        ["solve", "--tol"],
+        ["solve", "--step-eps"],
+        ["solve", "--method", "multistart", "--cluster-tol"],
+        ["verify", "--x", "1,1,0,0", "--eps"],
+        ["oracle", "--m", "3", "--eps"],
+        ["statics", "--delta", "1,1,1,1", "--fd-t"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_is_an_input_error(self, fig1a_path, tmp_path, argv, value):
+        code, doc = run([argv[0], "--game", fig1a_path, *argv[1:], value], tmp_path / "r.json")
+        assert code == 2 and doc is None
 
 
 class TestContract:

@@ -124,7 +124,7 @@ class TestVerifyNe:
         assert ok and gap <= 0.5 + 1e-6
 
     def test_eps_must_be_a_non_negative_number(self, fig1a_game):
-        for bad in (-1.0, float("nan")):
+        for bad in (-1.0, float("nan"), float("inf")):
             with pytest.raises(InputError, match="eps must be non-negative"):
                 verify_ne(fig1a_game, np.ones(4), bad)
             with pytest.raises(InputError, match="eps must be non-negative"):

@@ -27,10 +27,8 @@ b = 1, c0 = 1), on the draws of ``sample_seed(5, s)``:
   a source tree without it stacks one ``_er_matrix`` per seed, as its Monte
   Carlo did);
 - ``_delta_stats`` on that chunk;
-- ``_sigma_bound`` on the chunk's ``SIGMA_CHUNK`` full coupling residuals;
-- ``_sigma_bound`` on one stack of ``SIGMA_CHUNK`` residuals that share a
-  non-zero row count, with their zero rows removed (the stacks the Monte
-  Carlo bounds);
+- ``_sigma_bound`` on the chunk's ``SIGMA_CHUNK`` coupling residuals, the
+  stack the Monte Carlo bounds (it drops their zero rows itself);
 - ``monte_carlo_case1`` with 100 samples.
 
 Each timing is the minimum over ``REPEATS`` runs (blocks of calls for the
@@ -174,20 +172,7 @@ def sweep_case1(timer) -> dict:
     residuals = coupling_residual(ws)
     row["delta_stats"], _ = timer(lambda: _delta_stats(ws, residuals))
     row["sigma_bound_stack"], _ = timer(lambda: _sigma_bound(residuals))
-    # the first non-zero row count that SIGMA_CHUNK residuals share, in sample order
-    by_count, s = {}, SIGMA_CHUNK
-    while True:
-        r = coupling_residual(_er_matrix(n, p, sample_seed(5, s)))
-        keep = r.any(axis=1)
-        rows = by_count.setdefault(int(keep.sum()), [])
-        rows.append(r[keep])
-        if len(rows) == SIGMA_CHUNK:
-            compact = np.stack(rows)
-            break
-        s += 1
-    row["sigma_bound_compact"], _ = timer(lambda: _sigma_bound(compact))
-    row["sigma_bound_compact"]["rows"] = compact.shape[1]
-    for key in ("er_matrices", "delta_stats", "sigma_bound_stack", "sigma_bound_compact"):
+    for key in ("er_matrices", "delta_stats", "sigma_bound_stack"):
         row[key]["stack"] = SIGMA_CHUNK
     row["monte_carlo_case1"], rep = timer(lambda: monte_carlo_case1(n, p0, a, b, c0, CASE1_SAMPLES, 5))
     row["monte_carlo_case1"].update(samples=CASE1_SAMPLES, frac_certificate=rep.frac_certificate)
