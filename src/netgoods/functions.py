@@ -3,7 +3,8 @@
 Every family is a closed-form, immutable spec exposing zeroth/first/second
 derivative oracles, its domain, the points where its second derivative jumps
 (``kinks``) and JSON serialization.  Value families are concave and
-non-decreasing; cost families are convex and non-decreasing.  All evaluation
+non-decreasing; cost families are convex and non-decreasing.  Every parameter
+must be finite: a constructor raises InputError on inf or NaN.  All evaluation
 methods accept scalars or numpy arrays.  This is the one-player API; the
 curvature and Lipschitz constants the certificates need are computed for all
 players at once by ``game.Evaluator``.
@@ -41,6 +42,11 @@ class ScalarFunction:
         return ()
 
 
+def _positive(v) -> bool:
+    """A finite parameter > 0; False for NaN."""
+    return 0 < v < math.inf
+
+
 @dataclass(frozen=True)
 class QuadraticClippedValue(ScalarFunction):
     """a*k - b*k^2 up to the peak k = a/(2b), constant a^2/(4b) beyond.
@@ -54,8 +60,8 @@ class QuadraticClippedValue(ScalarFunction):
     kind = "value"
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise InputError(f"QuadraticClippedValue needs a>0, b>0, got a={self.a}, b={self.b}")
+        if not (_positive(self.a) and _positive(self.b)):
+            raise InputError(f"QuadraticClippedValue needs finite a>0, b>0, got a={self.a}, b={self.b}")
 
     @property
     def clip_point(self) -> float:
@@ -91,8 +97,8 @@ class QuadraticCost(ScalarFunction):
     kind = "cost"
 
     def __post_init__(self):
-        if not self.c0 > 0:
-            raise InputError(f"QuadraticCost needs c0>0, got {self.c0}")
+        if not _positive(self.c0):
+            raise InputError(f"QuadraticCost needs finite c0>0, got {self.c0}")
 
     def domain(self):
         return (0.0, math.inf)
@@ -121,8 +127,8 @@ class LinearCost(ScalarFunction):
     kind = "cost"
 
     def __post_init__(self):
-        if not self.c1 > 0:
-            raise InputError(f"LinearCost needs c1>0, got {self.c1}")
+        if not _positive(self.c1):
+            raise InputError(f"LinearCost needs finite c1>0, got {self.c1}")
 
     def domain(self):
         return (-math.inf, math.inf)
@@ -152,8 +158,8 @@ class LogValue(ScalarFunction):
     kind = "value"
 
     def __post_init__(self):
-        if not (self.a > 0 and self.s > 0):
-            raise InputError(f"LogValue needs a>0, s>0, got a={self.a}, s={self.s}")
+        if not (_positive(self.a) and _positive(self.s)):
+            raise InputError(f"LogValue needs finite a>0, s>0, got a={self.a}, s={self.s}")
 
     def domain(self):
         return (-self.s, math.inf)
@@ -187,8 +193,9 @@ class AffineReparam(ScalarFunction):
     shift: float
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise InputError(f"AffineReparam needs scale>0, got {self.scale}")
+        if not (_positive(self.scale) and -math.inf < self.shift < math.inf):
+            raise InputError(f"AffineReparam needs finite scale>0 and shift, "
+                             f"got scale={self.scale}, shift={self.shift}")
 
     @property
     def kind(self):

@@ -81,26 +81,38 @@ class Evaluator:
 
     @classmethod
     def of(cls, values, costs) -> Evaluator:
-        """The evaluator of players with these value and cost specs (InputError on a wrong kind)."""
-        rows = []
-        for i, (value, cost) in enumerate(zip(values, costs)):
-            if value.kind != "value":
-                raise InputError(f"player {i}: values[{i}] is a {value.kind} family, expected a value")
-            if cost.kind != "cost":
-                raise InputError(f"player {i}: costs[{i}] is a {cost.kind} family, expected a cost")
-            (f, v_scale, v_shift), (c, c_scale, c_shift) = _fold(value), _fold(cost)
-            if not (isinstance(f, (LogValue, QuadraticClippedValue))
-                    and isinstance(c, (QuadraticCost, LinearCost))):
-                raise InputError(f"no array form for the family pair {f!r}, {c!r}")
-            # the absent term adds -0.0, which leaves any sum's bits alone (+0.0 only to a/(t+s) > 0)
-            fam = ((0.0, 0.0, 0.0, -np.inf, -0.0, f.a, 1.0, f.s) if isinstance(f, LogValue)
-                   else (f.a, f.b, 2.0 * f.b, f.clip_point, f.a**2 / (4.0 * f.b), -0.0, 0.0, 1.0))
-            q, l = (c.c0, 0.0) if isinstance(c, QuadraticCost) else (0.0, c.c1)
-            # d/dx [0.5*q*t^2 + l*t] with t = (x - c_shift)/c_scale, as dq*x + dl
-            slope = (q / c_scale / c_scale, (l - q * c_shift / c_scale) / c_scale)
-            rows.append((*value.domain(), *cost.domain(), v_scale, v_shift, *fam, c_scale, c_shift,
-                         q, l, *slope))
-        return cls(np.array(rows, dtype=float).reshape(-1, 20).T.copy())
+        """The evaluator of players with these value and cost specs (InputError on a wrong kind).
+
+        A player whose value and cost equal the previous player's shares that
+        player's row, so a homogeneous game folds one player.  Equal specs give
+        the same row bits: == does not tell a shift of -0.0 from 0.0, but the
+        fold and the domains add each shift to a term that is never -0.0, so
+        the sign of a zero shift never reaches the row.
+        """
+        rows = []  # one per run of equal players
+        index = []  # each player's row
+        prev = None
+        for i, pair in enumerate(zip(values, costs)):
+            if pair != prev:
+                prev = value, cost = pair
+                if value.kind != "value":
+                    raise InputError(f"player {i}: values[{i}] is a {value.kind} family, expected a value")
+                if cost.kind != "cost":
+                    raise InputError(f"player {i}: costs[{i}] is a {cost.kind} family, expected a cost")
+                (f, v_scale, v_shift), (c, c_scale, c_shift) = _fold(value), _fold(cost)
+                if not (isinstance(f, (LogValue, QuadraticClippedValue))
+                        and isinstance(c, (QuadraticCost, LinearCost))):
+                    raise InputError(f"no array form for the family pair {f!r}, {c!r}")
+                # the absent term adds -0.0, which leaves any sum's bits alone (+0.0 only to a/(t+s) > 0)
+                fam = ((0.0, 0.0, 0.0, -np.inf, -0.0, f.a, 1.0, f.s) if isinstance(f, LogValue)
+                       else (f.a, f.b, 2.0 * f.b, f.clip_point, f.a**2 / (4.0 * f.b), -0.0, 0.0, 1.0))
+                q, l = (c.c0, 0.0) if isinstance(c, QuadraticCost) else (0.0, c.c1)
+                # d/dx [0.5*q*t^2 + l*t] with t = (x - c_shift)/c_scale, as dq*x + dl
+                slope = (q / c_scale / c_scale, (l - q * c_shift / c_scale) / c_scale)
+                rows.append((*value.domain(), *cost.domain(), v_scale, v_shift, *fam, c_scale,
+                             c_shift, q, l, *slope))
+            index.append(len(rows) - 1)
+        return cls(np.array(rows, dtype=float).reshape(-1, 20)[index].T.copy())
 
     def column(self, i: int) -> Evaluator:
         """The evaluator of player i alone, broadcasting over any trailing axis."""

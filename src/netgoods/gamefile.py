@@ -5,11 +5,17 @@ Schema: {"n": int, "W": [n*n reals, row-major], "lower": [n reals],
 spec is {"family": tag, "params": {...}}.  Loading enforces every game
 invariant and reports field-precise errors; saving is canonical (sorted keys,
 fixed layout), so load/save round-trips are byte-identical.
+
+Every spec parameter, and every entry of W, lower and upper, must be a finite
+number.  A player entry identical to the one before it (same JSON, telling
+true from 1, 1 from 1.0 and -0.0 from 0.0) is not parsed again: it shares that
+player's value and cost specs, so a homogeneous game parses one player.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 import math
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -33,11 +39,38 @@ def _number_list(value, count: int, where: str) -> np.ndarray:
         for idx, v in enumerate(value):
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise InputError(f"{where}[{idx}]: expected a number, got {v!r}")
-    return np.asarray(value, dtype=float)
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:  # an int beyond the float range; name the first
+        for idx, v in enumerate(value):
+            try:
+                float(v)
+            except OverflowError:
+                raise InputError(f"{where}[{idx}]: integer too large for a float") from None
+        raise
+
+
+def _exact_key(value) -> bytes | None:
+    """Bytes equal for two JSON values only when the values are the same, key order included.
+
+    == does not tell true from 1, 1 from 1.0 or -0.0 from 0.0; marshal's
+    format 2 does, and unlike later formats it writes no back-references,
+    whose use depends on reference counts.  None for values marshal cannot
+    write (objects a caller built).
+    """
+    try:
+        return marshal.dumps(value, 2)
+    except ValueError:
+        return None
 
 
 def game_from_dict(doc: dict, where: str = "game") -> Game:
-    """Parse and validate a game document."""
+    """Parse and validate a game document.
+
+    A player entry identical to the previous one (equal ``_exact_key``) reuses
+    that player's specs; the first entry of every run is parsed and checked,
+    so errors and their indices are those of a per-player parse.
+    """
     if not isinstance(doc, dict):
         raise InputError(f"{where}: expected an object, got {type(doc).__name__}")
     n = _require(doc, "n", where)
@@ -51,7 +84,14 @@ def game_from_dict(doc: dict, where: str = "game") -> Game:
         raise InputError(f"{where}.players: expected a list of {n} objects")
     values = []
     costs = []
+    prev_key = None
     for i, entry in enumerate(players):
+        key = _exact_key(entry)
+        if key is not None and key == prev_key:
+            values.append(values[-1])
+            costs.append(costs[-1])
+            continue
+        prev_key = key
         if not isinstance(entry, dict):
             raise InputError(f"{where}.players[{i}]: expected an object")
         values.append(
@@ -136,6 +176,8 @@ def load_game(path) -> Game:
         raise InputError(f"cannot read game file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit, or undecodable text
+        raise InputError(f"cannot parse game file {path}: {exc}") from exc
     return game_from_dict(doc, where=str(path))
 
 

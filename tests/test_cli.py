@@ -7,7 +7,7 @@ import pytest
 from conftest import make_fig1a_game
 from netgoods.cli import build_parser, main
 from netgoods.functions import QuadraticClippedValue
-from netgoods.gamefile import save_game
+from netgoods.gamefile import game_to_dict, save_game
 
 
 @pytest.fixture
@@ -262,6 +262,12 @@ class TestCasestudy:
         sigma = np.array([row[3] for row in parsed])
         assert sigma.tobytes() == rep.sigma_maxes.tobytes()
 
+    @pytest.mark.parametrize("flag", ["--a", "--b", "--c0"])
+    def test_case1_infinite_family_parameter_exits_2(self, tmp_path, flag):
+        code, doc = run(["casestudy", "case1", "--n", "10", "--samples", "100", "--seed", "1",
+                         flag, "inf"], tmp_path / "r.json")
+        assert code == 2 and doc is None
+
     def test_case2(self, tmp_path):
         code, doc = run(
             ["casestudy", "case2", "--n", "3", "--seed", "5"], tmp_path / "r.json"
@@ -310,6 +316,23 @@ class TestContract:
         bad = tmp_path / "bad.json"
         bad.write_text('{"n": 1}')
         assert main(["verify", "--game", str(bad), "--x", "1"]) == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("cost", {"family": "linear_cost", "params": {"c1": float("inf")}}),
+        ("W", 10**400),
+        ("upper", 10**400),
+    ], ids=["infinite-c1", "huge-W", "huge-upper"])
+    def test_unrepresentable_game_number_exits_2(self, tmp_path, capsys, field, value):
+        doc = game_to_dict(make_fig1a_game())
+        if field == "cost":
+            doc["players"][1]["cost"] = value
+        else:
+            doc[field][1] = value
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))  # writes Infinity and all 401 digits
+        code, report = run(["solve", "--game", str(path)], tmp_path / "r.json")
+        assert code == 2 and report is None
+        assert "error:" in capsys.readouterr().err
 
     def test_reports_byte_identical_across_runs(self, tmp_path):
         args = ["casestudy", "case1", "--n", "8", "--p0", "1",

@@ -70,6 +70,23 @@ def test_parameter_validation():
         AffineReparam(LinearCost(c1=1.0), scale=-2.0, shift=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=repr)
+@pytest.mark.parametrize("build", [
+    lambda v: QuadraticClippedValue(a=v, b=1.0),
+    lambda v: QuadraticClippedValue(a=3.0, b=v),
+    lambda v: QuadraticCost(c0=v),
+    lambda v: LinearCost(c1=v),
+    lambda v: LogValue(a=v, s=1.0),
+    lambda v: LogValue(a=1.0, s=v),
+    lambda v: AffineReparam(LinearCost(c1=1.0), scale=v, shift=0.0),
+    lambda v: AffineReparam(LinearCost(c1=1.0), scale=1.0, shift=v),
+], ids=["clipped.a", "clipped.b", "quadratic.c0", "linear.c1", "log.a", "log.s", "affine.scale",
+        "affine.shift"])
+def test_non_finite_parameters_are_input_errors(build, bad):
+    with pytest.raises(InputError, match="finite"):
+        build(bad)
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: repr(s))
 def test_derivatives_match_finite_differences(spec):
     # central differences with step 1e-6 as the independent derivative oracle

@@ -393,6 +393,21 @@ class TestEvaluator:
             assert np.array_equal(ev.cost(x)[:, i], costs[i].value(x[:, i]))
             assert np.array_equal(ev.cost_d1(x)[:, i], costs[i].d1(x[:, i]))
 
+    def test_equal_neighbours_share_rows_with_per_player_bits(self):
+        def player(value, cost, shift):  # fresh objects, equal for equal arguments
+            return (AffineReparam(AffineReparam(value, 2.0, shift), 0.5, shift),
+                    AffineReparam(cost, 1.5, shift))
+
+        pairs = [(QuadraticClippedValue(a=3.0, b=1.0), QuadraticCost(c0=1.0))] * 2
+        pairs += [(QuadraticClippedValue(a=3.0, b=1.0), QuadraticCost(c0=1.0)) for _ in range(2)]
+        pairs += [player(LogValue(a=1.0, s=1.0), LinearCost(c1=0.5), z) for z in (0.0, -0.0, 0.0)]
+        pairs += [player(QuadraticClippedValue(a=3.0, b=1.0), QuadraticCost(c0=1.0), -0.0)] * 2
+        values, costs = zip(*pairs)
+        per_player = np.hstack([Evaluator.of([v], [c]).cols for v, c in pairs])
+        assert Evaluator.of(values, costs).cols.tobytes() == per_player.tobytes()
+        with pytest.raises(InputError, match=r"player 2: values\[2\] is a cost family"):
+            Evaluator.of([QUAD, QUAD, COST], [COST] * 3)
+
     def test_gain_clamped_within_tolerance_and_rejected_beyond(self):
         f = AffineReparam(inner=LogValue(a=1.0, s=1.0), scale=2.0, shift=0.5)
         ev = Evaluator.of([QUAD, f], [COST, COST])

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import make_fig1a_game, random_small_interaction_game
 from netgoods.errors import InputError
+from netgoods.functions import spec_from_dict
+from netgoods.game import Evaluator
 from netgoods.gamefile import (
     dumps_canonical,
     game_from_dict,
@@ -152,3 +154,96 @@ def test_dumps_canonical_rejects_what_json_rejects():
         with pytest.raises(TypeError) as got:
             dumps_canonical(doc)
         assert str(got.value) == str(want.value)
+
+
+# --- players equal to the one before reuse its specs ---------------------------------------
+
+def _quad(a=3.0):
+    return {"value": {"family": "quadratic_clipped_value", "params": {"a": a, "b": 1.0}},
+            "cost": {"family": "quadratic_cost", "params": {"c0": 1.0}}}
+
+
+def _log():
+    return {"value": {"family": "log_value", "params": {"a": 1.0, "s": 1.0}},
+            "cost": {"family": "linear_cost", "params": {"c1": 0.5}}}
+
+
+def _nested(shift=0.0):
+    inner = {"family": "affine_reparam",
+             "params": {"inner": _quad()["value"], "scale": 2.0, "shift": shift}}
+    return {"value": {"family": "affine_reparam",
+                      "params": {"inner": inner, "scale": 0.5, "shift": -0.25}},
+            "cost": {"family": "affine_reparam",
+                     "params": {"inner": _quad()["cost"], "scale": 1.5, "shift": shift}}}
+
+
+_PLAYER_PATTERNS = {
+    "all_equal": [_quad] * 8,
+    "runs": [_quad] * 3 + [_log] * 2 + [lambda: _quad(4.0)] * 3,
+    "alternating": [_quad, _log] * 4,
+    "all_distinct": [lambda i=i: _quad(3.0 + i) for i in range(8)],
+    # the shifts 0.0 and -0.0 compare equal but are different parameters
+    "nested": [_nested] * 2 + [lambda: _nested(-0.0)] * 2 + [_nested, _log, _nested, _nested],
+}
+
+
+def _doc(players):
+    n = len(players)
+    w = np.eye(n) + 0.1 * (np.ones((n, n)) - np.eye(n))
+    return {"n": n, "W": w.ravel().tolist(), "lower": [0.0] * n, "upper": [1.0] * n,
+            "players": players}
+
+
+@pytest.mark.parametrize("pattern", _PLAYER_PATTERNS)
+def test_equal_players_load_as_a_per_player_parse(tmp_path, pattern):
+    path = tmp_path / "g.json"
+    path.write_text(dumps_canonical(_doc([make() for make in _PLAYER_PATTERNS[pattern]])))
+    game = load_game(path)
+    players = json.loads(path.read_text())["players"]
+    values = tuple(spec_from_dict(p["value"]) for p in players)
+    costs = tuple(spec_from_dict(p["cost"]) for p in players)
+    assert repr(game.values) == repr(values) and repr(game.costs) == repr(costs)  # -0.0 too
+    runs = 1 + sum(json.dumps(a) != json.dumps(b) for a, b in zip(players, players[1:]))
+    assert len(set(map(id, game.values))) == len(set(map(id, game.costs))) == runs  # parsed once
+    per_player = np.hstack([Evaluator.of([v], [c]).cols for v, c in zip(values, costs)])
+    assert game.evaluator.cols.tobytes() == per_player.tobytes()
+    again = tmp_path / "again.json"
+    save_game(game, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("player, path", [(_quad(), ("cost", "params")),
+                                          (_nested(), ("cost", "params", "inner", "params"))],
+                         ids=["plain", "nested"])
+def test_true_after_an_equal_number_is_rejected_with_its_index(player, path):
+    doc = _doc([player, json.loads(json.dumps(player))])
+    params = doc["players"][1]
+    for key in path:
+        params = params[key]
+    params["c0"] = True
+    assert doc["players"][1] == doc["players"][0]  # True == 1.0
+    field = r"players\[1\]\." + r"\.".join(path) + r"\.c0"
+    with pytest.raises(InputError, match=field + ": expected a number, got True"):
+        game_from_dict(doc)
+
+
+def test_bad_entry_after_a_run_reports_its_own_index():
+    doc = _doc([_quad() for _ in range(4)] + [_log()])
+    doc["players"][3]["value"]["family"] = "mystery"
+    with pytest.raises(InputError, match=r"game\.players\[3\]\.value\.family: unknown family"):
+        game_from_dict(doc)
+
+
+@pytest.mark.parametrize("field", ["W", "lower", "upper"])
+def test_integer_beyond_the_float_range_is_an_input_error(field):
+    doc = minimal_n1_doc()
+    doc[field] = [10**400]
+    with pytest.raises(InputError, match=rf"^game\.{field}\[0\]: integer too large for a float$"):
+        game_from_dict(doc)
+
+
+def test_integer_past_the_digit_limit_is_an_input_error(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(minimal_n1_doc()).replace('"W": [1.0]', '"W": [' + "1" * 5000 + "]"))
+    with pytest.raises(InputError, match="cannot parse game file .*digits"):
+        load_game(path)

@@ -18,7 +18,10 @@ flow-rk4 games):
   ``steps`` records how many it took);
 - ``certify_any`` with its defaults;
 - ``_sigma_bound`` (the rounding-safe sigma_max behind every certificate and
-  the default solver step) on the game's |W|.
+  the default solver step) on the game's |W|;
+- ``load_game`` on the game written by ``save_game``: every player of an ER
+  game is the same (value, cost) pair, while consecutive ``fixed_work_game``
+  players always differ.
 
 Once per run it also times the case-1 Monte Carlo at n = 50, p0 = 1 (a = 3,
 b = 1, c0 = 1), on the draws of ``sample_seed(5, s)``:
@@ -53,6 +56,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -131,6 +135,7 @@ def sweep_game(game, timer) -> dict:
     from netgoods.dynamics import integrate_sw_flow
     from netgoods.equilibrium import solve_ne
     from netgoods.game import best_response, br_gap, pseudo_gradient
+    from netgoods.gamefile import load_game, save_game
 
     centre = 0.5 * (game.lower + game.upper)
     row = {}
@@ -151,6 +156,10 @@ def sweep_game(game, timer) -> dict:
     row["certify_any"].update(theorem=rep.theorem, verdict=rep.verdict)
     abs_w = np.abs(game.w)
     row["sigma_bound"], _ = timer(lambda: _sigma_bound(abs_w))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "game.json")
+        save_game(game, path)
+        row["load_game"], _ = timer(lambda: load_game(path))
     return row
 
 
