@@ -48,7 +48,7 @@ from .equilibrium import (
 from .equivalence import EquivalenceMap, transform_game, upper_triangular_normalizer
 from .errors import InputError, NetgoodsError
 from .functions import spec_from_dict
-from .gamefile import dumps_canonical, load_game, save_game
+from .gamefile import _number_list, dumps_canonical, load_game, save_game
 from .statics import fd_check, statics_to_dict, utility_derivative
 
 
@@ -182,10 +182,12 @@ def _load_w0(args, game) -> np.ndarray:
         raise InputError(
             f"--w0: expected 'identity', 'symmetrized', or a JSON matrix file ({exc})"
         ) from exc
-    w0 = np.asarray(doc, dtype=float)
-    if w0.size == game.n * game.n:
-        return w0.reshape(game.n, game.n)
-    raise InputError(f"--w0: matrix in {args.w0} has {w0.size} entries, need {game.n * game.n}")
+    n, where = game.n, f"--w0: {args.w0}"
+    if isinstance(doc, list) and len(doc) == n and all(isinstance(row, list) for row in doc):  # n rows
+        return np.stack([_number_list(row, n, f"{where}[{i}]") for i, row in enumerate(doc)])
+    if isinstance(doc, list) and len(doc) != n * n:
+        raise InputError(f"--w0: matrix in {args.w0} has {len(doc)} entries, need {n * n}")
+    return _number_list(doc, n * n, where).reshape(n, n)  # row-major, like a game file's W
 
 
 def _cmd_certify(args) -> tuple[dict, int]:

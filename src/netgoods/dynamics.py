@@ -17,10 +17,11 @@ import numpy as np
 from .errors import InputError, IntegrationError
 from .game import (
     Game,
+    _br_gap,
     _pseudo_gradient,
     _sw_gradient,
+    _utilities,
     _weights,
-    br_gap,
     utility_profile,
     weighted_welfare_gradient,
 )
@@ -109,10 +110,11 @@ def _finish(game, times, states, clipped, energy_fn, converged):
     energy = np.empty(len(states)) if energy_fn is not None else None
     for lo in range(0, len(states), DIAG_CHUNK):
         rows = slice(lo, lo + DIAG_CHUNK)
-        sw[rows] = utility_profile(game, states[rows])[1]
-        gaps[rows] = br_gap(game, states[rows])[0]
+        k, u = _utilities(game, states[rows])  # every stored state is in the box
+        sw[rows] = np.sum(u, axis=-1)
+        gaps[rows] = _br_gap(game, states[rows], k, u)[0]
         if energy is not None:
-            energy[rows] = energy_fn(states[rows])
+            energy[rows] = energy_fn(states[rows], u)
     return Trajectory(times=np.asarray(times), states=states, sw=sw, br_gaps=gaps,
                       clipped=np.asarray(clipped, dtype=bool), energy=energy, converged=converged)
 
@@ -143,8 +145,8 @@ def integrate_pseudo_gradient(
         u_star = utility_profile(game, x_star)[0] @ alpha
         g_star = weighted_welfare_gradient(game, alpha, x_star)
 
-        def energy_fn(xs):
-            return u_star - utility_profile(game, xs)[0] @ alpha + (xs - x_star) @ g_star
+        def energy_fn(xs, u):
+            return u_star - u @ alpha + (xs - x_star) @ g_star
 
     return _integrate(game, field, x0, step, horizon, energy_fn=energy_fn)
 

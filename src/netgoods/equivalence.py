@@ -15,6 +15,7 @@ import numpy as np
 from .errors import InputError
 from .functions import AffineReparam, QuadraticClippedValue, QuadraticCost
 from .game import Game
+from .gamefile import _number_list
 
 #: transformed box bounds beyond this magnitude are rejected (cancellation risk)
 MAX_MAPPED_BOUND = 1e12
@@ -62,11 +63,17 @@ class EquivalenceMap:
 
     @staticmethod
     def from_dict(doc: dict, where: str = "map") -> "EquivalenceMap":
+        """Parse {"d": [...], "b": [...]}; the numbers follow the game-file rules, errors name their field."""
+        if not isinstance(doc, dict):
+            raise InputError(f"{where}: expected an object, got {type(doc).__name__}")
         for key in ("d", "b"):
             if key not in doc:
                 raise InputError(f"{where}: missing required field '{key}'")
-        return EquivalenceMap(d=np.asarray(doc["d"], dtype=float),
-                              b=np.asarray(doc["b"], dtype=float))
+        d, b = (_number_list(doc[key], None, f"{where}.{key}") for key in ("d", "b"))
+        try:
+            return EquivalenceMap(d=d, b=b)
+        except InputError as exc:
+            raise InputError(f"{where}: {exc}") from exc
 
 
 def transform_game(game: Game, emap: EquivalenceMap) -> Game:

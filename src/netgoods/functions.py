@@ -5,19 +5,28 @@ derivative oracles, its domain, the points where its second derivative jumps
 (``kinks``) and JSON serialization.  Value families are concave and
 non-decreasing; cost families are convex and non-decreasing.  Every parameter
 must be finite: a constructor raises InputError on inf or NaN.  All evaluation
-methods accept scalars or numpy arrays.  This is the one-player API; the
-curvature and Lipschitz constants the certificates need are computed for all
-players at once by ``game.Evaluator``.
+methods accept scalars or numpy arrays: ``ScalarFunction`` converts the input
+to a float array and a 0-d result to a float, and each family writes only its
+closed forms ``_value``/``_d1``/``_d2`` on arrays.  One tag table serializes
+every family, as {"family": tag, "params": {...}} with the parameters named
+by the family's dataclass fields, in field order; every parse error, a
+constructor's range error included, names its field.  This is the one-player
+API; the curvature and Lipschitz constants the certificates need are computed
+for all players at once by ``game.Evaluator``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DomainError, InputError
+
+
+def _scalar_or_array(out):
+    return out if out.ndim else float(out)
 
 
 class ScalarFunction:
@@ -29,13 +38,13 @@ class ScalarFunction:
         raise NotImplementedError
 
     def value(self, k):
-        raise NotImplementedError
+        return _scalar_or_array(self._value(np.asarray(k, dtype=float)))
 
     def d1(self, k):
-        raise NotImplementedError
+        return _scalar_or_array(self._d1(np.asarray(k, dtype=float)))
 
     def d2(self, k):
-        raise NotImplementedError
+        return _scalar_or_array(self._d2(np.asarray(k, dtype=float)))
 
     def kinks(self) -> tuple[float, ...]:
         """Points where the second derivative jumps."""
@@ -70,20 +79,14 @@ class QuadraticClippedValue(ScalarFunction):
     def domain(self):
         return (-math.inf, math.inf)
 
-    def value(self, k):
-        k = np.asarray(k, dtype=float)
-        out = np.where(k <= self.clip_point, self.a * k - self.b * k * k, self.a**2 / (4.0 * self.b))
-        return out if out.ndim else float(out)
+    def _value(self, k):
+        return np.where(k <= self.clip_point, self.a * k - self.b * k * k, self.a**2 / (4.0 * self.b))
 
-    def d1(self, k):
-        k = np.asarray(k, dtype=float)
-        out = np.where(k <= self.clip_point, self.a - 2.0 * self.b * k, 0.0)
-        return out if out.ndim else float(out)
+    def _d1(self, k):
+        return np.where(k <= self.clip_point, self.a - 2.0 * self.b * k, 0.0)
 
-    def d2(self, k):
-        k = np.asarray(k, dtype=float)
-        out = np.where(k <= self.clip_point, -2.0 * self.b, 0.0)
-        return out if out.ndim else float(out)
+    def _d2(self, k):
+        return np.where(k <= self.clip_point, -2.0 * self.b, 0.0)
 
     def kinks(self):
         return (self.clip_point,)
@@ -103,20 +106,14 @@ class QuadraticCost(ScalarFunction):
     def domain(self):
         return (0.0, math.inf)
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        out = 0.5 * self.c0 * x * x
-        return out if out.ndim else float(out)
+    def _value(self, x):
+        return 0.5 * self.c0 * x * x
 
-    def d1(self, x):
-        x = np.asarray(x, dtype=float)
-        out = self.c0 * x
-        return out if out.ndim else float(out)
+    def _d1(self, x):
+        return self.c0 * x
 
-    def d2(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.full_like(x, self.c0)
-        return out if out.ndim else float(out)
+    def _d2(self, x):
+        return np.full_like(x, self.c0)
 
 
 @dataclass(frozen=True)
@@ -133,20 +130,14 @@ class LinearCost(ScalarFunction):
     def domain(self):
         return (-math.inf, math.inf)
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        out = self.c1 * x
-        return out if out.ndim else float(out)
+    def _value(self, x):
+        return self.c1 * x
 
-    def d1(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.full_like(x, self.c1)
-        return out if out.ndim else float(out)
+    def _d1(self, x):
+        return np.full_like(x, self.c1)
 
-    def d2(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        return out if out.ndim else float(out)
+    def _d2(self, x):
+        return np.zeros_like(x)
 
 
 @dataclass(frozen=True)
@@ -164,20 +155,14 @@ class LogValue(ScalarFunction):
     def domain(self):
         return (-self.s, math.inf)
 
-    def value(self, k):
-        k = np.asarray(k, dtype=float)
-        out = self.a * np.log(self.s + k)
-        return out if out.ndim else float(out)
+    def _value(self, k):
+        return self.a * np.log(self.s + k)
 
-    def d1(self, k):
-        k = np.asarray(k, dtype=float)
-        out = self.a / (self.s + k)
-        return out if out.ndim else float(out)
+    def _d1(self, k):
+        return self.a / (self.s + k)
 
-    def d2(self, k):
-        k = np.asarray(k, dtype=float)
-        out = -self.a / (self.s + k) ** 2
-        return out if out.ndim else float(out)
+    def _d2(self, k):
+        return -self.a / (self.s + k) ** 2
 
 
 @dataclass(frozen=True)
@@ -202,7 +187,7 @@ class AffineReparam(ScalarFunction):
         return self.inner.kind
 
     def _pre(self, y):
-        return (np.asarray(y, dtype=float) - self.shift) / self.scale
+        return (y - self.shift) / self.scale
 
     def domain(self):
         ilo, ihi = self.inner.domain()
@@ -210,17 +195,14 @@ class AffineReparam(ScalarFunction):
         hi = math.inf if ihi == math.inf else ihi * self.scale + self.shift
         return (lo, hi)
 
-    def value(self, y):
-        out = np.asarray(self.inner.value(self._pre(y)))
-        return out if out.ndim else float(out)
+    def _value(self, y):
+        return self.inner._value(self._pre(y))
 
-    def d1(self, y):
-        out = np.asarray(self.inner.d1(self._pre(y))) / self.scale
-        return out if out.ndim else float(out)
+    def _d1(self, y):
+        return self.inner._d1(self._pre(y)) / self.scale
 
-    def d2(self, y):
-        out = np.asarray(self.inner.d2(self._pre(y))) / self.scale**2
-        return out if out.ndim else float(out)
+    def _d2(self, y):
+        return self.inner._d2(self._pre(y)) / self.scale**2
 
     def kinks(self):
         return tuple(k * self.scale + self.shift for k in self.inner.kinks())
@@ -236,34 +218,28 @@ def evaluate(spec: ScalarFunction, point: float) -> tuple[float, float, float]:
 
 # --- serialization -----------------------------------------------------------
 
-_FAMILY_TAGS = {
-    QuadraticClippedValue: "quadratic_clipped_value",
-    QuadraticCost: "quadratic_cost",
-    LinearCost: "linear_cost",
-    LogValue: "log_value",
-    AffineReparam: "affine_reparam",
+#: tag -> (family, its parameter names in field order); a parameter named "inner" is a nested spec
+_FAMILIES = {
+    tag: (cls, tuple(f.name for f in fields(cls)))
+    for tag, cls in (
+        ("quadratic_clipped_value", QuadraticClippedValue),
+        ("quadratic_cost", QuadraticCost),
+        ("linear_cost", LinearCost),
+        ("log_value", LogValue),
+        ("affine_reparam", AffineReparam),
+    )
 }
+_TAGS = {cls: tag for tag, (cls, _) in _FAMILIES.items()}
 
 
 def spec_to_dict(spec: ScalarFunction) -> dict:
     """Serialize a spec as {"family": tag, "params": {...}}."""
-    tag = _FAMILY_TAGS.get(type(spec))
+    tag = _TAGS.get(type(spec))
     if tag is None:
         raise InputError(f"unknown function family {type(spec).__name__}")
-    if isinstance(spec, QuadraticClippedValue):
-        params = {"a": spec.a, "b": spec.b}
-    elif isinstance(spec, QuadraticCost):
-        params = {"c0": spec.c0}
-    elif isinstance(spec, LinearCost):
-        params = {"c1": spec.c1}
-    elif isinstance(spec, LogValue):
-        params = {"a": spec.a, "s": spec.s}
-    else:
-        params = {
-            "inner": spec_to_dict(spec.inner),
-            "scale": spec.scale,
-            "shift": spec.shift,
-        }
+    params = {name: getattr(spec, name) for name in _FAMILIES[tag][1]}
+    if "inner" in params:
+        params["inner"] = spec_to_dict(params["inner"])
     return {"family": tag, "params": params}
 
 
@@ -277,31 +253,25 @@ def spec_from_dict(doc: dict, where: str = "spec") -> ScalarFunction:
     family, params = doc["family"], doc["params"]
     if not isinstance(params, dict):
         raise InputError(f"{where}.params: expected an object")
-
-    def _num(name):
-        if name not in params:
-            raise InputError(f"{where}.params: missing '{name}' for family '{family}'")
-        v = params[name]
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise InputError(f"{where}.params.{name}: expected a number, got {v!r}")
-        return float(v)
-
+    entry = _FAMILIES.get(family) if isinstance(family, str) else None
+    if entry is None:
+        raise InputError(f"{where}.family: unknown family '{family}'")
+    cls, names = entry
+    args = [_param(params, name, family, where) for name in names]
     try:
-        if family == "quadratic_clipped_value":
-            return QuadraticClippedValue(a=_num("a"), b=_num("b"))
-        if family == "quadratic_cost":
-            return QuadraticCost(c0=_num("c0"))
-        if family == "linear_cost":
-            return LinearCost(c1=_num("c1"))
-        if family == "log_value":
-            return LogValue(a=_num("a"), s=_num("s"))
-        if family == "affine_reparam":
-            if "inner" not in params:
-                raise InputError(f"{where}.params: missing 'inner'")
-            inner = spec_from_dict(params["inner"], where=f"{where}.params.inner")
-            return AffineReparam(inner=inner, scale=_num("scale"), shift=_num("shift"))
-    except InputError:
-        raise
-    except Exception as exc:  # parameter constraint violations carry context
+        return cls(*args)
+    except InputError as exc:  # a range error: give it the field path the parse errors carry
         raise InputError(f"{where}: {exc}") from exc
-    raise InputError(f"{where}.family: unknown family '{family}'")
+
+
+def _param(params: dict, name: str, family: str, where: str):
+    if name == "inner":
+        if name not in params:
+            raise InputError(f"{where}.params: missing 'inner'")
+        return spec_from_dict(params[name], where=f"{where}.params.inner")
+    if name not in params:
+        raise InputError(f"{where}.params: missing '{name}' for family '{family}'")
+    v = params[name]
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise InputError(f"{where}.params.{name}: expected a number, got {v!r}")
+    return float(v)

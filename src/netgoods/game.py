@@ -322,11 +322,11 @@ class Game:
         return np.minimum(np.maximum(x, self.lower), self.upper)
 
     def require_feasible(self, x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        """The profile (batched) clipped into the box; InputError if it lies outside by > tol."""
+        """The profile (batched) clipped into the box; InputError if it lies outside by > tol or is NaN."""
         x = _profiles(self, x)
         excess = np.maximum(self.lower - x, x - self.upper)
         worst = np.max(excess, initial=-np.inf)
-        if worst > tol:
+        if not worst <= tol:
             at = np.unravel_index(np.argmax(excess), x.shape)
             i = at[-1]
             raise InputError(f"infeasible profile: x[{i}]={x[at]} outside [{self.lower[i]}, {self.upper[i]}]")
@@ -370,10 +370,15 @@ def _compute_gain_bounds(w: np.ndarray, lower: np.ndarray, upper: np.ndarray) ->
 
 def utility_profile(game: Game, x: np.ndarray) -> tuple[np.ndarray, float]:
     """Per-player utilities u_i = f_i(k_i) - c_i(x_i) and their sum, social welfare (batched)."""
-    x = game.require_feasible(x)
-    u = game.evaluator.value(gains(game, x)) - game.evaluator.cost(x)
+    u = _utilities(game, game.require_feasible(x))[1]
     sw = np.sum(u, axis=-1)
     return u, float(sw) if u.ndim == 1 else sw
+
+
+def _utilities(game: Game, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # x: as for _pseudo_gradient; its gains k = Wx and its utilities f(k) - c(x)
+    k = x @ game.w.T
+    return k, game.evaluator.value(k) - game.evaluator.cost(x)
 
 
 def _pseudo_gradient(game: Game, x: np.ndarray) -> np.ndarray:
@@ -451,8 +456,14 @@ def br_gap(game: Game, x: np.ndarray) -> tuple[float, int]:
     For an (S, n) batch both come back as length-S arrays, one entry per row.
     """
     x = game.require_feasible(x)
-    ev, d = game.evaluator, gains(game, x) - np.diag(game.w) * x
-    br = _best_responses(ev, d, game.lower, game.upper)
-    gaps = (ev.value(br + d) - ev.cost(br)) - (ev.value(x + d) - ev.cost(x))
-    gap, worst = np.maximum(np.max(gaps, axis=-1), 0.0), np.argmax(gaps, axis=-1)
+    gap, worst = _br_gap(game, x, *_utilities(game, x))
     return (float(gap), int(worst)) if x.ndim == 1 else (gap, worst)
+
+
+def _br_gap(game: Game, x: np.ndarray, k: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # x: as for _pseudo_gradient, k and u its gains and utilities (_utilities); a deviation's gain is
+    # its utility less u
+    ev, d = game.evaluator, k - np.diag(game.w) * x
+    br = _best_responses(ev, d, game.lower, game.upper)
+    gaps = (ev.value(br + d) - ev.cost(br)) - u
+    return np.maximum(np.max(gaps, axis=-1), 0.0), np.argmax(gaps, axis=-1)

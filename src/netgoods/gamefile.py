@@ -32,9 +32,11 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _number_list(value, count: int, where: str) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != count:
-        raise InputError(f"{where}: expected a list of {count} numbers")
+def _number_list(value, count: int | None, where: str) -> np.ndarray:
+    """A JSON list of numbers (booleans rejected) as floats; ``count`` None for any length."""
+    if not isinstance(value, list) or count is not None and len(value) != count:
+        size = "" if count is None else f"{count} "
+        raise InputError(f"{where}: expected a list of {size}numbers")
     if not set(map(type, value)) <= {int, float}:  # at C speed; the loop finds the first bad entry
         for idx, v in enumerate(value):
             if not isinstance(v, (int, float)) or isinstance(v, bool):

@@ -68,6 +68,8 @@ def _delta(game: Game, delta) -> np.ndarray:
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (game.n,):
         raise InputError(f"delta must have shape ({game.n},), got {delta.shape}")
+    if not np.all(np.isfinite(delta)):
+        raise InputError("delta must be finite")
     return delta
 
 

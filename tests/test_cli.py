@@ -304,6 +304,61 @@ class TestNonFiniteFlags:
         assert code == 2 and doc is None
 
 
+class TestNanProfiles:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--x", "nan,1"],
+        ["solve", "--x0", "nan,1"],
+        ["dynamics", "--x0", "nan,1"],
+        ["statics", "--delta", "1,0", "--x-star", "nan,1"],
+        ["statics", "--delta", "nan,0"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_is_an_input_error(self, tmp_path, two_player_symmetric, capsys, argv):
+        path = tmp_path / "g.json"
+        save_game(two_player_symmetric, path)
+        code, doc = run([argv[0], "--game", str(path), *argv[1:]], tmp_path / "r.json")
+        assert code == 2 and doc is None
+        assert "error:" in capsys.readouterr().err
+
+
+class TestMatrixFiles:
+    """--w0 and --maps files: numbers follow the game-file rules, errors name the file and entry."""
+
+    @pytest.fixture
+    def game_path(self, tmp_path, two_player_symmetric):
+        path = tmp_path / "g.json"
+        save_game(two_player_symmetric, path)
+        return str(path)
+
+    def certify(self, game_path, tmp_path, flag, content):
+        path = tmp_path / "m.json"
+        path.write_text(content)
+        argv = ["certify", "--game", game_path, flag, str(path)]
+        if flag == "--w0":
+            argv += ["--theorem", "near-symmetric"]
+        return run(argv, tmp_path / "r.json")
+
+    def test_w0_by_rows(self, game_path, tmp_path):
+        code, doc = self.certify(game_path, tmp_path, "--w0", "[[1, 0], [0, 1]]")
+        assert code == 0 and doc["threshold"] == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("flag, content, message", [
+        ("--w0", '["a", 0, 0, 1]', "--w0: {}[0]: expected a number, got 'a'"),
+        ("--w0", '{"x": 1}', "--w0: {}: expected a list of 4 numbers"),
+        ("--w0", "[1, 0, true, 1]", "--w0: {}[2]: expected a number, got True"),
+        ("--w0", '[[1, 0], [0, "q"]]', "--w0: {}[1][1]: expected a number, got 'q'"),
+        ("--maps", '[{"d": "abc", "b": [0, 0]}]', "{}[0].d: expected a list of numbers"),
+        ("--maps", "[5]", "{}[0]: expected an object, got int"),
+        ("--maps", '[{"d": [true, 1], "b": [0, 0]}]', "{}[0].d[0]: expected a number, got True"),
+        ("--maps", '[{"d": [1, 1], "b": [0, 0]}, {"d": [1, 1], "b": ["x", 0]}]',
+         "{}[1].b[0]: expected a number, got 'x'"),
+    ], ids=["w0-string", "w0-object", "w0-bool", "w0-row-string", "maps-string", "maps-number",
+            "maps-bool", "maps-second-b"])
+    def test_bad_entry_is_an_input_error(self, game_path, tmp_path, capsys, flag, content, message):
+        code, doc = self.certify(game_path, tmp_path, flag, content)
+        assert code == 2 and doc is None
+        assert capsys.readouterr().err == f"error: {message.format(tmp_path / 'm.json')}\n"
+
+
 class TestContract:
     def test_missing_required_flag_exits_2_without_artifact(self, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -278,6 +278,21 @@ class TestIntegratorCore:
             energy = u_star - float(u @ alpha) + float((x - x_star) @ grad_star)
             assert traj.energy[k] == pytest.approx(energy, abs=1e-13)
 
+    def test_diagnostics_evaluate_each_state_once(self, monkeypatch):
+        # per chunk: the utilities, shared by sw, the gaps and the energy, and the best responses' values
+        import netgoods.dynamics as dyn
+        from conftest import random_small_interaction_game
+        from netgoods.game import Evaluator
+
+        monkeypatch.setattr(dyn, "DIAG_CHUNK", 7)  # 31 states: four full chunks and a partial one
+        g = random_small_interaction_game(np.random.default_rng(9), n=6)
+        shapes = []
+        value = Evaluator.value
+        monkeypatch.setattr(Evaluator, "value", lambda ev, k: shapes.append(k.shape) or value(ev, k))
+        traj = integrate_pseudo_gradient(g, np.ones(6), g.upper, step=0.05, horizon=1.5, x_star=g.lower)
+        assert traj.times.size == 31
+        assert shapes == [(6,)] + [(7, 6), (7, 6)] * 4 + [(3, 6), (3, 6)]  # x_star's, then the chunks'
+
     def test_last_good_carries_diagnostics(self, n1_game):
         from netgoods.dynamics import _integrate
 

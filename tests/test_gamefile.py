@@ -2,10 +2,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_fig1a_game, random_small_interaction_game
+from conftest import games_and_profiles, make_fig1a_game, random_small_interaction_game
 from netgoods.errors import InputError
 from netgoods.functions import spec_from_dict
 from netgoods.game import Evaluator
@@ -247,3 +247,49 @@ def test_integer_past_the_digit_limit_is_an_input_error(tmp_path):
     path.write_text(json.dumps(minimal_n1_doc()).replace('"W": [1.0]', '"W": [' + "1" * 5000 + "]"))
     with pytest.raises(InputError, match="cannot parse game file .*digits"):
         load_game(path)
+
+
+# --- round trips over every family, and range errors that name their field ------------------
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(games_and_profiles())
+def test_game_files_round_trip(tmp_path, game_and_profile):
+    game, _ = game_and_profile
+    path, again = tmp_path / "g.json", tmp_path / "again.json"
+    save_game(game, path)
+    save_game(load_game(path), again)
+    assert again.read_bytes() == path.read_bytes()
+    back = game_from_dict(game_to_dict(game))
+    assert repr(back.values) == repr(game.values) and repr(back.costs) == repr(game.costs)  # -0.0 too
+    assert back.evaluator.cols.tobytes() == game.evaluator.cols.tobytes()
+
+
+@pytest.mark.parametrize("field, spec, message", [
+    ("value", {"family": "quadratic_clipped_value", "params": {"a": 3.0, "b": 0.0}},
+     "QuadraticClippedValue needs finite a>0, b>0, got a=3.0, b=0.0"),
+    ("value", {"family": "log_value", "params": {"a": -1.0, "s": 1.0}},
+     "LogValue needs finite a>0, s>0, got a=-1.0, s=1.0"),
+    ("cost", {"family": "quadratic_cost", "params": {"c0": float("nan")}},
+     "QuadraticCost needs finite c0>0, got nan"),
+    ("cost", {"family": "linear_cost", "params": {"c1": float("inf")}},
+     "LinearCost needs finite c1>0, got inf"),
+    ("cost", {"family": "affine_reparam",
+              "params": {"inner": {"family": "quadratic_cost", "params": {"c0": 1.0}},
+                         "scale": 0.0, "shift": 0.0}},
+     "AffineReparam needs finite scale>0 and shift, got scale=0.0, shift=0.0"),
+], ids=["clipped", "log", "quadratic", "linear", "affine"])
+def test_range_error_names_its_field(field, spec, message):
+    doc = _doc([_quad() for _ in range(5)])
+    doc["players"][3][field] = spec
+    with pytest.raises(InputError) as exc:
+        game_from_dict(doc)
+    assert str(exc.value) == f"game.players[3].{field}: {message}"
+
+
+def test_nested_range_error_is_prefixed_once():
+    doc = _doc([_nested() for _ in range(5)])
+    doc["players"][3]["value"]["params"]["inner"]["params"]["inner"]["params"]["b"] = -1.0
+    with pytest.raises(InputError) as exc:
+        game_from_dict(doc)
+    assert str(exc.value) == ("game.players[3].value.params.inner.params.inner: "
+                              "QuadraticClippedValue needs finite a>0, b>0, got a=3.0, b=-1.0")

@@ -21,7 +21,8 @@ flow-rk4 games):
   the default solver step) on the game's |W|;
 - ``load_game`` on the game written by ``save_game``: every player of an ER
   game is the same (value, cost) pair, while consecutive ``fixed_work_game``
-  players always differ.
+  players always differ;
+- ``save_game`` of the game to a file.
 
 Once per run it also times the case-1 Monte Carlo at n = 50, p0 = 1 (a = 3,
 b = 1, c0 = 1), on the draws of ``sample_seed(5, s)``:
@@ -160,6 +161,7 @@ def sweep_game(game, timer) -> dict:
         path = os.path.join(tmp, "game.json")
         save_game(game, path)
         row["load_game"], _ = timer(lambda: load_game(path))
+        row["save_game"], _ = timer(lambda: save_game(game, path))
     return row
 
 
