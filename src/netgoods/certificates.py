@@ -115,10 +115,12 @@ def _sigma_bound(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rests on LAPACK's backward-error model; the rounding in forming a
     certificate matrix (up to (n + 2) u relative per non-negative entry) is
     left to the remaining n and to p(n) falling well short of 6n in practice.
-    The bound is 2^e sqrt(max(lambda_hat, 0) + that slack), and its slack is
-    the bound minus 2^e sqrt(max(lambda_hat, 0)).
-    A matrix with a non-finite entry gets nan for both, and LAPACK never
-    sees it.
+    The bound is 2^e sqrt(max(lambda_hat, 0) + that slack), floored at
+    ``_peak(M)``: sigma_max(M) >= |e_i^T M e_j| = |m_ij| for every entry, and
+    the peak is exact, so the floor holds whatever LAPACK returns and makes
+    "peak >= t" imply "bound >= t" for any threshold t.  The slack is the
+    bound minus 2^e sqrt(max(lambda_hat, 0)).  A matrix with a non-finite
+    entry gets nan for both, and LAPACK never sees it.
     """
     peak = _peak(m)
     finite = np.isfinite(peak)
@@ -145,7 +147,8 @@ def _gram_bound(m: np.ndarray, n: int, peak: np.ndarray) -> tuple[np.ndarray, np
     g = s @ np.swapaxes(s, -1, -2) if s.shape[-2] < s.shape[-1] else np.swapaxes(s, -1, -2) @ s
     lam = np.maximum(np.linalg.eigvalsh(g)[..., -1], 0.0)
     fro2 = np.trace(g, axis1=-2, axis2=-1)  # ||M||_F^2, scaled
-    top = np.sqrt(lam + SLACK_C * n * UNIT_ROUNDOFF * fro2)
+    # the scaled peak 2^-e peak is exact, in [1/2, 1)
+    top = np.maximum(np.sqrt(lam + SLACK_C * n * UNIT_ROUNDOFF * fro2), np.ldexp(peak, -e))
     return np.ldexp(top, e), np.ldexp(top - np.sqrt(lam), e)
 
 

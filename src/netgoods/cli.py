@@ -48,7 +48,7 @@ from .equilibrium import (
 from .equivalence import EquivalenceMap, transform_game, upper_triangular_normalizer
 from .errors import InputError, NetgoodsError
 from .functions import spec_from_dict
-from .gamefile import _number_list, dumps_canonical, load_game, save_game
+from .gamefile import _number_list, _read_json, dumps_canonical, load_game, save_game
 from .statics import fd_check, statics_to_dict, utility_derivative
 
 
@@ -175,13 +175,7 @@ def _load_w0(args, game) -> np.ndarray:
         return np.eye(game.n)
     if args.w0 == "symmetrized":
         return 0.5 * (game.w + game.w.T)
-    try:
-        with open(args.w0) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(
-            f"--w0: expected 'identity', 'symmetrized', or a JSON matrix file ({exc})"
-        ) from exc
+    doc = _read_json(args.w0, "--w0 file")
     n, where = game.n, f"--w0: {args.w0}"
     if isinstance(doc, list) and len(doc) == n and all(isinstance(row, list) for row in doc):  # n rows
         return np.stack([_number_list(row, n, f"{where}[{i}]") for i, row in enumerate(doc)])
@@ -195,12 +189,10 @@ def _cmd_certify(args) -> tuple[dict, int]:
     gamma = _vector(args.gamma, game.n, "gamma")
     f_common = None
     if args.f_common:
-        with open(args.f_common) as fh:
-            f_common = spec_from_dict(json.load(fh), where=args.f_common)
+        f_common = spec_from_dict(_read_json(args.f_common, "--f-common file"), where=args.f_common)
     maps = []
     if args.maps:
-        with open(args.maps) as fh:
-            docs = json.load(fh)
+        docs = _read_json(args.maps, "--maps file")
         if not isinstance(docs, list):
             raise InputError(f"{args.maps}: expected a JSON list of maps")
         maps = [EquivalenceMap.from_dict(d, where=f"{args.maps}[{i}]") for i, d in enumerate(docs)]

@@ -170,17 +170,21 @@ def _key(k) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
-def load_game(path) -> Game:
+def _read_json(path, what: str):
+    """The JSON document in a file; an unreadable or malformed file is an InputError naming what it is."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read game file {path}: {exc}") from exc
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+        raise InputError(f"{what} {path} is not valid JSON: {exc}") from exc
     except ValueError as exc:  # an integer past the interpreter's digit limit, or undecodable text
-        raise InputError(f"cannot parse game file {path}: {exc}") from exc
-    return game_from_dict(doc, where=str(path))
+        raise InputError(f"cannot parse {what} {path}: {exc}") from exc
+
+
+def load_game(path) -> Game:
+    return game_from_dict(_read_json(path, "game file"), where=str(path))
 
 
 def save_game(game: Game, path) -> None:

@@ -211,6 +211,39 @@ class TestMonteCarloCase1:
             assert rep.sigma_maxes[s] == spectral_bounds(coupling_residual(w))[0]
             assert rep.inf_norms[s] == delta_row_stats(w)[1]
 
+    @pytest.mark.parametrize("n, p0, c0, peaks_below", [
+        (5, 0.5, 1.0, "some"), (5, 0.5, 5.0, "all"), (5, 0.5, 40.0, "all"),
+        (12, 2.0, 1.0, "none"), (12, 2.0, 5.0, "some"), (12, 2.0, 40.0, "all"),
+        (50, 1.0, 1.0, "none"), (50, 1.0, 5.0, "some"), (50, 1.0, 40.0, "all"),
+    ])
+    def test_certificate_fraction_is_the_share_of_sigma_maxes_below(self, n, p0, c0, peaks_below):
+        # the Monte Carlo fails a sample whose residual peak reaches the threshold
+        # without bounding it; the bounds read later must give the same fraction
+        from netgoods.casestudy import _er_matrices
+        from netgoods.certificates import _peak
+
+        threshold = c0 / 2.0
+        rep = monte_carlo_case1(n, p0, 3.0, 1.0, c0, samples=100, seed=3)
+        below = _peak(coupling_residual(_er_matrices(n, p0 / n, rep.sample_seeds))) < threshold
+        assert {0: "none", 100: "all"}.get(int(below.sum()), "some") == peaks_below
+        assert rep.frac_certificate == float(np.mean(rep.sigma_maxes < threshold))
+
+    def test_no_eigen_solve_when_every_peak_reaches_the_threshold(self, monkeypatch):
+        # at n = 50, p0 = 1 every residual has an integer entry >= 1 > c0/(2b) = 0.5
+        from netgoods import casestudy
+
+        def refuse(m):
+            raise AssertionError("_sigma_bound called")
+
+        monkeypatch.setattr(casestudy, "_sigma_bound", refuse)
+        rep = monte_carlo_case1(50, 1.0, 3.0, 1.0, 1.0, samples=100, seed=808)
+        assert rep.frac_certificate == 0.0
+        assert "sigma_maxes" not in vars(rep)
+        monkeypatch.undo()
+        sigma = rep.sigma_maxes  # computed on first read
+        assert rep.sigma_maxes is sigma
+        assert sigma.shape == (100,) and np.all(sigma >= 0.5)
+
     def test_partial_buckets_keep_sample_order(self):
         # at n = 5, p0 = 0.5 the residuals have 0 to 4 non-zero rows, so _sigma_bound
         # bounds each chunk's stack one count at a time; each sample keeps its own bound

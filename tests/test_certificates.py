@@ -10,6 +10,7 @@ from spectral_oracle import jacobi_eigenvalues
 from netgoods.certificates import (
     _eig_bounds,
     _lambda_min_bound,
+    _peak,
     _sigma_bound,
     cert_near_individual,
     cert_near_potential,
@@ -112,6 +113,21 @@ class TestSpectralBounds:
             assert got[k] == want and slack[k] == want_slack
         eigvalsh_shapes.clear()
         assert _sigma_bound(stack[5]) == (0.0, 0.0) and not eigvalsh_shapes
+
+    def test_bound_is_floored_at_the_largest_entry(self, monkeypatch):
+        # sigma_max >= max |m_ij|, so an eigen-solve that falls short never takes the
+        # bound below the peak; that is what lets case 1 fail a sample from its peak
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: 0.01 * eigvalsh(g))
+        rng = np.random.default_rng(87)
+        stack = rng.normal(size=(3, 6, 6)) * np.array([1.0, 1e-200, 1e200])[:, None, None]
+        stack[1, [0, 4]] = 0.0  # a member with zero rows goes through the row-count path
+        peak = _peak(stack)
+        got, slack = _sigma_bound(stack)
+        assert np.array_equal(got, peak)
+        for k in range(len(stack)):
+            assert _sigma_bound(stack[k])[0] == peak[k]
+        assert np.all(slack > 0.0) and np.all(slack <= got)
 
     def test_zero_rows_removed_keep_bits(self):
         rng = np.random.default_rng(86)

@@ -331,7 +331,8 @@ class TestMatrixFiles:
 
     def certify(self, game_path, tmp_path, flag, content):
         path = tmp_path / "m.json"
-        path.write_text(content)
+        if content is not None:  # None leaves the file missing
+            path.write_text(content)
         argv = ["certify", "--game", game_path, flag, str(path)]
         if flag == "--w0":
             argv += ["--theorem", "near-symmetric"]
@@ -357,6 +358,17 @@ class TestMatrixFiles:
         code, doc = self.certify(game_path, tmp_path, flag, content)
         assert code == 2 and doc is None
         assert capsys.readouterr().err == f"error: {message.format(tmp_path / 'm.json')}\n"
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read {flag} file {path}: "),
+        ("[1, 0", "{flag} file {path} is not valid JSON: "),
+    ], ids=["missing", "not-json"])
+    @pytest.mark.parametrize("flag", ["--maps", "--f-common", "--w0"])
+    def test_unreadable_file_is_an_input_error(self, game_path, tmp_path, capsys, flag, content, message):
+        code, doc = self.certify(game_path, tmp_path, flag, content)
+        assert code == 2 and doc is None
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message.format(flag=flag, path=tmp_path / "m.json"))
 
 
 class TestContract:

@@ -33,7 +33,10 @@ b = 1, c0 = 1), on the draws of ``sample_seed(5, s)``:
 - ``_delta_stats`` on that chunk;
 - ``_sigma_bound`` on the chunk's ``SIGMA_CHUNK`` coupling residuals, the
   stack the Monte Carlo bounds (it drops their zero rows itself);
-- ``monte_carlo_case1`` with 100 samples.
+- ``monte_carlo_case1`` with 100 samples;
+- ``case1_sigma_maxes``: the same Monte Carlo, then a read of its
+  ``sigma_maxes`` column, as ``netgoods casestudy case1 --csv`` reads it (a
+  source tree whose Monte Carlo stores the column reads it for free).
 
 Each timing is the minimum over ``REPEATS`` runs (blocks of calls for the
 fast ones, see ``Timer``), in *reference seconds*:
@@ -187,6 +190,9 @@ def sweep_case1(timer) -> dict:
         row[key]["stack"] = SIGMA_CHUNK
     row["monte_carlo_case1"], rep = timer(lambda: monte_carlo_case1(n, p0, a, b, c0, CASE1_SAMPLES, 5))
     row["monte_carlo_case1"].update(samples=CASE1_SAMPLES, frac_certificate=rep.frac_certificate)
+    row["case1_sigma_maxes"], _ = timer(
+        lambda: monte_carlo_case1(n, p0, a, b, c0, CASE1_SAMPLES, 5).sigma_maxes)
+    row["case1_sigma_maxes"]["samples"] = CASE1_SAMPLES
     return row
 
 
