@@ -24,6 +24,13 @@ from .functions import QuadraticClippedValue, QuadraticCost
 from .game import Game
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx), which _sample_seeds replays
+POOL_SIZE = 4
+INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
+INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+XSHIFT = 16
 #: case-1 samples per drawn chunk and per stacked sigma_max bound; bounds the stacks' memory
 SIGMA_CHUNK = 16
 
@@ -93,8 +100,70 @@ def _philox(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def sample_seed(seed: int, index: int) -> int:
-    """Per-sample key derived from (seed, index); independent of drawing order."""
+    """Per-sample key derived from (seed, index); independent of drawing order.
+
+    The first uint64 of ``SeedSequence([seed, index])``; ``_sample_seeds``
+    derives a run of them at once.
+    """
     return int(np.random.SeedSequence([int(seed), int(index)]).generate_state(1, np.uint64)[0])
+
+
+def _hash_schedule(init: int, mult: int):
+    """SeedSequence's (xor, multiplier) hash constants, as Python ints masked to 32 bits.
+
+    The schedule does not depend on the data, so a column of samples shares
+    it, and no numpy scalar overflows.
+    """
+    while True:
+        xor, init = init, init * mult & _MASK32
+        yield xor, init
+
+
+def _hash(value: np.ndarray, schedule) -> np.ndarray:
+    """SeedSequence's hashmix of a uint32 column, with the schedule's next constants."""
+    xor, mult = next(schedule)
+    value = (value ^ xor) * mult
+    return value ^ value >> XSHIFT
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = MIX_MULT_L * x - MIX_MULT_R * y
+    return result ^ result >> XSHIFT
+
+
+def _sample_seeds(seed: int, count: int) -> list[int]:
+    """``[sample_seed(seed, s) for s in range(count)]``, from one vectorized pass.
+
+    Replays SeedSequence's entropy mixing on uint32 columns with one entry
+    per sample: the entropy words are the seed's (least significant first)
+    and then the index, which fits one word since ``count <= 2**32``.  The
+    pool of ``POOL_SIZE`` words is hashed, mixed and extended exactly as
+    numpy does it, and its first two output words join little-endian into
+    one uint64.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise InputError(f"need seed >= 0, got {seed}")
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    entropy = [np.full(count, word, dtype=np.uint32) for word in words]
+    entropy.append(np.arange(count, dtype=np.uint32))
+
+    schedule = _hash_schedule(INIT_A, MULT_A)
+    zeros = np.zeros(count, dtype=np.uint32)
+    pool = [_hash(entropy[i] if i < len(entropy) else zeros, schedule) for i in range(POOL_SIZE)]
+    for src in range(POOL_SIZE):
+        for dst in range(POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], schedule))
+    for word in entropy[POOL_SIZE:]:
+        for dst in range(POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hash(word, schedule))
+
+    schedule = _hash_schedule(INIT_B, MULT_B)
+    low, high = (_hash(word, schedule).astype(np.uint64) for word in pool[:2])
+    return (low | high << 32).tolist()
 
 
 def _edge_probability(n: int, p0: float) -> float:
@@ -109,12 +178,20 @@ def _edge_probability(n: int, p0: float) -> float:
 def _er_matrices(n: int, p: float, seeds) -> np.ndarray:
     """(S, n, n) unit-diagonal 0/1 matrices with Bernoulli(p) off-diagonal entries, one per seed.
 
-    Each seed's uniforms fill its own slice of one buffer, which the
-    comparison with p then overwrites in place.
+    Each seed's uniforms are those of ``_philox(seed)``: one Philox generator
+    is re-keyed to (seed, 0) with counter 0 and an empty buffer before each
+    draw, so no bits of one sample reach the next.  They fill the seed's own
+    slice of one buffer, which the comparison with p then overwrites in place.
     """
     w = np.empty((len(seeds), n, n))
+    bits = np.random.Philox(0)
+    rng = np.random.Generator(bits)
     for k, seed in enumerate(seeds):
-        _philox(seed).random(out=w[k])
+        bits.state = {
+            "bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (seed & _MASK64, 0)},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        rng.random(out=w[k])
     np.less(w, p, out=w)
     w.reshape(len(seeds), -1)[:, ::n + 1] = 1.0
     return w
@@ -213,9 +290,11 @@ def monte_carlo_case1(
     The certificate fraction instantiates the weak-coupling theorem for the
     homogeneous family: curvature c0 against Lipschitz constant 2b, so the
     condition is sigma_max(residual) < c0/(2b), with sigma_max bounded from
-    above.  Only each sample's W is drawn (as ``random_er_game`` draws it).
-    The W, their residuals (``coupling_residual`` with unit weights) and delta
-    statistics are computed in chunks of ``SIGMA_CHUNK`` samples.  Each
+    above.  Only each sample's W is drawn (as ``random_er_game`` draws it),
+    keyed by ``sample_seed(seed, s)``; ``_sample_seeds`` derives all those
+    keys in one pass, which limits ``samples`` to 2**32.  The W, their
+    residuals (``coupling_residual`` with unit weights) and delta statistics
+    are computed in chunks of ``SIGMA_CHUNK`` samples.  Each
     certificate is decided from a bracket: sigma_max is at least the
     residual's largest entry (``_peak``), so a sample whose peak reaches the
     threshold fails without an eigen-solve, and only the others go, as one
@@ -223,13 +302,13 @@ def monte_carlo_case1(
     fraction equals the share of ``Case1Report.sigma_maxes`` below the
     threshold; those bounds are computed only when that column is read.
     """
-    if samples < 100:
-        raise InputError(f"need samples >= 100, got {samples}")
+    if not 100 <= samples <= 1 << 32:
+        raise InputError(f"need 100 <= samples <= 2**32, got {samples}")
     p = _edge_probability(n, p0)
     # the family constructors validate a, b and c0, as building each game did
     QuadraticClippedValue(a=a, b=b)
     QuadraticCost(c0=c0)
-    seeds = [sample_seed(seed, s) for s in range(samples)]
+    seeds = _sample_seeds(seed, samples)
     bound = sigma_inf_bound(n, p0)
     threshold = c0 / (2.0 * b)
 

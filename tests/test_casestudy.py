@@ -270,6 +270,22 @@ class TestMonteCarloCase1:
             want = (_philox(seed).random((20, 20)) < 0.1).astype(float)
             np.fill_diagonal(want, 1.0)
             assert np.array_equal(w, want) and np.array_equal(_er_matrix(20, 0.1, seed), want)
+        # n*n not a multiple of Philox's 4-word block: a stale buffer would leak into the next sample
+        for n in (5, 7):
+            ws = _er_matrices(n, 0.3, seeds)
+            for w, seed in zip(ws, seeds):
+                want = (_philox(seed).random((n, n)) < 0.3).astype(float)
+                np.fill_diagonal(want, 1.0)
+                assert np.array_equal(w, want)
+            assert np.array_equal(_er_matrices(n, 0.3, seeds[:2])[1], _er_matrices(n, 0.3, seeds[1:2])[0])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 99])
+    @pytest.mark.parametrize("count", [1, 100, 1000])
+    def test_vectorized_keys_are_numpy_seed_sequence(self, seed, count):
+        # 1-, 2-, 3- and 5-word seeds; with the index word, 2**130 + 99 overfills the 4-word pool
+        from netgoods.casestudy import _sample_seeds, sample_seed
+
+        assert _sample_seeds(seed, count) == [sample_seed(seed, s) for s in range(count)]
 
     def test_parameters_checked_up_front(self):
         with pytest.raises(InputError, match="edge probability"):
@@ -280,6 +296,20 @@ class TestMonteCarloCase1:
     def test_sample_count_guard(self):
         with pytest.raises(InputError):
             monte_carlo_case1(10, 1.0, 3.0, 1.0, 1.0, samples=50, seed=5)
+
+    def test_sample_count_above_one_key_word_refused_before_drawing(self, monkeypatch):
+        from netgoods import casestudy
+
+        def unreachable(*args):
+            raise AssertionError("drew keys for a refused sample count")
+
+        monkeypatch.setattr(casestudy, "_sample_seeds", unreachable)
+        with pytest.raises(InputError, match="2\\*\\*32"):
+            monte_carlo_case1(10, 1.0, 3.0, 1.0, 1.0, samples=2**32 + 1, seed=5)
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(InputError, match="seed"):
+            monte_carlo_case1(10, 1.0, 3.0, 1.0, 1.0, samples=100, seed=-1)
 
 
 class TestCase2Pipeline:

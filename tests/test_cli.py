@@ -46,6 +46,12 @@ class TestSolve:
         assert code == 0
         assert len(doc["clusters"]) >= 2
 
+    def test_multistart_negative_seed_exits_2(self, fig1a_path, tmp_path, capsys):
+        code, doc = run(["solve", "--game", fig1a_path, "--method", "multistart", "--seed", "-1"],
+                        tmp_path / "r.json")
+        assert code == 2 and doc is None
+        assert "--seed" in capsys.readouterr().err
+
     def test_backward_on_wrong_game_is_input_error(self, fig1a_path, tmp_path):
         code = main(["solve", "--game", fig1a_path, "--method", "backward",
                      "--out", str(tmp_path / "r.json")])
@@ -267,6 +273,18 @@ class TestCasestudy:
         code, doc = run(["casestudy", "case1", "--n", "10", "--samples", "100", "--seed", "1",
                          flag, "inf"], tmp_path / "r.json")
         assert code == 2 and doc is None
+
+    @pytest.mark.parametrize("args, env, source", [
+        (["casestudy", "case1", "--n", "10", "--samples", "100", "--seed", "-1"], None, "--seed"),
+        (["casestudy", "case1", "--n", "10", "--samples", "100"], "-3", "NETGOODS_SEED"),
+        (["casestudy", "case2", "--n", "3", "--seed", "-1"], None, "--seed"),
+    ])
+    def test_negative_seed_exits_2(self, tmp_path, monkeypatch, capsys, args, env, source):
+        if env is not None:
+            monkeypatch.setenv("NETGOODS_SEED", env)
+        code, doc = run(args, tmp_path / "r.json")
+        assert code == 2 and doc is None
+        assert source in capsys.readouterr().err
 
     def test_case2(self, tmp_path):
         code, doc = run(

@@ -27,6 +27,9 @@ flow-rk4 games):
 Once per run it also times the case-1 Monte Carlo at n = 50, p0 = 1 (a = 3,
 b = 1, c0 = 1), on the draws of ``sample_seed(5, s)``:
 
+- ``case1_keys``: deriving the ``CASE1_KEYS`` sample keys of seed 5 as
+  ``casestudy case1`` does (``_sample_seeds``; a source tree without it calls
+  ``sample_seed`` once per sample, as its Monte Carlo did);
 - drawing one chunk of ``SIGMA_CHUNK`` interaction matrices (``_er_matrices``;
   a source tree without it stacks one ``_er_matrix`` per seed, as its Monte
   Carlo did);
@@ -72,6 +75,8 @@ BATCH_ROWS = 201
 #: (n, p0, a, b, c0) of the case-1 Monte Carlo rows, and their sample count
 CASE1 = (50, 1.0, 3.0, 1.0, 1.0)
 CASE1_SAMPLES = 100
+#: sample keys derived by the case1_keys row (perfbench's case1-mc runs 1000 samples)
+CASE1_KEYS = 1000
 
 
 def _load(name: str, path: str):
@@ -181,7 +186,11 @@ def sweep_case1(timer) -> dict:
     seeds = [sample_seed(5, s) for s in range(SIGMA_CHUNK)]
     draw = getattr(casestudy, "_er_matrices", None) or (
         lambda n, p, seeds: np.stack([_er_matrix(n, p, seed) for seed in seeds]))
+    keys = getattr(casestudy, "_sample_seeds", None) or (
+        lambda seed, count: [sample_seed(seed, s) for s in range(count)])
     row = {}
+    row["case1_keys"], _ = timer(lambda: keys(5, CASE1_KEYS))
+    row["case1_keys"]["samples"] = CASE1_KEYS
     row["er_matrices"], ws = timer(lambda: draw(n, p, seeds))
     residuals = coupling_residual(ws)
     row["delta_stats"], _ = timer(lambda: _delta_stats(ws, residuals))
