@@ -94,8 +94,15 @@ class Case2Report:
     mapped_ne_verified: bool
 
 
+def _key(seed: int) -> int:
+    """The seed as one Philox key word; InputError outside [0, 2**64), where seeds would alias."""
+    if not 0 <= seed <= _MASK64:
+        raise InputError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def _philox(seed: int, stream: int = 0) -> np.random.Generator:
-    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
+    key = np.array([_key(seed), stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -182,13 +189,15 @@ def _er_matrices(n: int, p: float, seeds) -> np.ndarray:
     is re-keyed to (seed, 0) with counter 0 and an empty buffer before each
     draw, so no bits of one sample reach the next.  They fill the seed's own
     slice of one buffer, which the comparison with p then overwrites in place.
+    Each seed must lie in [0, 2**64): numpy refuses any other key word with
+    an ``OverflowError`` (``_er_matrix`` checks its seed for an InputError).
     """
     w = np.empty((len(seeds), n, n))
     bits = np.random.Philox(0)
     rng = np.random.Generator(bits)
     for k, seed in enumerate(seeds):
         bits.state = {
-            "bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (seed & _MASK64, 0)},
+            "bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (seed, 0)},
             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         }
         rng.random(out=w[k])
@@ -199,7 +208,7 @@ def _er_matrices(n: int, p: float, seeds) -> np.ndarray:
 
 def _er_matrix(n: int, p: float, seed: int) -> np.ndarray:
     """Unit-diagonal 0/1 matrix with Bernoulli(p) off-diagonal entries, keyed by the seed."""
-    return _er_matrices(n, p, [seed])[0]
+    return _er_matrices(n, p, [_key(seed)])[0]
 
 
 def random_er_game(n: int, p0: float, a: float, b: float, c0: float, seed: int) -> Game:
@@ -207,8 +216,9 @@ def random_er_game(n: int, p0: float, a: float, b: float, c0: float, seed: int) 
 
     Homogeneous clipped-quadratic values {a, b} and quadratic costs {c0}; the
     action box is [0, a/(2b) + 1], whose top is strictly dominated.  Entries
-    come from a counter-based generator keyed by the seed, so any entry is
-    reproducible independent of how many samples are drawn around it.
+    come from a counter-based generator keyed by the seed (in [0, 2**64)), so
+    any entry is reproducible independent of how many samples are drawn
+    around it.
     """
     w = _er_matrix(n, _edge_probability(n, p0), seed)
     x_hi = a / (2.0 * b) + 1.0
@@ -351,7 +361,10 @@ def monte_carlo_case1(
 
 
 def random_upper_triangular(n: int, density: float, seed: int) -> np.ndarray:
-    """Unit-diagonal 0/1 matrix with Bernoulli(density) strict upper entries."""
+    """Unit-diagonal 0/1 matrix with Bernoulli(density) strict upper entries.
+
+    Philox stream 1 keyed by the seed, which must lie in [0, 2**64).
+    """
     if not 0.0 <= density <= 1.0:
         raise InputError(f"density must lie in [0, 1], got {density}")
     rng = _philox(seed, stream=1)

@@ -80,31 +80,38 @@ def _prep(game, gamma, step_eps, x0, tol, max_iter):
 
 
 def _iterate(game, field, gamma, eps, xs, tol, max_iter, history=None):
-    """Projected steps x <- Pi_X(x + eps*gamma*field(x)) on the rows of xs, in place.
+    """Projected steps x <- Pi_X(x + eps*gamma*field(x)) on xs, in place.
 
-    A row stops once a step moves it less than tol*eps ("converged") or is not
-    finite ("diverged"; the row keeps its last finite point).  Returns each row's
-    status, iteration count and last displacement; ``history`` collects one row's iterates.
+    ``xs`` is one (n,) profile or an (S, n) batch of rows.  The field and the
+    step see ``xs`` in its own shape, so a single start never pays numpy's
+    broadcast of (1, n) against the (n,) parameter rows.  A row stops once a
+    step moves it less than tol*eps ("converged") or is not finite
+    ("diverged"; the row keeps its last finite point).  Filing the rows that
+    stop works on (S, n) views and runs only on iterations where some row
+    stops.  Returns each row's status, iteration count and last displacement
+    as (S,) arrays (S = 1 for a profile); ``history`` collects row 0's iterates.
     """
     field = field or (lambda y: _pseudo_gradient(game, y))  # the rows never leave the box
-    step, stop = eps * gamma, tol * eps
-    iters, residuals = np.zeros(xs.shape[0], dtype=int), np.full(xs.shape[0], np.inf)
-    active, cur, res, it = np.arange(xs.shape[0]), xs, residuals, 0
+    step, stop, rows = eps * gamma, tol * eps, xs.reshape(-1, game.n)
+    iters, residuals = np.zeros(rows.shape[0], dtype=int), np.full(rows.shape[0], np.inf)
+    active, cur, res, it = np.arange(rows.shape[0]), xs, residuals, 0
     for it in range(1, max_iter + 1):
         stepped = game.project(cur + step * field(cur))
-        res = np.abs(stepped - cur).max(axis=1)  # NaN where the step is not finite
+        res = np.abs(stepped - cur).max(axis=-1)  # NaN where the step is not finite
         if history is not None and not np.isnan(res).any():
-            history.append(stepped[0].copy())
+            history.append(stepped.reshape(-1, game.n)[0].copy())
         going = res >= stop
         if not going.all():  # file the rows that stop here and go on with the rest
+            cur, stepped = cur.reshape(-1, game.n), stepped.reshape(-1, game.n)
+            res, going = res.reshape(-1), going.reshape(-1)
             done, nan = active[~going], np.isnan(res[~going])
-            xs[done] = np.where(nan[:, None], cur[~going], stepped[~going])
+            rows[done] = np.where(nan[:, None], cur[~going], stepped[~going])
             residuals[done], iters[done] = np.where(nan, np.inf, res[~going]), it
             active, stepped, res = active[going], stepped[going], res[going]
         cur = stepped
         if not active.size:
             break
-    xs[active], residuals[active], iters[active] = cur, res, it
+    rows[active], residuals[active], iters[active] = cur, res, it
     diverged = (residuals == np.inf) & (iters > 0)
     status = np.where(residuals < stop, "converged", np.where(diverged, "diverged", "max_iter"))
     return status, iters, residuals
@@ -125,11 +132,11 @@ def solve_ne(
     """
     gamma, eps, x = _prep(game, gamma, step_eps, x0, tol, max_iter)
     history = [x.copy()] if keep_iterates else None
-    xs = x[None, :].copy()
-    (status,), (iterations,), (residual,) = _iterate(game, None, gamma, eps, xs, tol, max_iter, history)
-    gap = float("nan") if status == "diverged" else br_gap(game, xs[0])[0]
+    x = x.copy()
+    (status,), (iterations,), (residual,) = _iterate(game, None, gamma, eps, x, tol, max_iter, history)
+    gap = float("nan") if status == "diverged" else br_gap(game, x)[0]
     return SolveResult(
-        x_star=xs[0], status=str(status), iterations=int(iterations),
+        x_star=x, status=str(status), iterations=int(iterations),
         final_gap=gap, residual=float(residual),
         iterates=np.asarray(history) if history is not None else None,
     )
@@ -167,20 +174,20 @@ def solve_regularized(
     if not betas or min(betas) <= 0 or any(b2 >= b1 for b1, b2 in zip(betas, betas[1:])):
         raise InputError("beta_schedule must be strictly decreasing and positive")
     gamma, eps, x = _prep(game, gamma, step_eps, x0, tol, max_iter)
-    xs, total_iters = x[None, :].copy(), 0
+    x, total_iters = x.copy(), 0
     for beta in betas:
         eps_b = eps if step_eps is not None else float(np.clip(eps / (1.0 + 2.0 * beta), 1e-4, 1e-1))
 
         def field(y, beta=beta):
             return _pseudo_gradient(game, y) - 2.0 * beta * y
 
-        (status,), (iterations,), (residual,) = _iterate(game, field, gamma, eps_b, xs, tol, max_iter)
+        (status,), (iterations,), (residual,) = _iterate(game, field, gamma, eps_b, x, tol, max_iter)
         total_iters += int(iterations)
         if status == "diverged":
             break
-    gap = float("nan") if status == "diverged" else br_gap(game, xs[0])[0]
+    gap = float("nan") if status == "diverged" else br_gap(game, x)[0]
     return SolveResult(
-        x_star=xs[0], status=str(status), iterations=total_iters,
+        x_star=x, status=str(status), iterations=total_iters,
         final_gap=gap, residual=float(residual),
     )
 

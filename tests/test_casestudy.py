@@ -311,6 +311,52 @@ class TestMonteCarloCase1:
         with pytest.raises(InputError, match="seed"):
             monte_carlo_case1(10, 1.0, 3.0, 1.0, 1.0, samples=100, seed=-1)
 
+    @pytest.mark.parametrize("n, p0, c0, want", [
+        (3, 0.5, 1.0, 0.325), (5, 0.5, 1.0, 0.1425), (4, 1.0, 2.0, 0.0275),
+    ])
+    def test_certificate_fraction_is_the_share_without_edges(self, n, p0, c0, want):
+        # with c0/(2b) in (0, 1] an edge puts an entry >= 1 into the residual, and a W
+        # without one has a zero residual, so a sample is certified exactly when W = I
+        from netgoods.casestudy import _er_matrices
+
+        rep = monte_carlo_case1(n, p0, 3.0, 1.0, c0, samples=400, seed=7)
+        ws = _er_matrices(n, p0 / n, rep.sample_seeds)
+        edgeless = np.all(ws == np.eye(n), axis=(1, 2))
+        assert rep.frac_certificate == float(np.mean(edgeless)) == want
+
+    def test_seeds_above_one_key_word_keep_working(self):
+        # case-1 draws are keyed by SeedSequence outputs, so any non-negative seed works
+        rep = monte_carlo_case1(5, 1.0, 3.0, 1.0, 1.0, samples=100, seed=2**64 + 3)
+        assert rep.seed == 2**64 + 3 and max(rep.sample_seeds) < 2**64
+
+
+class TestSeedRange:
+    """One Philox key word holds a seed: seeds outside [0, 2**64) are refused, not masked."""
+
+    def test_largest_seed_accepted(self):
+        from netgoods.casestudy import random_upper_triangular
+
+        top = 2**64 - 1
+        assert random_er_game(6, 2.0, 3.0, 1.0, 1.0, seed=top).w.shape == (6, 6)
+        assert random_upper_triangular(6, 0.5, top).shape == (6, 6)
+        assert case2_pipeline(3, 3.0, 1.0, 1.0, 0.5, seed=top).seed == top
+
+    def test_seed_past_one_key_word_refused(self):
+        from netgoods.casestudy import _er_matrices, random_upper_triangular
+
+        bad = 2**64 + 5
+        with pytest.raises(InputError, match=r"seed must lie in \[0, 2\*\*64\), got 18446744073709551621"):
+            random_er_game(6, 2.0, 3.0, 1.0, 1.0, seed=bad)
+        with pytest.raises(InputError, match=r"\[0, 2\*\*64\)"):
+            random_upper_triangular(6, 0.5, bad)
+        with pytest.raises(InputError, match=r"\[0, 2\*\*64\)"):
+            case2_pipeline(3, 3.0, 1.0, 1.0, 0.5, seed=bad)
+        with pytest.raises(InputError, match=r"\[0, 2\*\*64\)"):
+            random_er_game(6, 2.0, 3.0, 1.0, 1.0, seed=-1)
+        for key in (bad, -1):  # the chunked draw refuses rather than masks, too
+            with pytest.raises(OverflowError):
+                _er_matrices(6, 0.3, [key])
+
 
 class TestCase2Pipeline:
     def test_two_player_full_density(self):

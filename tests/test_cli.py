@@ -286,6 +286,16 @@ class TestCasestudy:
         assert code == 2 and doc is None
         assert source in capsys.readouterr().err
 
+    def test_case2_seed_range(self, tmp_path, capsys):
+        code, doc = run(["casestudy", "case2", "--n", "3", "--seed", str(2**64 - 1)], tmp_path / "a.json")
+        assert code == 0 and doc["seed"] == 2**64 - 1
+        code, doc = run(["casestudy", "case2", "--n", "3", "--seed", str(2**64 + 5)], tmp_path / "b.json")
+        assert code == 2 and doc is None
+        assert "seed must lie in [0, 2**64), got 18446744073709551621" in capsys.readouterr().err
+        code, doc = run(["casestudy", "case1", "--n", "5", "--samples", "100", "--seed", str(2**64 + 3)],
+                        tmp_path / "c.json")
+        assert code == 0 and doc["seed"] == 2**64 + 3
+
     def test_case2(self, tmp_path):
         code, doc = run(
             ["casestudy", "case2", "--n", "3", "--seed", "5"], tmp_path / "r.json"

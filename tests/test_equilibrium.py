@@ -22,7 +22,7 @@ from netgoods.equilibrium import (
 from netgoods.errors import InputError
 from netgoods.functions import LinearCost, QuadraticClippedValue, QuadraticCost
 from netgoods.equivalence import EquivalenceMap, transform_game
-from netgoods.game import Game, br_gap, pseudo_gradient
+from netgoods.game import Game, _pseudo_gradient, br_gap, pseudo_gradient
 
 
 class TestSolveNe:
@@ -81,7 +81,7 @@ class TestSolveNe:
         assert res.status == "diverged" and res.iterations == 4
         assert np.isnan(res.final_gap) and res.residual == np.inf
         assert np.allclose(res.x_star, [0.03]) and res.iterates.shape == (4, 1)
-        assert set(calls) == {(1, 1)}  # the field sees (1, n) batches
+        assert set(calls) == {(1,)}  # the field sees (n,) profiles
 
     def test_rejects_max_iter_below_one(self, n1_game):
         for bad in (0, -3):
@@ -403,3 +403,56 @@ class TestProjectedIterationBits:
         # 0 -> 0.3 -> 0.51 (NaN next) and 0.3 -> 0.51
         assert list(iters) == [3, 2]
         assert np.array_equal(xs, np.array([[0.51], [0.51]]))
+
+
+class TestProfileShapes:
+    """A single start iterates as one (n,) profile; it must give the (1, n) batch's bits."""
+
+    @pytest.fixture
+    def er_game(self):
+        return random_er_game(100, 1.0, 3.0, 1.0, 1.0, seed=3)
+
+    @pytest.mark.parametrize("case, max_iter", [("converged", 50_000), ("diverged", 50_000), ("max_iter", 50)])
+    def test_profile_and_one_row_batch_agree(self, er_game, case, max_iter):
+        game = er_game
+        gamma = np.ones(game.n)
+        eps = default_step_eps(game, gamma)
+
+        def field(y):  # NaN once an entry drops below 0.9, which the path from the centre does
+            grad = pseudo_gradient(game, y)
+            return np.where(y < 0.9, np.nan, grad) if case == "diverged" else grad
+
+        x0 = 0.5 * (game.lower + game.upper)
+        vec, row = x0.copy(), x0[None, :].copy()
+        hist_vec, hist_row = [], []
+        got_vec = _iterate(game, field, gamma, eps, vec, 1e-10, max_iter, hist_vec)
+        got_row = _iterate(game, field, gamma, eps, row, 1e-10, max_iter, hist_row)
+        assert got_vec[0][0] == got_row[0][0] == case
+        for a, b in zip(got_vec, got_row):  # status, iterations, residuals
+            assert a.shape == b.shape == (1,) and a.tobytes() == b.tobytes()
+        assert vec.tobytes() == row[0].tobytes()
+        assert len(hist_vec) == len(hist_row) > 1
+        assert np.asarray(hist_vec).tobytes() == np.asarray(hist_row).tobytes()
+
+    def test_field_shapes(self, fig1a_game, monkeypatch):
+        shapes = []
+
+        def recording(game, y):
+            shapes.append(y.shape)
+            return _pseudo_gradient(game, y)
+
+        monkeypatch.setattr(equilibrium, "_pseudo_gradient", recording)
+        solve_ne(fig1a_game)
+        solve_regularized(fig1a_game, [1.0, 0.1])
+        assert set(shapes) == {(4,)}
+        shapes.clear()
+        multi_start_probe(fig1a_game, n_starts=6, seed=5)
+        assert shapes[0] == (6, 4) and all(len(s) == 2 and s[1] == 4 for s in shapes)
+
+    def test_gains_of_a_profile_equal_a_one_row_batch(self, er_game):
+        # the (n,) iteration keeps the (1, n) bits because x @ W.T does
+        rng = np.random.default_rng(17)
+        wt = er_game.w.T
+        for _ in range(200):
+            x = er_game.lower + rng.random(er_game.n) * (er_game.upper - er_game.lower)
+            assert (x @ wt).tobytes() == (x[None] @ wt)[0].tobytes()

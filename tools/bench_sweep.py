@@ -12,7 +12,11 @@ flow-rk4 games):
   profiles drawn uniformly from the box;
 - ``best_response``, per call, over every player at ``x_star``;
 - ``pseudo_gradient`` at ``x_star``;
-- ``solve_ne`` from the box centre (wall time and iterations);
+- ``solve_ne`` from the box centre (wall time and iterations), which steps
+  one (n,) profile;
+- ``multi_start_probe`` from ``MULTI_STARTS`` random starts (seed 0), which
+  steps an (S, n) batch (wall time, the clusters and the summed iterations
+  of their representatives);
 - one ``integrate_sw_flow`` run of 200 steps (step 1e-2, horizon 2) from the
   box centre, diagnostics included (it stops early if the field vanishes;
   ``steps`` records how many it took);
@@ -41,8 +45,10 @@ b = 1, c0 = 1), on the draws of ``sample_seed(5, s)``:
   ``sigma_maxes`` column, as ``netgoods casestudy case1 --csv`` reads it (a
   source tree whose Monte Carlo stores the column reads it for free).
 
-Each timing is the minimum over ``REPEATS`` runs (blocks of calls for the
-fast ones, see ``Timer``), in *reference seconds*:
+Each timing is the minimum over ``REPEATS`` runs, blocks of calls for the
+fast ones (see ``Timer``); the case-1 rows take ``CASE1_REPEATS``, since at 5
+they move by about 20% between runs of one tree.  Timings are in
+*reference seconds*:
 wall seconds scaled by ``calibrate.REF_S / spin``, where ``spin`` is the mean
 of the ``calibrate.spin`` times measured before and after the repeats (see
 ``perfbench/calibrate.py``; the host's speed can change by 2x within seconds).
@@ -71,6 +77,8 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 SIZES = (10, 50, 200, 1000)
 REPEATS = 5
+CASE1_REPEATS = 15
+MULTI_STARTS = 4
 BATCH_ROWS = 201
 #: (n, p0, a, b, c0) of the case-1 Monte Carlo rows, and their sample count
 CASE1 = (50, 1.0, 3.0, 1.0, 1.0)
@@ -142,7 +150,7 @@ def sweep_game(game, timer) -> dict:
 
     from netgoods.certificates import _sigma_bound, certify_any
     from netgoods.dynamics import integrate_sw_flow
-    from netgoods.equilibrium import solve_ne
+    from netgoods.equilibrium import multi_start_probe, solve_ne
     from netgoods.game import best_response, br_gap, pseudo_gradient
     from netgoods.gamefile import load_game, save_game
 
@@ -150,6 +158,9 @@ def sweep_game(game, timer) -> dict:
     row = {}
     row["solve_ne"], res = timer(lambda: solve_ne(game, x0=centre))
     row["solve_ne"].update(iterations=res.iterations, status=res.status)
+    row["multi_start_probe"], reps = timer(lambda: multi_start_probe(game, MULTI_STARTS, 0))
+    row["multi_start_probe"].update(starts=MULTI_STARTS, clusters=len(reps),
+                                    iterations=sum(r.iterations for r in reps))
     x = res.x_star
     batch = game.lower + np.random.default_rng(0).random((BATCH_ROWS, game.n)) * (game.upper - game.lower)
     row["br_gap"], _ = timer(lambda: br_gap(game, x))
@@ -236,7 +247,7 @@ def main(argv=None) -> int:
         for n in SIZES:
             row = results[name][str(n)] = sweep_game(make(n), timer)
             _progress(f"{name} n={n}", row)
-    results["case1"] = sweep_case1(timer)
+    results["case1"] = sweep_case1(Timer(calibrate, CASE1_REPEATS))
     _progress(f"case1 n={CASE1[0]}", results["case1"])
 
     doc = {
@@ -244,6 +255,7 @@ def main(argv=None) -> int:
         "netgoods_source_sha256_16": _source_digest(os.path.dirname(netgoods.__file__)),
         "unit": "reference seconds (min over repeats; best_response per call)",
         "repeats": REPEATS,
+        "case1_repeats": CASE1_REPEATS,
         "machine": {
             "cpu": _cpu_model(),
             "nproc": os.cpu_count(),
