@@ -48,7 +48,7 @@ from .equilibrium import (
 from .equivalence import EquivalenceMap, transform_game, upper_triangular_normalizer
 from .errors import InputError, NetgoodsError
 from .functions import spec_from_dict
-from .gamefile import _number_list, _read_json, dumps_canonical, load_game, save_game
+from .gamefile import _matrix, _number_list, _read_json, dumps_canonical, load_game, save_game
 from .statics import fd_check, statics_to_dict, utility_derivative
 
 
@@ -185,7 +185,7 @@ def _load_w0(args, game) -> np.ndarray:
         return np.stack([_number_list(row, n, f"{where}[{i}]") for i, row in enumerate(doc)])
     if isinstance(doc, list) and len(doc) != n * n:
         raise InputError(f"--w0: matrix in {args.w0} has {len(doc)} entries, need {n * n}")
-    return _number_list(doc, n * n, where).reshape(n, n)  # row-major, like a game file's W
+    return _matrix(doc, n, where)  # a row-major list or a sparse object, like a game file's W
 
 
 def _cmd_certify(args) -> tuple[dict, int]:
@@ -380,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", default="ones")
     p.add_argument("--f-common", help="JSON file with the common value spec")
     p.add_argument("--w0", default="identity",
-                   help="identity | symmetrized | path to a JSON n*n matrix")
+                   help="identity | symmetrized | path to a JSON n*n matrix (as a game file's W, "
+                        "or a list of n rows)")
     p.add_argument("--maps", help="JSON file with a list of {d, b} maps to try")
     common(p)
     p.set_defaults(func=_cmd_certify)

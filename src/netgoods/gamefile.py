@@ -1,10 +1,15 @@
 """Game file I/O.
 
-Schema: {"n": int, "W": [n*n reals, row-major], "lower": [n reals],
-"upper": [n reals], "players": [{"value": spec, "cost": spec}, ...]} where a
-spec is {"family": tag, "params": {...}}.  Loading enforces every game
-invariant and reports field-precise errors; saving is canonical (sorted keys,
-fixed layout), so load/save round-trips are byte-identical.
+Schema: {"n": int, "W": matrix, "lower": [n reals], "upper": [n reals],
+"players": [{"value": spec, "cost": spec}, ...]} where a spec is
+{"family": tag, "params": {...}} and a matrix is either the row-major list of
+its n*n reals or the object {"cols": [ints], "rows": [ints], "vals": [reals]}
+listing its entries in strictly increasing row-major order (indices in
+[0, n), no repeats); entries it does not list are +0.0.  Loading enforces
+every game invariant and reports field-precise errors; saving is canonical
+(sorted keys, fixed layout, and W as the object exactly when fewer than a
+third of its entries are other than +0.0, so -0.0 entries are kept), so
+load/save round-trips are byte-identical.
 
 Every spec parameter, and every entry of W, lower and upper, must be a finite
 number.  A player entry identical to the one before it (same JSON, telling
@@ -52,6 +57,59 @@ def _number_list(value, count: int | None, where: str) -> np.ndarray:
         raise
 
 
+def _index_list(value, n: int, where: str) -> np.ndarray:
+    """A JSON list of integers in [0, n) (booleans and floats rejected) as an index array."""
+    if not isinstance(value, list):
+        raise InputError(f"{where}: expected a list of integers")
+    if not set(map(type, value)) <= {int}:  # at C speed; the loop finds the first bad entry
+        for idx, v in enumerate(value):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise InputError(f"{where}[{idx}]: expected an integer, got {v!r}")
+    if value and not 0 <= min(value) <= max(value) < n:
+        idx = next(idx for idx, v in enumerate(value) if not 0 <= v < n)
+        raise InputError(f"{where}[{idx}]: index {value[idx]} outside [0, {n})")
+    return np.asarray(value, dtype=np.intp)
+
+
+def _matrix(value, n: int, where: str) -> np.ndarray:
+    """An (n, n) matrix from its row-major list of n*n numbers or its {"cols", "rows", "vals"} object.
+
+    Any other value, and an object with none of those keys, gets the list's
+    error.
+    """
+    if not isinstance(value, dict) or not value.keys() & {"cols", "rows", "vals"}:
+        return _number_list(value, n * n, where).reshape(n, n)
+    rows = _index_list(_require(value, "rows", where), n, f"{where}.rows")
+    cols = _index_list(_require(value, "cols", where), n, f"{where}.cols")
+    vals = _number_list(_require(value, "vals", where), None, f"{where}.vals")
+    if not len(rows) == len(cols) == len(vals):
+        raise InputError(f"{where}: rows, cols and vals must have equal lengths, "
+                         f"got {len(rows)}, {len(cols)} and {len(vals)}")
+    d_row, d_col = np.diff(rows), np.diff(cols)
+    bad = np.flatnonzero((d_row < 0) | (d_row == 0) & (d_col <= 0))
+    if bad.size:
+        k = int(bad[0]) + 1
+        raise InputError(f"{where}: entry {k} at ({rows[k]}, {cols[k]}) does not follow entry {k - 1} "
+                         f"at ({rows[k - 1]}, {cols[k - 1]}) in strictly increasing row-major order")
+    try:
+        w = np.zeros((n, n))
+    except MemoryError:
+        raise InputError(f"{where}: not enough memory to expand W to {n}x{n} (n = {n})") from None
+    w[rows, cols] = vals
+    return w
+
+
+def _w_doc(w: np.ndarray):
+    """W as a game file writes it: its entries other than +0.0 as an object when
+    they are fewer than a third of n*n, else the row-major list."""
+    flat = w.ravel()
+    stored = np.flatnonzero(flat.view(np.uint64))  # +0.0 is the one float whose bits are all 0
+    if 3 * stored.size >= flat.size:
+        return flat.tolist()
+    rows, cols = np.divmod(stored, w.shape[1])
+    return {"cols": cols.tolist(), "rows": rows.tolist(), "vals": flat[stored].tolist()}
+
+
 def _exact_key(value) -> bytes | None:
     """Bytes equal for two JSON values only when the values are the same, key order included.
 
@@ -78,12 +136,13 @@ def game_from_dict(doc: dict, where: str = "game") -> Game:
     n = _require(doc, "n", where)
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InputError(f"{where}.n: expected a positive integer, got {n!r}")
-    w = _number_list(_require(doc, "W", where), n * n, f"{where}.W").reshape(n, n)
+    # the n-long fields first: a sparse W does not vouch for n, and expanding it costs n*n
     lower = _number_list(_require(doc, "lower", where), n, f"{where}.lower")
     upper = _number_list(_require(doc, "upper", where), n, f"{where}.upper")
     players = _require(doc, "players", where)
     if not isinstance(players, list) or len(players) != n:
         raise InputError(f"{where}.players: expected a list of {n} objects")
+    w = _matrix(_require(doc, "W", where), n, f"{where}.W")
     values = []
     costs = []
     prev_key = None
@@ -110,7 +169,7 @@ def game_from_dict(doc: dict, where: str = "game") -> Game:
 def game_to_dict(game: Game) -> dict:
     return {
         "n": game.n,
-        "W": [float(v) for v in game.w.ravel()],
+        "W": _w_doc(game.w),
         "lower": [float(v) for v in game.lower],
         "upper": [float(v) for v in game.upper],
         "players": [
@@ -136,8 +195,11 @@ def _encode(o, indent: str) -> str:
         if not o:
             return "[]"
         inner = indent + "  "
-        if set(map(type, o)) == {float} and all(map(math.isfinite, o)):  # vectors and matrices
+        types = set(map(type, o))
+        if types == {float} and all(map(math.isfinite, o)):  # vectors and matrices
             items = map(float.__repr__, o)
+        elif types == {int}:  # sparse indices
+            items = map(int.__repr__, o)
         else:
             items = (_encode(v, inner) for v in o)
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_fig1a_game
+from netgoods.casestudy import random_er_game
 from netgoods.cli import build_parser, main
 from netgoods.functions import QuadraticClippedValue
 from netgoods.gamefile import game_to_dict, save_game
@@ -369,6 +370,23 @@ class TestMatrixFiles:
     def test_w0_by_rows(self, game_path, tmp_path):
         code, doc = self.certify(game_path, tmp_path, "--w0", "[[1, 0], [0, 1]]")
         assert code == 0 and doc["threshold"] == pytest.approx(1.0, abs=1e-10)
+
+    def test_w0_sparse_identity_is_identity(self, tmp_path):
+        game_path = tmp_path / "er.json"
+        save_game(random_er_game(30, 1.0, 3.0, 1.0, 1.0, seed=4), game_path)
+        eye = {"rows": list(range(30)), "cols": list(range(30)), "vals": [1.0] * 30}
+        code, doc = self.certify(str(game_path), tmp_path, "--w0", json.dumps(eye))
+        assert code == 0 and doc["theorem"] == "near_symmetric"
+        argv = ["certify", "--game", str(game_path), "--theorem", "near-symmetric", "--w0", "identity"]
+        assert run(argv, tmp_path / "identity.json")[0] == 0
+        assert (tmp_path / "identity.json").read_bytes() == (tmp_path / "r.json").read_bytes()
+
+    def test_w0_sparse_bad_index_is_an_input_error(self, game_path, tmp_path, capsys):
+        bad = '{"rows": [0, 2], "cols": [0, 1], "vals": [1, 1]}'
+        code, doc = self.certify(game_path, tmp_path, "--w0", bad)
+        assert code == 2 and doc is None
+        err = capsys.readouterr().err
+        assert err == f"error: --w0: {tmp_path / 'm.json'}.rows[1]: index 2 outside [0, 2)\n"
 
     @pytest.mark.parametrize("flag, content, message", [
         ("--w0", '["a", 0, 0, 1]', "--w0: {}[0]: expected a number, got 'a'"),

@@ -6,9 +6,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import games_and_profiles, make_fig1a_game, random_small_interaction_game
+from netgoods import gamefile
+from netgoods.casestudy import random_er_game
 from netgoods.errors import InputError
 from netgoods.functions import spec_from_dict
-from netgoods.game import Evaluator
+from netgoods.game import Evaluator, Game
 from netgoods.gamefile import (
     dumps_canonical,
     game_from_dict,
@@ -293,3 +295,176 @@ def test_nested_range_error_is_prefixed_once():
         game_from_dict(doc)
     assert str(exc.value) == ("game.players[3].value.params.inner.params.inner: "
                               "QuadraticClippedValue needs finite a>0, b>0, got a=3.0, b=-1.0")
+
+
+# --- W as a sparse {"cols", "rows", "vals"} object ------------------------------------------
+
+def _er_game():
+    # float parameters: a game built with the int 3 writes 3, which loads and re-saves as 3.0
+    return random_er_game(100, 1.0, 3.0, 1.0, 1.0, seed=2)
+
+
+def _game(w):
+    n = len(w)
+    spec = _quad()
+    return Game(w=w, lower=np.zeros(n), upper=np.ones(n),
+                values=(spec_from_dict(spec["value"]),) * n, costs=(spec_from_dict(spec["cost"]),) * n)
+
+
+def test_er_game_is_written_sparse_and_re_saved_byte_identically(tmp_path):
+    game = _er_game()
+    path, again = tmp_path / "g.json", tmp_path / "again.json"
+    save_game(game, path)
+    w = json.loads(path.read_text())["W"]
+    rows, cols = np.nonzero(game.w)
+    assert w == {"cols": cols.tolist(), "rows": rows.tolist(), "vals": game.w[rows, cols].tolist()}
+    save_game(load_game(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_negative_zero_entry_round_trips(tmp_path):
+    w = np.eye(4)
+    w[1, 2] = -0.0
+    game = _game(w)
+    path, again = tmp_path / "g.json", tmp_path / "again.json"
+    save_game(game, path)
+    doc = json.loads(path.read_text())["W"]
+    assert doc["rows"] == [0, 1, 1, 2, 3] and doc["cols"] == [0, 1, 2, 2, 3]
+    back = load_game(path)
+    assert back.w.tobytes() == game.w.tobytes() and np.signbit(back.w[1, 2])
+    save_game(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("make", [make_fig1a_game, lambda: random_small_interaction_game(
+    np.random.default_rng(123), n=8)], ids=["fig1a", "weakly-coupled"])
+def test_dense_game_file_keeps_the_json_dumps_layout(tmp_path, make):
+    game = make()
+    path = tmp_path / "g.json"
+    save_game(game, path)
+    doc = {**game_to_dict(game), "W": [float(v) for v in game.w.ravel()]}
+    assert path.read_text() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("edges, form", [(6, list), (5, dict)])
+def test_dense_list_from_a_third_of_the_entries(edges, form):
+    n = 6  # 3 * (6 diagonal + 6 edges) == n * n: the boundary writes the list
+    w = np.eye(n)
+    for k in range(edges):
+        w[k, (k + 1) % n] = 0.1
+    doc = game_to_dict(_game(w))
+    assert type(doc["W"]) is form
+    assert game_from_dict(doc).w.tobytes() == w.tobytes()
+
+
+def test_unsorted_sparse_file_is_refused(tmp_path):
+    doc = json.loads(dumps_canonical(game_to_dict(_game(np.eye(4)))))
+    doc["W"]["rows"][1:3] = [2, 1]
+    doc["W"]["cols"][1:3] = [2, 1]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match=r"\.W: entry 2 at \(1, 1\) does not follow entry 1 at \(2, 2\)"):
+        load_game(path)
+
+
+def test_dense_layout_of_an_er_game_loads_as_its_sparse_file(tmp_path):
+    game = _er_game()
+    sparse, dense = tmp_path / "sparse.json", tmp_path / "dense.json"
+    save_game(game, sparse)
+    doc = {**game_to_dict(game), "W": [float(v) for v in game.w.ravel()]}
+    dense.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")  # the layout before sparse W
+    a, b = load_game(sparse), load_game(dense)
+    for field in ("w", "lower", "upper"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+    assert a.evaluator.cols.tobytes() == b.evaluator.cols.tobytes()
+
+
+def _sparse_doc(**w):
+    doc = minimal_n1_doc()
+    doc["n"], doc["players"] = 2, doc["players"] * 2
+    doc["lower"], doc["upper"] = [0.0, 0.0], [2.0, 2.0]
+    doc["W"] = {"rows": [0, 1], "cols": [0, 1], "vals": [1.0, 1.0], **w}
+    return doc
+
+
+def test_sparse_doc_loads():
+    assert np.array_equal(game_from_dict(_sparse_doc()).w, np.eye(2))
+
+
+@pytest.mark.parametrize("w, message", [
+    ({"vals": None}, "game.W.vals: expected a list of numbers"),
+    ({"rows": "01"}, "game.W.rows: expected a list of integers"),
+    ({"cols": {"0": 0}}, "game.W.cols: expected a list of integers"),
+    ({"rows": [0, True]}, "game.W.rows[1]: expected an integer, got True"),
+    ({"cols": [0, 1.0]}, "game.W.cols[1]: expected an integer, got 1.0"),
+    ({"rows": [-1, 1]}, "game.W.rows[0]: index -1 outside [0, 2)"),
+    ({"cols": [0, 2]}, "game.W.cols[1]: index 2 outside [0, 2)"),
+    ({"rows": [0, 10**30]}, "game.W.rows[1]: index 1000000000000000000000000000000 outside [0, 2)"),
+    ({"vals": [1.0]}, "game.W: rows, cols and vals must have equal lengths, got 2, 2 and 1"),
+    ({"rows": [0], "cols": [0, 1]}, "game.W: rows, cols and vals must have equal lengths, got 1, 2 and 2"),
+    ({"rows": [1, 1], "cols": [1, 1]},
+     "game.W: entry 1 at (1, 1) does not follow entry 0 at (1, 1) in strictly increasing row-major order"),
+    ({"rows": [1, 0], "cols": [0, 1]},
+     "game.W: entry 1 at (0, 1) does not follow entry 0 at (1, 0) in strictly increasing row-major order"),
+    ({"vals": [1.0, "1"]}, "game.W.vals[1]: expected a number, got '1'"),
+    ({"vals": [1.0, True]}, "game.W.vals[1]: expected a number, got True"),
+    ({"vals": [1.0, 10**400]}, "game.W.vals[1]: integer too large for a float"),
+], ids=["vals-missing-list", "rows-string", "cols-object", "bool-index", "float-index", "negative",
+        "past-n", "huge", "short-vals", "short-rows", "duplicate", "out-of-order", "string-val",
+        "true-val", "huge-val"])
+def test_malformed_sparse_w_names_its_field(w, message):
+    with pytest.raises(InputError) as exc:
+        game_from_dict(_sparse_doc(**w))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("key", ["rows", "cols", "vals"])
+def test_sparse_w_missing_key(key):
+    doc = _sparse_doc()
+    del doc["W"][key]
+    with pytest.raises(InputError) as exc:
+        game_from_dict(doc)
+    assert str(exc.value) == f"game.W: missing required field '{key}'"
+
+
+def test_sparse_w_entries_default_to_zero_and_keep_the_diagonal_check():
+    doc = _sparse_doc(rows=[0], cols=[0], vals=[1.0])
+    with pytest.raises(InputError, match=r"diagonal must be 1 \(w\[1,1\]=0.0\)"):
+        game_from_dict(doc)
+
+
+def test_small_file_asking_for_a_huge_w_is_refused_before_expanding_it(monkeypatch):
+    doc = _sparse_doc()
+    doc["n"] = 10**9
+    monkeypatch.setattr(gamefile, "_matrix", _no_expansion)
+    with pytest.raises(InputError) as exc:
+        game_from_dict(doc)
+    assert str(exc.value) == "game.lower: expected a list of 1000000000 numbers"
+
+
+@pytest.mark.parametrize("field, message", [
+    ("lower", "game.lower: expected a list of 2 numbers"),
+    ("upper", "game.upper: expected a list of 2 numbers"),
+    ("players", "game.players: expected a list of 2 objects"),
+])
+def test_n_long_fields_are_checked_before_w_is_expanded(monkeypatch, field, message):
+    doc = _sparse_doc()
+    doc[field] = doc[field][:1]
+    monkeypatch.setattr(gamefile, "_matrix", _no_expansion)
+    with pytest.raises(InputError) as exc:
+        game_from_dict(doc)
+    assert str(exc.value) == message
+
+
+def _no_expansion(*args):
+    raise AssertionError("W expanded before the n-long fields were checked")
+
+
+def test_memory_error_expanding_w_names_n(monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(gamefile.np, "zeros", no_memory)
+    with pytest.raises(InputError) as exc:
+        game_from_dict(_sparse_doc())
+    assert str(exc.value) == "game.W: not enough memory to expand W to 2x2 (n = 2)"

@@ -23,10 +23,13 @@ flow-rk4 games):
 - ``certify_any`` with its defaults;
 - ``_sigma_bound`` (the rounding-safe sigma_max behind every certificate and
   the default solver step) on the game's |W|;
-- ``load_game`` on the game written by ``save_game``: every player of an ER
-  game is the same (value, cost) pair, while consecutive ``fixed_work_game``
-  players always differ;
-- ``save_game`` of the game to a file.
+- ``load_game`` on the game written by ``save_game``: an ER file holds W in
+  its sparse rows/cols/vals form and every player is the same (value, cost)
+  pair, while a ``fixed_work_game`` file holds W as the dense n*n list and
+  consecutive players always differ (a source tree without sparse W writes
+  both dense);
+- ``save_game`` of the game to a file: sparse W for ER, dense for
+  ``fixed_work_game``.
 
 Once per run it also times the case-1 Monte Carlo at n = 50, p0 = 1 (a = 3,
 b = 1, c0 = 1), on the draws of ``sample_seed(5, s)``:
