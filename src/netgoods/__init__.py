@@ -48,7 +48,6 @@ from .equivalence import (
     upper_triangular_normalizer,
 )
 from .errors import (
-    ConvergenceError,
     DomainError,
     InputError,
     IntegrationError,
@@ -93,7 +92,6 @@ __all__ = [
     "Case1Report",
     "Case2Report",
     "CertificateReport",
-    "ConvergenceError",
     "DomainError",
     "EquivalenceMap",
     "FdReport",

@@ -39,9 +39,9 @@ SIGMA_CHUNK = 16
 class Case1Report:
     """Monte Carlo summary for the random-network uniqueness condition.
 
-    ``frac_certificate`` is the share of samples whose residual's sigma_max
-    bound lies below c0/(2b); ``sigma_maxes`` holds those bounds, computed on
-    first read.
+    ``certified`` holds each sample's verdict, whether its residual's
+    sigma_max bound lies below c0/(2b), and ``frac_certificate`` is their
+    share; ``sigma_maxes`` holds those bounds, computed on first read.
     """
 
     n: int
@@ -57,8 +57,12 @@ class Case1Report:
     closed_delta_var: float
     bound: float
     frac_inf_norm_within: float
-    frac_certificate: float
     inf_norms: np.ndarray
+    certified: np.ndarray
+
+    @property
+    def frac_certificate(self) -> float:
+        return float(np.mean(self.certified))
 
     @functools.cached_property
     def sigma_maxes(self) -> np.ndarray:
@@ -211,6 +215,13 @@ def _er_matrix(n: int, p: float, seed: int) -> np.ndarray:
     return _er_matrices(n, p, [_key(seed)])[0]
 
 
+def _homogeneous_game(w: np.ndarray, x_hi: float, a: float, b: float, c0: float) -> Game:
+    """The game on W whose players share the box [0, x_hi], the value {a, b} and the cost {c0}."""
+    n = len(w)
+    return Game(w=w, lower=np.zeros(n), upper=np.full(n, x_hi),
+                values=(QuadraticClippedValue(a=a, b=b),) * n, costs=(QuadraticCost(c0=c0),) * n)
+
+
 def random_er_game(n: int, p0: float, a: float, b: float, c0: float, seed: int) -> Game:
     """Directed Erdos-Renyi game: off-diagonal w_ij ~ Bernoulli(p0/n), unit diagonal.
 
@@ -221,12 +232,7 @@ def random_er_game(n: int, p0: float, a: float, b: float, c0: float, seed: int) 
     around it.
     """
     w = _er_matrix(n, _edge_probability(n, p0), seed)
-    x_hi = a / (2.0 * b) + 1.0
-    return Game(
-        w=w, lower=np.zeros(n), upper=np.full(n, x_hi),
-        values=tuple(QuadraticClippedValue(a=a, b=b) for _ in range(n)),
-        costs=tuple(QuadraticCost(c0=c0) for _ in range(n)),
-    )
+    return _homogeneous_game(w, a / (2.0 * b) + 1.0, a, b, c0)
 
 
 def delta_row_stats(w: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
@@ -304,13 +310,13 @@ def monte_carlo_case1(
     keyed by ``sample_seed(seed, s)``; ``_sample_seeds`` derives all those
     keys in one pass, which limits ``samples`` to 2**32.  The W, their
     residuals (``coupling_residual`` with unit weights) and delta statistics
-    are computed in chunks of ``SIGMA_CHUNK`` samples.  Each
-    certificate is decided from a bracket: sigma_max is at least the
-    residual's largest entry (``_peak``), so a sample whose peak reaches the
-    threshold fails without an eigen-solve, and only the others go, as one
-    sub-stack, to ``_sigma_bound``.  That bound is floored at the peak, so the
-    fraction equals the share of ``Case1Report.sigma_maxes`` below the
-    threshold; those bounds are computed only when that column is read.
+    are computed in chunks of ``SIGMA_CHUNK`` samples.  Each verdict
+    (``Case1Report.certified``) is decided from a bracket: sigma_max is at
+    least the residual's largest entry (``_peak``), so a sample whose peak
+    reaches the threshold fails without an eigen-solve, and only the others
+    go, as one sub-stack, to ``_sigma_bound``.  That bound is floored at the
+    peak, so each verdict is whether ``Case1Report.sigma_maxes`` lies below
+    the threshold; those bounds are computed only when that column is read.
     """
     if not 100 <= samples <= 1 << 32:
         raise InputError(f"need 100 <= samples <= 2**32, got {samples}")
@@ -355,8 +361,8 @@ def monte_carlo_case1(
         closed_delta_var=closed_form_delta_var(n, p0),
         bound=bound,
         frac_inf_norm_within=float(np.mean(inf_norms <= bound)),
-        frac_certificate=float(np.mean(certified)),
         inf_norms=inf_norms,
+        certified=certified,
     )
 
 
@@ -387,11 +393,7 @@ def case2_pipeline(
     """
     x_hi = a / (2.0 * b) if x_upper is None else float(x_upper)
     w = random_upper_triangular(n, density, seed)
-    game = Game(
-        w=w, lower=np.zeros(n), upper=np.full(n, x_hi),
-        values=tuple(QuadraticClippedValue(a=a, b=b) for _ in range(n)),
-        costs=tuple(QuadraticCost(c0=c0) for _ in range(n)),
-    )
+    game = _homogeneous_game(w, x_hi, a, b, c0)
     eps = auto_epsilon(game)
     if eps ** -n > 1e12:
         raise InputError(f"scaling overflow: eps^-n = {eps**-n:.3g} exceeds 1e12")

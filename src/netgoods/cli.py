@@ -107,17 +107,15 @@ def _cmd_solve(args) -> tuple[dict, int]:
     game = load_game(args.game)
     gamma = _vector(args.gamma, game.n, "gamma")
     x0 = None if args.x0 is None else _vector(args.x0, game.n, "x0", game.lower, game.upper)
-    if args.method == "fixed-point":
-        res = solve_ne(game, gamma=gamma, step_eps=args.step_eps, tol=args.tol,
-                       max_iter=args.max_iter, x0=x0)
-        report = {"method": args.method, **_solve_result_dict(res)}
-        return report, 0 if res.converged else 1
-    if args.method == "regularized":
-        betas = _floats(args.beta_schedule, "beta-schedule")
-        res = solve_regularized(game, betas, gamma=gamma, step_eps=args.step_eps,
-                                tol=args.tol, max_iter=args.max_iter, x0=x0)
-        report = {"method": args.method, "beta_schedule": betas, **_solve_result_dict(res)}
-        return report, 0 if res.converged else 1
+    if args.method in ("fixed-point", "regularized"):
+        opts = dict(gamma=gamma, step_eps=args.step_eps, tol=args.tol, max_iter=args.max_iter, x0=x0)
+        report = {"method": args.method}
+        if args.method == "fixed-point":
+            res = solve_ne(game, **opts)
+        else:
+            report["beta_schedule"] = betas = _floats(args.beta_schedule, "beta-schedule")
+            res = solve_regularized(game, betas, **opts)
+        return {**report, **_solve_result_dict(res)}, 0 if res.converged else 1
     if args.method == "backward":
         x = backward_induction(game)
         ok, gap, worst = verify_ne(game, x, 1e-8)
@@ -275,12 +273,12 @@ def _cmd_casestudy(args) -> tuple[dict, int]:
         if args.csv:
             with open(args.csv, "w") as fh:
                 fh.write("sample,seed,inf_norm,sigma_max,within_bound,certified\n")
-                thr = args.c0 / (2.0 * args.b)
                 # tolist() gives Python floats, whose repr is the plain number
-                rows = zip(rep.sample_seeds, rep.inf_norms.tolist(), rep.sigma_maxes.tolist())
-                for s, (seed, inf_norm, sigma_max) in enumerate(rows):
+                rows = zip(rep.sample_seeds, rep.inf_norms.tolist(), rep.sigma_maxes.tolist(),
+                           rep.certified.tolist())
+                for s, (seed, inf_norm, sigma_max, certified) in enumerate(rows):
                     fh.write(f"{s},{seed},{inf_norm!r},{sigma_max!r},"
-                             f"{int(inf_norm <= rep.bound)},{int(sigma_max < thr)}\n")
+                             f"{int(inf_norm <= rep.bound)},{int(certified)}\n")
         report = {
             "case": "case1",
             "n": rep.n, "p0": rep.p0, "samples": rep.samples, "seed": rep.seed,

@@ -16,7 +16,8 @@ import numpy as np
 
 from .certificates import _sigma_bound
 from .errors import InputError
-from .game import Game, _pseudo_gradient, _weights, best_response, br_gap, gain_bounds
+from .game import (Game, _pseudo_gradient, _require_upper_triangular, _weights, best_response, br_gap,
+                   gain_bounds)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 50_000
@@ -24,6 +25,7 @@ DEFAULT_CLUSTER_TOL = 1e-4
 #: hard cap on grid-oracle size
 GRID_POINT_CAP = 10_000_000
 _GRID_CHUNK = 1 << 16  # rows per br_gap call: bounds the oracle's peak memory
+_STEP_RANGE = (1e-4, 1e-1)  # every default step is clipped into it
 
 
 @dataclass(frozen=True)
@@ -53,14 +55,14 @@ def default_step_eps(game: Game, gamma: np.ndarray) -> float:
     The scaled field's Jacobian is bounded by the value-derivative Lipschitz
     constants spread through W plus the cost curvature, so 0.5/(1 + that
     scale) keeps the iteration inside the contraction regime with room to
-    spare; clipped to [1e-4, 1e-1].
+    spare; clipped into ``_STEP_RANGE``.
     """
     gb, ev = gain_bounds(game), game.evaluator
     l_val = float(np.max(gamma * ev.value_lipschitz_d1(gb.k_lo, gb.k_hi)))
     l_cost = float(np.max(gamma * ev.dq))
     s_w = float(_sigma_bound(np.abs(game.w))[0])
     scale = l_val * s_w + l_cost
-    return float(np.clip(0.5 / (1.0 + scale), 1e-4, 1e-1))
+    return float(np.clip(0.5 / (1.0 + scale), *_STEP_RANGE))
 
 
 def _prep(game, gamma, step_eps, x0, tol, max_iter):
@@ -117,6 +119,27 @@ def _iterate(game, field, gamma, eps, xs, tol, max_iter, history=None):
     return status, iters, residuals
 
 
+def _result(game, x, status, iterations, residual, history=None) -> SolveResult:
+    gap = float("nan") if status == "diverged" else br_gap(game, x)[0]
+    iterates = np.asarray(history) if history is not None else None
+    return SolveResult(x, str(status), int(iterations), gap, float(residual), iterates)
+
+
+def _solve(game, betas, gamma, step_eps, tol, max_iter, x0, keep_iterates=False) -> SolveResult:
+    """The projected iteration in stages, one per beta (0: the original game); see solve_regularized."""
+    gamma, eps, x = _prep(game, gamma, step_eps, x0, tol, max_iter)
+    history = [x.copy()] if keep_iterates else None
+    x, total = x.copy(), 0
+    for beta in betas:
+        field = (lambda y, beta=beta: _pseudo_gradient(game, y) - 2.0 * beta * y) if beta else None
+        eps_b = eps if step_eps is not None else float(np.clip(eps / (1.0 + 2.0 * beta), *_STEP_RANGE))
+        (status,), (iterations,), (residual,) = _iterate(game, field, gamma, eps_b, x, tol, max_iter, history)
+        total += int(iterations)
+        if status == "diverged":
+            break
+    return _result(game, x, status, total, residual, history)
+
+
 def solve_ne(
     game: Game,
     gamma: np.ndarray | None = None,
@@ -130,16 +153,7 @@ def solve_ne(
 
     Stops when the iteration displacement drops below tol*step_eps.
     """
-    gamma, eps, x = _prep(game, gamma, step_eps, x0, tol, max_iter)
-    history = [x.copy()] if keep_iterates else None
-    x = x.copy()
-    (status,), (iterations,), (residual,) = _iterate(game, None, gamma, eps, x, tol, max_iter, history)
-    gap = float("nan") if status == "diverged" else br_gap(game, x)[0]
-    return SolveResult(
-        x_star=x, status=str(status), iterations=int(iterations),
-        final_gap=gap, residual=float(residual),
-        iterates=np.asarray(history) if history is not None else None,
-    )
+    return _solve(game, (0.0,), gamma, step_eps, tol, max_iter, x0, keep_iterates)
 
 
 def _check_eps(eps: float) -> None:
@@ -166,30 +180,15 @@ def solve_regularized(
     """Existence path: solve under costs c_i(x) + beta*x^2 for decreasing beta.
 
     Each stage adds 2*beta*x_i to the cost derivative (the quadratic
-    regularizer makes every cost strongly convex), solves with a warm start
-    from the previous stage, and the final point is judged against the
-    original game.
+    regularizer makes every cost strongly convex) and, unless step_eps is
+    given, divides the default step by 1 + 2*beta.  It solves with a warm
+    start from the previous stage; the iterations add up, a diverged stage
+    ends the path, and the final point is judged against the original game.
     """
     betas = [float(b) for b in beta_schedule]
     if not betas or min(betas) <= 0 or any(b2 >= b1 for b1, b2 in zip(betas, betas[1:])):
         raise InputError("beta_schedule must be strictly decreasing and positive")
-    gamma, eps, x = _prep(game, gamma, step_eps, x0, tol, max_iter)
-    x, total_iters = x.copy(), 0
-    for beta in betas:
-        eps_b = eps if step_eps is not None else float(np.clip(eps / (1.0 + 2.0 * beta), 1e-4, 1e-1))
-
-        def field(y, beta=beta):
-            return _pseudo_gradient(game, y) - 2.0 * beta * y
-
-        (status,), (iterations,), (residual,) = _iterate(game, field, gamma, eps_b, x, tol, max_iter)
-        total_iters += int(iterations)
-        if status == "diverged":
-            break
-    gap = float("nan") if status == "diverged" else br_gap(game, x)[0]
-    return SolveResult(
-        x_star=x, status=str(status), iterations=total_iters,
-        final_gap=gap, residual=float(residual),
-    )
+    return _solve(game, betas, gamma, step_eps, tol, max_iter, x0)
 
 
 def multi_start_probe(
@@ -220,14 +219,10 @@ def multi_start_probe(
     reps: list[SolveResult] = []
     centres = np.empty((converged.size, game.n))  # reps' x_star, stacked in the first len(reps) rows
     for s in converged:
-        x = xs[s]
-        if (np.abs(x - centres[:len(reps)]).max(axis=1) <= cluster_tol).any():
+        if (np.abs(xs[s] - centres[:len(reps)]).max(axis=1) <= cluster_tol).any():
             continue
-        centres[len(reps)] = x
-        reps.append(SolveResult(
-            x_star=x.copy(), status="converged", iterations=int(iters[s]),
-            final_gap=br_gap(game, x)[0], residual=float(residuals[s]),
-        ))
+        centres[len(reps)] = xs[s]
+        reps.append(_result(game, xs[s].copy(), "converged", iters[s], residuals[s]))
     return reps
 
 
@@ -262,8 +257,7 @@ def backward_induction(game: Game) -> np.ndarray:
     best response is unconditional; fixing it makes player n-1 unconditional,
     and so on down to player 1.
     """
-    if np.any(np.tril(game.w, k=-1) != 0.0):
-        raise InputError("W must be upper-triangular (w_ij = 0 for i > j)")
+    _require_upper_triangular(game)
     x = game.lower.copy()
     for i in range(game.n - 1, -1, -1):
         x[i] = best_response(game, i, x)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InputError
 from .functions import AffineReparam, QuadraticClippedValue, QuadraticCost
-from .game import Game
+from .game import Game, _require_upper_triangular
 from .gamefile import _number_list
 
 #: transformed box bounds beyond this magnitude are rejected (cancellation risk)
@@ -110,9 +110,10 @@ def map_profile(
 ) -> np.ndarray:
     """Map a profile x across the equivalence: forward y = d*x + b, inverse x = (y-b)/d.
 
-    When the source game is supplied, the input (and the mapped output) are
-    checked against the corresponding boxes; an infeasible result signals an
-    inconsistent map.
+    When the source game is supplied, the input is checked against the box it
+    comes from: the game's box for "forward", its image under the map for
+    "inverse".  The output is not checked, since the target box is the exact
+    image of the source box.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (emap.n,):
@@ -125,18 +126,11 @@ def map_profile(
         raise InputError(f"direction must be 'forward' or 'inverse', got {direction!r}")
     if game is not None:
         lo, hi = game.lower, game.upper
-        if direction == "forward":
-            src_lo, src_hi = lo, hi
-            dst_lo, dst_hi = emap.d * lo + emap.b, emap.d * hi + emap.b
-        else:
-            src_lo, src_hi = emap.d * lo + emap.b, emap.d * hi + emap.b
-            dst_lo, dst_hi = lo, hi
-        tol = 1e-9 * np.maximum(1.0, np.abs(src_hi - src_lo))
-        if np.any(x < src_lo - tol) or np.any(x > src_hi + tol):
+        if direction == "inverse":
+            lo, hi = emap.d * lo + emap.b, emap.d * hi + emap.b
+        tol = 1e-9 * np.maximum(1.0, np.abs(hi - lo))
+        if np.any(x < lo - tol) or np.any(x > hi + tol):
             raise InputError("profile infeasible in the source of the map")
-        tol = 1e-9 * np.maximum(1.0, np.abs(dst_hi - dst_lo))
-        if np.any(y < dst_lo - tol) or np.any(y > dst_hi + tol):
-            raise InputError("mapped profile infeasible in the target (inconsistent map)")
     return y
 
 
@@ -165,18 +159,13 @@ def upper_triangular_normalizer(game: Game, eps: float | str = "auto") -> Equiva
     transformed couplings become eps^(j-i) * w_ij.  In auto mode, eps is
     derived from the homogeneous quadratic family's contraction bound.
     """
-    w = game.w
-    n = game.n
-    il = np.tril_indices(n, k=-1)
-    if np.any(w[il] != 0.0):
-        raise InputError("W must be upper-triangular (w_ij = 0 for i > j)")
-    iu = np.triu_indices(n, k=1)
-    if np.any(np.abs(w[iu]) > 1.0 + 1e-12):
+    _require_upper_triangular(game)
+    if np.any(np.abs(game.w[np.triu_indices(game.n, k=1)]) > 1.0 + 1e-12):
         raise InputError("need |w_ij| <= 1 above the diagonal")
     if eps == "auto":
         eps = auto_epsilon(game)
     eps = float(eps)
     if not 0 < eps < 1:
         raise InputError(f"need 0 < eps < 1, got {eps}")
-    d = eps ** -(1.0 + np.arange(n))
-    return EquivalenceMap(d=d, b=np.zeros(n))
+    d = eps ** -(1.0 + np.arange(game.n))
+    return EquivalenceMap(d=d, b=np.zeros(game.n))

@@ -17,10 +17,6 @@ class NumericsError(NetgoodsError):
     """A numerical procedure failed (divergence, iteration cap, singularity)."""
 
 
-class ConvergenceError(NumericsError):
-    """An iterative method exceeded its iteration budget without converging."""
-
-
 class IntegrationError(NumericsError):
     """ODE integration produced a non-finite state.
 

@@ -233,13 +233,15 @@ _TAGS = {cls: tag for tag, (cls, _) in _FAMILIES.items()}
 
 
 def spec_to_dict(spec: ScalarFunction) -> dict:
-    """Serialize a spec as {"family": tag, "params": {...}}."""
+    """Serialize a spec as {"family": tag, "params": {...}}, every number as a float.
+
+    A parse gives floats, so a spec built with int parameters re-saves to the same bytes.
+    """
     tag = _TAGS.get(type(spec))
     if tag is None:
         raise InputError(f"unknown function family {type(spec).__name__}")
-    params = {name: getattr(spec, name) for name in _FAMILIES[tag][1]}
-    if "inner" in params:
-        params["inner"] = spec_to_dict(params["inner"])
+    params = {name: spec_to_dict(getattr(spec, name)) if name == "inner" else float(getattr(spec, name))
+              for name in _FAMILIES[tag][1]}
     return {"family": tag, "params": params}
 
 

@@ -340,6 +340,11 @@ def _profiles(game: Game, x) -> np.ndarray:
     return x
 
 
+def _require_upper_triangular(game: Game) -> None:
+    if np.any(np.tril(game.w, k=-1) != 0.0):
+        raise InputError("W must be upper-triangular (w_ij = 0 for i > j)")
+
+
 def gains(game: Game, x: np.ndarray) -> np.ndarray:
     """Gain vector k = W x (batched)."""
     return _profiles(game, x) @ game.w.T

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from netgoods.errors import ConvergenceError, InputError
+from netgoods.errors import InputError
 
 JACOBI_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
@@ -60,4 +60,4 @@ def jacobi_eigenvalues(
     off = _off_norm(a)
     if off <= 1e3 * tol * scale:
         return np.sort(np.diag(a))
-    raise ConvergenceError(f"Jacobi sweeps exceeded {max_sweeps} (off-norm {off:g})")
+    raise AssertionError(f"Jacobi sweeps exceeded {max_sweeps} (off-norm {off:g})")

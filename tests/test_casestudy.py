@@ -227,6 +227,8 @@ class TestMonteCarloCase1:
         below = _peak(coupling_residual(_er_matrices(n, p0 / n, rep.sample_seeds))) < threshold
         assert {0: "none", 100: "all"}.get(int(below.sum()), "some") == peaks_below
         assert rep.frac_certificate == float(np.mean(rep.sigma_maxes < threshold))
+        assert rep.frac_certificate == float(np.mean(rep.certified))
+        assert np.array_equal(rep.certified, rep.sigma_maxes < threshold)
 
     def test_no_eigen_solve_when_every_peak_reaches_the_threshold(self, monkeypatch):
         # at n = 50, p0 = 1 every residual has an integer entry >= 1 > c0/(2b) = 0.5

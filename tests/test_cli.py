@@ -252,22 +252,30 @@ class TestCasestudy:
         assert len(lines) == 101
 
     def test_case1_csv_fields_are_numbers(self, tmp_path):
-        from netgoods.casestudy import monte_carlo_case1
+        from netgoods.casestudy import _er_matrices, coupling_residual, monte_carlo_case1
+        from netgoods.certificates import _peak
 
-        csv_path = tmp_path / "samples.csv"
-        code, _ = run(["casestudy", "case1", "--n", "12", "--p0", "2", "--samples", "100",
-                       "--seed", "4", "--csv", str(csv_path)], tmp_path / "r.json")
-        assert code == 0
-        rep = monte_carlo_case1(12, 2.0, 3.0, 1.0, 1.0, samples=100, seed=4)
-        header, *rows = csv_path.read_text().splitlines()
-        assert header == "sample,seed,inf_norm,sigma_max,within_bound,certified"
-        parsed = [(int(s), int(seed), float(inf), float(sig), int(within), int(cert))
-                  for s, seed, inf, sig, within, cert in (row.split(",") for row in rows)]
-        assert [row[0] for row in parsed] == list(range(100))
-        assert [row[1] for row in parsed] == rep.sample_seeds
-        assert np.array_equal([row[2] for row in parsed], rep.inf_norms)
-        sigma = np.array([row[3] for row in parsed])
-        assert sigma.tobytes() == rep.sigma_maxes.tobytes()
+        # how many verdicts the sigma bound decides (the residual's peak lies below
+        # c0/(2b)), and how many samples pass: at c0 = 1 every peak fails its sample
+        for c0, by_sigma, passed in ((1.0, 0, 0), (5.0, 1, 0), (40.0, 100, 100)):
+            csv_path = tmp_path / f"samples{c0}.csv"
+            code, _ = run(["casestudy", "case1", "--n", "12", "--p0", "2", "--samples", "100",
+                           "--seed", "4", "--c0", str(c0), "--csv", str(csv_path)], tmp_path / "r.json")
+            assert code == 0
+            rep = monte_carlo_case1(12, 2.0, 3.0, 1.0, c0, samples=100, seed=4)
+            header, *rows = csv_path.read_text().splitlines()
+            assert header == "sample,seed,inf_norm,sigma_max,within_bound,certified"
+            parsed = [(int(s), int(seed), float(inf), float(sig), int(within), int(cert))
+                      for s, seed, inf, sig, within, cert in (row.split(",") for row in rows)]
+            assert [row[0] for row in parsed] == list(range(100))
+            assert [row[1] for row in parsed] == rep.sample_seeds
+            assert np.array_equal([row[2] for row in parsed], rep.inf_norms)
+            sigma = np.array([row[3] for row in parsed])
+            assert sigma.tobytes() == rep.sigma_maxes.tobytes()
+            certified = np.array([row[5] for row in parsed], dtype=bool)
+            assert np.array_equal(certified, rep.certified)
+            peaks = _peak(coupling_residual(_er_matrices(12, 2.0 / 12, rep.sample_seeds)))
+            assert (np.sum(peaks < c0 / 2.0), np.sum(certified)) == (by_sigma, passed)
 
     @pytest.mark.parametrize("flag", ["--a", "--b", "--c0"])
     def test_case1_infinite_family_parameter_exits_2(self, tmp_path, flag):

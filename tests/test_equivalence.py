@@ -133,6 +133,23 @@ class TestMapProfile:
         with pytest.raises(InputError, match="infeasible"):
             map_profile(emap, np.array([5.0]), "forward", game=n1_game)
 
+    def test_profile_inside_the_source_tolerance_maps_at_any_scale(self):
+        # x lies 9e-10 below the box [0, 0.5], inside the source tolerance 1e-9;
+        # the image lies 9e-4 below [0, 5e5], which a target tolerance not
+        # scaled by d would refuse
+        game = Game(w=np.eye(1), lower=np.zeros(1), upper=np.full(1, 0.5),
+                    values=(QuadraticClippedValue(a=3.0, b=1.0),), costs=(QuadraticCost(c0=1.0),))
+        emap = EquivalenceMap(d=np.array([1e6]), b=np.zeros(1))
+        x = np.array([-9e-10])
+        y = map_profile(emap, x, "forward", game=game)
+        assert np.array_equal(y, 1e6 * x)
+        y = np.array([-4e-4])  # inside the image box's tolerance 5e-4
+        assert np.array_equal(map_profile(emap, y, "inverse", game=game), y / 1e6)
+        with pytest.raises(InputError, match="infeasible in the source"):
+            map_profile(emap, np.array([-2e-9]), "forward", game=game)
+        with pytest.raises(InputError, match="infeasible in the source"):
+            map_profile(emap, np.array([-2e-3]), "inverse", game=game)
+
 
 class TestUtilityInvarianceAndTransport:
     def test_utility_invariance(self):

@@ -322,6 +322,19 @@ def test_er_game_is_written_sparse_and_re_saved_byte_identically(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+def test_game_built_with_int_parameters_re_saves_byte_identically(tmp_path):
+    # the families keep the ints they are given; the file writes every parameter as a float
+    game = random_er_game(5, 1, 3, 1, 1, seed=2)
+    path, again = tmp_path / "g.json", tmp_path / "again.json"
+    save_game(game, path)
+    players = json.loads(path.read_text())["players"]
+    assert players[0]["value"]["params"] == {"a": 3.0, "b": 1.0}
+    assert all(type(v) is float for p in players for spec in p.values() for v in spec["params"].values())
+    save_game(load_game(path), again)
+    assert again.read_bytes() == path.read_bytes()
+    assert path.read_bytes() == dumps_canonical(game_to_dict(random_er_game(5, 1.0, 3.0, 1.0, 1.0, seed=2))).encode()
+
+
 def test_negative_zero_entry_round_trips(tmp_path):
     w = np.eye(4)
     w[1, 2] = -0.0

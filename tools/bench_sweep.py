@@ -14,6 +14,9 @@ flow-rk4 games):
 - ``pseudo_gradient`` at ``x_star``;
 - ``solve_ne`` from the box centre (wall time and iterations), which steps
   one (n,) profile;
+- ``solve_regularized`` over the schedule ``REG_BETAS`` from the box centre
+  (wall time, summed iterations and status), the same projected-solve
+  driver run in stages;
 - ``multi_start_probe`` from ``MULTI_STARTS`` random starts (seed 0), which
   steps an (S, n) batch (wall time, the clusters and the summed iterations
   of their representatives);
@@ -35,11 +38,8 @@ Once per run it also times the case-1 Monte Carlo at n = 50, p0 = 1 (a = 3,
 b = 1, c0 = 1), on the draws of ``sample_seed(5, s)``:
 
 - ``case1_keys``: deriving the ``CASE1_KEYS`` sample keys of seed 5 as
-  ``casestudy case1`` does (``_sample_seeds``; a source tree without it calls
-  ``sample_seed`` once per sample, as its Monte Carlo did);
-- drawing one chunk of ``SIGMA_CHUNK`` interaction matrices (``_er_matrices``;
-  a source tree without it stacks one ``_er_matrix`` per seed, as its Monte
-  Carlo did);
+  ``casestudy case1`` does (``_sample_seeds``);
+- drawing one chunk of ``SIGMA_CHUNK`` interaction matrices (``_er_matrices``);
 - ``_delta_stats`` on that chunk;
 - ``_sigma_bound`` on the chunk's ``SIGMA_CHUNK`` coupling residuals, the
   stack the Monte Carlo bounds (it drops their zero rows itself);
@@ -82,6 +82,8 @@ SIZES = (10, 50, 200, 1000)
 REPEATS = 5
 CASE1_REPEATS = 15
 MULTI_STARTS = 4
+#: beta schedule of the solve_regularized row
+REG_BETAS = (1e-1, 1e-2, 1e-3)
 BATCH_ROWS = 201
 #: (n, p0, a, b, c0) of the case-1 Monte Carlo rows, and their sample count
 CASE1 = (50, 1.0, 3.0, 1.0, 1.0)
@@ -153,7 +155,7 @@ def sweep_game(game, timer) -> dict:
 
     from netgoods.certificates import _sigma_bound, certify_any
     from netgoods.dynamics import integrate_sw_flow
-    from netgoods.equilibrium import multi_start_probe, solve_ne
+    from netgoods.equilibrium import multi_start_probe, solve_ne, solve_regularized
     from netgoods.game import best_response, br_gap, pseudo_gradient
     from netgoods.gamefile import load_game, save_game
 
@@ -161,6 +163,8 @@ def sweep_game(game, timer) -> dict:
     row = {}
     row["solve_ne"], res = timer(lambda: solve_ne(game, x0=centre))
     row["solve_ne"].update(iterations=res.iterations, status=res.status)
+    row["solve_regularized"], reg = timer(lambda: solve_regularized(game, REG_BETAS, x0=centre))
+    row["solve_regularized"].update(betas=list(REG_BETAS), iterations=reg.iterations, status=reg.status)
     row["multi_start_probe"], reps = timer(lambda: multi_start_probe(game, MULTI_STARTS, 0))
     row["multi_start_probe"].update(starts=MULTI_STARTS, clusters=len(reps),
                                     iterations=sum(r.iterations for r in reps))
@@ -188,24 +192,17 @@ def sweep_game(game, timer) -> dict:
 
 
 def sweep_case1(timer) -> dict:
-    import numpy as np
-
-    from netgoods import casestudy
-    from netgoods.casestudy import (SIGMA_CHUNK, _delta_stats, _er_matrix, coupling_residual,
-                                    monte_carlo_case1, sample_seed)
+    from netgoods.casestudy import (SIGMA_CHUNK, _delta_stats, _er_matrices, _sample_seeds,
+                                    coupling_residual, monte_carlo_case1, sample_seed)
     from netgoods.certificates import _sigma_bound
 
     n, p0, a, b, c0 = CASE1
     p = p0 / n
     seeds = [sample_seed(5, s) for s in range(SIGMA_CHUNK)]
-    draw = getattr(casestudy, "_er_matrices", None) or (
-        lambda n, p, seeds: np.stack([_er_matrix(n, p, seed) for seed in seeds]))
-    keys = getattr(casestudy, "_sample_seeds", None) or (
-        lambda seed, count: [sample_seed(seed, s) for s in range(count)])
     row = {}
-    row["case1_keys"], _ = timer(lambda: keys(5, CASE1_KEYS))
+    row["case1_keys"], _ = timer(lambda: _sample_seeds(5, CASE1_KEYS))
     row["case1_keys"]["samples"] = CASE1_KEYS
-    row["er_matrices"], ws = timer(lambda: draw(n, p, seeds))
+    row["er_matrices"], ws = timer(lambda: _er_matrices(n, p, seeds))
     residuals = coupling_residual(ws)
     row["delta_stats"], _ = timer(lambda: _delta_stats(ws, residuals))
     row["sigma_bound_stack"], _ = timer(lambda: _sigma_bound(residuals))
