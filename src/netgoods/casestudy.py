@@ -39,9 +39,10 @@ SIGMA_CHUNK = 16
 class Case1Report:
     """Monte Carlo summary for the random-network uniqueness condition.
 
-    ``certified`` holds each sample's verdict, whether its residual's
-    sigma_max bound lies below c0/(2b), and ``frac_certificate`` is their
-    share; ``sigma_maxes`` holds those bounds, computed on first read.
+    Per sample, ``within_bound`` says whether its ``inf_norms`` entry is at
+    most ``bound``, ``certified`` whether its residual's sigma_max bound lies
+    below c0/(2b); the ``frac_*`` properties are their shares.
+    ``sigma_maxes`` holds those bounds, computed on first read.
     """
 
     n: int
@@ -56,9 +57,13 @@ class Case1Report:
     closed_delta_mean: float
     closed_delta_var: float
     bound: float
-    frac_inf_norm_within: float
     inf_norms: np.ndarray
+    within_bound: np.ndarray
     certified: np.ndarray
+
+    @property
+    def frac_inf_norm_within(self) -> float:
+        return float(np.mean(self.within_bound))
 
     @property
     def frac_certificate(self) -> float:
@@ -71,12 +76,8 @@ class Case1Report:
         The chunks are those of ``monte_carlo_case1``; every sample gets the
         bits of its residual bounded alone.
         """
-        p = _edge_probability(self.n, self.p0)
-        seeds = self.sample_seeds
-        return np.concatenate([
-            _sigma_bound(coupling_residual(_er_matrices(self.n, p, seeds[lo:lo + SIGMA_CHUNK])))[0]
-            for lo in range(0, self.samples, SIGMA_CHUNK)
-        ])
+        chunks = _residual_chunks(self.n, _edge_probability(self.n, self.p0), self.sample_seeds)
+        return np.concatenate([_sigma_bound(residual)[0] for residual in chunks])
 
 
 @dataclass(frozen=True)
@@ -215,6 +216,12 @@ def _er_matrix(n: int, p: float, seed: int) -> np.ndarray:
     return _er_matrices(n, p, [_key(seed)])[0]
 
 
+def _residual_chunks(n: int, p: float, seeds):
+    """The coupling residuals of the seeds' ``_er_matrices``, one stack per ``SIGMA_CHUNK`` seeds."""
+    for lo in range(0, len(seeds), SIGMA_CHUNK):
+        yield coupling_residual(_er_matrices(n, p, seeds[lo:lo + SIGMA_CHUNK]))
+
+
 def _homogeneous_game(w: np.ndarray, x_hi: float, a: float, b: float, c0: float) -> Game:
     """The game on W whose players share the box [0, x_hi], the value {a, b} and the cost {c0}."""
     n = len(w)
@@ -238,35 +245,18 @@ def random_er_game(n: int, p0: float, a: float, b: float, c0: float, seed: int) 
 def delta_row_stats(w: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     """Row statistics delta_i = 2*indegree_i + paired-out-edge count, and max_i delta_i.
 
-    The maximum equals the infinity norm of the coupling residual matrix; both
-    routes are computed and must agree exactly for 0/1 matrices.  An (S, n, n)
-    stack gives the (S, n) statistics and the S maxima.
+    delta_i is row i's sum of the coupling residual, so the maximum is the
+    residual's infinity norm.  W must be 0/1 with unit diagonal; an
+    (S, n, n) stack gives the (S, n) statistics and the S maxima.
     """
     w = np.asarray(w, dtype=float)
-    delta, inf_norm = _delta_stats(w, coupling_residual(w))
-    return delta, float(inf_norm) if w.ndim == 2 else inf_norm
-
-
-def _delta_stats(w: np.ndarray, residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """delta_row_stats on a matrix or stack whose coupling residual is already known."""
     if np.any(np.diagonal(w, axis1=-2, axis2=-1) != 1.0):  # a nan diagonal entry fails too
         raise InputError("need unit diagonal")
     if not np.all((w == 0.0) | (w == 1.0)):  # the diagonal passed already
         raise InputError("need 0/1 off-diagonal entries")
-    col_sums = w.sum(axis=-2)
-    row_sums = w.sum(axis=-1)
-    # pair_i = sum_{k != i} w_ki * (#out-edges of k excluding targets i and k); on 0/1
-    # entries the sum over all k is (W^T (r - 1))_i - colsum_i, and every sum is an exact integer
-    pair_all = ((row_sums - 1.0)[..., None, :] @ w)[..., 0, :] - col_sums
-    pair = pair_all - (row_sums - 2.0)  # drop the k = i term
-    delta = 2.0 * (col_sums - 1.0) + pair
-    inf_norm = np.max(delta, axis=-1)
-    sigma_route = np.max(residual.sum(axis=-1), axis=-1)
-    if np.any(inf_norm != sigma_route):
-        raise AssertionError(
-            f"internal cross-check failed: delta route {inf_norm} != matrix route {sigma_route}"
-        )
-    return delta, inf_norm
+    delta = coupling_residual(w).sum(axis=-1)
+    inf_norm = delta.max(axis=-1)
+    return delta, float(inf_norm) if w.ndim == 2 else inf_norm
 
 
 def closed_form_delta_mean(n: int, p0: float) -> float:
@@ -308,9 +298,10 @@ def monte_carlo_case1(
     condition is sigma_max(residual) < c0/(2b), with sigma_max bounded from
     above.  Only each sample's W is drawn (as ``random_er_game`` draws it),
     keyed by ``sample_seed(seed, s)``; ``_sample_seeds`` derives all those
-    keys in one pass, which limits ``samples`` to 2**32.  The W, their
-    residuals (``coupling_residual`` with unit weights) and delta statistics
-    are computed in chunks of ``SIGMA_CHUNK`` samples.  Each verdict
+    keys in one pass, which limits ``samples`` to 2**32.  Their residuals
+    (``coupling_residual`` with unit weights) come in chunks of
+    ``SIGMA_CHUNK`` samples, and every statistic is read from them: delta_i
+    is row i's sum and max_i delta_i the infinity norm.  Each verdict
     (``Case1Report.certified``) is decided from a bracket: sigma_max is at
     least the residual's largest entry (``_peak``), so a sample whose peak
     reaches the threshold fails without an eigen-solve, and only the others
@@ -328,41 +319,26 @@ def monte_carlo_case1(
     bound = sigma_inf_bound(n, p0)
     threshold = c0 / (2.0 * b)
 
-    means = np.empty(samples)
-    sq_means = np.empty(samples)
-    inf_norms = np.empty(samples)
-    certified = np.empty(samples, dtype=bool)
-    for lo in range(0, samples, SIGMA_CHUNK):
-        ws = _er_matrices(n, p, seeds[lo:lo + SIGMA_CHUNK])
-        chunk = slice(lo, lo + len(ws))
-        residual = coupling_residual(ws)
-        delta, inf_norms[chunk] = _delta_stats(ws, residual)
-        means[chunk] = np.mean(delta, axis=-1)
-        sq_means[chunk] = np.mean(delta**2, axis=-1)
+    chunks = []  # per chunk: the delta means, delta square means, infinity norms and verdicts
+    for residual in _residual_chunks(n, p, seeds):
+        delta = residual.sum(axis=-1)
         below = _peak(residual) < threshold  # the rest fail: sigma_max >= peak >= threshold
         if below.any():
             below[below] = _sigma_bound(residual[below])[0] < threshold
-        certified[chunk] = below
+        chunks.append((np.mean(delta, axis=-1), np.mean(delta**2, axis=-1), delta.max(axis=-1), below))
+    means, sq_means, inf_norms, certified = map(np.concatenate, zip(*chunks))
 
     emp_mean = float(np.mean(means))
-    emp_sq = float(np.mean(sq_means))
-    emp_var = emp_sq - emp_mean**2
+    emp_var = float(np.mean(sq_means)) - emp_mean**2
     # across-sample spread of per-sample statistics; samples are independent
     se_mean = float(np.std(means, ddof=1) / math.sqrt(samples))
     var_samples = sq_means - means**2
     se_var = float(np.std(var_samples, ddof=1) / math.sqrt(samples))
     return Case1Report(
         n=n, p0=p0, samples=samples, seed=seed, sample_seeds=seeds,
-        emp_delta_mean=emp_mean,
-        emp_delta_var=emp_var,
-        se_delta_mean=se_mean,
-        se_delta_var=se_var,
-        closed_delta_mean=closed_form_delta_mean(n, p0),
-        closed_delta_var=closed_form_delta_var(n, p0),
-        bound=bound,
-        frac_inf_norm_within=float(np.mean(inf_norms <= bound)),
-        inf_norms=inf_norms,
-        certified=certified,
+        emp_delta_mean=emp_mean, emp_delta_var=emp_var, se_delta_mean=se_mean, se_delta_var=se_var,
+        closed_delta_mean=closed_form_delta_mean(n, p0), closed_delta_var=closed_form_delta_var(n, p0),
+        bound=bound, inf_norms=inf_norms, within_bound=inf_norms <= bound, certified=certified,
     )
 
 
@@ -371,6 +347,8 @@ def random_upper_triangular(n: int, density: float, seed: int) -> np.ndarray:
 
     Philox stream 1 keyed by the seed, which must lie in [0, 2**64).
     """
+    if n < 1:
+        raise InputError(f"need n >= 1, got {n}")
     if not 0.0 <= density <= 1.0:
         raise InputError(f"density must lie in [0, 1], got {density}")
     rng = _philox(seed, stream=1)

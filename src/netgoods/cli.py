@@ -215,7 +215,10 @@ def _cmd_certify(args) -> tuple[dict, int]:
 def _cmd_transform(args) -> tuple[dict, int]:
     game = load_game(args.game)
     if args.normalize_triangular:
-        eps = "auto" if args.eps == "auto" else float(args.eps)
+        try:
+            eps = "auto" if args.eps == "auto" else float(args.eps)
+        except ValueError as exc:
+            raise InputError(f"--eps: expected a real or 'auto', got {args.eps!r}") from exc
         emap = upper_triangular_normalizer(game, eps=eps)
     else:
         if args.d is None or args.b is None:
@@ -275,10 +278,9 @@ def _cmd_casestudy(args) -> tuple[dict, int]:
                 fh.write("sample,seed,inf_norm,sigma_max,within_bound,certified\n")
                 # tolist() gives Python floats, whose repr is the plain number
                 rows = zip(rep.sample_seeds, rep.inf_norms.tolist(), rep.sigma_maxes.tolist(),
-                           rep.certified.tolist())
-                for s, (seed, inf_norm, sigma_max, certified) in enumerate(rows):
-                    fh.write(f"{s},{seed},{inf_norm!r},{sigma_max!r},"
-                             f"{int(inf_norm <= rep.bound)},{int(certified)}\n")
+                           rep.within_bound.tolist(), rep.certified.tolist())
+                for s, (seed, inf_norm, sigma_max, within, certified) in enumerate(rows):
+                    fh.write(f"{s},{seed},{inf_norm!r},{sigma_max!r},{int(within)},{int(certified)}\n")
         report = {
             "case": "case1",
             "n": rep.n, "p0": rep.p0, "samples": rep.samples, "seed": rep.seed,
@@ -433,26 +435,26 @@ def main(argv=None) -> int:
     started = time.time()
     try:
         report, code = args.func(args)
-    except InputError as exc:
+        text = dumps_canonical(report)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        if args.meta:
+            meta = {
+                "argv": list(sys.argv if argv is None else argv),
+                "started_unix": started,
+                "elapsed_seconds": time.time() - started,
+            }
+            with open(args.meta, "w") as fh:
+                fh.write(json.dumps(meta, indent=2) + "\n")
+    except (InputError, OSError) as exc:  # an OSError here is an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NetgoodsError as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1
-    text = dumps_canonical(report)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if args.meta:
-        meta = {
-            "argv": list(sys.argv if argv is None else argv),
-            "started_unix": started,
-            "elapsed_seconds": time.time() - started,
-        }
-        with open(args.meta, "w") as fh:
-            fh.write(json.dumps(meta, indent=2) + "\n")
     return code
 
 

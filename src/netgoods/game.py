@@ -407,10 +407,10 @@ def sw_gradient(game: Game, x: np.ndarray) -> np.ndarray:
 
 
 def _weights(game: Game, v, name: str) -> np.ndarray:
-    """v as floats, or InputError unless it is a strictly positive n-vector."""
+    """v as floats, or InputError unless it is a strictly positive, finite n-vector."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (game.n,) or not np.all(v > 0):
-        raise InputError(f"{name} must be a strictly positive n-vector")
+    if v.shape != (game.n,) or not np.all((v > 0) & (v < np.inf)):
+        raise InputError(f"{name} must be a strictly positive n-vector of finite entries")
     return v
 
 

@@ -74,15 +74,22 @@ class TestDeltaRowStats:
         assert inf_norm == 4.0
 
     def test_formula_equals_matrix_inf_norm(self):
+        # the definition, counted edge by edge: delta_i = 2 * indegree_i plus, for
+        # every in-neighbour k of i, k's out-edges to targets other than i and k
         rng = np.random.default_rng(3)
         for _ in range(25):
             n = int(rng.integers(2, 30))
             w = (rng.random((n, n)) < 0.15).astype(float)
             np.fill_diagonal(w, 1.0)
+            expected = np.zeros(n)
+            for i in range(n):
+                for k in range(n):
+                    if k != i and w[k, i] == 1.0:
+                        expected[i] += 2 + sum(w[k, j] == 1.0 for j in range(n) if j not in (i, k))
             delta, inf_norm = delta_row_stats(w)
-            sigma = coupling_residual(w)
-            assert np.allclose(delta, sigma.sum(axis=1))
-            assert inf_norm == float(np.max(sigma.sum(axis=1)))
+            assert np.array_equal(delta, expected)
+            assert inf_norm == float(np.max(expected))
+            assert inf_norm == float(np.max(coupling_residual(w).sum(axis=1)))
 
     def test_rejects_non_binary(self):
         w = np.eye(2)

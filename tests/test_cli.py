@@ -219,6 +219,15 @@ class TestTransform:
 
         assert load_game(out_game).upper[0] == 4.0
 
+    def test_non_numeric_eps_exits_2(self, tmp_path, two_player_triangular, capsys):
+        src = tmp_path / "tri.json"
+        save_game(two_player_triangular, src)
+        code, doc = run(["transform", "--game", str(src), "--normalize-triangular", "--eps", "abc",
+                         "--out-game", str(tmp_path / "tri2.json")], tmp_path / "r.json")
+        assert code == 2 and doc is None
+        assert "error: --eps" in capsys.readouterr().err
+        assert not (tmp_path / "tri2.json").exists()
+
 
 class TestStatics:
     def test_n1_with_fd(self, n1_path, tmp_path):
@@ -272,6 +281,9 @@ class TestCasestudy:
             assert np.array_equal([row[2] for row in parsed], rep.inf_norms)
             sigma = np.array([row[3] for row in parsed])
             assert sigma.tobytes() == rep.sigma_maxes.tobytes()
+            within = np.array([row[4] for row in parsed], dtype=bool)
+            assert np.array_equal(within, rep.within_bound)
+            assert rep.frac_inf_norm_within == float(np.mean(rep.within_bound))
             certified = np.array([row[5] for row in parsed], dtype=bool)
             assert np.array_equal(certified, rep.certified)
             peaks = _peak(coupling_residual(_er_matrices(12, 2.0 / 12, rep.sample_seeds)))
@@ -304,6 +316,12 @@ class TestCasestudy:
         code, doc = run(["casestudy", "case1", "--n", "5", "--samples", "100", "--seed", str(2**64 + 3)],
                         tmp_path / "c.json")
         assert code == 0 and doc["seed"] == 2**64 + 3
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_case2_empty_network_exits_2(self, tmp_path, capsys, n):
+        code, doc = run(["casestudy", "case2", "--n", n, "--seed", "5"], tmp_path / "r.json")
+        assert code == 2 and doc is None
+        assert f"error: need n >= 1, got {n}" in capsys.readouterr().err
 
     def test_case2(self, tmp_path):
         code, doc = run(
@@ -339,6 +357,18 @@ class TestNonFiniteFlags:
     def test_is_an_input_error(self, fig1a_path, tmp_path, argv, value):
         code, doc = run([argv[0], "--game", fig1a_path, *argv[1:], value], tmp_path / "r.json")
         assert code == 2 and doc is None
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--gamma"],
+        ["solve", "--gamma"],
+        ["dynamics", "--alpha"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_infinite_weight_is_an_input_error(self, tmp_path, capsys, argv):
+        game = tmp_path / "er6.json"
+        save_game(random_er_game(6, 1.0, 3.0, 1.0, 1.0, seed=1), game)
+        code, doc = run([argv[0], "--game", str(game), *argv[1:], "1,1,1,1,1,inf"], tmp_path / "r.json")
+        assert code == 2 and doc is None
+        assert f"error: {argv[1][2:]} must be a strictly positive n-vector" in capsys.readouterr().err
 
 
 class TestNanProfiles:
@@ -477,6 +507,20 @@ class TestContract:
         report = out.read_text()
         assert "started_unix" not in report
         assert "started_unix" in meta.read_text()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify", "--x", "1"], "--out"),
+        (["verify", "--x", "1"], "--meta"),
+        (["dynamics", "--horizon", "0.1"], "--csv"),
+        (["casestudy", "case1", "--n", "5", "--samples", "100"], "--csv"),
+        (["transform", "--d", "2", "--b", "0"], "--out-game"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_output_path_in_a_missing_directory_exits_2(self, n1_path, tmp_path, capsys, argv, flag):
+        game = [] if argv[0] == "casestudy" else ["--game", n1_path]
+        missing = tmp_path / "missing" / "file"
+        out = [] if flag == "--out" else ["--out", str(tmp_path / "r.json")]
+        assert main([*argv, *game, *out, flag, str(missing)]) == 2
+        assert f"error: [Errno 2] No such file or directory: '{missing}'" in capsys.readouterr().err
 
     def test_stdout_when_no_out(self, n1_path, capsys):
         assert main(["verify", "--game", n1_path, "--x", "1"]) == 0

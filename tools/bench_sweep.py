@@ -40,7 +40,8 @@ b = 1, c0 = 1), on the draws of ``sample_seed(5, s)``:
 - ``case1_keys``: deriving the ``CASE1_KEYS`` sample keys of seed 5 as
   ``casestudy case1`` does (``_sample_seeds``);
 - drawing one chunk of ``SIGMA_CHUNK`` interaction matrices (``_er_matrices``);
-- ``_delta_stats`` on that chunk;
+- ``coupling_residual`` on that chunk, the one stack the Monte Carlo reads
+  its delta statistics (row sums) and certificate verdicts from;
 - ``_sigma_bound`` on the chunk's ``SIGMA_CHUNK`` coupling residuals, the
   stack the Monte Carlo bounds (it drops their zero rows itself);
 - ``monte_carlo_case1`` with 100 samples;
@@ -192,8 +193,8 @@ def sweep_game(game, timer) -> dict:
 
 
 def sweep_case1(timer) -> dict:
-    from netgoods.casestudy import (SIGMA_CHUNK, _delta_stats, _er_matrices, _sample_seeds,
-                                    coupling_residual, monte_carlo_case1, sample_seed)
+    from netgoods.casestudy import (SIGMA_CHUNK, _er_matrices, _sample_seeds, coupling_residual,
+                                    monte_carlo_case1, sample_seed)
     from netgoods.certificates import _sigma_bound
 
     n, p0, a, b, c0 = CASE1
@@ -203,10 +204,9 @@ def sweep_case1(timer) -> dict:
     row["case1_keys"], _ = timer(lambda: _sample_seeds(5, CASE1_KEYS))
     row["case1_keys"]["samples"] = CASE1_KEYS
     row["er_matrices"], ws = timer(lambda: _er_matrices(n, p, seeds))
-    residuals = coupling_residual(ws)
-    row["delta_stats"], _ = timer(lambda: _delta_stats(ws, residuals))
+    row["coupling_residual"], residuals = timer(lambda: coupling_residual(ws))
     row["sigma_bound_stack"], _ = timer(lambda: _sigma_bound(residuals))
-    for key in ("er_matrices", "delta_stats", "sigma_bound_stack"):
+    for key in ("er_matrices", "coupling_residual", "sigma_bound_stack"):
         row[key]["stack"] = SIGMA_CHUNK
     row["monte_carlo_case1"], rep = timer(lambda: monte_carlo_case1(n, p0, a, b, c0, CASE1_SAMPLES, 5))
     row["monte_carlo_case1"].update(samples=CASE1_SAMPLES, frac_certificate=rep.frac_certificate)
