@@ -62,13 +62,13 @@ from .functions import (
     QuadraticClippedValue,
     QuadraticCost,
     ScalarFunction,
-    evaluate,
 )
 from .game import (
     GainBounds,
     Game,
     best_response,
     br_gap,
+    evaluate,
     gain_bounds,
     gains,
     pseudo_gradient,

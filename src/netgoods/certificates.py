@@ -17,7 +17,7 @@ import numpy as np
 
 from .equivalence import EquivalenceMap, transform_game
 from .errors import InputError
-from .functions import LinearCost, ScalarFunction
+from .functions import ScalarFunction
 from .game import Evaluator, Game, _weights, gain_bounds
 
 #: float64 unit roundoff
@@ -300,7 +300,7 @@ def cert_near_potential(
             f"interval [{hull_lo}, {hull_hi}]"
         )
 
-    common = Evaluator.of((f_common,), (LinearCost(c1=1.0),))  # only its value rows are read
+    common = Evaluator.of_one(f_common)
     sigmas = game.evaluator.closeness(common, gamma, gb.k_lo, gb.k_hi)
     per_c = common.value_modulus(gb.k_lo, gb.k_hi) + gamma * game.evaluator.dq
     c = float(np.min(per_c))

@@ -10,6 +10,7 @@ report.  Exit codes: 0 success, 1 computation failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -429,11 +430,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_paths(args) -> None:
+    """Refuse an output path in a missing directory, or one that is a directory, before any work.
+
+    The OSError is the one opening the path would raise.
+    """
+    for flag in ("out", "meta", "csv", "out_game"):
+        path = getattr(args, flag, None)
+        if not path:  # not given: stdout, or no file
+            continue
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        else:
+            continue
+        raise OSError(code, os.strerror(code), path)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.time()
     try:
+        _check_output_paths(args)
         report, code = args.func(args)
         text = dumps_canonical(report)
         if args.out:

@@ -1,18 +1,15 @@
-"""Scalar value and cost families with exact derivatives.
+"""Scalar value and cost families as immutable parameter records.
 
-Every family is a closed-form, immutable spec exposing zeroth/first/second
-derivative oracles, its domain, the points where its second derivative jumps
-(``kinks``) and JSON serialization.  Value families are concave and
-non-decreasing; cost families are convex and non-decreasing.  Every parameter
-must be finite: a constructor raises InputError on inf or NaN.  All evaluation
-methods accept scalars or numpy arrays: ``ScalarFunction`` converts the input
-to a float array and a 0-d result to a float, and each family writes only its
-closed forms ``_value``/``_d1``/``_d2`` on arrays.  One tag table serializes
-every family, as {"family": tag, "params": {...}} with the parameters named
-by the family's dataclass fields, in field order; every parse error, a
-constructor's range error included, names its field.  This is the one-player
-API; the curvature and Lipschitz constants the certificates need are computed
-for all players at once by ``game.Evaluator``.
+Value families are concave and non-decreasing; cost families are convex and
+non-decreasing.  A family is its parameters, its kind, its domain and its
+serialization: every parameter must be finite, and a constructor raises
+InputError on inf, NaN or a value out of range.  The closed forms themselves
+live in one place, the array evaluator ``game.Evaluator``, which reads each
+base family's parameters through its row in the family table below;
+``game.evaluate`` evaluates one spec at a point through it.  The same table
+serializes every family, as {"family": tag, "params": {...}} with the
+parameters named by the family's dataclass fields, in field order; every
+parse error, a constructor's range error included, names its field.
 """
 
 from __future__ import annotations
@@ -20,13 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
-from .errors import DomainError, InputError
-
-
-def _scalar_or_array(out):
-    return out if out.ndim else float(out)
+from .errors import InputError
 
 
 class ScalarFunction:
@@ -36,19 +27,6 @@ class ScalarFunction:
 
     def domain(self) -> tuple[float, float]:
         raise NotImplementedError
-
-    def value(self, k):
-        return _scalar_or_array(self._value(np.asarray(k, dtype=float)))
-
-    def d1(self, k):
-        return _scalar_or_array(self._d1(np.asarray(k, dtype=float)))
-
-    def d2(self, k):
-        return _scalar_or_array(self._d2(np.asarray(k, dtype=float)))
-
-    def kinks(self) -> tuple[float, ...]:
-        """Points where the second derivative jumps."""
-        return ()
 
 
 def _positive(v) -> bool:
@@ -60,8 +38,8 @@ def _positive(v) -> bool:
 class QuadraticClippedValue(ScalarFunction):
     """a*k - b*k^2 up to the peak k = a/(2b), constant a^2/(4b) beyond.
 
-    C1 but not C2 at the peak; derivative oracles at the kink report the
-    unclipped-side values (d2 = -2b), which keeps f'' defined everywhere.
+    C1 but not C2 at the peak, where f'' is read on the curved side (-2b),
+    which keeps f'' defined everywhere.
     """
 
     a: float
@@ -72,24 +50,8 @@ class QuadraticClippedValue(ScalarFunction):
         if not (_positive(self.a) and _positive(self.b)):
             raise InputError(f"QuadraticClippedValue needs finite a>0, b>0, got a={self.a}, b={self.b}")
 
-    @property
-    def clip_point(self) -> float:
-        return self.a / (2.0 * self.b)
-
     def domain(self):
         return (-math.inf, math.inf)
-
-    def _value(self, k):
-        return np.where(k <= self.clip_point, self.a * k - self.b * k * k, self.a**2 / (4.0 * self.b))
-
-    def _d1(self, k):
-        return np.where(k <= self.clip_point, self.a - 2.0 * self.b * k, 0.0)
-
-    def _d2(self, k):
-        return np.where(k <= self.clip_point, -2.0 * self.b, 0.0)
-
-    def kinks(self):
-        return (self.clip_point,)
 
 
 @dataclass(frozen=True)
@@ -106,15 +68,6 @@ class QuadraticCost(ScalarFunction):
     def domain(self):
         return (0.0, math.inf)
 
-    def _value(self, x):
-        return 0.5 * self.c0 * x * x
-
-    def _d1(self, x):
-        return self.c0 * x
-
-    def _d2(self, x):
-        return np.full_like(x, self.c0)
-
 
 @dataclass(frozen=True)
 class LinearCost(ScalarFunction):
@@ -129,15 +82,6 @@ class LinearCost(ScalarFunction):
 
     def domain(self):
         return (-math.inf, math.inf)
-
-    def _value(self, x):
-        return self.c1 * x
-
-    def _d1(self, x):
-        return np.full_like(x, self.c1)
-
-    def _d2(self, x):
-        return np.zeros_like(x)
 
 
 @dataclass(frozen=True)
@@ -155,23 +99,10 @@ class LogValue(ScalarFunction):
     def domain(self):
         return (-self.s, math.inf)
 
-    def _value(self, k):
-        return self.a * np.log(self.s + k)
-
-    def _d1(self, k):
-        return self.a / (self.s + k)
-
-    def _d2(self, k):
-        return -self.a / (self.s + k) ** 2
-
 
 @dataclass(frozen=True)
 class AffineReparam(ScalarFunction):
-    """inner((y - shift) / scale): the affine change of variable used by game equivalence.
-
-    Exact chain rule: g'(y) = inner'(t)/scale and g''(y) = inner''(t)/scale^2
-    with t = (y - shift)/scale.
-    """
+    """inner((y - shift) / scale): the affine change of variable used by game equivalence."""
 
     inner: ScalarFunction
     scale: float
@@ -186,51 +117,44 @@ class AffineReparam(ScalarFunction):
     def kind(self):
         return self.inner.kind
 
-    def _pre(self, y):
-        return (y - self.shift) / self.scale
-
     def domain(self):
         ilo, ihi = self.inner.domain()
         lo = -math.inf if ilo == -math.inf else ilo * self.scale + self.shift
         hi = math.inf if ihi == math.inf else ihi * self.scale + self.shift
         return (lo, hi)
 
-    def _value(self, y):
-        return self.inner._value(self._pre(y))
 
-    def _d1(self, y):
-        return self.inner._d1(self._pre(y)) / self.scale
-
-    def _d2(self, y):
-        return self.inner._d2(self._pre(y)) / self.scale**2
-
-    def kinks(self):
-        return tuple(k * self.scale + self.shift for k in self.inner.kinks())
+#: a spec of each kind, to pair with a lone spec of the other kind whose rows alone are read
+_PLACEHOLDERS = {"value": QuadraticClippedValue(a=1.0, b=1.0), "cost": LinearCost(c1=1.0)}
 
 
-def evaluate(spec: ScalarFunction, point: float) -> tuple[float, float, float]:
-    """Exact (value, d1, d2) at a point inside the declared domain."""
-    dlo, dhi = spec.domain()
-    if not (dlo <= point <= dhi):
-        raise DomainError(f"point {point} outside domain [{dlo}, {dhi}] of {spec!r}")
-    return float(spec.value(point)), float(spec.d1(point)), float(spec.d2(point))
+# --- the family table ---------------------------------------------------------
+#
+# A base family's evaluator row holds its parameters in game.Evaluator's sum form:
+# a value's (a, b, 2b, clip, peak, log, mu, s), where the other value family's
+# term adds -0.0, which leaves any sum's bits alone (+0.0 only to a/(t+s) > 0);
+# a cost's (q, l).  AffineReparam has no row: the evaluator folds its chain onto
+# the base family's.
+
+#: tag -> (family, its parameter names in field order, its evaluator row or None); a parameter
+#: named "inner" is a nested spec
+_FAMILIES = {
+    tag: (cls, tuple(f.name for f in fields(cls)), row)
+    for tag, cls, row in (
+        ("quadratic_clipped_value", QuadraticClippedValue,
+         lambda f: (f.a, f.b, 2.0 * f.b, f.a / (2.0 * f.b), f.a**2 / (4.0 * f.b), -0.0, 0.0, 1.0)),
+        ("quadratic_cost", QuadraticCost, lambda c: (c.c0, 0.0)),
+        ("linear_cost", LinearCost, lambda c: (0.0, c.c1)),
+        ("log_value", LogValue, lambda f: (0.0, 0.0, 0.0, -math.inf, -0.0, f.a, 1.0, f.s)),
+        ("affine_reparam", AffineReparam, None),
+    )
+}
+_TAGS = {cls: tag for tag, (cls, _, _) in _FAMILIES.items()}
+#: base family -> its evaluator row, looked up by exact type like a tag
+_ROWS = {cls: row for cls, _, row in _FAMILIES.values() if row is not None}
 
 
 # --- serialization -----------------------------------------------------------
-
-#: tag -> (family, its parameter names in field order); a parameter named "inner" is a nested spec
-_FAMILIES = {
-    tag: (cls, tuple(f.name for f in fields(cls)))
-    for tag, cls in (
-        ("quadratic_clipped_value", QuadraticClippedValue),
-        ("quadratic_cost", QuadraticCost),
-        ("linear_cost", LinearCost),
-        ("log_value", LogValue),
-        ("affine_reparam", AffineReparam),
-    )
-}
-_TAGS = {cls: tag for tag, (cls, _) in _FAMILIES.items()}
-
 
 def spec_to_dict(spec: ScalarFunction) -> dict:
     """Serialize a spec as {"family": tag, "params": {...}}, every number as a float.
@@ -258,7 +182,7 @@ def spec_from_dict(doc: dict, where: str = "spec") -> ScalarFunction:
     entry = _FAMILIES.get(family) if isinstance(family, str) else None
     if entry is None:
         raise InputError(f"{where}.family: unknown family '{family}'")
-    cls, names = entry
+    cls, names, _ = entry
     args = [_param(params, name, family, where) for name in names]
     try:
         return cls(*args)

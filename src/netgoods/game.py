@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError
-from .functions import (AffineReparam, LinearCost, LogValue, QuadraticClippedValue,
-                        QuadraticCost, ScalarFunction)
+from .functions import _PLACEHOLDERS, _ROWS, AffineReparam, ScalarFunction
 
 #: slack allowed when clamping a marginally out-of-domain gain back inside
 GAIN_CLAMP_TOL = 1e-9
@@ -68,8 +67,12 @@ class Evaluator:
     the peak lies inside), ``value_lipschitz_d1``
     (sup of |f''|), ``value_lipschitz_d2`` (sup of |f'''|) and ``closeness``
     (sup of |gamma f_i'' - f''| for a common value f).  These constants are exact
-    closed forms for intervals inside the value domains; like the derivative
-    oracles, they read f'' at a peak on the curved side.
+    closed forms for intervals inside the value domains; like ``value_d2``, they
+    read f'' at a peak on the curved side.
+
+    ``of`` reads each base family's parameters through its row in the family
+    table ``functions._FAMILIES``, looked up by exact type: a family without a
+    row there has no array form and is refused.
     """
 
     def __init__(self, cols: np.ndarray):
@@ -100,19 +103,23 @@ class Evaluator:
                 if cost.kind != "cost":
                     raise InputError(f"player {i}: costs[{i}] is a {cost.kind} family, expected a cost")
                 (f, v_scale, v_shift), (c, c_scale, c_shift) = _fold(value), _fold(cost)
-                if not (isinstance(f, (LogValue, QuadraticClippedValue))
-                        and isinstance(c, (QuadraticCost, LinearCost))):
+                f_row, c_row = _ROWS.get(type(f)), _ROWS.get(type(c))
+                if f_row is None or c_row is None:
                     raise InputError(f"no array form for the family pair {f!r}, {c!r}")
-                # the absent term adds -0.0, which leaves any sum's bits alone (+0.0 only to a/(t+s) > 0)
-                fam = ((0.0, 0.0, 0.0, -np.inf, -0.0, f.a, 1.0, f.s) if isinstance(f, LogValue)
-                       else (f.a, f.b, 2.0 * f.b, f.clip_point, f.a**2 / (4.0 * f.b), -0.0, 0.0, 1.0))
-                q, l = (c.c0, 0.0) if isinstance(c, QuadraticCost) else (0.0, c.c1)
+                fam, (q, l) = f_row(f), c_row(c)
                 # d/dx [0.5*q*t^2 + l*t] with t = (x - c_shift)/c_scale, as dq*x + dl
                 slope = (q / c_scale / c_scale, (l - q * c_shift / c_scale) / c_scale)
                 rows.append((*value.domain(), *cost.domain(), v_scale, v_shift, *fam, c_scale,
                              c_shift, q, l, *slope))
             index.append(len(rows) - 1)
         return cls(np.array(rows, dtype=float).reshape(-1, 20)[index].T.copy())
+
+    @classmethod
+    def of_one(cls, spec: ScalarFunction) -> Evaluator:
+        """The one-column evaluator of a lone spec, beside a placeholder of the other kind."""
+        if spec.kind == "value":
+            return cls.of((spec,), (_PLACEHOLDERS["cost"],))
+        return cls.of((_PLACEHOLDERS["value"],), (spec,))
 
     def column(self, i: int) -> Evaluator:
         """The evaluator of player i alone, broadcasting over any trailing axis."""
@@ -242,6 +249,26 @@ class Evaluator:
             root = np.sqrt(np.maximum(a1 * a1 - 4.0 * self.dq * a0, 0.0))
             t = np.where(a1 >= 0.0, -2.0 * a0 / (a1 + root), (root - a1) / (2.0 * self.dq))
             return np.where(self.log > 0.0, t, quad)
+
+
+def evaluate(spec: ScalarFunction, point: float) -> tuple[float, float, float]:
+    """Exact (value, d1, d2) of one spec at a point of its domain, through its one-column evaluator.
+
+    A value's finite lower domain end is a log pole, open as in a Game; a point
+    there or outside the domain raises DomainError, and so does one that the
+    evaluator's folded t puts on the pole: for a nested log value that can be a
+    few ulps inside ``domain()``.  A cost's d2 is its constant curvature ``dq``.
+    """
+    (dlo, dhi), is_value = spec.domain(), spec.kind == "value"
+    if not ((dlo < point if is_value else dlo <= point) and point <= dhi):
+        opening = "(" if is_value else "["
+        raise DomainError(f"point {point} outside domain {opening}{dlo}, {dhi}] of {spec!r}")
+    ev, at = Evaluator.of_one(spec), np.array([point], dtype=float)
+    if is_value and dlo > -np.inf and not ev.mu[0] * ev._t(at)[0] + ev.s[0] > 0.0:
+        raise DomainError(f"point {point} rounds onto the pole of {spec!r}")
+    if is_value:
+        return float(ev.value(at)[0]), float(ev.value_d1(at)[0]), float(ev.value_d2(at)[0])
+    return float(ev.cost(at)[0]), float(ev.cost_d1(at)[0]), float(ev.dq[0])
 
 
 @dataclass(frozen=True)

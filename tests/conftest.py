@@ -12,8 +12,7 @@ from netgoods.functions import (
 from netgoods.game import Game
 
 
-@pytest.fixture
-def n1_game():
+def make_n1_game():
     """Single player, f(k)=3k-k^2 clipped, c(x)=x^2/2 on [0, 2]; NE at x=1."""
     return Game(
         w=np.eye(1),
@@ -43,13 +42,7 @@ def make_fig1a_game():
     )
 
 
-@pytest.fixture
-def fig1a_game():
-    return make_fig1a_game()
-
-
-@pytest.fixture
-def two_player_triangular():
+def make_two_player_triangular():
     """W=[[1,1],[0,1]], homogeneous a=3,b=1,c0=1 on [0,1.5]; NE (1/3, 1)."""
     return Game(
         w=np.array([[1.0, 1.0], [0.0, 1.0]]),
@@ -60,8 +53,7 @@ def two_player_triangular():
     )
 
 
-@pytest.fixture
-def two_player_symmetric():
+def make_two_player_symmetric():
     """Symmetric w=0.5 coupling, homogeneous a=3,b=1,c0=1; interior NE at 0.75."""
     return Game(
         w=np.array([[1.0, 0.5], [0.5, 1.0]]),
@@ -70,6 +62,26 @@ def two_player_symmetric():
         values=tuple(QuadraticClippedValue(a=3.0, b=1.0) for _ in range(2)),
         costs=tuple(QuadraticCost(c0=1.0) for _ in range(2)),
     )
+
+
+@pytest.fixture
+def n1_game():
+    return make_n1_game()
+
+
+@pytest.fixture
+def fig1a_game():
+    return make_fig1a_game()
+
+
+@pytest.fixture
+def two_player_triangular():
+    return make_two_player_triangular()
+
+
+@pytest.fixture
+def two_player_symmetric():
+    return make_two_player_symmetric()
 
 
 def random_small_interaction_game(rng, n=None, coupling=0.25):

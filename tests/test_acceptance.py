@@ -28,7 +28,7 @@ from netgoods.dynamics import (
 from netgoods.equilibrium import grid_oracle, multi_start_probe, solve_ne, solve_regularized, verify_ne
 from netgoods.equivalence import EquivalenceMap, map_profile, transform_game
 from netgoods.functions import LinearCost, LogValue, QuadraticClippedValue, QuadraticCost
-from netgoods.game import Game, br_gap, utility_profile
+from netgoods.game import Game, br_gap, evaluate, utility_profile
 from netgoods.statics import equilibrium_derivative, fd_check, utility_derivative
 
 
@@ -267,7 +267,7 @@ def test_criterion_07_comparative_statics_closed_form():
     g2 = two_player_half()
     x2 = np.full(2, 0.75)
     rng = np.random.default_rng(707)
-    fp = np.array([float(g2.values[i].d1(1.125)) for i in range(2)])
+    fp = np.array([evaluate(g2.values[i], 1.125)[1] for i in range(2)])
     for _ in range(5):
         delta = rng.normal(size=2)
         res2 = utility_derivative(g2, x2, delta)
@@ -331,8 +331,8 @@ def test_criterion_10_numerics():
     for _ in range(20):
         delta = rng.normal(size=2)
         dx = equilibrium_derivative(g2, x2, delta)
-        fpp = np.array([float(g2.values[i].d2(1.125)) for i in range(2)])
-        cpp = np.array([float(g2.costs[i].d2(0.75)) for i in range(2)])
+        fpp = np.array([evaluate(g2.values[i], 1.125)[2] for i in range(2)])
+        cpp = np.array([evaluate(g2.costs[i], 0.75)[2] for i in range(2)])
         a = np.diag(cpp) - fpp[:, None] * g2.w
         assert float(np.max(np.abs(a @ dx - fpp * delta))) < 1e-10
     print(f"ACCEPTANCE 10 PASS: spectral routes agree (1e-8), RK4 order ratio "

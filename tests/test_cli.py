@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_fig1a_game
+from netgoods import cli
 from netgoods.casestudy import random_er_game
 from netgoods.cli import build_parser, main
 from netgoods.functions import QuadraticClippedValue
@@ -455,6 +456,24 @@ class TestMatrixFiles:
         assert err.startswith("error: " + message.format(flag=flag, path=tmp_path / "m.json"))
 
 
+OUTPUT_FLAGS = pytest.mark.parametrize("argv, flag", [
+    (["verify", "--x", "1"], "--out"),
+    (["verify", "--x", "1"], "--meta"),
+    (["dynamics", "--horizon", "0.1"], "--csv"),
+    (["casestudy", "case1", "--n", "5", "--samples", "100"], "--csv"),
+    (["transform", "--d", "2", "--b", "0"], "--out-game"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+
+
+def refuse_to_compute(monkeypatch):
+    """Make every command fail the moment it starts work: a game load or a case study."""
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before the output paths were checked")
+
+    monkeypatch.setattr(cli, "load_game", computed)
+    monkeypatch.setattr(cli.cs, "monte_carlo_case1", computed)
+
+
 class TestContract:
     def test_missing_required_flag_exits_2_without_artifact(self, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -508,19 +527,34 @@ class TestContract:
         assert "started_unix" not in report
         assert "started_unix" in meta.read_text()
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["verify", "--x", "1"], "--out"),
-        (["verify", "--x", "1"], "--meta"),
-        (["dynamics", "--horizon", "0.1"], "--csv"),
-        (["casestudy", "case1", "--n", "5", "--samples", "100"], "--csv"),
-        (["transform", "--d", "2", "--b", "0"], "--out-game"),
-    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
-    def test_output_path_in_a_missing_directory_exits_2(self, n1_path, tmp_path, capsys, argv, flag):
+    @OUTPUT_FLAGS
+    def test_output_path_in_a_missing_directory_exits_2(self, n1_path, tmp_path, capsys, monkeypatch,
+                                                        argv, flag):
+        refuse_to_compute(monkeypatch)
         game = [] if argv[0] == "casestudy" else ["--game", n1_path]
         missing = tmp_path / "missing" / "file"
         out = [] if flag == "--out" else ["--out", str(tmp_path / "r.json")]
         assert main([*argv, *game, *out, flag, str(missing)]) == 2
         assert f"error: [Errno 2] No such file or directory: '{missing}'" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @OUTPUT_FLAGS
+    def test_output_path_that_is_a_directory_exits_2(self, n1_path, tmp_path, capsys, monkeypatch,
+                                                     argv, flag):
+        refuse_to_compute(monkeypatch)
+        game = [] if argv[0] == "casestudy" else ["--game", n1_path]
+        out = [] if flag == "--out" else ["--out", str(tmp_path / "r.json")]
+        assert main([*argv, *game, *out, flag, str(tmp_path)]) == 2
+        assert f"error: [Errno 21] Is a directory: '{tmp_path}'" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_output_path_under_a_file_exits_2(self, tmp_path, capsys, monkeypatch):
+        refuse_to_compute(monkeypatch)
+        under = tmp_path / "r.json" / "x.csv"
+        (tmp_path / "r.json").write_text("kept")
+        assert main(["casestudy", "case1", "--n", "5", "--csv", str(under)]) == 2
+        assert f"error: [Errno 20] Not a directory: '{under}'" in capsys.readouterr().err
+        assert (tmp_path / "r.json").read_text() == "kept"
 
     def test_stdout_when_no_out(self, n1_path, capsys):
         assert main(["verify", "--game", n1_path, "--x", "1"]) == 0

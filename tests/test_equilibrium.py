@@ -22,7 +22,7 @@ from netgoods.equilibrium import (
 from netgoods.errors import InputError
 from netgoods.functions import LinearCost, QuadraticClippedValue, QuadraticCost
 from netgoods.equivalence import EquivalenceMap, transform_game
-from netgoods.game import Game, _pseudo_gradient, br_gap, pseudo_gradient
+from netgoods.game import Game, _pseudo_gradient, br_gap, evaluate, pseudo_gradient
 
 
 class TestSolveNe:
@@ -204,7 +204,7 @@ class TestGridOracle:
         grid = np.linspace(0, 2, m)
         expected = []
         for i in range(2):
-            u = np.asarray(g.values[i].value(grid)) - np.asarray(g.costs[i].value(grid))
+            u = np.array([evaluate(g.values[i], k)[0] - evaluate(g.costs[i], k)[0] for k in grid])
             expected.append(grid[int(np.argmax(u))])
         assert expected == [1.0, 0.75]
         assert len(out) == 1

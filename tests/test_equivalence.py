@@ -12,7 +12,7 @@ from netgoods.equivalence import (
 )
 from netgoods.errors import InputError
 from netgoods.functions import LogValue, QuadraticClippedValue, QuadraticCost
-from netgoods.game import Game, br_gap, gains, utility_profile
+from netgoods.game import Game, br_gap, evaluate, gains, utility_profile
 
 
 def random_map(rng, n, scale_range=(0.5, 2.0), offset_range=(-0.3, 0.3)):
@@ -56,9 +56,9 @@ class TestTransformGame:
         g2 = transform_game(n1_game, emap)
         assert np.allclose([g2.lower[0], g2.upper[0]], [0.0, 4.0])
         # c2(y) = c1(y/2) = y^2/8 and f2(k) = f1(k/2)
-        assert float(g2.costs[0].value(2.0)) == pytest.approx(0.5)
-        assert float(g2.costs[0].value(4.0)) == pytest.approx(2.0)
-        assert float(g2.values[0].value(2.0)) == pytest.approx(2.0)  # f1(1)
+        assert evaluate(g2.costs[0], 2.0)[0] == pytest.approx(0.5)
+        assert evaluate(g2.costs[0], 4.0)[0] == pytest.approx(2.0)
+        assert evaluate(g2.values[0], 2.0)[0] == pytest.approx(2.0)  # f1(1)
         res = solve_ne(g2)
         assert res.x_star[0] == pytest.approx(2.0, abs=1e-7)
 

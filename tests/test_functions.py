@@ -13,11 +13,12 @@ from netgoods.functions import (
     LogValue,
     QuadraticClippedValue,
     QuadraticCost,
-    evaluate,
+    ScalarFunction,
+    _FAMILIES,
     spec_from_dict,
     spec_to_dict,
 )
-from netgoods.game import Evaluator
+from netgoods.game import Evaluator, Game, evaluate
 
 ALL_SPECS = [
     QuadraticClippedValue(a=3.0, b=1.0),
@@ -41,6 +42,19 @@ def sample_interval(spec, width=3.0):
     return lo, hi
 
 
+def curve(spec, points):
+    """(value, d1, d2) arrays of ``evaluate`` at each point."""
+    return np.array([evaluate(spec, float(k)) for k in points]).T
+
+
+def kinks(spec):
+    """Where f'' jumps, in the spec's own coordinates: its peak, or none for a log value or a cost."""
+    if spec.kind != "value":
+        return ()
+    kink = float(Evaluator.of_one(spec).value_kink()[0])
+    return (kink,) if np.isfinite(kink) else ()
+
+
 def test_eval_clipped_examples():
     f = QuadraticClippedValue(a=3.0, b=1.0)
     assert evaluate(f, 1.0) == (2.0, 1.0, -2.0)
@@ -59,6 +73,21 @@ def test_eval_outside_domain_errors():
         evaluate(QuadraticCost(c0=1.0), -0.5)
     with pytest.raises(DomainError):
         evaluate(LogValue(a=1.0, s=1.0), -1.5)
+    assert evaluate(QuadraticCost(c0=1.0), 0.0) == (0.0, 0.0, 1.0)  # a cost's finite end is closed
+
+
+@pytest.mark.parametrize("spec", [
+    LogValue(a=1.0, s=1.0),
+    AffineReparam(LogValue(a=1.0, s=1.0), scale=3.0, shift=-1.0),
+    AffineReparam(AffineReparam(LogValue(a=2.0, s=0.5), scale=2.0, shift=0.25), scale=0.5, shift=-1.0),
+], ids=["log", "nested once", "nested twice"])
+def test_eval_refuses_a_log_pole(spec):
+    # the lower end of a log value's domain is its pole: open, as in a Game
+    pole = spec.domain()[0]
+    with pytest.raises(DomainError, match=r"outside domain \("):
+        evaluate(spec, pole)
+    value, d1, d2 = evaluate(spec, float(np.nextafter(pole, np.inf)))  # a RuntimeWarning fails here
+    assert math.isfinite(value) and 0.0 < d1 < math.inf and -math.inf < d2 < 0.0
 
 
 def test_parameter_validation():
@@ -93,15 +122,14 @@ def test_derivatives_match_finite_differences(spec):
     rng = np.random.default_rng(101)
     lo, hi = sample_interval(spec)
     h = 1e-6
-    kinks = spec.kinks()
     points = rng.uniform(lo + 2 * h, hi - 2 * h, size=100)
     for k in points:
-        if any(abs(k - q) < 1e-3 for q in kinks):
+        if any(abs(k - q) < 1e-3 for q in kinks(spec)):
             continue
-        fd1 = (float(spec.value(k + h)) - float(spec.value(k - h))) / (2 * h)
-        fd2 = (float(spec.d1(k + h)) - float(spec.d1(k - h))) / (2 * h)
-        d1 = float(spec.d1(k))
-        d2 = float(spec.d2(k))
+        (v_plus, d1_plus, _), (v_minus, d1_minus, _) = evaluate(spec, k + h), evaluate(spec, k - h)
+        fd1 = (v_plus - v_minus) / (2 * h)
+        fd2 = (d1_plus - d1_minus) / (2 * h)
+        _, d1, d2 = evaluate(spec, k)
         assert fd1 == pytest.approx(d1, rel=1e-5, abs=1e-5)
         assert fd2 == pytest.approx(d2, rel=1e-5, abs=1e-5)
 
@@ -110,8 +138,7 @@ def test_derivatives_match_finite_differences(spec):
 def test_curvature_sign_matches_kind(spec):
     lo, hi = sample_interval(spec)
     grid = np.linspace(lo, hi, 500)
-    d1 = np.asarray(spec.d1(grid))
-    d2 = np.asarray(spec.d2(grid))
+    _, d1, d2 = curve(spec, grid)
     assert np.all(d1 >= -1e-12)
     if spec.kind == "value":
         assert np.all(d2 <= 1e-12)
@@ -119,20 +146,12 @@ def test_curvature_sign_matches_kind(spec):
         assert np.all(d2 >= -1e-12)
 
 
-PARTNER_VALUE = QuadraticClippedValue(a=3.0, b=1.0)
 PARTNER_COST = QuadraticCost(c0=1.0)
-
-
-def one_player(spec):
-    """The one-player evaluator holding spec, beside a fixed spec of the other kind."""
-    if spec.kind == "value":
-        return Evaluator.of([spec], [PARTNER_COST])
-    return Evaluator.of([PARTNER_VALUE], [spec])
 
 
 def constants(spec, lo, hi):
     """(modulus, Lipschitz constant of d1, of d2) over [lo, hi], as the evaluator gives them."""
-    ev = one_player(spec)
+    ev = Evaluator.of_one(spec)
     if spec.kind == "cost":  # c'' is the constant dq: it is both the modulus and L1, and L2 = 0
         return float(ev.dq[0]), float(ev.dq[0]), 0.0
     return (float(ev.value_modulus(lo, hi)[0]), float(ev.value_lipschitz_d1(lo, hi)[0]),
@@ -141,13 +160,13 @@ def constants(spec, lo, hi):
 
 def closeness(f_i, f, gamma, lo, hi):
     """sup |gamma f_i'' - f''| over [lo, hi], as the evaluator gives it."""
-    return float(one_player(f_i).closeness(one_player(f), np.array([gamma]), lo, hi)[0])
+    return float(Evaluator.of_one(f_i).closeness(Evaluator.of_one(f), np.array([gamma]), lo, hi)[0])
 
 
 def test_smoothness_clipped_on_unclipped_interval():
     f = QuadraticClippedValue(a=3.0, b=1.0)
     assert constants(f, 0.0, 1.5) == (2.0, 2.0, 0.0)
-    assert one_player(f).value_modulus_increasing(0.0, 1.5)[0] == 2.0
+    assert Evaluator.of_one(f).value_modulus_increasing(0.0, 1.5)[0] == 2.0
 
 
 def test_smoothness_clipped_crossing_interval():
@@ -155,9 +174,9 @@ def test_smoothness_clipped_crossing_interval():
     f = QuadraticClippedValue(a=3.0, b=1.0)
     assert constants(f, 0.0, 2.0) == (0.0, 2.0, math.inf)  # no finite L2: d2 jumps at 1.5
     assert constants(f, 1.5, 2.0)[2] == math.inf  # d2 at the peak itself is the curved side's
-    assert one_player(f).value_modulus_increasing(0.0, 2.0)[0] == 2.0  # f' > 0 on [0, 1.5)
+    assert Evaluator.of_one(f).value_modulus_increasing(0.0, 2.0)[0] == 2.0  # f' > 0 on [0, 1.5)
     grid = np.linspace(0.0, 2.0, 10_000)
-    assert float(np.min(np.abs(f.d2(grid)))) == 0.0
+    assert float(np.min(np.abs(curve(f, grid)[2]))) == 0.0
 
 
 def test_smoothness_linear_cost():
@@ -172,19 +191,14 @@ def test_smoothness_constants_are_valid_certificates(spec):
     assert modulus >= 0 and lipschitz_d1 >= 0
     k1 = rng.uniform(lo, hi, size=1000)
     k2 = rng.uniform(lo, hi, size=1000)
-    d1_1 = np.asarray(spec.d1(k1))
-    d1_2 = np.asarray(spec.d1(k2))
+    (v1, d1_1, d2_1), (v2, d1_2, d2_2) = curve(spec, k1), curve(spec, k2)
     assert np.all(np.abs(d1_1 - d1_2) <= lipschitz_d1 * np.abs(k1 - k2) + 1e-12)
     # strong concavity/convexity inequality at the reported modulus
-    v1 = np.asarray(spec.value(k1))
-    v2 = np.asarray(spec.value(k2))
     sign = -1.0 if spec.kind == "value" else 1.0
     # value: f(k2) <= f(k1) + f'(k1)(k2-k1) - (c/2)(k2-k1)^2 ; cost: flipped
     lhs = sign * (v2 - v1 - d1_1 * (k2 - k1))
     assert np.all(lhs >= 0.5 * modulus * (k2 - k1) ** 2 - 1e-12)
     if math.isfinite(lipschitz_d2):
-        d2_1 = np.asarray(spec.d2(k1))
-        d2_2 = np.asarray(spec.d2(k2))
         assert np.all(np.abs(d2_1 - d2_2) <= lipschitz_d2 * np.abs(k1 - k2) + 1e-12)
 
 
@@ -193,9 +207,10 @@ def test_affine_reparam_chain_rule_exact():
     g = AffineReparam(inner, scale=2.0, shift=0.5)
     for y in np.linspace(-1.0, 4.0, 37):
         t = (y - 0.5) / 2.0
-        assert float(g.value(y)) == pytest.approx(float(inner.value(t)), abs=1e-15)
-        assert float(g.d1(y)) == pytest.approx(float(inner.d1(t)) / 2.0, abs=1e-15)
-        assert float(g.d2(y)) == pytest.approx(float(inner.d2(t)) / 4.0, abs=1e-15)
+        (value, d1, d2), (inner_value, inner_d1, inner_d2) = evaluate(g, y), evaluate(inner, t)
+        assert value == pytest.approx(inner_value, abs=1e-15)
+        assert d1 == pytest.approx(inner_d1 / 2.0, abs=1e-15)
+        assert d2 == pytest.approx(inner_d2 / 4.0, abs=1e-15)
 
 
 def test_affine_reparam_smoothness_rescaling():
@@ -221,8 +236,9 @@ def test_affine_reparam_roundtrip_identity(spec):
     dlo, dhi = spec.domain()
     lo = dlo + 0.2 if np.isfinite(dlo) else -2.0
     pts = rng.uniform(lo, lo + 3.0, size=100)
-    assert np.allclose(np.asarray(back.value(pts)), np.asarray(spec.value(pts)), atol=1e-12)
-    assert np.allclose(np.asarray(back.d1(pts)), np.asarray(spec.d1(pts)), atol=1e-12)
+    (back_value, back_d1, _), (value, d1, _) = curve(back, pts), curve(spec, pts)
+    assert np.allclose(back_value, value, atol=1e-12)
+    assert np.allclose(back_d1, d1, atol=1e-12)
 
 
 def test_closeness_identical_specs_zero():
@@ -259,7 +275,7 @@ def test_closeness_log_pair_exact():
     f = LogValue(a=1.0, s=2.0)
     lo, hi = 0.0, 2.0
     grid = np.linspace(lo, hi, 200_001)
-    hprime = 2.0 * np.asarray(f_i.d2(grid)) - np.asarray(f.d2(grid))
+    hprime = 2.0 * Evaluator.of_one(f_i).value_d2(grid) - Evaluator.of_one(f).value_d2(grid)
     assert closeness(f_i, f, 2.0, lo, hi) == 3.75 == float(np.max(np.abs(hprime)))
 
 
@@ -268,7 +284,7 @@ def test_closeness_interior_stationary_point():
     # above both ends: |h'(-0.5)| = 4/9 and h'(5) = 8/49 - 1/36
     f_i, f = LogValue(a=1.0, s=1.0), LogValue(a=8.0, s=2.0)
     grid = np.linspace(-0.5, 5.0, 400_001)
-    hprime = np.asarray(f_i.d2(grid)) - np.asarray(f.d2(grid))
+    hprime = Evaluator.of_one(f_i).value_d2(grid) - Evaluator.of_one(f).value_d2(grid)
     assert closeness(f_i, f, 1.0, -0.5, 5.0) == 1.0
     assert 1.0 - 1e-9 < float(np.max(np.abs(hprime))) <= 1.0
 
@@ -299,6 +315,59 @@ def test_increasing_cutoff():
     assert ev.value_modulus_increasing(lo, hi).tolist() == [2.0, 1.0 / 16.0, 0.5]
     lo, hi = np.array([1.5, 4.0, 4.0]), np.full(3, 5.0)
     assert ev.value_modulus_increasing(lo, hi).tolist() == [0.0, 1.0 / 36.0, 0.0]
+
+
+# --- the family table -----------------------------------------------------------
+
+INF = math.inf
+#: tag -> one spec of that base family and the bits of its one-column evaluator (Evaluator.of_one):
+#: k_lo, k_hi, x_lo, x_hi, v_scale, v_shift, a, b, b2, clip, peak, log, mu, s, c_scale, c_shift, q, l, dq, dl
+TABLE_ROWS = {
+    "quadratic_clipped_value": (
+        QuadraticClippedValue(a=3.0, b=0.5),
+        [-INF, INF, -INF, INF, 1.0, 0.0, 3.0, 0.5, 1.0, 3.0, 4.5, -0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0]),
+    "quadratic_cost": (
+        QuadraticCost(c0=1.5),
+        [-INF, INF, 0.0, INF, 1.0, 0.0, 1.0, 1.0, 2.0, 0.5, 0.25, -0.0, 0.0, 1.0, 1.0, 0.0, 1.5, 0.0, 1.5, 0.0]),
+    "linear_cost": (
+        LinearCost(c1=0.7),
+        [-INF, INF, -INF, INF, 1.0, 0.0, 1.0, 1.0, 2.0, 0.5, 0.25, -0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.7, 0.0, 0.7]),
+    "log_value": (
+        LogValue(a=2.0, s=1.5),
+        [-1.5, INF, -INF, INF, 1.0, 0.0, 0.0, 0.0, 0.0, -INF, -0.0, 2.0, 1.0, 1.5, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("tag", [tag for tag, (cls, _, _) in _FAMILIES.items() if cls is not AffineReparam])
+def test_every_base_family_builds_its_recorded_row(tag):
+    spec, row = TABLE_ROWS[tag]
+    assert type(spec) is _FAMILIES[tag][0]
+    assert Evaluator.of_one(spec).cols[:, 0].tobytes() == np.array(row).tobytes()  # tells -0.0 from 0.0
+
+
+class Unlisted(ScalarFunction):
+    kind = "value"
+
+    def domain(self):
+        return (-math.inf, math.inf)
+
+
+class ListedSubclass(QuadraticCost):
+    """Not a QuadraticCost to the table, which looks families up by exact type."""
+
+
+@pytest.mark.parametrize("value, cost", [
+    (Unlisted(), LinearCost(c1=1.0)),
+    (AffineReparam(Unlisted(), scale=2.0, shift=0.5), LinearCost(c1=1.0)),
+    (QuadraticClippedValue(a=3.0, b=1.0), ListedSubclass(c0=1.0)),
+], ids=["unlisted", "nested unlisted", "subclass"])
+def test_a_family_outside_the_table_has_no_array_form(value, cost):
+    with pytest.raises(InputError, match="no array form for the family pair"):
+        Evaluator.of((value,), (cost,))
+    with pytest.raises(InputError, match="no array form for the family pair"):
+        Game(w=np.eye(1), lower=np.zeros(1), upper=np.ones(1), values=(value,), costs=(cost,))
+    with pytest.raises(InputError, match="unknown function family"):  # nor can it be saved
+        spec_to_dict(cost if isinstance(cost, ListedSubclass) else value)
 
 
 # --- every interval constant against an exact evaluation ----------------------
@@ -420,7 +489,7 @@ def test_interval_constants_match_mpmath(f_i, f, cost, gamma, where):
         lo = floor + (1 + abs(floor)) * 10 ** (-2 + 3 * where[0])
     hi = lo + (1 + abs(lo)) * 10 ** (-3 + 4.5 * where[1])
     point = lo + where[2] * (hi - lo)
-    ev, common = Evaluator.of([f_i], [cost]), one_player(f)
+    ev, common = Evaluator.of([f_i], [cost]), Evaluator.of_one(f)
     with mp.workdps(50):
         x_i, x = ExactSpec(f_i), ExactSpec(f)
         kinks = x_i.kink(), x.kink()
@@ -480,5 +549,21 @@ def test_closeness_at_an_interior_stationary_point_matches_mpmath(f_i, f, gamma,
         hi = k_star + (1 + abs(k_star)) * 10 ** (-2 + 3 * where[1])
         exact = max(abs(gamma * x_i.d2(k, k) - x.d2(k, k)) for k in (lo, hi, inside[0]))
         scale = gamma * abs(x_i.d2(lo, lo)) + abs(x.d2(lo, lo))
-        got = float(one_player(f_i).closeness(one_player(f), np.array([gamma]), lo, hi)[0])
+        got = float(Evaluator.of_one(f_i).closeness(Evaluator.of_one(f), np.array([gamma]), lo, hi)[0])
         assert abs(got - exact) <= 1e-12 * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=nested(st.builds(LogValue, a=st.floats(0.1, 5.0), s=st.floats(0.01, 5.0))),
+       ulps=st.integers(1, 8))
+def test_eval_near_a_nested_pole_is_finite_or_refused(spec, ulps):
+    # the folded t can round a point a few ulps inside domain() onto the pole: refused, never -inf or nan
+    point = spec.domain()[0]
+    for _ in range(ulps):
+        point = float(np.nextafter(point, np.inf))
+    try:
+        value, d1, d2 = evaluate(spec, point)  # a RuntimeWarning fails here
+    except DomainError as exc:
+        assert "pole" in str(exc)
+    else:
+        assert math.isfinite(value) and 0.0 < d1 < math.inf and -math.inf < d2 < 0.0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import family_oracle as oracle
 from conftest import games_and_profiles
 from netgoods.certificates import cert_near_individual
 from netgoods.dynamics import integrate_pseudo_gradient
@@ -27,6 +28,7 @@ from netgoods.game import (
     _sw_gradient,
     best_response,
     br_gap,
+    evaluate,
     externality,
     gain_bounds,
     gains,
@@ -274,8 +276,8 @@ def grid_argmax_br(game, i, x, m=200_001):
     """Independent best-response oracle: dense scan of own utility."""
     d = externality(game, i, x)
     t = np.linspace(game.lower[i], game.upper[i], m)
-    f, c = game.values[i], game.costs[i]
-    u = np.asarray(f.value(t + d)) - np.asarray(c.value(t))
+    ev = game.evaluator.column(i)
+    u = ev.value(t + d) - ev.cost(t)
     return float(t[int(np.argmax(u))])
 
 
@@ -349,7 +351,7 @@ def nest(spec, depth, rng):
 def inside(spec, rng, size):
     """Points inside a spec's domain, spanning both sides of any kink."""
     lo, hi = spec.domain()
-    kinks = spec.kinks()
+    kinks = oracle.kinks(spec)
     centre = kinks[0] if kinks else (lo + 1.0 if np.isfinite(lo) else 0.0)
     pts = centre + rng.uniform(-2.0, 2.0, size)
     return np.maximum(pts, lo + 1e-3) if np.isfinite(lo) else pts
@@ -365,11 +367,11 @@ class TestEvaluator:
         k = np.stack([inside(v, rng, 50) for v in values], axis=1)
         x = np.stack([inside(c, rng, 50) for c in costs], axis=1)
         want = {
-            "value": np.stack([v.value(k[:, i]) for i, v in enumerate(values)], axis=1),
-            "value_d1": np.stack([v.d1(k[:, i]) for i, v in enumerate(values)], axis=1),
-            "value_d2": np.stack([v.d2(k[:, i]) for i, v in enumerate(values)], axis=1),
-            "cost": np.stack([c.value(x[:, i]) for i, c in enumerate(costs)], axis=1),
-            "cost_d1": np.stack([c.d1(x[:, i]) for i, c in enumerate(costs)], axis=1),
+            "value": np.stack([oracle.value(v, k[:, i]) for i, v in enumerate(values)], axis=1),
+            "value_d1": np.stack([oracle.d1(v, k[:, i]) for i, v in enumerate(values)], axis=1),
+            "value_d2": np.stack([oracle.d2(v, k[:, i]) for i, v in enumerate(values)], axis=1),
+            "cost": np.stack([oracle.value(c, x[:, i]) for i, c in enumerate(costs)], axis=1),
+            "cost_d1": np.stack([oracle.d1(c, x[:, i]) for i, c in enumerate(costs)], axis=1),
         }
         for name, ref in want.items():
             arg = k if name.startswith("value") else x
@@ -388,10 +390,10 @@ class TestEvaluator:
         k = np.stack([inside(v, rng, 30) for v in values], axis=1)
         x = np.abs(rng.normal(size=(30, 4)))
         for i in range(4):
-            assert np.array_equal(ev.value_d1(k)[:, i], values[i].d1(k[:, i]))
-            assert np.array_equal(ev.value(k)[:, i], values[i].value(k[:, i]))
-            assert np.array_equal(ev.cost(x)[:, i], costs[i].value(x[:, i]))
-            assert np.array_equal(ev.cost_d1(x)[:, i], costs[i].d1(x[:, i]))
+            assert np.array_equal(ev.value_d1(k)[:, i], oracle.d1(values[i], k[:, i]))
+            assert np.array_equal(ev.value(k)[:, i], oracle.value(values[i], k[:, i]))
+            assert np.array_equal(ev.cost(x)[:, i], oracle.value(costs[i], x[:, i]))
+            assert np.array_equal(ev.cost_d1(x)[:, i], oracle.d1(costs[i], x[:, i]))
 
     def test_equal_neighbours_share_rows_with_per_player_bits(self):
         def player(value, cost, shift):  # fresh objects, equal for equal arguments
@@ -464,13 +466,13 @@ class TestRequireFeasible:
 
 
 def scalar_best_response(game, i, x, tol=REF_TOL):
-    """Reference: one player's bisection on the scalar spec oracles."""
+    """Reference: one player's bisection on the slopes ``evaluate`` gives."""
     d = externality(game, i, x)
     f, c = game.values[i], game.costs[i]
     dlo, dhi = f.domain()
 
     def slope(t):
-        return float(f.d1(min(max(t + d, dlo), dhi))) - float(c.d1(t))
+        return evaluate(f, min(max(t + d, dlo), dhi))[1] - evaluate(c, t)[1]
 
     lo, hi = float(game.lower[i]), float(game.upper[i])
     if slope(lo) <= 0.0:
@@ -535,9 +537,9 @@ def per_family_reference(values, k, d1):
         if isinstance(f, LogValue):
             col = f.a / (f.s + t) / scale if d1 else f.a * np.log(f.s + t)
         elif d1:
-            col = np.where(t <= f.clip_point, f.a - 2.0 * f.b * t, 0.0) / scale
+            col = np.where(t <= oracle.clip_point(f), f.a - 2.0 * f.b * t, 0.0) / scale
         else:
-            col = np.where(t <= f.clip_point, f.a * t - f.b * t * t, f.a**2 / (4.0 * f.b))
+            col = np.where(t <= oracle.clip_point(f), f.a * t - f.b * t * t, f.a**2 / (4.0 * f.b))
         cols.append(col)
     return np.stack(cols, axis=1)
 
@@ -555,7 +557,7 @@ class TestMaskFreeEvaluator:
         ev = Evaluator.of(values, [COST] * 8)
         k = np.stack([inside(v, rng, 60) for v in values], axis=1)
         if depth == 0:  # signed zeros and the exact peak of the quadratic players
-            k[:3, 0::2] = [[-0.0], [0.0], [BASE_VALUES[0].clip_point]]
+            k[:3, 0::2] = [[-0.0], [0.0], [oracle.clip_point(BASE_VALUES[0])]]
         for name, d1 in (("value", False), ("value_d1", True)):
             assert same_bits(getattr(ev, name)(k), per_family_reference(values, k, d1))
 
@@ -743,5 +745,6 @@ def test_best_responses_match_an_exact_root_and_the_grid_argmax(case):
                 want = mp.findroot(slope, (mp.mpf(lo), mp.mpf(hi)), solver="anderson")
             assert abs(t - want) <= 1e-13 * max(1.0, abs(lo), abs(hi))
         grid = np.linspace(lo, hi, 4001)
-        u = f.value(grid + d) - c.value(grid)
+        ev = game.evaluator.column(i)
+        u = ev.value(grid + d) - ev.cost(grid)
         assert abs(t - grid[np.argmax(u)]) <= grid[1] - grid[0]  # argmax: the first maximizer

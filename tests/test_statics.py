@@ -4,7 +4,7 @@ import pytest
 from netgoods.equilibrium import solve_ne
 from netgoods.errors import InputError, SingularMatrixError
 from netgoods.functions import LinearCost, QuadraticClippedValue, QuadraticCost
-from netgoods.game import Game, gains, utility_profile
+from netgoods.game import Game, evaluate, gains, utility_profile
 from netgoods.statics import (
     equilibrium_derivative,
     fd_check,
@@ -25,8 +25,8 @@ class TestPerturbMoney:
     def test_value_reads_shifted_gain(self, n1_game):
         g = perturb_money(n1_game, D1, 0.1)
         k = 0.7
-        assert float(g.values[0].value(k)) == pytest.approx(
-            float(n1_game.values[0].value(k + 0.1)), abs=1e-14
+        assert evaluate(g.values[0], k)[0] == pytest.approx(
+            evaluate(n1_game.values[0], k + 0.1)[0], abs=1e-14
         )
 
     def test_utilities_shift_by_value_difference(self, two_player_symmetric):
@@ -42,8 +42,8 @@ class TestPerturbMoney:
             u1, _ = utility_profile(pert, x)
             expect = np.array(
                 [
-                    float(g.values[i].value(k[i] + delta[i] * t))
-                    - float(g.values[i].value(k[i]))
+                    evaluate(g.values[i], k[i] + delta[i] * t)[0]
+                    - evaluate(g.values[i], k[i])[0]
                     for i in range(2)
                 ]
             )
@@ -111,7 +111,7 @@ class TestUtilityDerivative:
         x_star = np.array([1.0, 0.75])
         delta = np.array([0.3, -1.2])
         res = utility_derivative(g, x_star, delta)
-        fp = np.array([float(g.values[i].d1(x_star[i])) for i in range(2)])
+        fp = np.array([evaluate(g.values[i], x_star[i])[1] for i in range(2)])
         assert np.allclose(res.du_dt, fp * delta, atol=1e-12)
 
     def test_two_player_hand_solved_system(self, two_player_symmetric):
@@ -128,7 +128,7 @@ class TestUtilityDerivative:
         g = two_player_symmetric
         x_star = np.full(2, 0.75)
         rng = np.random.default_rng(29)
-        fp = np.array([float(g.values[i].d1(1.125)) for i in range(2)])
+        fp = np.array([evaluate(g.values[i], 1.125)[1] for i in range(2)])
         for _ in range(10):
             delta = rng.normal(size=2)
             res = utility_derivative(g, x_star, delta)
