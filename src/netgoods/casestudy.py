@@ -373,8 +373,8 @@ def case2_pipeline(
     w = random_upper_triangular(n, density, seed)
     game = _homogeneous_game(w, x_hi, a, b, c0)
     eps = auto_epsilon(game)
-    if eps ** -n > 1e12:
-        raise InputError(f"scaling overflow: eps^-n = {eps**-n:.3g} exceeds 1e12")
+    if -n * math.log10(eps) > 12.0:  # eps^-n, the largest scaling, > 1e12; eps**-n itself can overflow
+        raise InputError(f"scaling overflow: eps^-n = 10^{-n * math.log10(eps):.3g} exceeds 1e12")
     emap = upper_triangular_normalizer(game, eps=eps)
     g2 = transform_game(game, emap)
     cert = cert_near_symmetric(g2, np.eye(n))

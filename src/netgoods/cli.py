@@ -62,10 +62,7 @@ def _vector(text: str, n: int, name: str, lower=None, upper=None) -> np.ndarray:
         if lower is None:
             raise InputError(f"--{name}=mid is not supported here")
         return 0.5 * (lower + upper)
-    try:
-        vals = np.asarray([float(v) for v in text.split(",")], dtype=float)
-    except ValueError as exc:
-        raise InputError(f"--{name}: expected comma-separated reals, got {text!r}") from exc
+    vals = np.asarray(_floats(text, name), dtype=float)
     if vals.size != n:
         raise InputError(f"--{name}: expected {n} entries, got {vals.size}")
     return vals

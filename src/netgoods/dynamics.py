@@ -69,8 +69,8 @@ class RateFit:
 
 def _integrate(game: Game, field, x0: np.ndarray, step: float, horizon: float,
                energy_fn=None) -> Trajectory:
-    if not (0 < step < np.inf and 0 < horizon < np.inf):  # also rejects NaN
-        raise InputError(f"need finite step>0 and horizon>0, got step={step}, horizon={horizon}")
+    if not (0 < step < np.inf and 0 < horizon < np.inf and horizon / step < np.inf):  # NaN fails too
+        raise InputError(f"need finite step>0, horizon>0, horizon/step; got step={step}, horizon={horizon}")
     x = game.require_feasible(np.asarray(x0, dtype=float))
     times, states, clipped = [0.0], [x], [False]
     # every state is already in the box, so field(x) is also the next step's k1

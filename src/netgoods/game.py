@@ -15,8 +15,9 @@ import numpy as np
 from .errors import DomainError, InputError
 from .functions import _PLACEHOLDERS, _ROWS, AffineReparam, ScalarFunction
 
-#: slack allowed when clamping a marginally out-of-domain gain back inside
-GAIN_CLAMP_TOL = 1e-9
+#: how far an action box may reach below its cost domain's floor (a quadratic cost's 0)
+COST_FLOOR_TOL = 1e-9
+_ZERO = np.zeros(())  # 0 as a 0-d array, which numpy compares an array with faster than 0.0
 
 
 @dataclass(frozen=True)
@@ -48,25 +49,25 @@ class Evaluator:
     them exactly zero for each player; a cost is 0.5*q*t^2 + l*t, and its slope
     in x is the one affine map dq*x + dl, folded when the evaluator is built (the
     same bits as the unfolded slope for a player without reparameterization).
-    Gains outside a value domain by at most GAIN_CLAMP_TOL are clamped back in; a
-    gain further out raises DomainError.
+    Every domain is unbounded above, and a value domain's only finite end is a
+    log pole, open: ``value``, ``value_d1`` and ``value_d2`` raise DomainError
+    wherever the log argument mu*t + s is not > 0.  Nothing is clamped.
 
-    Rows, one entry per player: ``k_lo``, ``k_hi`` (the value domain); ``x_lo``,
-    ``x_hi`` (the cost domain); the value parameters ``v_scale``, ``v_shift``,
+    Rows, one entry per player: ``k_lo`` and ``x_lo``, the lower ends of the
+    value and cost domains; the value parameters ``v_scale``, ``v_shift``,
     ``a``, ``b``, ``b2`` = 2b, ``clip`` (the peak in t), ``peak``, ``log``, ``mu``,
     ``s``; the cost parameters ``c_scale``, ``c_shift``, ``q``, ``l``; and the
-    folded slope ``dq``, ``dl``.
-    ``dq`` is c'', a constant, so it is also each cost's modulus and the
-    Lipschitz constant of c'.
+    folded slope ``dq``, ``dl``.  ``dq`` is c'', a constant, so it is also each
+    cost's modulus and the Lipschitz constant of c'.
 
     Methods at points: ``value``, ``value_d1``, ``value_d2``, ``cost``,
     ``cost_d1``, and ``slope_root``, the root of the own-utility slope that a
-    best response takes.  ``value_kink`` is where f'' jumps, in gain coordinates.  Over
-    gain intervals [lo, hi]: ``value_modulus`` (inf of -f''),
-    ``value_modulus_increasing`` (the same where f' > 0), ``value_jumps`` (whether
-    the peak lies inside), ``value_lipschitz_d1``
-    (sup of |f''|), ``value_lipschitz_d2`` (sup of |f'''|) and ``closeness``
-    (sup of |gamma f_i'' - f''| for a common value f).  These constants are exact
+    best response takes.  ``value_kink`` is where f'' jumps, in gain
+    coordinates.  Over gain intervals [lo, hi]: ``value_modulus`` (inf of
+    -f''), ``value_modulus_increasing`` (the same where f' > 0),
+    ``value_jumps`` (whether the peak lies inside), ``value_lipschitz_d1`` (sup
+    of |f''|), ``value_lipschitz_d2`` (sup of |f'''|) and ``closeness`` (sup of
+    |gamma f_i'' - f''| for a common value f).  These constants are exact
     closed forms for intervals inside the value domains; like ``value_d2``, they
     read f'' at a peak on the curved side.
 
@@ -78,9 +79,8 @@ class Evaluator:
     def __init__(self, cols: np.ndarray):
         cols.setflags(write=False)  # frozen like the Game fields the parameters come from
         self.cols = cols  # one row per parameter, one column per player
-        (self.k_lo, self.k_hi, self.x_lo, self.x_hi, self.v_scale, self.v_shift, self.a, self.b,
-         self.b2, self.clip, self.peak, self.log, self.mu, self.s, self.c_scale, self.c_shift,
-         self.q, self.l, self.dq, self.dl) = cols
+        (self.k_lo, self.x_lo, self.v_scale, self.v_shift, self.a, self.b, self.b2, self.clip, self.peak,
+         self.log, self.mu, self.s, self.c_scale, self.c_shift, self.q, self.l, self.dq, self.dl) = cols
 
     @classmethod
     def of(cls, values, costs) -> Evaluator:
@@ -109,10 +109,10 @@ class Evaluator:
                 fam, (q, l) = f_row(f), c_row(c)
                 # d/dx [0.5*q*t^2 + l*t] with t = (x - c_shift)/c_scale, as dq*x + dl
                 slope = (q / c_scale / c_scale, (l - q * c_shift / c_scale) / c_scale)
-                rows.append((*value.domain(), *cost.domain(), v_scale, v_shift, *fam, c_scale,
+                rows.append((value.domain()[0], cost.domain()[0], v_scale, v_shift, *fam, c_scale,
                              c_shift, q, l, *slope))
             index.append(len(rows) - 1)
-        return cls(np.array(rows, dtype=float).reshape(-1, 20)[index].T.copy())
+        return cls(np.array(rows, dtype=float).reshape(-1, 18)[index].T.copy())
 
     @classmethod
     def of_one(cls, spec: ScalarFunction) -> Evaluator:
@@ -125,33 +125,22 @@ class Evaluator:
         """The evaluator of player i alone, broadcasting over any trailing axis."""
         return Evaluator(self.cols[:, i:i + 1])
 
-    def clamp_gains(self, k: np.ndarray) -> np.ndarray:
-        """Gains moved onto the value domains, or DomainError if one lies beyond GAIN_CLAMP_TOL."""
-        # cheap test first (count_nonzero, a fraction of ndarray.any): almost always nothing
-        # moves, and only k_lo can bind, since every value domain of `of` is unbounded above
-        if not np.count_nonzero(k < self.k_lo):
-            return k
-        excess = np.maximum(self.k_lo - k, k - self.k_hi)
-        if (excess > GAIN_CLAMP_TOL).any():
-            raise DomainError(f"a gain lies {float(excess.max()):.3g} outside its value domain")
-        return np.minimum(np.maximum(k, self.k_lo), self.k_hi)
-
     def value(self, k: np.ndarray) -> np.ndarray:
         """f_i(k_i)."""
-        t = self._t(self.clamp_gains(k))
+        t, arg = self._in_domain(k)
         quad = np.where(t <= self.clip, self.a * t - self.b * t * t, self.peak)
-        return quad + self.log * np.log(self.mu * t + self.s)
+        return quad + self.log * np.log(arg)
 
     def value_d1(self, k: np.ndarray) -> np.ndarray:
         """f_i'(k_i)."""
-        t = self._t(self.clamp_gains(k))
+        t, arg = self._in_domain(k)
         quad = np.where(t <= self.clip, self.a - self.b2 * t, 0.0)
-        return (self.log / (self.mu * t + self.s) + quad) / self.v_scale
+        return (self.log / arg + quad) / self.v_scale
 
     def value_d2(self, k: np.ndarray) -> np.ndarray:
         """f_i''(k_i)."""
-        t = self._t(self.clamp_gains(k))
-        return self._d2(t, t)
+        t, arg = self._in_domain(k)
+        return self._d2(arg, t)
 
     def value_kink(self) -> np.ndarray:
         """Each value's peak in gain coordinates, where f_i'' jumps; -inf for a log value."""
@@ -177,7 +166,7 @@ class Evaluator:
         """sup of |f_i'''| over [lo_i, hi_i]; inf where f_i'' jumps, or overflows at a log pole."""
         jump = np.where(self.value_jumps(lo, hi), np.inf, 0.0)
         with np.errstate(divide="ignore", over="ignore"):
-            return (jump + 2.0 * self.log / (self.mu * self._t(lo) + self.s) ** 3) / self.v_scale**3
+            return (jump + 2.0 * self.log / self._arg(lo) ** 3) / self.v_scale**3
 
     def closeness(self, common: Evaluator, gamma, lo, hi) -> np.ndarray:
         """sup of |gamma_i f_i'' - f''| over [lo_i, hi_i], f the value of the one-player ``common``.
@@ -199,23 +188,36 @@ class Evaluator:
             r = np.cbrt(common.log / (gamma * self.log))
             k_star = np.where((self.log > 0) & (common.log > 0), (p - r * p_i) / (1.0 - r), np.nan)
             ends = (left, right, np.fmax(np.fmin(k_star, right), left))  # fmin takes nan to right
-            gaps = [np.abs(gamma * self._d2(self._t(k), branch_i) - common._d2(common._t(k), branch))
+            gaps = [np.abs(gamma * self._d2(self._arg(k), branch_i) - common._d2(common._arg(k), branch))
                     for k in ends]
         return np.max(np.where(right > left, gaps, 0.0), axis=(0, 1))
 
     def _t(self, k):
         return (k - self.v_shift) / self.v_scale
 
-    def _d2(self, t, branch):
-        # f'' at t, on the quadratic branch that `branch` lies on
+    def _arg(self, k):
+        # the log argument mu*t + s at gains k, unchecked: 0 at a log pole
+        return self.mu * self._t(k) + self.s
+
+    def _in_domain(self, k):
+        # t and the log argument mu*t + s at gains k; DomainError where it is not > 0 (at or below a log pole)
+        t = self._t(k)
+        arg = self.mu * t + self.s
+        if np.count_nonzero(arg > _ZERO) != arg.size:  # cheaper than ndarray.all
+            bad = np.broadcast_to(k, arg.shape)[~(arg > 0.0)][0]
+            raise DomainError(f"gain {bad} is outside its value domain: mu*t + s is not > 0 (a log pole)")
+        return t, arg
+
+    def _d2(self, arg, branch):
+        # f'' where the log argument is arg, on the quadratic branch that the t `branch` lies on
         quad = np.where(branch <= self.clip, -self.b2, 0.0)
         with np.errstate(divide="ignore", over="ignore"):  # -inf at a log pole
-            return (quad - self.log / (self.mu * t + self.s) ** 2) / self.v_scale**2
+            return (quad - self.log / arg ** 2) / self.v_scale**2
 
     def _curvature(self, quad, at) -> np.ndarray:
         # a quadratic curvature plus the log term's |f''| at the gain `at`, inf at a log pole
         with np.errstate(divide="ignore", over="ignore"):
-            return (quad + self.log / (self.mu * self._t(at) + self.s) ** 2) / self.v_scale**2
+            return (quad + self.log / self._arg(at) ** 2) / self.v_scale**2
 
     def cost(self, x: np.ndarray) -> np.ndarray:
         """c_i(x_i)."""
@@ -264,8 +266,6 @@ def evaluate(spec: ScalarFunction, point: float) -> tuple[float, float, float]:
         opening = "(" if is_value else "["
         raise DomainError(f"point {point} outside domain {opening}{dlo}, {dhi}] of {spec!r}")
     ev, at = Evaluator.of_one(spec), np.array([point], dtype=float)
-    if is_value and dlo > -np.inf and not ev.mu[0] * ev._t(at)[0] + ev.s[0] > 0.0:
-        raise DomainError(f"point {point} rounds onto the pole of {spec!r}")
     if is_value:
         return float(ev.value(at)[0]), float(ev.value_d1(at)[0]), float(ev.value_d2(at)[0])
     return float(ev.cost(at)[0]), float(ev.cost_d1(at)[0]), float(ev.dq[0])
@@ -327,18 +327,20 @@ class Game:
         object.__setattr__(self, "_gain_bounds", gb)
         object.__setattr__(self, "evaluator", ev)
 
-        # reachable gains must live inside the value domains, actions inside
-        # the cost domains; rejecting here keeps every downstream evaluation safe.
-        # A value domain's finite lower end is a log value's pole, open and strict
-        bad_value = ~(gb.k_lo > ev.k_lo) | (gb.k_hi > ev.k_hi + GAIN_CLAMP_TOL)
-        bad_cost = (lower < ev.x_lo - GAIN_CLAMP_TOL) | (upper > ev.x_hi + GAIN_CLAMP_TOL)
+        # reachable gains must lie in the value domains, actions in the cost domains (all unbounded
+        # above).  A value domain's finite end is an open log pole, onto which the folded t can round
+        # a gain a few ulps inside it; t does not decrease as k grows, so the argument at k_lo decides
+        at_pole = ~(ev._arg(gb.k_lo) > 0.0)
+        bad_value = ~(gb.k_lo > ev.k_lo) | at_pole
+        bad_cost = lower < ev.x_lo - COST_FLOOR_TOL
         if (bad_value | bad_cost).any():
             i = int(np.argmax(bad_value | bad_cost))
             if bad_value[i]:
+                pole = " (at or below its log value's pole)" if at_pole[i] else ""
                 raise InputError(f"player {i}: gain interval [{gb.k_lo[i]}, {gb.k_hi[i]}] "
-                                 f"not contained in value domain [{ev.k_lo[i]}, {ev.k_hi[i]}]")
+                                 f"not contained in value domain [{ev.k_lo[i]}, inf]{pole}")
             raise InputError(f"player {i}: action box [{lower[i]}, {upper[i]}] "
-                             f"not contained in cost domain [{ev.x_lo[i]}, {ev.x_hi[i]}]")
+                             f"not contained in cost domain [{ev.x_lo[i]}, inf]")
 
     @property
     def n(self) -> int:

@@ -89,7 +89,7 @@ def _interior_curvatures(game: Game, x_star: np.ndarray):
             "interior equilibrium required"
         )
     ev = game.evaluator
-    k = ev.clamp_gains(gains(game, x_star))
+    k = gains(game, x_star)
     fp, fpp, cpp = ev.value_d1(k), ev.value_d2(k), ev.dq
     warnings = tuple(f"player {i}: equilibrium gain within {KINK_WARN_TOL:g} of a value "
                      "kink; second derivative uses the curved-side convention"

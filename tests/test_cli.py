@@ -116,6 +116,13 @@ class TestDynamics:
         assert doc["final_state"][0] == pytest.approx(1.0, abs=1e-6)
         assert doc["projection_steps"] == 0
 
+    def test_step_count_overflow_exits_2(self, n1_path, tmp_path, capsys):
+        code, doc = run(["dynamics", "--game", n1_path, "--step", "1e-300", "--horizon", "1e10"],
+                        tmp_path / "r.json")
+        assert code == 2 and doc is None
+        assert ("error: need finite step>0, horizon>0, horizon/step; "
+                "got step=1e-300, horizon=10000000000.0") in capsys.readouterr().err
+
 
 class TestCertify:
     def test_any_on_fig1a_fails_cleanly(self, fig1a_path, tmp_path):
@@ -323,6 +330,13 @@ class TestCasestudy:
         code, doc = run(["casestudy", "case2", "--n", n, "--seed", "5"], tmp_path / "r.json")
         assert code == 2 and doc is None
         assert f"error: need n >= 1, got {n}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["60", "200"])
+    def test_case2_scaling_overflow_exits_2(self, tmp_path, capsys, n):
+        # with the default a, b, c0, eps**-n itself overflows a float from n = 126
+        code, doc = run(["casestudy", "case2", "--n", n, "--seed", "5"], tmp_path / "r.json")
+        assert code == 2 and doc is None
+        assert "error: scaling overflow: eps^-n = 10^" in capsys.readouterr().err
 
     def test_case2(self, tmp_path):
         code, doc = run(

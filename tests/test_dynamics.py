@@ -68,6 +68,13 @@ class TestPseudoGradientFlow:
         with pytest.raises(InputError):
             integrate_pseudo_gradient(n1_game, ONES1, np.zeros(1), step=0.0)
 
+    def test_step_count_overflow_rejected(self, n1_game):
+        # both are finite and positive, but horizon/step is inf
+        with pytest.raises(InputError, match=r"horizon/step; got step=1e-300, horizon=10000000000\.0"):
+            integrate_pseudo_gradient(n1_game, ONES1, np.zeros(1), step=1e-300, horizon=1e10)
+        with pytest.raises(InputError, match="horizon/step; got"):
+            integrate_sw_flow(n1_game, np.zeros(1), step=1e-300, horizon=1e10)
+
 
 class TestSwFlow:
     def test_n1_rate_is_minus_six(self, n1_game):

@@ -18,7 +18,7 @@ from netgoods.functions import (
     spec_from_dict,
     spec_to_dict,
 )
-from netgoods.game import Evaluator, Game, evaluate
+from netgoods.game import Evaluator, Game, br_gap, evaluate, pseudo_gradient, utility_profile
 
 ALL_SPECS = [
     QuadraticClippedValue(a=3.0, b=1.0),
@@ -321,20 +321,20 @@ def test_increasing_cutoff():
 
 INF = math.inf
 #: tag -> one spec of that base family and the bits of its one-column evaluator (Evaluator.of_one):
-#: k_lo, k_hi, x_lo, x_hi, v_scale, v_shift, a, b, b2, clip, peak, log, mu, s, c_scale, c_shift, q, l, dq, dl
+#: k_lo, x_lo, v_scale, v_shift, a, b, b2, clip, peak, log, mu, s, c_scale, c_shift, q, l, dq, dl
 TABLE_ROWS = {
     "quadratic_clipped_value": (
         QuadraticClippedValue(a=3.0, b=0.5),
-        [-INF, INF, -INF, INF, 1.0, 0.0, 3.0, 0.5, 1.0, 3.0, 4.5, -0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0]),
+        [-INF, -INF, 1.0, 0.0, 3.0, 0.5, 1.0, 3.0, 4.5, -0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0]),
     "quadratic_cost": (
         QuadraticCost(c0=1.5),
-        [-INF, INF, 0.0, INF, 1.0, 0.0, 1.0, 1.0, 2.0, 0.5, 0.25, -0.0, 0.0, 1.0, 1.0, 0.0, 1.5, 0.0, 1.5, 0.0]),
+        [-INF, 0.0, 1.0, 0.0, 1.0, 1.0, 2.0, 0.5, 0.25, -0.0, 0.0, 1.0, 1.0, 0.0, 1.5, 0.0, 1.5, 0.0]),
     "linear_cost": (
         LinearCost(c1=0.7),
-        [-INF, INF, -INF, INF, 1.0, 0.0, 1.0, 1.0, 2.0, 0.5, 0.25, -0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.7, 0.0, 0.7]),
+        [-INF, -INF, 1.0, 0.0, 1.0, 1.0, 2.0, 0.5, 0.25, -0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.7, 0.0, 0.7]),
     "log_value": (
         LogValue(a=2.0, s=1.5),
-        [-1.5, INF, -INF, INF, 1.0, 0.0, 0.0, 0.0, 0.0, -INF, -0.0, 2.0, 1.0, 1.5, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0]),
+        [-1.5, -INF, 1.0, 0.0, 0.0, 0.0, 0.0, -INF, -0.0, 2.0, 1.0, 1.5, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0]),
 }
 
 
@@ -553,17 +553,38 @@ def test_closeness_at_an_interior_stationary_point_matches_mpmath(f_i, f, gamma,
         assert abs(got - exact) <= 1e-12 * scale
 
 
-@settings(max_examples=300, deadline=None)
-@given(spec=nested(st.builds(LogValue, a=st.floats(0.1, 5.0), s=st.floats(0.01, 5.0))),
-       ulps=st.integers(1, 8))
-def test_eval_near_a_nested_pole_is_finite_or_refused(spec, ulps):
-    # the folded t can round a point a few ulps inside domain() onto the pole: refused, never -inf or nan
+NESTED_LOG = nested(st.builds(LogValue, a=st.floats(0.1, 5.0), s=st.floats(0.01, 5.0)))
+
+
+def above_domain_end(spec, ulps):
     point = spec.domain()[0]
     for _ in range(ulps):
         point = float(np.nextafter(point, np.inf))
+    return point
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=NESTED_LOG, ulps=st.integers(1, 8))
+def test_eval_near_a_nested_pole_is_finite_or_refused(spec, ulps):
+    # the folded t can round a point a few ulps inside domain() onto the pole: refused, never -inf or nan
     try:
-        value, d1, d2 = evaluate(spec, point)  # a RuntimeWarning fails here
+        value, d1, d2 = evaluate(spec, above_domain_end(spec, ulps))  # a RuntimeWarning fails here
     except DomainError as exc:
         assert "pole" in str(exc)
     else:
         assert math.isfinite(value) and 0.0 < d1 < math.inf and -math.inf < d2 < 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=NESTED_LOG, ulps=st.integers(1, 8))
+def test_game_near_a_nested_pole_is_refused_or_finite(spec, ulps):
+    # a box whose lowest gain the folded t rounds onto the pole is refused; any other box is finite there
+    lower = np.array([above_domain_end(spec, ulps)])
+    try:
+        game = Game(w=np.eye(1), lower=lower, upper=lower + 1.0, values=(spec,), costs=(LinearCost(c1=1.0),))
+    except InputError as exc:
+        assert "pole" in str(exc)
+        return
+    u, sw = utility_profile(game, lower)  # a RuntimeWarning fails here
+    gap, _ = br_gap(game, lower)
+    assert np.all(np.isfinite(u)) and np.all(np.isfinite(pseudo_gradient(game, lower))) and math.isfinite(gap)

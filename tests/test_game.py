@@ -19,7 +19,7 @@ from netgoods.functions import (
     QuadraticCost,
 )
 from netgoods.game import (
-    GAIN_CLAMP_TOL,
+    COST_FLOOR_TOL,
     Evaluator,
     Game,
     _best_responses,
@@ -91,6 +91,14 @@ class TestValidation:
                  values=(LogValue(a=1.0, s=1.0),) * 2, costs=(LinearCost(c1=1.0),) * 2)
         Game(w=np.eye(2), lower=np.array([np.nextafter(-1.0, 0.0), 0.0]), upper=np.ones(2),
              values=(LogValue(a=1.0, s=1.0),) * 2, costs=(LinearCost(c1=1.0),) * 2)
+
+    def test_gain_the_folded_t_rounds_onto_a_nested_pole_rejected(self):
+        # the next float above domain()'s end lies inside the domain, but the evaluator's folded
+        # t = (k - v_shift)/v_scale rounds it onto the pole, where ln(mu*t + s) is -inf
+        spec = AffineReparam(AffineReparam(LogValue(a=4.5725, s=3.0371), 1.7678, 1.7403), 2.5028, -1.9890)
+        lower = np.array([np.nextafter(spec.domain()[0], np.inf)])
+        with pytest.raises(InputError, match=r"player 0: gain interval .* \(at or below its log value's pole\)"):
+            Game(w=np.eye(1), lower=lower, upper=lower + 1.0, values=(spec,), costs=(LinearCost(c1=1.0),))
 
     def test_action_outside_cost_domain_rejected(self):
         with pytest.raises(InputError, match="cost domain"):
@@ -410,21 +418,26 @@ class TestEvaluator:
         with pytest.raises(InputError, match=r"player 2: values\[2\] is a cost family"):
             Evaluator.of([QUAD, QUAD, COST], [COST] * 3)
 
-    def test_gain_clamped_within_tolerance_and_rejected_beyond(self):
-        f = AffineReparam(inner=LogValue(a=1.0, s=1.0), scale=2.0, shift=0.5)
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_gain_at_or_below_a_log_pole_refused(self, depth):
+        # dyadic reparameterizations fold exactly, so t puts domain()'s end on the pole itself
+        f = LogValue(a=1.0, s=1.0)
+        for _ in range(depth):
+            f = AffineReparam(inner=f, scale=2.0, shift=0.5)
         ev = Evaluator.of([QUAD, f], [COST, COST])
-        edge = f.domain()[0]
-        near = np.array([0.3, edge - 0.5 * GAIN_CLAMP_TOL])
-        assert ev.clamp_gains(near)[1] == edge
-        far = np.array([0.3, edge - 2.0 * GAIN_CLAMP_TOL])
-        batch = np.stack([near, near, far])
-        for call in (ev.value, ev.value_d1):
-            with pytest.raises(DomainError):
-                call(far)  # single profile
-            with pytest.raises(DomainError):
-                call(batch)  # (S, n) batch
-            with pytest.raises(DomainError):
-                ev.column(1).value(batch[:, 1:])
+        pole = f.domain()[0]
+        inside = np.array([0.3, np.nextafter(pole, np.inf)])
+        batch = np.stack([inside, inside])
+        for call in (ev.value, ev.value_d1, ev.value_d2):
+            assert np.all(np.isfinite(call(batch)))  # a RuntimeWarning fails here
+            for k in (pole, pole - 5e-10, pole - 1.0):  # 5e-10 was once clamped onto the pole
+                below = np.array([0.3, k])
+                with pytest.raises(DomainError, match="pole"):
+                    call(below)  # single profile
+                with pytest.raises(DomainError, match="pole"):
+                    call(np.stack([inside, below]))  # (S, n) batch
+                with pytest.raises(DomainError, match="pole"):
+                    getattr(ev.column(1), call.__name__)(np.stack([inside, below])[:, 1:])
 
     def test_deviation_scan_rejects_unreachable_gains(self):
         w = np.array([[1.0, -1.0], [0.0, 1.0]])
@@ -435,11 +448,10 @@ class TestEvaluator:
 
     @pytest.mark.parametrize("depth", [0, 1, 2])
     def test_value_domains_unbounded_above(self, depth):
-        # clamp_gains' fast test compares gains with k_lo alone
+        # the evaluator keeps only each domain's lower end, and Game checks no upper one
         rng = np.random.default_rng(400 + depth)
-        values = [nest(BASE_VALUES[i % 2], depth, rng) for i in range(6)]
-        ev = Evaluator.of(values, [COST] * 6)
-        assert np.all(ev.k_hi == np.inf)
+        for spec in (*BASE_VALUES, *BASE_COSTS):
+            assert nest(spec, depth, rng).domain()[1] == np.inf
 
     def test_built_with_the_game(self):
         g = make_game(np.eye(2), 0, 1)
@@ -448,7 +460,7 @@ class TestEvaluator:
 
     def test_parameters_read_only(self):
         ev = make_game(np.eye(2), 0, 1).evaluator
-        for arr in (ev.cols, ev.a, ev.q, ev.log, ev.column(1).cols, ev.column(1).k_hi):
+        for arr in (ev.cols, ev.a, ev.q, ev.log, ev.column(1).cols, ev.column(1).k_lo):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
@@ -682,7 +694,7 @@ class TestUndecidedOnlyBisection:
         # tolerance a Game allows) and a gain past the peak: f' = 0 there, and
         # g = -c' has its root at the floor, not on the value's curved piece
         ev = Evaluator.of([QUAD], [COST])
-        lo, hi = np.array([-0.5 * GAIN_CLAMP_TOL]), np.ones(1)
+        lo, hi = np.array([-0.5 * COST_FLOOR_TOL]), np.ones(1)
         d = np.array([2.0])
         got = _best_responses(ev, d, lo, hi)
         assert got[0] == 0.0
