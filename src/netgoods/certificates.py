@@ -289,18 +289,15 @@ def cert_near_potential(
     if f_common.kind != "value":
         raise InputError("f_common must be a value family")
 
-    sum_lo = float(np.sum(game.lower))
-    sum_hi = float(np.sum(game.upper))
-    hull_lo = min(float(np.min(gb.k_lo)), sum_lo)
-    hull_hi = max(float(np.max(gb.k_hi)), sum_hi)
-    dlo, dhi = f_common.domain()
-    if hull_lo < dlo or hull_hi > dhi:
-        raise InputError(
-            f"f_common domain [{dlo}, {dhi}] does not cover the required "
-            f"interval [{hull_lo}, {hull_hi}]"
-        )
-
+    hull_lo = min(float(np.min(gb.k_lo)), float(np.sum(game.lower)))
+    hull_hi = max(float(np.max(gb.k_hi)), float(np.sum(game.upper)))
     common = Evaluator.of_one(f_common)
+    outside, at_pole = common.outside_domain(hull_lo)
+    if outside[0]:
+        pole = " (at or below its log pole)" if at_pole[0] else ""
+        raise InputError(f"f_common domain ({common.k_lo[0]}, inf) does not cover the required "
+                         f"interval [{hull_lo}, {hull_hi}]{pole}")
+
     sigmas = game.evaluator.closeness(common, gamma, gb.k_lo, gb.k_hi)
     per_c = common.value_modulus(gb.k_lo, gb.k_hi) + gamma * game.evaluator.dq
     c = float(np.min(per_c))
@@ -385,8 +382,10 @@ def certify_any(
     equivalence-transformed variant (a pass there certifies the original via
     NE transport); returns the report with the largest margin, or the
     least-negative one when everything fails.  Provenance lands in
-    ``transform``; every certificate tried, with its verdict and margin or
-    the reason it was inapplicable, lands in ``attempts``.
+    ``transform``; every certificate tried lands in ``attempts`` with its
+    verdict, its float margin and, when that margin is not finite, the reason
+    (a certificate that raised InputError: verdict "inapplicable", margin
+    None and the error as its reason).
     """
     gamma = _default_gamma(game, gamma)
     candidates: list[tuple[str, Game]] = [("identity", game)]
@@ -406,7 +405,7 @@ def certify_any(
         reports.append(rep)
         # a report whose margin is not finite carries its reason last in notes
         attempts.append({"theorem": theorem, "transform": label, "verdict": rep.verdict,
-                         "margin": _json_num(rep.margin),
+                         "margin": rep.margin,
                          "reason": None if math.isfinite(rep.margin) else rep.notes[-1]})
 
     for label, g in candidates:
@@ -419,31 +418,3 @@ def certify_any(
     if not reports:
         raise InputError("no certificate was applicable to this game")
     return replace(max(reports, key=lambda r: (r.passed, r.margin)), attempts=tuple(attempts))
-
-
-def _json_num(v):
-    """A number or an array of them as JSON-ready floats or nested lists, non-finite entries None."""
-    a = np.asarray(v, dtype=float)
-    finite = np.isfinite(a)
-    return (a if finite.all() else np.where(finite, a, None)).tolist()
-
-
-def report_to_dict(report: CertificateReport) -> dict:
-    """JSON-ready form of a certificate report, including the full matrix.
-
-    Non-finite numbers (inapplicable certificates, constants at a pole) serialize as null.
-    """
-    return {
-        "theorem": report.theorem,
-        "gamma": _json_num(report.gamma),
-        "matrix": _json_num(np.atleast_2d(report.matrix)),
-        "sigma_max": _json_num(report.sigma_max),
-        "threshold": _json_num(report.threshold),
-        "margin": _json_num(report.margin),
-        "verdict": report.verdict,
-        "notes": list(report.notes),
-        "details": {k: _json_num(v) for k, v in report.details.items()},
-        "transform": report.transform,
-        "slack": _json_num(report.slack),
-        "attempts": list(report.attempts),
-    }

@@ -4,7 +4,11 @@ Subcommands map one-to-one onto library operations: solve, verify, dynamics,
 certify, transform, statics, casestudy, oracle.  Reports are deterministic
 JSON (identical command + inputs + seed gives byte-identical output); wall
 clock and argv go to a separate metadata file via --meta, never into the
-report.  Exit codes: 0 success, 1 computation failure, 2 input error.
+report.  A command builds its report from the library's records as they are,
+arrays and non-finite floats included: ``gamefile.dumps_canonical`` writes
+arrays as lists and non-finite floats as null, so every report is strict JSON.
+Exit codes: 0 success, 1 computation failure, 2 input error (an output path
+that cannot be written and a size too large to allocate included).
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
-import json
 import os
 import sys
 import time
@@ -26,7 +29,6 @@ from .certificates import (
     cert_near_symmetric,
     certify_any,
     common_value,
-    report_to_dict,
 )
 from .dynamics import (
     DEFAULT_HORIZON,
@@ -50,7 +52,7 @@ from .equivalence import EquivalenceMap, transform_game, upper_triangular_normal
 from .errors import InputError, NetgoodsError
 from .functions import spec_from_dict
 from .gamefile import _matrix, _number_list, _read_json, dumps_canonical, load_game, save_game
-from .statics import fd_check, statics_to_dict, utility_derivative
+from .statics import fd_check, utility_derivative
 
 
 def _vector(text: str, n: int, name: str, lower=None, upper=None) -> np.ndarray:
@@ -92,13 +94,8 @@ def _seed(args) -> int:
 
 
 def _solve_result_dict(res) -> dict:
-    return {
-        "x_star": [float(v) for v in res.x_star],
-        "status": res.status,
-        "iterations": res.iterations,
-        "final_gap": None if np.isnan(res.final_gap) else float(res.final_gap),
-        "residual": None if not np.isfinite(res.residual) else float(res.residual),
-    }
+    return {"x_star": res.x_star, "status": res.status, "iterations": res.iterations,
+            "final_gap": res.final_gap, "residual": res.residual}
 
 
 def _cmd_solve(args) -> tuple[dict, int]:
@@ -119,9 +116,9 @@ def _cmd_solve(args) -> tuple[dict, int]:
         ok, gap, worst = verify_ne(game, x, 1e-8)
         report = {
             "method": args.method,
-            "x_star": [float(v) for v in x],
-            "verified": bool(ok),
-            "final_gap": float(gap),
+            "x_star": x,
+            "verified": ok,
+            "final_gap": gap,
             "worst": worst,
         }
         return report, 0 if ok else 1
@@ -143,7 +140,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
     game = load_game(args.game)
     x = _vector(args.x, game.n, "x")
     ok, gap, worst = verify_ne(game, x, args.eps)
-    return {"is_ne": bool(ok), "gap": float(gap), "worst": worst, "eps": args.eps}, 0
+    return {"is_ne": ok, "gap": gap, "worst": worst, "eps": args.eps}, 0
 
 
 def _cmd_dynamics(args) -> tuple[dict, int]:
@@ -161,7 +158,7 @@ def _cmd_dynamics(args) -> tuple[dict, int]:
         "steps": int(traj.times.size - 1),
         "t_final": float(traj.times[-1]),
         "converged": bool(traj.converged),
-        "final_state": [float(v) for v in traj.final_state],
+        "final_state": traj.final_state,
         "final_sw": float(traj.sw[-1]),
         "final_br_gap": float(traj.br_gaps[-1]),
         "projection_steps": int(np.sum(traj.clipped)),
@@ -207,7 +204,7 @@ def _cmd_certify(args) -> tuple[dict, int]:
         rep = cert_near_potential(game, f_common, gamma)
     else:
         rep = cert_near_symmetric(game, _load_w0(args, game))
-    return report_to_dict(rep), 0
+    return vars(rep), 0  # the record's fields, arrays and non-finite floats as they are
 
 
 def _cmd_transform(args) -> tuple[dict, int]:
@@ -228,7 +225,7 @@ def _cmd_transform(args) -> tuple[dict, int]:
     save_game(g2, args.out_game)
     report = {
         "map": emap.to_dict(),
-        "shifts": [float(v) for v in emap.shifts(game)],
+        "shifts": emap.shifts(game),
         "out_game": args.out_game,
     }
     return report, 0
@@ -245,17 +242,13 @@ def _cmd_statics(args) -> tuple[dict, int]:
             raise InputError("equilibrium solve did not converge; pass --x-star explicitly")
         x_star = res.x_star
     result = utility_derivative(game, x_star, delta)
-    report = {
-        "x_star": [float(v) for v in x_star],
-        "delta": [float(v) for v in delta],
-        **statics_to_dict(result),
-    }
+    report = {"x_star": x_star, "delta": delta, **vars(result)}
     if args.fd_t is not None:
         fd = fd_check(game, x_star, delta, t=args.fd_t)
         report["fd"] = {
             "t": args.fd_t,
-            "du_dt": [float(v) for v in fd.du_dt_fd],
-            "dx_dt": [float(v) for v in fd.dx_dt_fd],
+            "du_dt": fd.du_dt_fd,
+            "dx_dt": fd.dx_dt_fd,
             "du_rel_err": fd.du_rel_err,
             "dx_rel_err": fd.dx_rel_err,
             "warm_start_jump": fd.warm_start_jump,
@@ -300,12 +293,12 @@ def _cmd_casestudy(args) -> tuple[dict, int]:
         "case": "case2",
         "n": rep.n, "density": rep.density, "seed": rep.seed,
         "epsilon": rep.epsilon,
-        "W": [float(v) for v in rep.w.ravel()],
-        "scaling": [float(v) for v in rep.scaling],
-        "certificate": report_to_dict(rep.certificate),
-        "x_solver": [float(v) for v in rep.x_solver],
-        "x_backward": [float(v) for v in rep.x_backward],
-        "x_transformed_back": [float(v) for v in rep.x_transformed_back],
+        "W": rep.w.ravel(),
+        "scaling": rep.scaling,
+        "certificate": vars(rep.certificate),
+        "x_solver": rep.x_solver,
+        "x_backward": rep.x_backward,
+        "x_transformed_back": rep.x_transformed_back,
         "solver_vs_backward": rep.solver_vs_backward,
         "solver_vs_transformed": rep.solver_vs_transformed,
         "mapped_ne_verified": rep.mapped_ne_verified,
@@ -321,7 +314,7 @@ def _cmd_oracle(args) -> tuple[dict, int]:
         "m": args.m,
         "eps": args.eps,
         "count": len(points),
-        "equilibria": [[float(v) for v in p] for p in points],
+        "equilibria": points,
     }, 0
 
 
@@ -466,8 +459,9 @@ def main(argv=None) -> int:
                 "elapsed_seconds": time.time() - started,
             }
             with open(args.meta, "w") as fh:
-                fh.write(json.dumps(meta, indent=2) + "\n")
-    except (InputError, OSError) as exc:  # an OSError here is an output path that cannot be written
+                fh.write(dumps_canonical(meta))
+    except (InputError, OSError, MemoryError) as exc:
+        # an OSError here is an output path that cannot be written, a MemoryError a size too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NetgoodsError as exc:

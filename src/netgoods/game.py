@@ -22,12 +22,10 @@ _ZERO = np.zeros(())  # 0 as a 0-d array, which numpy compares an array with fas
 
 @dataclass(frozen=True)
 class GainBounds:
-    """Componentwise gain interval [k_lo, k_hi] and externality interval [d_lo, d_hi]."""
+    """Componentwise gain interval [k_lo, k_hi] over the action box."""
 
     k_lo: np.ndarray
     k_hi: np.ndarray
-    d_lo: np.ndarray
-    d_hi: np.ndarray
 
 
 def _fold(spec: ScalarFunction) -> tuple[ScalarFunction, float, float]:
@@ -51,7 +49,8 @@ class Evaluator:
     same bits as the unfolded slope for a player without reparameterization).
     Every domain is unbounded above, and a value domain's only finite end is a
     log pole, open: ``value``, ``value_d1`` and ``value_d2`` raise DomainError
-    wherever the log argument mu*t + s is not > 0.  Nothing is clamped.
+    wherever the log argument mu*t + s is not > 0, and ``outside_domain``
+    tells where gains leave the domains.  Nothing is clamped.
 
     Rows, one entry per player: ``k_lo`` and ``x_lo``, the lower ends of the
     value and cost domains; the value parameters ``v_scale``, ``v_shift``,
@@ -199,6 +198,18 @@ class Evaluator:
         # the log argument mu*t + s at gains k, unchecked: 0 at a log pole
         return self.mu * self._t(k) + self.s
 
+    def outside_domain(self, k) -> tuple[np.ndarray, np.ndarray]:
+        """(outside, at_pole): where gains k leave the open value domains, and where that is at a log pole.
+
+        A gain is inside when it lies above the domain's lower end ``k_lo`` and
+        the folded log argument mu*t + s there is > 0: the fold can round a gain
+        a few ulps inside ``domain()`` onto the pole.  Every domain is unbounded
+        above and t does not decrease as k grows, so for a gain interval its
+        lower end decides.
+        """
+        at_pole = ~(self._arg(k) > 0.0)
+        return ~(k > self.k_lo) | at_pole, at_pole
+
     def _in_domain(self, k):
         # t and the log argument mu*t + s at gains k; DomainError where it is not > 0 (at or below a log pole)
         t = self._t(k)
@@ -220,9 +231,10 @@ class Evaluator:
             return (quad + self.log / self._arg(at) ** 2) / self.v_scale**2
 
     def cost(self, x: np.ndarray) -> np.ndarray:
-        """c_i(x_i)."""
+        """c_i(x_i); inf where it overflows."""
         t = (x - self.c_shift) / self.c_scale
-        return 0.5 * self.q * t * t + self.l * t
+        with np.errstate(over="ignore"):
+            return 0.5 * self.q * t * t + self.l * t
 
     def cost_d1(self, x: np.ndarray) -> np.ndarray:
         """c_i'(x_i)."""
@@ -240,7 +252,7 @@ class Evaluator:
         with the discriminant (dq*P - dl)^2 + 4*dq*L kept from rounding below 0.
         Meaningful where the root exists; callers clip it into the box.
         """
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # inf where a term overflows
             b = self.b2 / self.v_scale**2  # B
             curved = (self.a / self.v_scale - b * (d - self.v_shift) - self.dl) / (b + self.dq)
             quad = np.maximum(curved, -self.dl / self.dq)
@@ -322,16 +334,13 @@ class Game:
         object.__setattr__(self, "costs", costs)
 
         gb = _compute_gain_bounds(w, lower, upper)
-        for arr in (gb.k_lo, gb.k_hi, gb.d_lo, gb.d_hi):
+        for arr in (gb.k_lo, gb.k_hi):
             arr.setflags(write=False)
         object.__setattr__(self, "_gain_bounds", gb)
         object.__setattr__(self, "evaluator", ev)
 
-        # reachable gains must lie in the value domains, actions in the cost domains (all unbounded
-        # above).  A value domain's finite end is an open log pole, onto which the folded t can round
-        # a gain a few ulps inside it; t does not decrease as k grows, so the argument at k_lo decides
-        at_pole = ~(ev._arg(gb.k_lo) > 0.0)
-        bad_value = ~(gb.k_lo > ev.k_lo) | at_pole
+        # reachable gains must lie in the value domains, actions in the cost domains
+        bad_value, at_pole = ev.outside_domain(gb.k_lo)
         bad_cost = lower < ev.x_lo - COST_FLOOR_TOL
         if (bad_value | bad_cost).any():
             i = int(np.argmax(bad_value | bad_cost))
@@ -380,11 +389,10 @@ def gains(game: Game, x: np.ndarray) -> np.ndarray:
 
 
 def gain_bounds(game: Game) -> GainBounds:
-    """Tight componentwise bounds on gains and externalities over the box (read-only).
+    """Tight componentwise bounds on the gains k = W x over the box (read-only).
 
     Positive weights contribute their source's bound of matching direction,
-    negative weights the opposite one; the diagonal is excluded for the
-    externality interval.  Computed once, when the game is built.
+    negative weights the opposite one.  Computed once, when the game is built.
     """
     return game._gain_bounds
 
@@ -394,12 +402,7 @@ def _compute_gain_bounds(w: np.ndarray, lower: np.ndarray, upper: np.ndarray) ->
     neg = np.minimum(w, 0.0)
     k_lo = pos @ lower + neg @ upper
     k_hi = pos @ upper + neg @ lower
-    off = w - np.diag(np.diag(w))
-    pos_o = np.maximum(off, 0.0)
-    neg_o = np.minimum(off, 0.0)
-    d_lo = pos_o @ lower + neg_o @ upper
-    d_hi = pos_o @ upper + neg_o @ lower
-    return GainBounds(k_lo=k_lo, k_hi=k_hi, d_lo=d_lo, d_hi=d_hi)
+    return GainBounds(k_lo=k_lo, k_hi=k_hi)
 
 
 def utility_profile(game: Game, x: np.ndarray) -> tuple[np.ndarray, float]:

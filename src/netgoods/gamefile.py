@@ -9,7 +9,9 @@ listing its entries in strictly increasing row-major order (indices in
 every game invariant and reports field-precise errors; saving is canonical
 (sorted keys, fixed layout, and W as the object exactly when fewer than a
 third of its entries are other than +0.0, so -0.0 entries are kept), so
-load/save round-trips are byte-identical.
+load/save round-trips are byte-identical.  ``dumps_canonical``, which writes
+game files and every CLI report, is the one place that decides how a number
+is written: a numpy array as its list, a non-finite float as null.
 
 Every spec parameter, and every entry of W, lower and upper, must be a finite
 number.  A player entry identical to the one before it (same JSON, telling
@@ -180,9 +182,13 @@ def game_to_dict(game: Game) -> dict:
 
 
 def dumps_canonical(doc) -> str:
-    """Deterministic JSON: sorted keys, fixed indentation, trailing newline.
+    """Deterministic, strict JSON: sorted keys, fixed indentation, trailing newline.
 
-    The bytes are those of ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``,
+    This is the one place that decides how a number enters a report or a game
+    file: a numpy array is written as its ``tolist()``, and every non-finite
+    float, at any depth, as null (RFC 8259 has no NaN or Infinity), so no
+    caller converts either.  On a document of finite numbers and no arrays
+    the bytes are those of ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``,
     written directly: with an indent, json falls back to its pure-Python encoder.
     """
     return _encode(doc, "") + "\n"
@@ -191,6 +197,8 @@ def dumps_canonical(doc) -> str:
 def _encode(o, indent: str) -> str:
     if isinstance(o, str):
         return _quote(o)
+    if isinstance(o, np.ndarray):
+        o = o.tolist()
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
@@ -218,9 +226,7 @@ def _scalar(o) -> str:
     if isinstance(o, int):
         return int.__repr__(o)
     if isinstance(o, float):
-        if math.isfinite(o):
-            return float.__repr__(o)
-        return "NaN" if o != o else ("Infinity" if o > 0 else "-Infinity")
+        return float.__repr__(o) if math.isfinite(o) else "null"
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 

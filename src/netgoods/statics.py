@@ -186,13 +186,3 @@ def fd_check(
         dx_rel_err=_rel_err(closed.dx_dt, dx_fd),
         warm_start_jump=jump,
     )
-
-
-def statics_to_dict(result: StaticsResult) -> dict:
-    return {
-        "du_dt": [float(v) for v in result.du_dt],
-        "dx_dt": [float(v) for v in result.dx_dt],
-        "condition_number": float(result.condition_number),
-        "boundary_margin": float(result.boundary_margin),
-        "warnings": list(result.warnings),
-    }

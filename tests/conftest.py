@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -10,6 +12,14 @@ from netgoods.functions import (
     QuadraticCost,
 )
 from netgoods.game import Game
+
+
+def strict_loads(text: str):
+    """Parse JSON as RFC 8259 has it: NaN, Infinity and -Infinity raise."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def make_n1_game():

@@ -1,11 +1,10 @@
-import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import random_small_interaction_game
+from conftest import random_small_interaction_game, strict_loads
 from spectral_oracle import jacobi_eigenvalues
 from netgoods.certificates import (
     _eig_bounds,
@@ -16,13 +15,12 @@ from netgoods.certificates import (
     cert_near_potential,
     cert_near_symmetric,
     certify_any,
-    report_to_dict,
     spectral_bounds,
 )
 from netgoods.equilibrium import multi_start_probe, solve_ne
 from netgoods.equivalence import upper_triangular_normalizer
 from netgoods.errors import InputError
-from netgoods.functions import LinearCost, LogValue, QuadraticClippedValue, QuadraticCost
+from netgoods.functions import AffineReparam, LinearCost, LogValue, QuadraticClippedValue, QuadraticCost
 from netgoods.game import Game
 from netgoods.gamefile import dumps_canonical
 
@@ -402,6 +400,18 @@ class TestNearPotential:
         with pytest.raises(InputError, match="does not cover"):
             cert_near_potential(g, LogValue(a=1.0, s=0.1))
 
+    def test_f_common_pole_at_the_hull_end_is_refused(self):
+        # f_common's log pole is the hull's low end, 0: its open domain does not cover the hull,
+        # by the same rule that refuses such a game
+        g = Game(w=np.array([[1.0, 0.5], [0.5, 1.0]]), lower=np.zeros(2), upper=np.ones(2),
+                 values=(LogValue(a=1.0, s=1.0),) * 2, costs=(QuadraticCost(c0=1.0),) * 2)
+        f_common = AffineReparam(LogValue(a=1.0, s=1.0), scale=1.0, shift=1.0)
+        with pytest.raises(InputError, match=r"does not cover .* \(at or below its log pole\)"):
+            cert_near_potential(g, f_common)
+        tried = [a for a in certify_any(g, f_common=f_common).attempts if a["theorem"] == "near_potential"]
+        assert [(a["verdict"], a["margin"]) for a in tried] == [("inapplicable", None)]
+        assert "does not cover" in tried[0]["reason"]
+
 
 class TestNearSymmetric:
     def test_linear_costs_psd_w_zero_matrix_pass(self):
@@ -510,6 +520,11 @@ def near_pole_reports(g):
             cert_near_symmetric(g, np.eye(1))]
 
 
+def written(rep):
+    """A report as the CLI writes it, parsed back strictly."""
+    return strict_loads(dumps_canonical(vars(rep)))
+
+
 class TestCertifyAny:
     def test_non_finite_margin_fails_with_a_reason(self):
         g = near_pole_game()
@@ -517,20 +532,18 @@ class TestCertifyAny:
         best = certify_any(g)
         assert math.isnan(rep.margin) and rep.verdict == "fail"
         assert rep.notes[-1].startswith("margin is nan")
-        assert report_to_dict(rep)["slack"] is None  # l0 * 0 = nan: no bound, like the margin
+        assert math.isnan(rep.slack)  # l0 * 0 = nan: no bound, like the margin
+        assert written(rep)["slack"] is None and written(rep)["margin"] is None
         tried = {a["theorem"]: a for a in best.attempts}
         assert tried["near_individual"]["verdict"] == "fail"
+        assert math.isnan(tried["near_individual"]["margin"])
         assert tried["near_individual"]["reason"] == rep.notes[-1]
         # the potential certificate's matrix holds a nan, on which the SVD does not converge
         assert tried["near_potential"]["verdict"] == "fail"
         assert tried["near_potential"]["reason"].startswith("margin is nan")
 
     def test_non_finite_numbers_written_as_null(self):
-        def reject(constant):
-            raise ValueError(f"{constant} is not JSON")
-
-        docs = [json.loads(dumps_canonical(report_to_dict(rep)), parse_constant=reject)
-                for rep in near_pole_reports(near_pole_game())]
+        docs = [written(rep) for rep in near_pole_reports(near_pole_game())]
         assert docs[1]["details"]["l0"] is None and docs[1]["details"]["c"] == 2.0
         assert docs[2]["details"]["sigma_i"] == [None] and docs[2]["matrix"] == [[None]]
 
@@ -581,8 +594,10 @@ class TestCertifyAny:
             ("near_symmetric", "identity", "fail"),
             ("near_symmetric", "identity", "fail"),
         ]
-        assert [a["margin"] is None for a in rep.attempts] == [False, True, False, True]
-        assert rep.margin == max(a["margin"] for a in rep.attempts if a["margin"] is not None)
+        # the two inapplicable theorems report margin -inf, written as null
+        assert [math.isfinite(a["margin"]) for a in rep.attempts] == [True, False, True, False]
+        assert rep.margin == max(a["margin"] for a in rep.attempts)
+        assert [a["margin"] is None for a in written(rep)["attempts"]] == [False, True, False, True]
         # the clipped common value has a discontinuous f'' and W is not all-ones;
         # the symmetrized W of fig1a is indefinite
         reasons = [a["reason"] for a in rep.attempts]
@@ -598,10 +613,7 @@ class TestCertifyAny:
         assert "shape" in bad[0]["reason"]
 
     def test_report_serializes(self, fig1a_game):
-        import json
-
-        doc = report_to_dict(certify_any(fig1a_game))
-        json.dumps(doc)
+        doc = written(certify_any(fig1a_game))
         assert doc["verdict"] in ("pass", "fail")
         assert len(doc["matrix"]) == 4
         assert doc["slack"] > 0

@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_fig1a_game
+from conftest import make_fig1a_game, strict_loads
 from netgoods import cli
 from netgoods.casestudy import random_er_game
 from netgoods.cli import build_parser, main
-from netgoods.functions import QuadraticClippedValue
+from netgoods.functions import AffineReparam, LogValue, QuadraticClippedValue, QuadraticCost, spec_to_dict
+from netgoods.game import Game
 from netgoods.gamefile import game_to_dict, save_game
 
 
@@ -92,6 +93,15 @@ class TestVerify:
                         tmp_path / "r.json")
         assert code == 2 and doc is None
 
+    def test_overflowing_gap_is_written_as_null(self, tmp_path):
+        # a valid game whose cost overflows at the top of its box: the gap there is +inf
+        path, out = tmp_path / "g.json", tmp_path / "r.json"
+        save_game(Game(w=np.eye(1), lower=np.zeros(1), upper=np.array([1e5]),
+                       values=(QuadraticClippedValue(a=3.0, b=1.0),), costs=(QuadraticCost(c0=1e300),)), path)
+        assert main(["verify", "--game", str(path), "--x", "100000", "--out", str(out)]) == 0
+        doc = strict_loads(out.read_text())
+        assert doc["gap"] is None and doc["is_ne"] is False
+
 
 class TestDynamics:
     def test_sw_flow_with_csv(self, n1_path, tmp_path):
@@ -160,6 +170,16 @@ class TestCertify:
                         tmp_path / "r2.json")
         assert code == 2 and doc is None
         assert "--f-common is required for heterogeneous values" in capsys.readouterr().err
+
+    def test_f_common_at_its_log_pole_exits_2(self, tmp_path, capsys):
+        game, f_common = tmp_path / "g.json", tmp_path / "f.json"
+        save_game(Game(w=np.array([[1.0, 0.5], [0.5, 1.0]]), lower=np.zeros(2), upper=np.ones(2),
+                       values=(LogValue(a=1.0, s=1.0),) * 2, costs=(QuadraticCost(c0=1.0),) * 2), game)
+        f_common.write_text(json.dumps(spec_to_dict(AffineReparam(LogValue(a=1.0, s=1.0), 1.0, 1.0))))
+        code, doc = run(["certify", "--game", str(game), "--theorem", "near-potential",
+                         "--f-common", str(f_common)], tmp_path / "r.json")
+        assert code == 2 and doc is None
+        assert "does not cover the required interval" in capsys.readouterr().err
 
     def test_w0_from_matrix_file(self, fig1a_path, tmp_path):
         w0_path = tmp_path / "w0.json"
@@ -517,6 +537,16 @@ class TestContract:
         code, report = run(["solve", "--game", str(path)], tmp_path / "r.json")
         assert code == 2 and report is None
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--method", "multistart", "--n-starts", str(10**15)],  # 8 PB of starts
+        ["casestudy", "case2", "--n", str(10**7)],  # an 800 TB W
+    ], ids=["multistart", "case2"])
+    def test_size_too_large_to_allocate_exits_2(self, n1_path, tmp_path, capsys, argv):
+        game = [] if argv[0] == "casestudy" else ["--game", n1_path]
+        code, doc = run([*argv, *game], tmp_path / "r.json")
+        assert code == 2 and doc is None
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_reports_byte_identical_across_runs(self, tmp_path):
         args = ["casestudy", "case1", "--n", "8", "--p0", "1",

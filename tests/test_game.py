@@ -177,13 +177,7 @@ class TestGainBounds:
     def test_identity(self):
         g = make_game(np.eye(2), 0.25, 1.0)
         gb = gain_bounds(g)
-        assert np.allclose(gb.d_lo, 0) and np.allclose(gb.d_hi, 0)
         assert np.allclose(gb.k_lo, g.lower) and np.allclose(gb.k_hi, g.upper)
-
-    def test_fig1a_externalities(self, fig1a_game):
-        gb = gain_bounds(fig1a_game)
-        assert np.allclose(gb.d_lo, 0.0)
-        assert np.allclose(gb.d_hi, 2.0)
 
     def test_tightness_via_sign_split_vertex(self):
         rng = np.random.default_rng(11)
@@ -209,11 +203,8 @@ class TestGainBounds:
         assert gain_bounds(g) is gb
         # the formula the bounds were computed with before they were stored
         pos, neg = np.maximum(g.w, 0.0), np.minimum(g.w, 0.0)
-        off = g.w - np.diag(np.diag(g.w))
-        pos_o, neg_o = np.maximum(off, 0.0), np.minimum(off, 0.0)
-        want = (pos @ g.lower + neg @ g.upper, pos @ g.upper + neg @ g.lower,
-                pos_o @ g.lower + neg_o @ g.upper, pos_o @ g.upper + neg_o @ g.lower)
-        for got, ref in zip((gb.k_lo, gb.k_hi, gb.d_lo, gb.d_hi), want):
+        want = (pos @ g.lower + neg @ g.upper, pos @ g.upper + neg @ g.lower)
+        for got, ref in zip((gb.k_lo, gb.k_hi), want):
             assert got.tobytes() == ref.tobytes()
             with pytest.raises(ValueError):
                 got[0] = 0.0

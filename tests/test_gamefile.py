@@ -1,11 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conftest import games_and_profiles, make_fig1a_game, random_small_interaction_game
+from conftest import games_and_profiles, make_fig1a_game, random_small_interaction_game, strict_loads
 from netgoods import gamefile
 from netgoods.casestudy import random_er_game
 from netgoods.errors import InputError
@@ -132,25 +134,50 @@ def test_number_list_accepts_number_subclasses():
     assert game_from_dict(doc).lower[0] == 0.0
 
 
-_json_scalars = (st.none() | st.booleans() | st.integers(min_value=-10**40, max_value=10**40)
-                 | st.floats(allow_nan=True, allow_infinity=True)
-                 | st.text(alphabet=st.characters(codec="utf-8"), max_size=8))
-_json_docs = st.recursive(
-    _json_scalars | st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=6),
-    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
-                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
-    max_leaves=25,
-)
+def _docs(floats, leaves=st.nothing()):
+    """JSON-like documents of these floats, plus the extra leaves given."""
+    scalars = (st.none() | st.booleans() | st.integers(min_value=-10**40, max_value=10**40) | floats
+               | st.text(alphabet=st.characters(codec="utf-8"), max_size=8))
+    return st.recursive(
+        scalars | st.lists(floats, max_size=6) | leaves,
+        lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                       | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+        max_leaves=25,
+    )
+
+
+_any_floats = st.floats(allow_nan=True, allow_infinity=True)
+_arrays = hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=4), elements=_any_floats)
+
+
+def _as_written(o):
+    """The document the encoder promises to write: arrays as lists, non-finite floats as None."""
+    if isinstance(o, np.ndarray):
+        return _as_written(o.tolist())
+    if isinstance(o, (list, tuple)):
+        return [_as_written(v) for v in o]
+    if isinstance(o, dict):
+        return {k: _as_written(v) for k, v in o.items()}
+    return None if isinstance(o, float) and not math.isfinite(o) else o
 
 
 @settings(max_examples=200, deadline=None)
-@given(_json_docs)
+@given(_docs(st.floats(allow_nan=False, allow_infinity=False)))
 def test_dumps_canonical_is_json_dumps(doc):
     assert dumps_canonical(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+@settings(max_examples=200, deadline=None)
+@given(_docs(_any_floats, _arrays))
+def test_dumps_canonical_writes_arrays_as_lists_and_non_finite_floats_as_null(doc):
+    text = dumps_canonical(doc)
+    want = _as_written(doc)
+    assert strict_loads(text) == want
+    assert text == json.dumps(want, sort_keys=True, indent=2) + "\n"
+
+
 def test_dumps_canonical_rejects_what_json_rejects():
-    for doc in ({"a": {1, 2}}, [np.arange(2)], {("k",): 1}):
+    for doc in ({"a": {1, 2}}, {("k",): 1}):
         with pytest.raises(TypeError) as want:
             json.dumps(doc, sort_keys=True, indent=2)
         with pytest.raises(TypeError) as got:

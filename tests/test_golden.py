@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_fig1a_game, make_n1_game, make_two_player_symmetric, make_two_player_triangular
+from conftest import (make_fig1a_game, make_n1_game, make_two_player_symmetric, make_two_player_triangular,
+                      strict_loads)
 from netgoods.cli import main
 from netgoods.functions import AffineReparam, LinearCost, LogValue, QuadraticClippedValue, QuadraticCost
 from netgoods.game import Game
@@ -97,6 +98,11 @@ def test_report_bytes_match_the_recorded_copy(case, tmp_path, monkeypatch):
     assert f"{case}.json" in outputs, "the command wrote no report"
     for name, data in outputs.items():
         assert data == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.iterdir()))
+def test_golden_file_is_strict_json(name):
+    strict_loads((GOLDEN / name).read_text())
 
 
 def test_every_golden_file_has_a_case():
