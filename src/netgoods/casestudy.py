@@ -19,7 +19,7 @@ import numpy as np
 from .certificates import CertificateReport, _peak, _sigma_bound, cert_near_symmetric, coupling_residual
 from .equilibrium import backward_induction, solve_ne, verify_ne
 from .equivalence import auto_epsilon, map_profile, transform_game, upper_triangular_normalizer
-from .errors import InputError
+from .errors import InputError, check_shape
 from .functions import QuadraticClippedValue, QuadraticCost
 from .game import Game
 
@@ -31,7 +31,7 @@ INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
 INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
 MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 XSHIFT = 16
-#: case-1 samples per drawn chunk and per stacked sigma_max bound; bounds the stacks' memory
+#: case-1 samples per drawn chunk; bounds the memory of the chunk's W and residual stacks
 SIGMA_CHUNK = 16
 
 
@@ -73,11 +73,11 @@ class Case1Report:
     def sigma_maxes(self) -> np.ndarray:
         """Each sample's ``_sigma_bound`` of its residual, from its W drawn again by its seed.
 
-        The chunks are those of ``monte_carlo_case1``; every sample gets the
-        bits of its residual bounded alone.
+        The residuals come in the chunks of ``monte_carlo_case1`` and are
+        bounded one at a time.
         """
         chunks = _residual_chunks(self.n, _edge_probability(self.n, self.p0), self.sample_seeds)
-        return np.concatenate([_sigma_bound(residual)[0] for residual in chunks])
+        return np.array([_sigma_bound(r)[0] for residual in chunks for r in residual])
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,7 @@ def _er_matrices(n: int, p: float, seeds) -> np.ndarray:
     Each seed must lie in [0, 2**64): numpy refuses any other key word with
     an ``OverflowError`` (``_er_matrix`` checks its seed for an InputError).
     """
-    w = np.empty((len(seeds), n, n))
+    w = np.empty(check_shape((len(seeds), n, n), "n"))
     bits = np.random.Philox(0)
     rng = np.random.Generator(bits)
     for k, seed in enumerate(seeds):
@@ -305,9 +305,10 @@ def monte_carlo_case1(
     (``Case1Report.certified``) is decided from a bracket: sigma_max is at
     least the residual's largest entry (``_peak``), so a sample whose peak
     reaches the threshold fails without an eigen-solve, and only the others
-    go, as one sub-stack, to ``_sigma_bound``.  That bound is floored at the
-    peak, so each verdict is whether ``Case1Report.sigma_maxes`` lies below
-    the threshold; those bounds are computed only when that column is read.
+    go, one residual at a time, to ``_sigma_bound``.  That bound is floored
+    at the peak, so each verdict is whether ``Case1Report.sigma_maxes`` lies
+    below the threshold; those bounds are computed only when that column is
+    read.
     """
     if not 100 <= samples <= 1 << 32:
         raise InputError(f"need 100 <= samples <= 2**32, got {samples}")
@@ -323,8 +324,7 @@ def monte_carlo_case1(
     for residual in _residual_chunks(n, p, seeds):
         delta = residual.sum(axis=-1)
         below = _peak(residual) < threshold  # the rest fail: sigma_max >= peak >= threshold
-        if below.any():
-            below[below] = _sigma_bound(residual[below])[0] < threshold
+        below[below] = [_sigma_bound(r)[0] < threshold for r in residual[below]]
         chunks.append((np.mean(delta, axis=-1), np.mean(delta**2, axis=-1), delta.max(axis=-1), below))
     means, sq_means, inf_norms, certified = map(np.concatenate, zip(*chunks))
 
@@ -351,6 +351,7 @@ def random_upper_triangular(n: int, density: float, seed: int) -> np.ndarray:
         raise InputError(f"need n >= 1, got {n}")
     if not 0.0 <= density <= 1.0:
         raise InputError(f"density must lie in [0, 1], got {density}")
+    check_shape((n, n), "n")
     rng = _philox(seed, stream=1)
     w = np.eye(n)
     iu = np.triu_indices(n, k=1)

@@ -65,19 +65,19 @@ def _peak(m: np.ndarray) -> np.ndarray:
     return np.abs(m).max(axis=(-2, -1), initial=0.0)
 
 
-def _pow2_scale(m: np.ndarray, peak: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(2^-e M, e) for each matrix of a stack, 2^e putting its ``_peak`` in [1/2, 1).
+def _pow2_scale(m: np.ndarray, peak: float) -> tuple[np.ndarray, int]:
+    """(2^-e M, e), 2^e putting M's ``_peak`` in [1/2, 1).
 
     The scaling is exact except for entries that land below 2^-1022, which
     move by at most 2^-1075 each; the scaled matrix's squares and sums of
     squares neither over- nor underflow.
     """
-    _, e = np.frexp(peak)
-    return np.ldexp(m, -e[..., None, None]), e
+    e = math.frexp(peak)[1]
+    return np.ldexp(m, -e), e
 
 
-def _slack(m: np.ndarray) -> np.ndarray:
-    """Rounding slack c * n * u * ||M||_F of the eigenvalues of each matrix of an (..., n, n) stack.
+def _slack(m: np.ndarray) -> float:
+    """Rounding slack c * n * u * ||M||_F of the eigenvalues of the n x n matrix M.
 
     LAPACK's symmetric eigen-solver is backward stable: the values it returns
     are exact for some M + E with ||E||_2 <= p(n) u ||M||_2, p(n) a modest
@@ -89,73 +89,62 @@ def _slack(m: np.ndarray) -> np.ndarray:
     two (``_pow2_scale``), so it neither over- nor underflows, and scaled back:
     at ordinary scales that moves no bit.
     """
-    s, e = _pow2_scale(m, _peak(m))
-    return np.ldexp(SLACK_C * m.shape[-1] * UNIT_ROUNDOFF * np.linalg.norm(s, axis=(-2, -1)), e)
+    s, e = _pow2_scale(m, float(_peak(m)))
+    return math.ldexp(SLACK_C * m.shape[-1] * UNIT_ROUNDOFF * float(np.linalg.norm(s, axis=(-2, -1))), e)
 
 
-def _sigma_bound(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(upper bound on sigma_max, its slack) for each matrix of an (..., r, c) stack.
+def _sigma_bound(m: np.ndarray) -> tuple[float, float]:
+    """(upper bound on sigma_max, its slack) of the r x c matrix M.
 
     Zero rows do not change M^T M, so they are dropped first: sigma_max(M) is
-    that of the k x c matrix S of M's non-zero rows, exactly, and a matrix
-    with k = 0 gets 0 for both without an eigen-solve.  A stack whose members
-    have different k is bounded one k at a time, so each member gets the bits
-    it gets alone.  sigma_max(S)^2 is the largest eigenvalue of the Gram
-    matrix on S's smaller side, G = S S^T when k < c and S^T S otherwise, so
-    a square M without zero rows keeps the plain M^T M.  Each S is first
-    scaled by a power of two (``_pow2_scale``), so neither G nor ||M||_F^2
-    over- or underflows.  With n the larger side of M, which bounds both G's
-    order and the length of the inner products that form it, the computed G
-    is within gamma_n ||M||_F^2 of the exact one in the 2-norm (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, section 3.5), and
-    ``eigvalsh`` is backward stable with error p(n) u ||G||_2, p(n) <= 6n as
-    in ``_slack``; by Weyl's theorem sigma_max^2 <= lambda_hat + SLACK_C n u
-    ||M||_F^2, the SLACK_C * n = 8n covering both terms (7n) and the rounding
-    of ||M||_F^2, of the sum and of the square root.  Like ``_slack`` this
-    rests on LAPACK's backward-error model; the rounding in forming a
-    certificate matrix (up to (n + 2) u relative per non-negative entry) is
-    left to the remaining n and to p(n) falling well short of 6n in practice.
-    The bound is 2^e sqrt(max(lambda_hat, 0) + that slack), floored at
-    ``_peak(M)``: sigma_max(M) >= |e_i^T M e_j| = |m_ij| for every entry, and
-    the peak is exact, so the floor holds whatever LAPACK returns and makes
-    "peak >= t" imply "bound >= t" for any threshold t.  The slack is the
-    bound minus 2^e sqrt(max(lambda_hat, 0)).  A matrix with a non-finite
-    entry gets nan for both, and LAPACK never sees it.
+    that of the k x c matrix S of M's non-zero rows, exactly, and k = 0 gives
+    0 for both without an eigen-solve.  sigma_max(S)^2 is the largest
+    eigenvalue of the Gram matrix on S's smaller side, G = S S^T when k < c
+    and S^T S otherwise, so a square M without zero rows keeps the plain
+    M^T M.  S is first scaled by a power of two (``_pow2_scale``), so neither
+    G nor ||M||_F^2 over- or underflows.  With n the larger side of M, which
+    bounds both G's order and the length of the inner products that form it,
+    the computed G is within gamma_n ||M||_F^2 of the exact one in the 2-norm
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, section 3.5),
+    and ``eigvalsh`` is backward stable with error p(n) u ||G||_2, p(n) <= 6n
+    as in ``_slack``; by Weyl's theorem sigma_max^2 <= lambda_hat + SLACK_C n
+    u ||M||_F^2, the SLACK_C * n = 8n covering both terms (7n) and the
+    rounding of ||M||_F^2, of the sum and of the square root.  Like
+    ``_slack`` this rests on LAPACK's backward-error model; the rounding in
+    forming a certificate matrix (up to (n + 2) u relative per non-negative
+    entry) is left to the remaining n and to p(n) falling well short of 6n in
+    practice.  The bound is 2^e sqrt(max(lambda_hat, 0) + that slack),
+    floored at ``_peak(M)``: sigma_max(M) >= |e_i^T M e_j| = |m_ij| for every
+    entry, and the peak is exact, so the floor holds whatever LAPACK returns
+    and makes "peak >= t" imply "bound >= t" for any threshold t.  The slack
+    is the bound minus 2^e sqrt(max(lambda_hat, 0)).  A matrix with a
+    non-finite entry gets nan for both, and LAPACK never sees it.
     """
-    peak = _peak(m)
-    finite = np.isfinite(peak)
-    if not finite.all():
-        top, slack = np.full(m.shape[:-2], np.nan), np.full(m.shape[:-2], np.nan)
-        top[finite], slack[finite] = _sigma_bound(m[finite])
-        return top, slack
-    n = max(m.shape[-2:])
-    nonzero = m.any(axis=-1)  # (..., r): the rows that are not zero
-    if m.shape[-2] and nonzero.all():
-        return _gram_bound(m, n, peak)
-    counts = np.count_nonzero(nonzero, axis=-1)
-    top, slack = np.zeros(m.shape[:-2]), np.zeros(m.shape[:-2])
-    for k in sorted(set(counts.ravel().tolist()) - {0}):
-        pick = counts == k
-        top[pick], slack[pick] = _gram_bound(
-            m[pick][nonzero[pick]].reshape(-1, k, m.shape[-1]), n, peak[pick])
-    return top, slack
-
-
-def _gram_bound(m: np.ndarray, n: int, peak: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_sigma_bound`` of each matrix of a finite stack by the Gram on its smaller side; n sets the slack."""
-    s, e = _pow2_scale(m, peak)
-    g = s @ np.swapaxes(s, -1, -2) if s.shape[-2] < s.shape[-1] else np.swapaxes(s, -1, -2) @ s
-    lam = np.maximum(np.linalg.eigvalsh(g)[..., -1], 0.0)
-    fro2 = np.trace(g, axis1=-2, axis2=-1)  # ||M||_F^2, scaled
+    peak = float(_peak(m))
+    if not math.isfinite(peak):
+        return math.nan, math.nan
+    if peak == 0.0:  # no row is non-zero
+        return 0.0, 0.0
+    n = max(m.shape)
+    s, e = _pow2_scale(m[m.any(axis=1)], peak)
+    g = s @ s.T if s.shape[0] < s.shape[1] else s.T @ s
+    lam = max(float(np.linalg.eigvalsh(g)[-1]), 0.0)
+    fro2 = float(np.trace(g))  # ||M||_F^2, scaled
     # the scaled peak 2^-e peak is exact, in [1/2, 1)
-    top = np.maximum(np.sqrt(lam + SLACK_C * n * UNIT_ROUNDOFF * fro2), np.ldexp(peak, -e))
-    return np.ldexp(top, e), np.ldexp(top - np.sqrt(lam), e)
+    top = max(math.sqrt(lam + SLACK_C * n * UNIT_ROUNDOFF * fro2), math.ldexp(peak, -e))
+    # a bound past the largest float is inf, as numpy's ldexp gives it
+    return float(np.ldexp(top, e)), float(np.ldexp(top - math.sqrt(lam), e))
+
+
+def _symmetric_part(m: np.ndarray) -> np.ndarray:
+    """(M + M^T) / 2, halved before the sum so that it overflows only where the result does."""
+    return 0.5 * m + 0.5 * m.T
 
 
 def _eig_bounds(m: np.ndarray) -> tuple[float, float, float]:
     """(lower bound on lambda_min, upper bound on lambda_max, slack) of m's symmetric part."""
-    eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
-    slack = float(_slack(m))
+    eigs = np.linalg.eigvalsh(_symmetric_part(m))
+    slack = _slack(m)
     return float(eigs[0]) - slack, float(eigs[-1]) + slack, slack
 
 
@@ -165,7 +154,7 @@ def _lambda_min_bound(w0: np.ndarray) -> tuple[float, float]:
     The identity needs no eigen-solve: its eigenvalues are exactly 1.
     """
     if np.count_nonzero(w0) == w0.shape[0] and np.all(np.diag(w0) == 1.0):
-        slack = float(_slack(w0))
+        slack = _slack(w0)
         return 1.0 - slack, slack
     lo, _, slack = _eig_bounds(w0)
     return lo, slack
@@ -185,8 +174,7 @@ def spectral_bounds(m: np.ndarray) -> tuple[float, tuple[float, float] | None]:
         raise InputError(f"need a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InputError("matrix has non-finite entries")
-    sigma, _ = _sigma_bound(m)
-    return float(sigma), _eig_bounds(m)[:2] if _symmetric(m) else None
+    return _sigma_bound(m)[0], _eig_bounds(m)[:2] if _symmetric(m) else None
 
 
 def _symmetric(m: np.ndarray) -> bool:
@@ -215,10 +203,9 @@ def _report(theorem: str, game: Game, gamma: np.ndarray, matrix: np.ndarray, thr
         sigma_max, margin, slack = math.inf, -math.inf, extra_slack
         notes += (inapplicable,)
     else:
-        s_max, s_slack = _sigma_bound(matrix)
-        sigma_max = float(s_max)
+        sigma_max, s_slack = _sigma_bound(matrix)
         margin = threshold - weight * sigma_max
-        slack = extra_slack + weight * float(s_slack)
+        slack = extra_slack + weight * s_slack
         if threshold == 0.0:
             notes += ("zero modulus: no strong concavity available",)
         if not math.isfinite(margin):
@@ -342,7 +329,7 @@ def cert_near_symmetric(game: Game, w0: np.ndarray) -> CertificateReport:
     if np.max(np.abs(np.diag(w0) - 1.0)) > 1e-12:
         raise InputError("W0 must have unit diagonal")
 
-    w0 = 0.5 * (w0 + w0.T)
+    w0 = _symmetric_part(w0)
     sigma_0, slack_0 = _lambda_min_bound(w0)
     gb = gain_bounds(game)
     l_costs = game.evaluator.dq
@@ -363,7 +350,7 @@ def cert_near_symmetric(game: Game, w0: np.ndarray) -> CertificateReport:
 
 def _sym_candidates(game: Game) -> list[np.ndarray]:
     cands = [np.eye(game.n)]
-    sym = 0.5 * (game.w + game.w.T)
+    sym = _symmetric_part(game.w)
     if np.max(np.abs(sym - np.eye(game.n))) > 0:
         cands.append(sym)
     return cands

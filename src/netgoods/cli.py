@@ -24,6 +24,7 @@ import numpy as np
 
 from . import casestudy as cs
 from .certificates import (
+    _symmetric_part,
     cert_near_individual,
     cert_near_potential,
     cert_near_symmetric,
@@ -171,7 +172,7 @@ def _load_w0(args, game) -> np.ndarray:
     if args.w0 == "identity":
         return np.eye(game.n)
     if args.w0 == "symmetrized":
-        return 0.5 * (game.w + game.w.T)
+        return _symmetric_part(game.w)
     doc = _read_json(args.w0, "--w0 file")
     n, where = game.n, f"--w0: {args.w0}"
     if isinstance(doc, list) and len(doc) == n and all(isinstance(row, list) for row in doc):  # n rows

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import _sigma_bound
-from .errors import InputError
+from .errors import InputError, check_shape
 from .game import (Game, _pseudo_gradient, _require_upper_triangular, _weights, best_response, br_gap,
                    gain_bounds)
 
@@ -60,8 +60,7 @@ def default_step_eps(game: Game, gamma: np.ndarray) -> float:
     gb, ev = gain_bounds(game), game.evaluator
     l_val = float(np.max(gamma * ev.value_lipschitz_d1(gb.k_lo, gb.k_hi)))
     l_cost = float(np.max(gamma * ev.dq))
-    s_w = float(_sigma_bound(np.abs(game.w))[0])
-    scale = l_val * s_w + l_cost
+    scale = l_val * _sigma_bound(np.abs(game.w))[0] + l_cost
     return float(np.clip(0.5 / (1.0 + scale), *_STEP_RANGE))
 
 
@@ -213,7 +212,7 @@ def multi_start_probe(
         raise InputError(f"cluster_tol must be non-negative and finite, got {cluster_tol}")
     gamma_v, eps, _ = _prep(game, gamma, step_eps, None, tol, max_iter)
     rng = np.random.default_rng(seed)
-    xs = game.lower + rng.random((n_starts, game.n)) * (game.upper - game.lower)
+    xs = game.lower + rng.random(check_shape((n_starts, game.n), "n_starts")) * (game.upper - game.lower)
     status, iters, residuals = _iterate(game, None, gamma_v, eps, xs, tol, max_iter)
     converged = np.nonzero(status == "converged")[0]
     reps: list[SolveResult] = []

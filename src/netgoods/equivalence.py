@@ -88,8 +88,8 @@ def transform_game(game: Game, emap: EquivalenceMap) -> Game:
     m = emap.shifts(game)
     w2 = (d[:, None] * game.w) / d[None, :]
     np.fill_diagonal(w2, 1.0)
-    lower2 = d * game.lower + b
-    upper2 = d * game.upper + b
+    with np.errstate(over="ignore"):  # a bound that overflows is inf, which the check below rejects
+        lower2, upper2 = d * game.lower + b, d * game.upper + b
     if np.max(np.abs(np.concatenate([lower2, upper2]))) > MAX_MAPPED_BOUND:
         raise InputError(f"mapped bounds exceed {MAX_MAPPED_BOUND:g}; map rejected")
     def reparam(spec, scale, shift):

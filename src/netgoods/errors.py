@@ -1,5 +1,9 @@
 """Exception hierarchy shared across the package."""
 
+import math
+
+import numpy as np
+
 
 class NetgoodsError(Exception):
     """Base class for all package errors."""
@@ -31,3 +35,10 @@ class IntegrationError(NumericsError):
 
 class SingularMatrixError(NumericsError):
     """A linear system was singular or numerically unsolvable."""
+
+
+def check_shape(shape: tuple[int, ...], what: str) -> tuple[int, ...]:
+    """The shape, or InputError naming ``what`` when a float64 array of it has more bytes than numpy can index."""
+    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+        raise InputError(f"{what} is too large: an array of shape {shape} exceeds {np.iinfo(np.intp).max} bytes")
+    return shape

@@ -142,7 +142,7 @@ _FAMILIES = {
     tag: (cls, tuple(f.name for f in fields(cls)), row)
     for tag, cls, row in (
         ("quadratic_clipped_value", QuadraticClippedValue,
-         lambda f: (f.a, f.b, 2.0 * f.b, f.a / (2.0 * f.b), f.a**2 / (4.0 * f.b), -0.0, 0.0, 1.0)),
+         lambda f: (f.a, f.b, 2.0 * f.b, f.a / (2.0 * f.b), f.a * f.a / (4.0 * f.b), -0.0, 0.0, 1.0)),
         ("quadratic_cost", QuadraticCost, lambda c: (c.c0, 0.0)),
         ("linear_cost", LinearCost, lambda c: (0.0, c.c1)),
         ("log_value", LogValue, lambda f: (0.0, 0.0, 0.0, -math.inf, -0.0, f.a, 1.0, f.s)),

@@ -254,8 +254,8 @@ class TestMonteCarloCase1:
         assert sigma.shape == (100,) and np.all(sigma >= 0.5)
 
     def test_partial_buckets_keep_sample_order(self):
-        # at n = 5, p0 = 0.5 the residuals have 0 to 4 non-zero rows, so _sigma_bound
-        # bounds each chunk's stack one count at a time; each sample keeps its own bound
+        # at n = 5, p0 = 0.5 the residuals of one chunk have 0 to 4 non-zero rows;
+        # each sample keeps the bound of its residual alone, in sample order
         from netgoods.casestudy import SIGMA_CHUNK, sample_seed
         from netgoods.certificates import _sigma_bound
 

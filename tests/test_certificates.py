@@ -78,39 +78,14 @@ class TestSpectralBounds:
         s, _ = spectral_bounds(m)
         assert s == pytest.approx(2.0, abs=1e-9)
 
-    def test_non_finite_matrix_in_a_stack_gets_nan_alone(self):
-        rng = np.random.default_rng(79)
-        stack = rng.normal(size=(4, 3, 3))
-        stack[1, 0, 2], stack[3, 1, 1] = math.nan, math.inf
-        got, slack = _sigma_bound(stack)
-        assert np.isnan(got[[1, 3]]).all()
-        for k in (0, 2):  # the finite matrices keep their bits
-            want, want_slack = _sigma_bound(stack[k])
-            assert got[k] == want and slack[k] == want_slack
-
-    def test_stack_matches_single_at_full_size(self):
-        # monte_carlo_case1 bounds its residuals in stacks; each must get its own bits
-        stack = np.random.default_rng(80).normal(size=(8, 50, 50))
-        got, slack = _sigma_bound(stack)
-        for k in range(len(stack)):
-            want, want_slack = _sigma_bound(stack[k])
-            assert got[k] == want and slack[k] == want_slack
-
-    def test_stack_mixing_row_counts_matches_single(self, eigvalsh_shapes):
-        # members with different non-zero row counts are bounded one count at a time
-        rng = np.random.default_rng(85)
-        stack = rng.normal(size=(6, 9, 9))
-        for k, zero_rows in enumerate(([], [0], [2, 5], [1, 3, 7], [4], range(9))):
-            stack[k, list(zero_rows)] = 0.0
-        got, slack = _sigma_bound(stack)
-        # the all-zero member is not solved
-        assert sum(int(np.prod(shape[:-2])) for shape in eigvalsh_shapes) == 5
-        assert got[5] == 0.0 and slack[5] == 0.0
-        for k in range(len(stack)):
-            want, want_slack = _sigma_bound(stack[k])
-            assert got[k] == want and slack[k] == want_slack
-        eigvalsh_shapes.clear()
-        assert _sigma_bound(stack[5]) == (0.0, 0.0) and not eigvalsh_shapes
+    def test_non_finite_matrix_gets_nan_without_eigen_solve(self, eigvalsh_shapes):
+        m = np.random.default_rng(79).normal(size=(3, 3))
+        for value in (math.nan, math.inf, -math.inf):
+            bad = m.copy()
+            bad[1, 2] = value
+            got, slack = _sigma_bound(bad)
+            assert math.isnan(got) and math.isnan(slack)
+        assert not eigvalsh_shapes
 
     def test_bound_is_floored_at_the_largest_entry(self, monkeypatch):
         # sigma_max >= max |m_ij|, so an eigen-solve that falls short never takes the
@@ -118,16 +93,15 @@ class TestSpectralBounds:
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: 0.01 * eigvalsh(g))
         rng = np.random.default_rng(87)
-        stack = rng.normal(size=(3, 6, 6)) * np.array([1.0, 1e-200, 1e200])[:, None, None]
-        stack[1, [0, 4]] = 0.0  # a member with zero rows goes through the row-count path
-        peak = _peak(stack)
-        got, slack = _sigma_bound(stack)
-        assert np.array_equal(got, peak)
-        for k in range(len(stack)):
-            assert _sigma_bound(stack[k])[0] == peak[k]
-        assert np.all(slack > 0.0) and np.all(slack <= got)
+        for k, scale in enumerate((1.0, 1e-200, 1e200)):
+            m = rng.normal(size=(6, 6)) * scale
+            if k == 1:
+                m[[0, 4]] = 0.0  # zero rows are dropped before the Gram
+            got, slack = _sigma_bound(m)
+            assert got == _peak(m)
+            assert 0.0 < slack <= got
 
-    def test_zero_rows_removed_keep_bits(self):
+    def test_zero_rows_removed_keep_bits(self, eigvalsh_shapes):
         rng = np.random.default_rng(86)
         for n in (2, 7, 30):
             m = rng.normal(size=(n, n))
@@ -135,6 +109,9 @@ class TestSpectralBounds:
             m[0] = rng.normal(size=n)
             kept = m[m.any(axis=1)]
             assert _sigma_bound(m) == _sigma_bound(kept)
+        # an all-zero matrix is not solved
+        eigvalsh_shapes.clear()
+        assert _sigma_bound(np.zeros((9, 9))) == (0.0, 0.0) and not eigvalsh_shapes
 
     def test_rectangular_gram_on_smaller_side(self, eigvalsh_shapes):
         m = np.random.default_rng(87).normal(size=(3, 7))
@@ -236,6 +213,14 @@ class TestSpectralSoundness:
                 assert lo_mp - lo <= 1e-12 * size and hi - hi_mp <= 1e-12 * size
                 if size > 0:
                     assert lo < lo_mp and hi > hi_mp  # widened, not just rounded
+        # the symmetric part of entries near the largest float: summed first, they overflow
+        m = np.array([[1.0, 1.7e308], [1.7e308, 1.0]])
+        lo_mp, hi_mp = _mp_extreme_eigs(m, mpmath)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, (lo, hi) = spectral_bounds(m)
+        assert lo < lo_mp and hi > hi_mp
+        assert lo_mp - lo <= 1e-12 * hi_mp and hi - hi_mp <= 1e-12 * hi_mp
 
 
 class TestJacobi:

@@ -102,6 +102,14 @@ class TestVerify:
         doc = strict_loads(out.read_text())
         assert doc["gap"] is None and doc["is_ne"] is False
 
+    def test_clipped_value_with_a_huge_peak(self, tmp_path):
+        # the value's peak a^2/(4b) overflows a float: it reads inf, and only gains past the clip read it
+        path, out = tmp_path / "g.json", tmp_path / "r.json"
+        save_game(Game(w=np.eye(1), lower=np.zeros(1), upper=np.ones(1),
+                       values=(QuadraticClippedValue(a=1e200, b=1.0),), costs=(QuadraticCost(c0=1.0),)), path)
+        assert main(["verify", "--game", str(path), "--x", "0.5", "--out", str(out)]) == 0
+        assert strict_loads(out.read_text())["is_ne"] is False
+
 
 class TestDynamics:
     def test_sw_flow_with_csv(self, n1_path, tmp_path):
@@ -202,6 +210,18 @@ class TestCertify:
                          "--w0", str(w0_path)], tmp_path / "r.json")
         assert code == 2 and doc is None
         assert "W0 has non-finite entries" in capsys.readouterr().err
+
+    def test_w0_near_the_largest_float(self, fig1a_path, tmp_path):
+        # W0's symmetric part would overflow if its entries were summed before halving
+        w0 = np.eye(4)
+        w0[0, 1] = w0[1, 0] = 1.7e308
+        w0_path = tmp_path / "w0.json"
+        w0_path.write_text(json.dumps(w0.ravel().tolist()))
+        code, doc = run(["certify", "--game", fig1a_path, "--theorem", "near-symmetric",
+                         "--w0", str(w0_path)], tmp_path / "r.json")
+        assert code == 0 and doc["verdict"] == "fail"
+        assert doc["details"]["sigma_0"] == doc["threshold"] < -1.7e308
+        assert doc["notes"][-1] == "W0 is not positive definite beyond the rounding slack"
 
     def test_maps_file_enables_transform_pass(self, tmp_path, two_player_triangular):
         src = tmp_path / "tri.json"
@@ -357,6 +377,12 @@ class TestCasestudy:
         code, doc = run(["casestudy", "case2", "--n", n, "--seed", "5"], tmp_path / "r.json")
         assert code == 2 and doc is None
         assert "error: scaling overflow: eps^-n = 10^" in capsys.readouterr().err
+
+    def test_case2_huge_value_peak_exits_2(self, tmp_path, capsys):
+        # the value's peak a^2/(4b) overflows a float; the mapped box does too, and the map is refused
+        code, doc = run(["casestudy", "case2", "--n", "3", "--a", "1e308"], tmp_path / "r.json")
+        assert code == 2 and doc is None
+        assert "error: mapped bounds exceed" in capsys.readouterr().err
 
     def test_case2(self, tmp_path):
         code, doc = run(
@@ -541,7 +567,12 @@ class TestContract:
     @pytest.mark.parametrize("argv", [
         ["solve", "--method", "multistart", "--n-starts", str(10**15)],  # 8 PB of starts
         ["casestudy", "case2", "--n", str(10**7)],  # an 800 TB W
-    ], ids=["multistart", "case2"])
+        # more bytes than numpy can index: refused before any allocation
+        ["casestudy", "case1", "--n", str(10**10), "--samples", "100"],
+        ["casestudy", "case2", "--n", str(10**10)],
+        ["casestudy", "case1", "--n", str(10**20), "--samples", "100"],
+        ["solve", "--method", "multistart", "--n-starts", str(10**20)],
+    ], ids=["multistart", "case2", "case1-index", "case2-index", "case1-dimension", "multistart-dimension"])
     def test_size_too_large_to_allocate_exits_2(self, n1_path, tmp_path, capsys, argv):
         game = [] if argv[0] == "casestudy" else ["--game", n1_path]
         code, doc = run([*argv, *game], tmp_path / "r.json")

@@ -42,8 +42,9 @@ b = 1, c0 = 1), on the draws of ``sample_seed(5, s)``:
 - drawing one chunk of ``SIGMA_CHUNK`` interaction matrices (``_er_matrices``);
 - ``coupling_residual`` on that chunk, the one stack the Monte Carlo reads
   its delta statistics (row sums) and certificate verdicts from;
-- ``_sigma_bound`` on the chunk's ``SIGMA_CHUNK`` coupling residuals, the
-  stack the Monte Carlo bounds (it drops their zero rows itself);
+- ``_sigma_bound`` on each of the chunk's ``SIGMA_CHUNK`` coupling
+  residuals, one matrix at a time, as the ``sigma_maxes`` column bounds
+  them (it drops their zero rows itself);
 - ``monte_carlo_case1`` with 100 samples;
 - ``case1_sigma_maxes``: the same Monte Carlo, then a read of its
   ``sigma_maxes`` column, as ``netgoods casestudy case1 --csv`` reads it (a
@@ -205,7 +206,7 @@ def sweep_case1(timer) -> dict:
     row["case1_keys"]["samples"] = CASE1_KEYS
     row["er_matrices"], ws = timer(lambda: _er_matrices(n, p, seeds))
     row["coupling_residual"], residuals = timer(lambda: coupling_residual(ws))
-    row["sigma_bound_stack"], _ = timer(lambda: _sigma_bound(residuals))
+    row["sigma_bound_stack"], _ = timer(lambda: [_sigma_bound(r) for r in residuals])
     for key in ("er_matrices", "coupling_residual", "sigma_bound_stack"):
         row[key]["stack"] = SIGMA_CHUNK
     row["monte_carlo_case1"], rep = timer(lambda: monte_carlo_case1(n, p0, a, b, c0, CASE1_SAMPLES, 5))
