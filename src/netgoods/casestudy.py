@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import CertificateReport, _peak, _sigma_bound, cert_near_symmetric, coupling_residual
+from .certificates import CertificateReport, _sigma_bound, cert_near_symmetric, coupling_residual
 from .equilibrium import backward_induction, solve_ne, verify_ne
 from .equivalence import auto_epsilon, map_profile, transform_game, upper_triangular_normalizer
 from .errors import InputError, check_shape
@@ -31,8 +31,8 @@ INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
 INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
 MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 XSHIFT = 16
-#: case-1 samples per drawn chunk; bounds the memory of the chunk's W and residual stacks
-SIGMA_CHUNK = 16
+#: case-1 samples per drawn chunk; bounds the memory of its (SIGMA_CHUNK, n, n) bool edge array and edge lists
+SIGMA_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,8 @@ class Case1Report:
     """Monte Carlo summary for the random-network uniqueness condition.
 
     Per sample, ``within_bound`` says whether its ``inf_norms`` entry is at
-    most ``bound``, ``certified`` whether its residual's sigma_max bound lies
-    below c0/(2b); the ``frac_*`` properties are their shares.
+    most ``bound``, ``certified`` whether its coupling residual's sigma_max
+    bound lies below c0/(2b); the ``frac_*`` properties are their shares.
     ``sigma_maxes`` holds those bounds, computed on first read.
     """
 
@@ -71,13 +71,13 @@ class Case1Report:
 
     @functools.cached_property
     def sigma_maxes(self) -> np.ndarray:
-        """Each sample's ``_sigma_bound`` of its residual, from its W drawn again by its seed.
+        """Each sample's ``_sigma_bound`` of its coupling residual, from its W drawn again by its seed.
 
-        The residuals come in the chunks of ``monte_carlo_case1`` and are
-        bounded one at a time.
+        The edges come in the chunks of ``monte_carlo_case1``, and each
+        sample's residual is formed and bounded on its own.
         """
-        chunks = _residual_chunks(self.n, _edge_probability(self.n, self.p0), self.sample_seeds)
-        return np.array([_sigma_bound(r)[0] for residual in chunks for r in residual])
+        chunks = _edge_chunks(self.n, _edge_probability(self.n, self.p0), self.sample_seeds)
+        return np.array([_sigma_bound(_residual(e))[0] for edges in chunks for e in edges])
 
 
 @dataclass(frozen=True)
@@ -187,28 +187,48 @@ def _edge_probability(n: int, p0: float) -> float:
     return p
 
 
-def _er_matrices(n: int, p: float, seeds) -> np.ndarray:
-    """(S, n, n) unit-diagonal 0/1 matrices with Bernoulli(p) off-diagonal entries, one per seed.
+def _threshold(p: float) -> np.uint64:
+    """c = ceil(p * 2**53): a Philox word r draws a uniform below p exactly when (r >> 11) < c.
 
-    Each seed's uniforms are those of ``_philox(seed)``: one Philox generator
-    is re-keyed to (seed, 0) with counter 0 and an empty buffer before each
-    draw, so no bits of one sample reach the next.  They fill the seed's own
-    slice of one buffer, which the comparison with p then overwrites in place.
-    Each seed must lie in [0, 2**64): numpy refuses any other key word with
-    an ``OverflowError`` (``_er_matrix`` checks its seed for an InputError).
+    numpy's Philox double is m * 2**-53 with m = r >> 11, exactly, and
+    p * 2**53 is exact too, so m * 2**-53 < p holds for the integer m exactly
+    when m < c.  c = 2**53 at p = 1 fits a uint64, where c << 11 would not.
     """
-    w = np.empty(check_shape((len(seeds), n, n), "n"))
+    return np.uint64(math.ceil(math.ldexp(p, 53)))
+
+
+def _below(words: np.ndarray, c: np.uint64, out: np.ndarray | None = None) -> np.ndarray:
+    """Whether each Philox word's double lies below p, for c = ``_threshold(p)``; shifts ``words`` in place."""
+    return np.less(np.right_shift(words, 11, out=words), c, out=out)
+
+
+def _edges(n: int, p: float, seeds) -> np.ndarray:
+    """(S, n, n) bool edges, Bernoulli(p) off the diagonal and false on it, one matrix per seed.
+
+    Each seed's draw is that of ``_philox(seed).random((n, n)) < p``, read
+    from the raw words (``_below``): one Philox generator is re-keyed to
+    (seed, 0) with counter 0 and an empty buffer before each draw, so no bits
+    of one sample reach the next.  Each seed must lie in [0, 2**64): numpy
+    refuses any other key word with an ``OverflowError`` (``_er_matrix``
+    checks its seed for an InputError).
+    """
+    words_shape = check_shape((n * n,), "n")  # the uint64 words of one draw
+    edges = np.empty(check_shape((len(seeds), n * n), "n", itemsize=1), dtype=bool)
+    c = _threshold(p)
     bits = np.random.Philox(0)
-    rng = np.random.Generator(bits)
     for k, seed in enumerate(seeds):
         bits.state = {
             "bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (seed, 0)},
             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         }
-        rng.random(out=w[k])
-    np.less(w, p, out=w)
-    w.reshape(len(seeds), -1)[:, ::n + 1] = 1.0
-    return w
+        _below(bits.random_raw(words_shape), c, out=edges[k])
+    edges[:, ::n + 1] = False
+    return edges.reshape(len(seeds), n, n)
+
+
+def _er_matrices(n: int, p: float, seeds) -> np.ndarray:
+    """(S, n, n) unit-diagonal 0/1 matrices with Bernoulli(p) off-diagonal entries: the seeds' ``_edges`` plus I."""
+    return _edges(n, p, seeds) + np.eye(n)
 
 
 def _er_matrix(n: int, p: float, seed: int) -> np.ndarray:
@@ -216,10 +236,35 @@ def _er_matrix(n: int, p: float, seed: int) -> np.ndarray:
     return _er_matrices(n, p, [_key(seed)])[0]
 
 
-def _residual_chunks(n: int, p: float, seeds):
-    """The coupling residuals of the seeds' ``_er_matrices``, one stack per ``SIGMA_CHUNK`` seeds."""
+def _edge_chunks(n: int, p: float, seeds):
+    """The seeds' ``_edges``, one (S, n, n) array per ``SIGMA_CHUNK`` seeds."""
     for lo in range(0, len(seeds), SIGMA_CHUNK):
-        yield coupling_residual(_er_matrices(n, p, seeds[lo:lo + SIGMA_CHUNK]))
+        yield _edges(n, p, seeds[lo:lo + SIGMA_CHUNK])
+
+
+def _residual(edges: np.ndarray) -> np.ndarray:
+    """The coupling residual of W = edges + I, for one (n, n) edge matrix."""
+    return coupling_residual(edges + np.eye(len(edges)))
+
+
+def _degree_stats(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(delta, peak) of the residuals of W = edges + I, from an (S, n, n) bool stack with a false diagonal.
+
+    sigma_ij = sum_{k != i} w_ki w_kj, so row i sums to
+    delta_i = sum_{k != i} w_ki (1 + outdeg_k), and sigma_ij <= sigma_ii =
+    indeg_i makes the largest in-degree the residual's ``_peak``.  Both are
+    integer counts, tallied by ``bincount`` over the edge list, so the (S, n)
+    float deltas and the (S,) peaks equal the residuals' row sums and peaks
+    bit for bit in any summation order.
+    """
+    s, n = edges.shape[:2]
+    rows, cols = np.divmod(np.flatnonzero(edges), n)  # rows number (sample, source) pairs
+    cols += rows // n * n  # and now cols number (sample, target) pairs
+    outdeg = np.bincount(rows, minlength=s * n)
+    # float even without edges, where bincount ignores the weights and counts in ints
+    delta = np.bincount(cols, weights=(1.0 + outdeg)[rows], minlength=s * n).astype(float, copy=False)
+    indeg = np.bincount(cols, minlength=s * n)
+    return delta.reshape(s, n), indeg.reshape(s, n).max(axis=-1)
 
 
 def _homogeneous_game(w: np.ndarray, x_hi: float, a: float, b: float, c0: float) -> Game:
@@ -246,15 +291,18 @@ def delta_row_stats(w: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     """Row statistics delta_i = 2*indegree_i + paired-out-edge count, and max_i delta_i.
 
     delta_i is row i's sum of the coupling residual, so the maximum is the
-    residual's infinity norm.  W must be 0/1 with unit diagonal; an
-    (S, n, n) stack gives the (S, n) statistics and the S maxima.
+    residual's infinity norm; both are read from W's degrees
+    (``_degree_stats``).  W must be 0/1 with unit diagonal; an (S, n, n)
+    stack gives the (S, n) statistics and the S maxima.
     """
     w = np.asarray(w, dtype=float)
     if np.any(np.diagonal(w, axis1=-2, axis2=-1) != 1.0):  # a nan diagonal entry fails too
         raise InputError("need unit diagonal")
     if not np.all((w == 0.0) | (w == 1.0)):  # the diagonal passed already
         raise InputError("need 0/1 off-diagonal entries")
-    delta = coupling_residual(w).sum(axis=-1)
+    n = w.shape[-1]
+    edges = (w == 1.0) & ~np.eye(n, dtype=bool)
+    delta = _degree_stats(edges.reshape(-1, n, n))[0].reshape(w.shape[:-1])
     inf_norm = delta.max(axis=-1)
     return delta, float(inf_norm) if w.ndim == 2 else inf_norm
 
@@ -298,20 +346,23 @@ def monte_carlo_case1(
     condition is sigma_max(residual) < c0/(2b), with sigma_max bounded from
     above.  Only each sample's W is drawn (as ``random_er_game`` draws it),
     keyed by ``sample_seed(seed, s)``; ``_sample_seeds`` derives all those
-    keys in one pass, which limits ``samples`` to 2**32.  Their residuals
-    (``coupling_residual`` with unit weights) come in chunks of
-    ``SIGMA_CHUNK`` samples, and every statistic is read from them: delta_i
-    is row i's sum and max_i delta_i the infinity norm.  Each verdict
+    keys in one pass, which limits ``samples`` to 2**32.  The edges come as
+    bool arrays of ``SIGMA_CHUNK`` samples (``_edges``, which compares raw
+    Philox words with an integer threshold), and every statistic is read
+    from their degrees (``_degree_stats``): delta_i, its maximum (the
+    residual's infinity norm) and the residual's largest entry (``_peak``),
+    all integers, with the bits the residual itself gives.  Each verdict
     (``Case1Report.certified``) is decided from a bracket: sigma_max is at
-    least the residual's largest entry (``_peak``), so a sample whose peak
-    reaches the threshold fails without an eigen-solve, and only the others
-    go, one residual at a time, to ``_sigma_bound``.  That bound is floored
-    at the peak, so each verdict is whether ``Case1Report.sigma_maxes`` lies
-    below the threshold; those bounds are computed only when that column is
-    read.
+    least that largest entry, so a sample whose peak reaches the threshold
+    fails without forming its residual, and only the others get theirs,
+    one at a time, for ``_sigma_bound`` (at c0 = b = 1, only samples without
+    an edge).  That bound is floored at the peak, so each verdict is
+    whether ``Case1Report.sigma_maxes`` lies below the threshold; those
+    bounds are computed only when that column is read.
     """
     if not 100 <= samples <= 1 << 32:
         raise InputError(f"need 100 <= samples <= 2**32, got {samples}")
+    check_shape((n, n), "n")  # one draw's Philox words, before any arithmetic on n can overflow
     p = _edge_probability(n, p0)
     # the family constructors validate a, b and c0, as building each game did
     QuadraticClippedValue(a=a, b=b)
@@ -321,10 +372,10 @@ def monte_carlo_case1(
     threshold = c0 / (2.0 * b)
 
     chunks = []  # per chunk: the delta means, delta square means, infinity norms and verdicts
-    for residual in _residual_chunks(n, p, seeds):
-        delta = residual.sum(axis=-1)
-        below = _peak(residual) < threshold  # the rest fail: sigma_max >= peak >= threshold
-        below[below] = [_sigma_bound(r)[0] < threshold for r in residual[below]]
+    for edges in _edge_chunks(n, p, seeds):
+        delta, peaks = _degree_stats(edges)
+        below = peaks < threshold  # the rest fail: sigma_max >= peak >= threshold
+        below[below] = [_sigma_bound(_residual(e))[0] < threshold for e in edges[below]]
         chunks.append((np.mean(delta, axis=-1), np.mean(delta**2, axis=-1), delta.max(axis=-1), below))
     means, sq_means, inf_norms, certified = map(np.concatenate, zip(*chunks))
 

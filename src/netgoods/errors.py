@@ -37,8 +37,8 @@ class SingularMatrixError(NumericsError):
     """A linear system was singular or numerically unsolvable."""
 
 
-def check_shape(shape: tuple[int, ...], what: str) -> tuple[int, ...]:
-    """The shape, or InputError naming ``what`` when a float64 array of it has more bytes than numpy can index."""
-    if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+def check_shape(shape: tuple[int, ...], what: str, itemsize: int = 8) -> tuple[int, ...]:
+    """The shape, or InputError naming ``what`` when an array of it, ``itemsize`` bytes an entry, exceeds numpy's index range."""
+    if math.prod(shape) * itemsize > np.iinfo(np.intp).max:
         raise InputError(f"{what} is too large: an array of shape {shape} exceeds {np.iinfo(np.intp).max} bytes")
     return shape

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import case1_oracle
 import numpy as np
 import pytest
 
@@ -90,6 +91,23 @@ class TestDeltaRowStats:
             assert np.array_equal(delta, expected)
             assert inf_norm == float(np.max(expected))
             assert inf_norm == float(np.max(coupling_residual(w).sum(axis=1)))
+
+    def test_stacks_match_the_residual_row_sums(self):
+        # the degree identity against the residual itself, densities from none to complete
+        from netgoods.casestudy import _degree_stats
+        from netgoods.certificates import _peak
+
+        rng = np.random.default_rng(5)
+        for density in (0.0, 0.05, 0.3, 0.7, 1.0):
+            for n in (1, 2, 7, 30):
+                ws = (rng.random((5, n, n)) < density).astype(float)
+                ws[:, range(n), range(n)] = 1.0
+                residual = coupling_residual(ws)
+                delta, inf_norms = delta_row_stats(ws)
+                assert delta.tobytes() == residual.sum(axis=-1).tobytes()
+                assert inf_norms.tobytes() == residual.sum(axis=-1).max(axis=-1).tobytes()
+                _, peaks = _degree_stats((ws == 1.0) & ~np.eye(n, dtype=bool))
+                assert np.array_equal(peaks, _peak(residual))
 
     def test_rejects_non_binary(self):
         w = np.eye(2)
@@ -207,7 +225,7 @@ class TestMonteCarloCase1:
         assert a.sample_seeds == b.sample_seeds
 
     def test_samples_match_per_game_route(self):
-        # 100 samples end in a partial chunk (SIGMA_CHUNK = 16); every sample must
+        # 100 samples end in a partial chunk (SIGMA_CHUNK = 32); every sample must
         # give what the game random_er_game draws for its seed gives on its own
         from netgoods.casestudy import sample_seed
         from netgoods.certificates import spectral_bounds
@@ -238,13 +256,15 @@ class TestMonteCarloCase1:
         assert np.array_equal(rep.certified, rep.sigma_maxes < threshold)
 
     def test_no_eigen_solve_when_every_peak_reaches_the_threshold(self, monkeypatch):
-        # at n = 50, p0 = 1 every residual has an integer entry >= 1 > c0/(2b) = 0.5
+        # at n = 50, p0 = 1 every sample has an edge, so its residual has an integer
+        # entry >= 1 > c0/(2b) = 0.5: no residual is formed and none is bounded
         from netgoods import casestudy
 
-        def refuse(m):
-            raise AssertionError("_sigma_bound called")
+        def refuse(*args):
+            raise AssertionError("a residual was formed or bounded")
 
         monkeypatch.setattr(casestudy, "_sigma_bound", refuse)
+        monkeypatch.setattr(casestudy, "coupling_residual", refuse)
         rep = monte_carlo_case1(50, 1.0, 3.0, 1.0, 1.0, samples=100, seed=808)
         assert rep.frac_certificate == 0.0
         assert "sigma_maxes" not in vars(rep)
@@ -287,6 +307,50 @@ class TestMonteCarloCase1:
                 np.fill_diagonal(want, 1.0)
                 assert np.array_equal(w, want)
             assert np.array_equal(_er_matrices(n, 0.3, seeds[:2])[1], _er_matrices(n, 0.3, seeds[1:2])[0])
+
+    @pytest.mark.parametrize("p", [5e-324, 0.02, 1 / 3, math.nextafter(1.0, 0.0), 1.0])
+    def test_integer_threshold_at_its_boundary(self, p):
+        # a word r draws the double m * 2**-53, m = r >> 11; hand-made words put m at
+        # c - 1 and c (c = 2**53 at p = 1 is no word), under four patterns of the 11 dropped bits
+        from netgoods.casestudy import _below, _threshold
+
+        c = int(_threshold(p))
+        ms = [m for m in (c - 1, c) if 0 <= m < 2**53]
+        low = (0, 1, 0x5A5, 2**11 - 1)
+        words = np.array([m << 11 | bits for m in ms for bits in low], dtype=np.uint64)
+        want = np.array([math.ldexp(m, -53) < p for m in ms for _ in low])
+        assert np.array_equal(_below(words, _threshold(p)), want)
+        assert want[0] and (len(ms) == 1 or not want[-1])  # c is the first m that fails
+
+    @pytest.mark.parametrize("n", [1, 5, 7, 20])
+    @pytest.mark.parametrize("p", [0.0, 5e-324, 0.1, 1 / 3, 0.5, math.nextafter(1.0, 0.0), 1.0])
+    def test_edges_are_the_float_draw(self, n, p):
+        # the integer comparison draws what numpy's uniforms below p draw, off the diagonal
+        from netgoods.casestudy import _edges, sample_seed
+
+        seeds = [sample_seed(14, s) for s in range(6)]
+        for edges, seed in zip(_edges(n, p, seeds), seeds):
+            rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+            want = rng.random((n, n)) < p
+            np.fill_diagonal(want, False)
+            assert edges.dtype == bool and np.array_equal(edges, want)
+
+    @pytest.mark.parametrize("n, p0s", [(1, (0.0, 0.5, 1.0)), (5, (0.0, 0.5, 1.0, 2.0, 5.0)),
+                                        (12, (0.0, 0.5, 1.0, 2.0, 12.0)), (50, (0.0, 0.5, 1.0, 2.0, 50.0))])
+    def test_bits_equal_the_dense_oracle(self, n, p0s):
+        # 100 samples end in a partial chunk; every column and moment keeps the dense route's bits
+        from netgoods.casestudy import SIGMA_CHUNK
+
+        assert 100 % SIGMA_CHUNK != 0
+        for p0 in p0s:
+            for c0 in (1.0, 5.0, 40.0):
+                rep = monte_carlo_case1(n, p0, 3.0, 1.0, c0, samples=100, seed=n + 17)
+                want = case1_oracle.case1(n, p0, 1.0, c0, samples=100, seed=n + 17)
+                for key in ("emp_delta_mean", "emp_delta_var", "se_delta_mean", "se_delta_var"):
+                    assert repr(getattr(rep, key)) == repr(want[key]), (p0, c0, key)
+                for key in ("inf_norms", "certified", "sigma_maxes"):
+                    got = getattr(rep, key)
+                    assert got.dtype == want[key].dtype and got.tobytes() == want[key].tobytes(), (p0, c0, key)
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 99])
     @pytest.mark.parametrize("count", [1, 100, 1000])

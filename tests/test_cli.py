@@ -572,7 +572,10 @@ class TestContract:
         ["casestudy", "case2", "--n", str(10**10)],
         ["casestudy", "case1", "--n", str(10**20), "--samples", "100"],
         ["solve", "--method", "multistart", "--n-starts", str(10**20)],
-    ], ids=["multistart", "case2", "case1-index", "case2-index", "case1-dimension", "multistart-dimension"])
+        # p0 = 1e103 overflows the tail bound's p0**3: the size check comes first
+        ["casestudy", "case1", "--n", str(10**103), "--p0", "1e103", "--samples", "100"],
+    ], ids=["multistart", "case2", "case1-index", "case2-index", "case1-dimension", "multistart-dimension",
+            "case1-before-overflow"])
     def test_size_too_large_to_allocate_exits_2(self, n1_path, tmp_path, capsys, argv):
         game = [] if argv[0] == "casestudy" else ["--game", n1_path]
         code, doc = run([*argv, *game], tmp_path / "r.json")

@@ -39,12 +39,14 @@ b = 1, c0 = 1), on the draws of ``sample_seed(5, s)``:
 
 - ``case1_keys``: deriving the ``CASE1_KEYS`` sample keys of seed 5 as
   ``casestudy case1`` does (``_sample_seeds``);
-- drawing one chunk of ``SIGMA_CHUNK`` interaction matrices (``_er_matrices``);
-- ``coupling_residual`` on that chunk, the one stack the Monte Carlo reads
-  its delta statistics (row sums) and certificate verdicts from;
+- ``edges``: drawing one chunk of ``SIGMA_CHUNK`` samples' edges as bool
+  arrays, from raw Philox words against the integer threshold (``_edges``);
+- ``degree_stats``: the delta statistics and residual peaks of that chunk,
+  read from its degrees (``_degree_stats``), which is all the Monte Carlo
+  reads at c0 = b = 1;
 - ``_sigma_bound`` on each of the chunk's ``SIGMA_CHUNK`` coupling
-  residuals, one matrix at a time, as the ``sigma_maxes`` column bounds
-  them (it drops their zero rows itself);
+  residuals, each formed from its sample's edges and bounded on its own, as
+  the ``sigma_maxes`` column bounds them (it drops their zero rows itself);
 - ``monte_carlo_case1`` with 100 samples;
 - ``case1_sigma_maxes``: the same Monte Carlo, then a read of its
   ``sigma_maxes`` column, as ``netgoods casestudy case1 --csv`` reads it (a
@@ -194,7 +196,7 @@ def sweep_game(game, timer) -> dict:
 
 
 def sweep_case1(timer) -> dict:
-    from netgoods.casestudy import (SIGMA_CHUNK, _er_matrices, _sample_seeds, coupling_residual,
+    from netgoods.casestudy import (SIGMA_CHUNK, _degree_stats, _edges, _residual, _sample_seeds,
                                     monte_carlo_case1, sample_seed)
     from netgoods.certificates import _sigma_bound
 
@@ -204,10 +206,10 @@ def sweep_case1(timer) -> dict:
     row = {}
     row["case1_keys"], _ = timer(lambda: _sample_seeds(5, CASE1_KEYS))
     row["case1_keys"]["samples"] = CASE1_KEYS
-    row["er_matrices"], ws = timer(lambda: _er_matrices(n, p, seeds))
-    row["coupling_residual"], residuals = timer(lambda: coupling_residual(ws))
-    row["sigma_bound_stack"], _ = timer(lambda: [_sigma_bound(r) for r in residuals])
-    for key in ("er_matrices", "coupling_residual", "sigma_bound_stack"):
+    row["edges"], edges = timer(lambda: _edges(n, p, seeds))
+    row["degree_stats"], _ = timer(lambda: _degree_stats(edges))
+    row["sigma_bound_stack"], _ = timer(lambda: [_sigma_bound(_residual(e)) for e in edges])
+    for key in ("edges", "degree_stats", "sigma_bound_stack"):
         row[key]["stack"] = SIGMA_CHUNK
     row["monte_carlo_case1"], rep = timer(lambda: monte_carlo_case1(n, p0, a, b, c0, CASE1_SAMPLES, 5))
     row["monte_carlo_case1"].update(samples=CASE1_SAMPLES, frac_certificate=rep.frac_certificate)
