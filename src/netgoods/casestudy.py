@@ -6,12 +6,16 @@ norm of the weak-coupling residual matrix, and compares empirical moments to
 exact closed forms plus the Chebyshev-style tail bound.  Case 2 runs the
 upper-triangular pipeline: scale-normalize, certify near-symmetric, and
 cross-check the solver against backward induction through the equivalence map.
+Both draw their networks with one keyed Bernoulli sampler (``_bernoulli``):
+raw Philox words against an integer threshold, on stream 0 for case 1 and
+stream 1 for case 2.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,11 +110,6 @@ def _key(seed: int) -> int:
     return seed
 
 
-def _philox(seed: int, stream: int = 0) -> np.random.Generator:
-    key = np.array([_key(seed), stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def sample_seed(seed: int, index: int) -> int:
     """Per-sample key derived from (seed, index); independent of drawing order.
 
@@ -202,38 +201,34 @@ def _below(words: np.ndarray, c: np.uint64, out: np.ndarray | None = None) -> np
     return np.less(np.right_shift(words, 11, out=words), c, out=out)
 
 
-def _edges(n: int, p: float, seeds) -> np.ndarray:
-    """(S, n, n) bool edges, Bernoulli(p) off the diagonal and false on it, one matrix per seed.
+def _bernoulli(p: float, seeds, count: int, stream: int = 0) -> np.ndarray:
+    """(S, count) bool Bernoulli(p) entries, one row per seed, keyed by (seed, stream).
 
-    Each seed's draw is that of ``_philox(seed).random((n, n)) < p``, read
-    from the raw words (``_below``): one Philox generator is re-keyed to
-    (seed, 0) with counter 0 and an empty buffer before each draw, so no bits
-    of one sample reach the next.  Each seed must lie in [0, 2**64): numpy
-    refuses any other key word with an ``OverflowError`` (``_er_matrix``
-    checks its seed for an InputError).
+    Each row is ``Generator(Philox(key=(seed, stream))).random(count) < p``,
+    read from the raw words (``_below``): one Philox generator is re-keyed
+    with counter 0 and an empty buffer before each draw, so no bits of one
+    row reach the next.  Each seed must lie in [0, 2**64): numpy refuses any
+    other key word with an ``OverflowError`` (the public entry points check
+    theirs with ``_key`` for an InputError).
     """
-    words_shape = check_shape((n * n,), "n")  # the uint64 words of one draw
-    edges = np.empty(check_shape((len(seeds), n * n), "n", itemsize=1), dtype=bool)
+    words_shape = check_shape((count,), "n")  # the uint64 words of one draw
+    out = np.empty(check_shape((len(seeds), count), "n", itemsize=1), dtype=bool)
     c = _threshold(p)
     bits = np.random.Philox(0)
     for k, seed in enumerate(seeds):
         bits.state = {
-            "bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (seed, 0)},
+            "bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (seed, stream)},
             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
         }
-        _below(bits.random_raw(words_shape), c, out=edges[k])
+        _below(bits.random_raw(words_shape), c, out=out[k])
+    return out
+
+
+def _edges(n: int, p: float, seeds) -> np.ndarray:
+    """(S, n, n) bool edges, Bernoulli(p) off the diagonal and false on it: the seeds' stream-0 ``_bernoulli`` draws."""
+    edges = _bernoulli(p, seeds, n * n)
     edges[:, ::n + 1] = False
     return edges.reshape(len(seeds), n, n)
-
-
-def _er_matrices(n: int, p: float, seeds) -> np.ndarray:
-    """(S, n, n) unit-diagonal 0/1 matrices with Bernoulli(p) off-diagonal entries: the seeds' ``_edges`` plus I."""
-    return _edges(n, p, seeds) + np.eye(n)
-
-
-def _er_matrix(n: int, p: float, seed: int) -> np.ndarray:
-    """Unit-diagonal 0/1 matrix with Bernoulli(p) off-diagonal entries, keyed by the seed."""
-    return _er_matrices(n, p, [_key(seed)])[0]
 
 
 def _edge_chunks(n: int, p: float, seeds):
@@ -283,7 +278,7 @@ def random_er_game(n: int, p0: float, a: float, b: float, c0: float, seed: int) 
     any entry is reproducible independent of how many samples are drawn
     around it.
     """
-    w = _er_matrix(n, _edge_probability(n, p0), seed)
+    w = _edges(n, _edge_probability(n, p0), [_key(seed)])[0] + np.eye(n)
     return _homogeneous_game(w, a / (2.0 * b) + 1.0, a, b, c0)
 
 
@@ -307,11 +302,31 @@ def delta_row_stats(w: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     return delta, float(inf_norm) if w.ndim == 2 else inf_norm
 
 
+def _closed_form(formula):
+    """The closed form of (n, p0) in Python numbers, or InputError naming n and p0 where no float holds it.
+
+    An OverflowError (an int too large for a float, a power out of range) and
+    a product rounded to inf are both refused; numpy scalars neither wrap nor warn.
+    """
+    @functools.wraps(formula)
+    def closed_form(n: int, p0: float) -> float:
+        try:
+            value = formula(operator.index(n), float(p0))
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise InputError(f"{formula.__name__} has no finite float value at n = {n}, p0 = {p0}")
+        return value
+    return closed_form
+
+
+@_closed_form
 def closed_form_delta_mean(n: int, p0: float) -> float:
     p = p0 / n
     return 2 * (n - 1) * p + (n - 1) * (n - 2) * p**2
 
 
+@_closed_form
 def closed_form_delta_sq_mean(n: int, p0: float) -> float:
     # exact second moment, verified against exhaustive enumeration for small n
     p = p0 / n
@@ -323,10 +338,12 @@ def closed_form_delta_sq_mean(n: int, p0: float) -> float:
     )
 
 
+@_closed_form
 def closed_form_delta_var(n: int, p0: float) -> float:
     return closed_form_delta_sq_mean(n, p0) - closed_form_delta_mean(n, p0) ** 2
 
 
+@_closed_form
 def sigma_inf_bound(n: int, p0: float) -> float:
     """Mean-plus-tail bound 2p0 + p0^2 + sqrt(n(8p0 + 10p0^2 + 4p0^3)).
 
@@ -394,19 +411,18 @@ def monte_carlo_case1(
 
 
 def random_upper_triangular(n: int, density: float, seed: int) -> np.ndarray:
-    """Unit-diagonal 0/1 matrix with Bernoulli(density) strict upper entries.
+    """Unit-diagonal 0/1 matrix with Bernoulli(density) strict upper entries, row by row.
 
-    Philox stream 1 keyed by the seed, which must lie in [0, 2**64).
+    The ``_bernoulli`` draw on Philox stream 1 keyed by the seed, which must
+    lie in [0, 2**64).
     """
     if n < 1:
         raise InputError(f"need n >= 1, got {n}")
     if not 0.0 <= density <= 1.0:
         raise InputError(f"density must lie in [0, 1], got {density}")
     check_shape((n, n), "n")
-    rng = _philox(seed, stream=1)
     w = np.eye(n)
-    iu = np.triu_indices(n, k=1)
-    w[iu] = (rng.random(len(iu[0])) < density).astype(float)
+    w[np.triu_indices(n, k=1)] = _bernoulli(density, [_key(seed)], n * (n - 1) // 2, stream=1)[0]
     return w
 
 

@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import warnings
 
 import case1_oracle
 import numpy as np
@@ -14,10 +16,16 @@ from netgoods.casestudy import (
     delta_row_stats,
     monte_carlo_case1,
     random_er_game,
+    random_upper_triangular,
     sigma_inf_bound,
 )
 from netgoods.equilibrium import verify_ne
 from netgoods.errors import InputError
+
+
+def philox(seed: int, stream: int) -> np.random.Generator:
+    """numpy's Philox generator keyed by (seed, stream): the float draw the raw-word sampler reproduces."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
 class TestRandomErGame:
@@ -57,6 +65,30 @@ class TestRandomErGame:
     def test_invalid_probability(self):
         with pytest.raises(InputError):
             random_er_game(4, 8.0, 3.0, 1.0, 1.0, seed=0)
+
+
+class TestRandomUpperTriangular:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 64])
+    @pytest.mark.parametrize("density", [0.0, 5e-324, 0.1, 1 / 3, 0.5, math.nextafter(1.0, 0.0), 1.0])
+    def test_is_the_float_draw_on_stream_1(self, n, density):
+        # the strict upper triangle, row by row, holds numpy's uniforms below the density on stream 1
+        m = n * (n - 1) // 2
+        for seed in (0, 1, 5, 123456789, 2**64 - 1):
+            want = np.eye(n)
+            want[np.triu_indices(n, k=1)] = philox(seed, 1).random(m) < density
+            w = random_upper_triangular(n, density, seed)
+            assert w.dtype == float and np.array_equal(w, want)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: random_upper_triangular(4, -0.1, 1), r"density must lie in \[0, 1\], got -0.1"),
+    (lambda: random_upper_triangular(4, 1.5, 1), r"density must lie in \[0, 1\], got 1.5"),
+    (lambda: random_upper_triangular(4, math.nan, 1), r"density must lie in \[0, 1\], got nan"),
+    (lambda: random_er_game(0, 1.0, 3.0, 1.0, 1.0, seed=1), "need n >= 1, got 0"),
+], ids=["density-below", "density-above", "density-nan", "er-n0"])
+def test_network_draw_refusals(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
 
 
 class TestDeltaRowStats:
@@ -196,6 +228,27 @@ class TestClosedForms:
         assert sigma_inf_bound(50, 1.0) == pytest.approx(3.0 + math.sqrt(1100.0))
         assert sigma_inf_bound(50, 1.0) == pytest.approx(36.17, abs=0.01)
 
+    @pytest.mark.parametrize("form, n, p0", [
+        (sigma_inf_bound, 10**103, 1e103),  # p0**3 is out of float range
+        (closed_form_delta_var, 10**200, 1e200),  # (n - 1)(n - 2)**3 is too large for a float
+        (closed_form_delta_mean, 10**400, 1.0),  # n itself is
+        (closed_form_delta_sq_mean, 10, 1e78),  # a product rounds to inf
+        (closed_form_delta_var, np.int64(10**6), np.float64(1e300)),  # numpy scalars neither wrap nor warn
+        (closed_form_delta_mean, 8, math.nan),  # nor does a nan pass through
+    ], ids=["bound-pow", "var-int", "mean-n", "sq-mean-inf", "var-numpy", "mean-nan"])
+    def test_no_finite_value_refused_naming_n_and_p0(self, form, n, p0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=re.escape(f"no finite float value at n = {n}, p0 = {p0}") + "$"):
+                form(n, p0)
+
+    def test_values_kept_where_finite(self):
+        # the refusal wraps each formula without touching its arithmetic
+        assert repr(closed_form_delta_mean(8, 1.0)) == "2.40625"
+        assert repr(closed_form_delta_var(50, 1.0)) == "9.336624639999997"
+        assert repr(sigma_inf_bound(50, 1.0)) == "36.166247903554"
+        assert closed_form_delta_var(10**6, np.float64(1.0)) == closed_form_delta_var(10**6, 1.0)
+
     def test_variance_below_dimension_free_bound(self):
         for n in (5, 20, 50, 200):
             for p0 in (0.3, 1.0, 2.0):
@@ -244,12 +297,12 @@ class TestMonteCarloCase1:
     def test_certificate_fraction_is_the_share_of_sigma_maxes_below(self, n, p0, c0, peaks_below):
         # the Monte Carlo fails a sample whose residual peak reaches the threshold
         # without bounding it; the bounds read later must give the same fraction
-        from netgoods.casestudy import _er_matrices
+        from netgoods.casestudy import _edges
         from netgoods.certificates import _peak
 
         threshold = c0 / 2.0
         rep = monte_carlo_case1(n, p0, 3.0, 1.0, c0, samples=100, seed=3)
-        below = _peak(coupling_residual(_er_matrices(n, p0 / n, rep.sample_seeds))) < threshold
+        below = _peak(coupling_residual(_edges(n, p0 / n, rep.sample_seeds) + np.eye(n))) < threshold
         assert {0: "none", 100: "all"}.get(int(below.sum()), "some") == peaks_below
         assert rep.frac_certificate == float(np.mean(rep.sigma_maxes < threshold))
         assert rep.frac_certificate == float(np.mean(rep.certified))
@@ -290,23 +343,24 @@ class TestMonteCarloCase1:
         assert np.all(rep.sigma_maxes[np.array(counts) == 0] == 0.0)
 
     def test_er_matrix_keeps_the_per_seed_stream(self):
-        # the chunk buffer draws what one (n, n) draw per seed gave
-        from netgoods.casestudy import _er_matrices, _er_matrix, _philox, sample_seed
+        # the chunk buffer draws what one (n, n) draw per seed gave, and random_er_game draws one seed's
+        from netgoods.casestudy import _edges, sample_seed
 
         seeds = [sample_seed(13, s) for s in range(5)]
-        ws = _er_matrices(20, 0.1, seeds)
+        ws = _edges(20, 0.1, seeds) + np.eye(20)
         for w, seed in zip(ws, seeds):
-            want = (_philox(seed).random((20, 20)) < 0.1).astype(float)
+            want = (philox(seed, 0).random((20, 20)) < 0.1).astype(float)
             np.fill_diagonal(want, 1.0)
-            assert np.array_equal(w, want) and np.array_equal(_er_matrix(20, 0.1, seed), want)
+            assert np.array_equal(w, want)
+            assert np.array_equal(random_er_game(20, 2.0, 3.0, 1.0, 1.0, seed).w, want)  # p0/n = 0.1
         # n*n not a multiple of Philox's 4-word block: a stale buffer would leak into the next sample
         for n in (5, 7):
-            ws = _er_matrices(n, 0.3, seeds)
+            ws = _edges(n, 0.3, seeds) + np.eye(n)
             for w, seed in zip(ws, seeds):
-                want = (_philox(seed).random((n, n)) < 0.3).astype(float)
+                want = (philox(seed, 0).random((n, n)) < 0.3).astype(float)
                 np.fill_diagonal(want, 1.0)
                 assert np.array_equal(w, want)
-            assert np.array_equal(_er_matrices(n, 0.3, seeds[:2])[1], _er_matrices(n, 0.3, seeds[1:2])[0])
+            assert np.array_equal(_edges(n, 0.3, seeds[:2])[1], _edges(n, 0.3, seeds[1:2])[0])
 
     @pytest.mark.parametrize("p", [5e-324, 0.02, 1 / 3, math.nextafter(1.0, 0.0), 1.0])
     def test_integer_threshold_at_its_boundary(self, p):
@@ -330,8 +384,7 @@ class TestMonteCarloCase1:
 
         seeds = [sample_seed(14, s) for s in range(6)]
         for edges, seed in zip(_edges(n, p, seeds), seeds):
-            rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-            want = rng.random((n, n)) < p
+            want = philox(seed, 0).random((n, n)) < p
             np.fill_diagonal(want, False)
             assert edges.dtype == bool and np.array_equal(edges, want)
 
@@ -390,11 +443,10 @@ class TestMonteCarloCase1:
     def test_certificate_fraction_is_the_share_without_edges(self, n, p0, c0, want):
         # with c0/(2b) in (0, 1] an edge puts an entry >= 1 into the residual, and a W
         # without one has a zero residual, so a sample is certified exactly when W = I
-        from netgoods.casestudy import _er_matrices
+        from netgoods.casestudy import _edges
 
         rep = monte_carlo_case1(n, p0, 3.0, 1.0, c0, samples=400, seed=7)
-        ws = _er_matrices(n, p0 / n, rep.sample_seeds)
-        edgeless = np.all(ws == np.eye(n), axis=(1, 2))
+        edgeless = ~np.any(_edges(n, p0 / n, rep.sample_seeds), axis=(1, 2))
         assert rep.frac_certificate == float(np.mean(edgeless)) == want
 
     def test_seeds_above_one_key_word_keep_working(self):
@@ -415,7 +467,7 @@ class TestSeedRange:
         assert case2_pipeline(3, 3.0, 1.0, 1.0, 0.5, seed=top).seed == top
 
     def test_seed_past_one_key_word_refused(self):
-        from netgoods.casestudy import _er_matrices, random_upper_triangular
+        from netgoods.casestudy import _bernoulli, _edges
 
         bad = 2**64 + 5
         with pytest.raises(InputError, match=r"seed must lie in \[0, 2\*\*64\), got 18446744073709551621"):
@@ -426,9 +478,11 @@ class TestSeedRange:
             case2_pipeline(3, 3.0, 1.0, 1.0, 0.5, seed=bad)
         with pytest.raises(InputError, match=r"\[0, 2\*\*64\)"):
             random_er_game(6, 2.0, 3.0, 1.0, 1.0, seed=-1)
-        for key in (bad, -1):  # the chunked draw refuses rather than masks, too
+        for key in (bad, -1):  # the chunked draw refuses rather than masks, on either stream
             with pytest.raises(OverflowError):
-                _er_matrices(6, 0.3, [key])
+                _edges(6, 0.3, [key])
+            with pytest.raises(OverflowError):
+                _bernoulli(0.5, [key], 15, stream=1)
 
 
 class TestCase2Pipeline:

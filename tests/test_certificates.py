@@ -296,6 +296,18 @@ class TestNearIndividual:
             assert np.all(rep.matrix >= 0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: spectral_bounds(np.ones((2, 3))), r"need a square matrix, got shape \(2, 3\)"),
+    (lambda: spectral_bounds(np.ones(3)), r"need a square matrix, got shape \(3,\)"),
+    (lambda: spectral_bounds(np.array([[0.0, np.nan], [1.0, 0.0]])), "matrix has non-finite entries"),
+    (lambda: spectral_bounds(np.array([[np.inf, 0.0], [0.0, 1.0]])), "matrix has non-finite entries"),
+    (lambda: cert_near_potential(quad_game(np.eye(2)), QuadraticCost(c0=1.0)), "f_common must be a value family"),
+], ids=["non-square", "one-dimensional", "nan", "inf", "cost-as-f-common"])
+def test_spectral_and_potential_refusals(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
+
+
 class TestNearPotential:
     def log_players_game(self, w, f=LogValue(a=2.0, s=2.0)):
         w = np.asarray(w, dtype=float)

@@ -8,7 +8,8 @@ from conftest import make_fig1a_game, strict_loads
 from netgoods import cli
 from netgoods.casestudy import random_er_game
 from netgoods.cli import build_parser, main
-from netgoods.functions import AffineReparam, LogValue, QuadraticClippedValue, QuadraticCost, spec_to_dict
+from netgoods.functions import (AffineReparam, LinearCost, LogValue, QuadraticClippedValue, QuadraticCost,
+                                spec_to_dict)
 from netgoods.game import Game
 from netgoods.gamefile import game_to_dict, save_game
 
@@ -293,6 +294,18 @@ class TestStatics:
                      "--x-star", "1,1,0,0", "--out", str(tmp_path / "r.json")])
         assert code == 2
 
+    def test_singular_system_exits_1(self, tmp_path, capsys):
+        # both players see the same gain through an all-ones W, so the system that
+        # dx/dt solves is singular: a computation failure, not an input error
+        game = Game(w=np.ones((2, 2)), lower=np.zeros(2), upper=np.full(2, 2.0),
+                    values=(LogValue(a=1.0, s=1.0),) * 2, costs=(LinearCost(c1=0.5),) * 2)
+        save_game(game, tmp_path / "g.json")
+        code, doc = run(["statics", "--game", str(tmp_path / "g.json"), "--x-star", "0.5,0.5",
+                         "--delta", "1,0"], tmp_path / "r.json")
+        assert code == 1 and doc is None
+        assert capsys.readouterr().err.startswith(
+            "computation failed: statics system is numerically singular")
+
 
 class TestCasestudy:
     def test_case1_report_and_csv(self, tmp_path):
@@ -309,7 +322,7 @@ class TestCasestudy:
         assert len(lines) == 101
 
     def test_case1_csv_fields_are_numbers(self, tmp_path):
-        from netgoods.casestudy import _er_matrices, coupling_residual, monte_carlo_case1
+        from netgoods.casestudy import _edges, coupling_residual, monte_carlo_case1
         from netgoods.certificates import _peak
 
         # how many verdicts the sigma bound decides (the residual's peak lies below
@@ -334,7 +347,7 @@ class TestCasestudy:
             assert rep.frac_inf_norm_within == float(np.mean(rep.within_bound))
             certified = np.array([row[5] for row in parsed], dtype=bool)
             assert np.array_equal(certified, rep.certified)
-            peaks = _peak(coupling_residual(_er_matrices(12, 2.0 / 12, rep.sample_seeds)))
+            peaks = _peak(coupling_residual(_edges(12, 2.0 / 12, rep.sample_seeds) + np.eye(12)))
             assert (np.sum(peaks < c0 / 2.0), np.sum(certified)) == (by_sigma, passed)
 
     @pytest.mark.parametrize("flag", ["--a", "--b", "--c0"])

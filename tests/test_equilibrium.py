@@ -242,6 +242,17 @@ def test_grid_oracle_keeps_exactly_the_points_verify_ne_accepts(case, m, eps):
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda game: multi_start_probe(game, n_starts=0, seed=3), "need n_starts >= 1, got 0"),
+    (lambda game: grid_oracle(random_er_game(7, 1.0, 3.0, 1.0, 1.0, seed=1), m=2, eps=1e-8),
+     "grid oracle supports n <= 6, got n=7"),
+    (lambda game: grid_oracle(game, m=1, eps=1e-8), "need m >= 2, got 1"),
+], ids=["no-starts", "grid-n7", "grid-m1"])
+def test_probe_and_oracle_refusals(n1_game, call, message):
+    with pytest.raises(InputError, match=message):
+        call(n1_game)
+
+
 class TestMultiStart:
     def test_rejects_max_iter_below_one(self, n1_game):
         for bad in (0, -3):

@@ -136,6 +136,21 @@ class TestValidation:
             with pytest.raises(InputError, match="alpha must be a strictly positive n-vector"):
                 integrate_pseudo_gradient(g, bad, x)
 
+    @pytest.mark.parametrize("w, lower, upper, message", [
+        (np.ones((2, 3)), np.zeros(2), np.ones(2), r"W must be square, got shape \(2, 3\)"),
+        (np.ones(2), np.zeros(2), np.ones(2), r"W must be square, got shape \(2,\)"),
+        (np.eye(2), np.zeros(3), np.ones(2), "lower/upper must be length-n vectors"),
+        (np.eye(2), np.zeros(2), np.ones(1), "lower/upper must be length-n vectors"),
+        ([[1.0, np.nan], [0.0, 1.0]], np.zeros(2), np.ones(2), "W has non-finite entries"),
+        ([[1.0, 0.0], [-np.inf, 1.0]], np.zeros(2), np.ones(2), "W has non-finite entries"),
+        (np.eye(2), [0.0, -np.inf], np.ones(2), "bounds must be finite"),
+        (np.eye(2), np.zeros(2), [1.0, np.nan], "bounds must be finite"),
+    ], ids=["non-square", "one-dimensional", "long-lower", "short-upper", "nan-w", "inf-w", "inf-lower",
+            "nan-upper"])
+    def test_malformed_arrays_refused(self, w, lower, upper, message):
+        with pytest.raises(InputError, match=message):
+            Game(w=w, lower=np.asarray(lower), upper=np.asarray(upper), values=(QUAD, QUAD), costs=(COST, COST))
+
     def test_immutability(self):
         g = make_game(np.eye(2), 0, 1)
         with pytest.raises(ValueError):

@@ -78,6 +78,7 @@ CASES = {
     "oracle_sym": ["oracle", "--game", "sym.json", "--m", "9"],
     "oracle_mixed": ["oracle", "--game", "mixed.json", "--m", "6", "--eps", "1e-2"],
     "casestudy_case1": ["casestudy", "case1", "--n", "8", "--samples", "100"],
+    "casestudy_case2": ["casestudy", "case2", "--n", "5", "--density", "0.5", "--seed", "3"],
 }
 
 
