@@ -303,15 +303,24 @@ def delta_row_stats(w: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
 
 
 def _closed_form(formula):
-    """The closed form of (n, p0) in Python numbers, or InputError naming n and p0 where no float holds it.
+    """The closed form of (n, p0) in Python numbers, or InputError naming n and p0 outside its domain or float range.
 
-    An OverflowError (an int too large for a float, a power out of range) and
-    a product rounded to inf are both refused; numpy scalars neither wrap nor warn.
+    (n, p0) must satisfy the Monte Carlo's rule (``_edge_probability``: n >= 1
+    and p0/n in [0, 1], so a nan p0 is refused).  An OverflowError (an int too
+    large for a float, a power out of range) and a product rounded to inf are
+    both refused; numpy scalars neither wrap nor warn.
     """
     @functools.wraps(formula)
     def closed_form(n: int, p0: float) -> float:
+        n, p0 = operator.index(n), float(p0)
         try:
-            value = formula(operator.index(n), float(p0))
+            _edge_probability(n, p0)
+        except InputError as exc:
+            raise InputError(f"{formula.__name__} at n = {n}, p0 = {p0}: {exc}") from None
+        except OverflowError:  # n beyond the float range, where the formula overflows too
+            pass
+        try:
+            value = formula(n, p0)
         except OverflowError:
             value = math.inf
         if not math.isfinite(value):

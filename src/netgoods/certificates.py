@@ -360,7 +360,6 @@ def certify_any(
     game: Game,
     gamma: np.ndarray | None = None,
     f_common: ScalarFunction | None = None,
-    w0_candidates: list[np.ndarray] | None = None,
     maps: list[EquivalenceMap] | None = None,
 ) -> CertificateReport:
     """Best certificate over all applicable theorems and candidate transforms.
@@ -400,7 +399,7 @@ def certify_any(
         fc = f_common if f_common is not None else common_value(g)
         if fc is not None:
             attempt("near_potential", label, lambda: cert_near_potential(g, fc, gamma))
-        for w0 in (w0_candidates if w0_candidates is not None else _sym_candidates(g)):
+        for w0 in _sym_candidates(g):
             attempt("near_symmetric", label, lambda: cert_near_symmetric(g, w0))
     if not reports:
         raise InputError("no certificate was applicable to this game")

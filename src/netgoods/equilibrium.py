@@ -185,8 +185,8 @@ def solve_regularized(
     ends the path, and the final point is judged against the original game.
     """
     betas = [float(b) for b in beta_schedule]
-    if not betas or min(betas) <= 0 or any(b2 >= b1 for b1, b2 in zip(betas, betas[1:])):
-        raise InputError("beta_schedule must be strictly decreasing and positive")
+    if not betas or not all(0 < b < np.inf for b in betas) or any(b2 >= b1 for b1, b2 in zip(betas, betas[1:])):
+        raise InputError("beta_schedule must be finite, strictly decreasing and positive")
     return _solve(game, betas, gamma, step_eps, tol, max_iter, x0)
 
 

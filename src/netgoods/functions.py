@@ -200,4 +200,7 @@ def _param(params: dict, name: str, family: str, where: str):
     v = params[name]
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise InputError(f"{where}.params.{name}: expected a number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise InputError(f"{where}.params.{name}: integer too large for a float") from None

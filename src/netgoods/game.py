@@ -17,6 +17,8 @@ from .functions import _PLACEHOLDERS, _ROWS, AffineReparam, ScalarFunction
 
 #: how far an action box may reach below its cost domain's floor (a quadratic cost's 0)
 COST_FLOOR_TOL = 1e-9
+#: how far a profile given to a public entry point may lie outside the box before it is refused
+FEASIBILITY_TOL = 1e-9
 _ZERO = np.zeros(())  # 0 as a 0-d array, which numpy compares an array with faster than 0.0
 
 
@@ -359,12 +361,12 @@ class Game:
         """Componentwise projection onto the action box."""
         return np.minimum(np.maximum(x, self.lower), self.upper)
 
-    def require_feasible(self, x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        """The profile (batched) clipped into the box; InputError if it lies outside by > tol or is NaN."""
+    def require_feasible(self, x: np.ndarray) -> np.ndarray:
+        """The profile (batched) clipped into the box; InputError if it lies outside by > FEASIBILITY_TOL or is NaN."""
         x = _profiles(self, x)
         excess = np.maximum(self.lower - x, x - self.upper)
         worst = np.max(excess, initial=-np.inf)
-        if not worst <= tol:
+        if not worst <= FEASIBILITY_TOL:
             at = np.unravel_index(np.argmax(excess), x.shape)
             i = at[-1]
             raise InputError(f"infeasible profile: x[{i}]={x[at]} outside [{self.lower[i]}, {self.upper[i]}]")

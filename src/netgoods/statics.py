@@ -3,8 +3,10 @@
 A redistribution direction delta shifts every gain by delta_i*t.  At an
 interior equilibrium x*, the implicit-function system
 (diag(c''(x*)) - diag(f''(k*)) W) dx*/dt = diag(f''(k*)) delta gives the
-equilibrium response, and the utility response has the closed form
-u'(0) = diag(f'(k*)) diag(c''(x*) - f''(k*)) (diag(c''(x*)) - W diag(f''(k*)))^{-1} delta.
+equilibrium response.  By the envelope theorem a player's own effort has no
+first-order effect on their own utility there (c'(x*) = f'(k*), w_ii = 1), so
+the utility response follows from dx*/dt by one matrix-vector product:
+u'(0) = diag(f'(k*)) ((W - I) dx*/dt + delta).
 Both are validated against central finite differences of re-solved equilibria.
 """
 
@@ -21,6 +23,9 @@ from .game import Game, gains, pseudo_gradient, utility_profile
 
 #: componentwise stationarity required of the supplied equilibrium
 STATIONARITY_TOL = 1e-8
+#: solver tolerance and iteration cap of the re-solved equilibria in ``fd_check``
+FD_SOLVER_TOL = 1e-13
+FD_MAX_ITER = 400_000
 #: minimum distance of x* from every box face
 BOUNDARY_TOL = 1e-6
 #: reciprocal condition number below which the system counts as singular
@@ -97,44 +102,31 @@ def _interior_curvatures(game: Game, x_star: np.ndarray):
     return fp, fpp, cpp, margin, warnings
 
 
-def _solve(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    cond = float(np.linalg.cond(a))
-    if not np.isfinite(cond) or 1.0 / cond < RCOND_SINGULAR:
-        raise SingularMatrixError(
-            f"statics system is numerically singular (cond {cond:.3g})"
-        )
-    sol = np.linalg.solve(a, rhs)
-    return sol, cond
-
-
-def _dx_dt(game: Game, fpp: np.ndarray, cpp: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, float]:
-    """dx*/dt and the condition number of its system, from the curvatures at x*."""
-    return _solve(np.diag(cpp) - fpp[:, None] * game.w, fpp * delta)
-
-
 def equilibrium_derivative(game: Game, x_star: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """dx*/dt at t=0 for the money-redistribution direction delta."""
-    delta = _delta(game, delta)
-    _, fpp, cpp, _, _ = _interior_curvatures(game, x_star)
-    return _dx_dt(game, fpp, cpp, delta)[0]
+    return utility_derivative(game, x_star, delta).dx_dt
 
 
 def utility_derivative(game: Game, x_star: np.ndarray, delta: np.ndarray) -> StaticsResult:
     """u'(0) and dx*/dt at t=0, with condition and boundary diagnostics.
 
-    The closed form rests on the equilibrium identity c'(x*) = f'(k*), the
-    interior stationarity (through the unit diagonal) that x* is checked for.
+    One linear system is solved, (diag(c'') - diag(f'') W) dx*/dt = f'' delta;
+    ``condition_number`` is its 2-norm condition number.  The utility response
+    du_i/dt = f_i'(k*) (sum_{j != i} w_ij dx_j/dt + delta_i) is the envelope
+    identity, which rests on c'(x*) = f'(k*) and the unit diagonal, the
+    interior stationarity that x* is checked for.
     """
     delta = _delta(game, delta)
     fp, fpp, cpp, margin, warnings = _interior_curvatures(game, x_star)
-    dx_dt, cond_x = _dx_dt(game, fpp, cpp, delta)
-    a_u = np.diag(cpp) - game.w * fpp[None, :]
-    y, cond_u = _solve(a_u, delta)
-    du_dt = fp * (cpp - fpp) * y
+    a_x = np.diag(cpp) - fpp[:, None] * game.w
+    cond = float(np.linalg.cond(a_x))
+    if not np.isfinite(cond) or 1.0 / cond < RCOND_SINGULAR:
+        raise SingularMatrixError(f"statics system is numerically singular (cond {cond:.3g})")
+    dx_dt = np.linalg.solve(a_x, fpp * delta)
     return StaticsResult(
-        du_dt=du_dt,
+        du_dt=fp * (game.w @ dx_dt - dx_dt + delta),
         dx_dt=dx_dt,
-        condition_number=max(cond_x, cond_u),
+        condition_number=cond,
         boundary_margin=margin,
         warnings=warnings,
     )
@@ -146,14 +138,7 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.where(scale > 1e-12, np.abs(a - b) / safe, 0.0)))
 
 
-def fd_check(
-    game: Game,
-    x_star: np.ndarray,
-    delta: np.ndarray,
-    t: float,
-    solver_tol: float = 1e-13,
-    max_iter: int = 400_000,
-) -> FdReport:
+def fd_check(game: Game, x_star: np.ndarray, delta: np.ndarray, t: float) -> FdReport:
     """Central differences of re-solved equilibria at +-t against the closed forms.
 
     Differentiability of the equilibrium path is an assumption, not a theorem;
@@ -168,7 +153,7 @@ def fd_check(
     sides = {}
     for s in (+1.0, -1.0):
         pert = perturb_money(game, delta, s * t)
-        res = solve_ne(pert, x0=x_star, tol=solver_tol, max_iter=max_iter)
+        res = solve_ne(pert, x0=x_star, tol=FD_SOLVER_TOL, max_iter=FD_MAX_ITER)
         if not res.converged:
             raise InputError(f"perturbed solve at t={s * t:g} did not converge")
         u, _ = utility_profile(pert, res.x_star)

@@ -232,14 +232,31 @@ class TestClosedForms:
         (sigma_inf_bound, 10**103, 1e103),  # p0**3 is out of float range
         (closed_form_delta_var, 10**200, 1e200),  # (n - 1)(n - 2)**3 is too large for a float
         (closed_form_delta_mean, 10**400, 1.0),  # n itself is
-        (closed_form_delta_sq_mean, 10, 1e78),  # a product rounds to inf
-        (closed_form_delta_var, np.int64(10**6), np.float64(1e300)),  # numpy scalars neither wrap nor warn
-        (closed_form_delta_mean, 8, math.nan),  # nor does a nan pass through
-    ], ids=["bound-pow", "var-int", "mean-n", "sq-mean-inf", "var-numpy", "mean-nan"])
+        (sigma_inf_bound, 10**250, 1e100),  # n * 4p0**3 rounds to inf
+        (sigma_inf_bound, 10**103, np.float64(1e103)),  # a numpy p0 does not warn
+    ], ids=["bound-pow", "var-int", "mean-n", "bound-inf", "bound-numpy"])
     def test_no_finite_value_refused_naming_n_and_p0(self, form, n, p0):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InputError, match=re.escape(f"no finite float value at n = {n}, p0 = {p0}") + "$"):
+                form(n, p0)
+
+    @pytest.mark.parametrize("form, n, p0, reason", [
+        (closed_form_delta_mean, 0, 1.0, "need n >= 1, got 0"),  # divided by zero
+        (sigma_inf_bound, -3, 1.0, "need n >= 1, got -3"),  # a square root of a negative
+        (sigma_inf_bound, 5, -1.0, "edge probability p0/n = -0.2 outside [0, 1]"),
+        (closed_form_delta_mean, 5, -1.0, "edge probability p0/n = -0.2 outside [0, 1]"),  # a negative mean
+        (closed_form_delta_var, 5, 10.0, "edge probability p0/n = 2.0 outside [0, 1]"),  # a negative variance
+        (closed_form_delta_sq_mean, 10, 1e78, "edge probability p0/n = 1e+77 outside [0, 1]"),
+        (closed_form_delta_var, np.int64(10**6), np.float64(1e300), "edge probability p0/n = 1e+294 outside [0, 1]"),
+        (closed_form_delta_mean, 8, math.nan, "edge probability p0/n = nan outside [0, 1]"),
+    ], ids=["mean-n0", "bound-n-negative", "bound-p0-negative", "mean-p0-negative", "var-p-above-1",
+            "sq-mean-p-huge", "var-numpy", "mean-nan"])
+    def test_outside_the_domain_refused_naming_n_and_p0(self, form, n, p0, reason):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = f"{form.__name__} at n = {n}, p0 = {p0}: {reason}"
+            with pytest.raises(InputError, match="^" + re.escape(message) + "$"):
                 form(n, p0)
 
     def test_values_kept_where_finite(self):
@@ -248,6 +265,10 @@ class TestClosedForms:
         assert repr(closed_form_delta_var(50, 1.0)) == "9.336624639999997"
         assert repr(sigma_inf_bound(50, 1.0)) == "36.166247903554"
         assert closed_form_delta_var(10**6, np.float64(1.0)) == closed_form_delta_var(10**6, 1.0)
+        assert closed_form_delta_var(np.int64(10**6), 1.0) == closed_form_delta_var(10**6, 1.0)  # no int64 wrap
+        # both ends of the edge probability's range are in the domain
+        assert closed_form_delta_mean(8, 0.0) == 0.0 and sigma_inf_bound(8, 0.0) == 0.0
+        assert closed_form_delta_mean(8, 8.0) == 2 * 7 + 7 * 6
 
     def test_variance_below_dimension_free_bound(self):
         for n in (5, 20, 50, 200):

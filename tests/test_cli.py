@@ -68,6 +68,13 @@ class TestSolve:
         assert code == 0
         assert doc["x_star"][0] == pytest.approx(1.0, abs=1e-4)
 
+    @pytest.mark.parametrize("schedule", ["nan", "inf", "1,nan"])
+    def test_regularized_non_finite_schedule_exits_2(self, n1_path, tmp_path, capsys, schedule):
+        code, doc = run(["solve", "--game", n1_path, "--method", "regularized", "--beta-schedule", schedule],
+                        tmp_path / "r.json")
+        assert code == 2 and doc is None
+        assert capsys.readouterr().err == "error: beta_schedule must be finite, strictly decreasing and positive\n"
+
 
 class TestVerify:
     def test_accepts_ne(self, fig1a_path, tmp_path):
@@ -510,8 +517,10 @@ class TestMatrixFiles:
         ("--maps", '[{"d": [true, 1], "b": [0, 0]}]', "{}[0].d[0]: expected a number, got True"),
         ("--maps", '[{"d": [1, 1], "b": [0, 0]}, {"d": [1, 1], "b": ["x", 0]}]',
          "{}[1].b[0]: expected a number, got 'x'"),
+        ("--f-common", '{"family": "quadratic_clipped_value", "params": {"a": 1' + "0" * 400 + ', "b": 1}}',
+         "{}.params.a: integer too large for a float"),
     ], ids=["w0-string", "w0-object", "w0-bool", "w0-row-string", "maps-string", "maps-number",
-            "maps-bool", "maps-second-b"])
+            "maps-bool", "maps-second-b", "f-common-huge-int"])
     def test_bad_entry_is_an_input_error(self, game_path, tmp_path, capsys, flag, content, message):
         code, doc = self.certify(game_path, tmp_path, flag, content)
         assert code == 2 and doc is None
@@ -576,6 +585,15 @@ class TestContract:
         code, report = run(["solve", "--game", str(path)], tmp_path / "r.json")
         assert code == 2 and report is None
         assert "error:" in capsys.readouterr().err
+
+    def test_game_spec_integer_beyond_the_float_range_exits_2(self, tmp_path, capsys):
+        doc = game_to_dict(make_fig1a_game())
+        doc["players"][1]["cost"]["params"]["c0"] = 10**400
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))  # writes all 401 digits
+        code, report = run(["solve", "--game", str(path)], tmp_path / "r.json")
+        assert code == 2 and report is None
+        assert capsys.readouterr().err == f"error: {path}.players[1].cost.params.c0: integer too large for a float\n"
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--method", "multistart", "--n-starts", str(10**15)],  # 8 PB of starts

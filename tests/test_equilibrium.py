@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -171,6 +172,12 @@ class TestSolveRegularized:
             solve_regularized(n1_game, [])
         with pytest.raises(InputError):
             solve_regularized(n1_game, [1e-1, 0.0])
+
+    @pytest.mark.parametrize("schedule", [[math.nan], [math.inf], [1.0, math.nan], [2.0, math.nan, 1.0]],
+                             ids=["nan", "inf", "then-nan", "nan-inside"])
+    def test_non_finite_schedule_refused(self, n1_game, schedule):
+        with pytest.raises(InputError, match="^beta_schedule must be finite, strictly decreasing and positive$"):
+            solve_regularized(n1_game, schedule)
 
 
 class TestGridOracle:

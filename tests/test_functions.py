@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -303,6 +304,17 @@ def test_deserialization_errors_name_the_field():
         spec_from_dict({"family": "quadratic_cost", "params": {}})
     with pytest.raises(InputError, match="players\\[3\\].value"):
         spec_from_dict({"params": {}}, where="players[3].value")
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"family": "quadratic_cost", "params": {"c0": 10**400}}, "spec.params.c0"),
+    ({"family": "affine_reparam",
+      "params": {"inner": {"family": "log_value", "params": {"a": 1.0, "s": -10**400}}, "scale": 1.0, "shift": 0.0}},
+     "spec.params.inner.params.s"),
+], ids=["cost", "nested"])
+def test_integer_beyond_the_float_range_is_an_input_error(doc, where):
+    with pytest.raises(InputError, match=rf"^{re.escape(where)}: integer too large for a float$"):
+        spec_from_dict(doc)
 
 
 def test_increasing_cutoff():

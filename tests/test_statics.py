@@ -3,7 +3,7 @@ import pytest
 
 from netgoods.equilibrium import solve_ne
 from netgoods.errors import InputError, SingularMatrixError
-from netgoods.functions import LinearCost, QuadraticClippedValue, QuadraticCost
+from netgoods.functions import LinearCost, LogValue, QuadraticClippedValue, QuadraticCost
 from netgoods.game import Game, evaluate, gains, utility_profile
 from netgoods.statics import (
     equilibrium_derivative,
@@ -180,8 +180,6 @@ class TestFdCheck:
     def test_quadratic_error_scaling(self):
         # central differences carry O(t^2) bias when third derivatives are
         # nonzero (log values): quartering t cuts the bias ~16x
-        from netgoods.functions import LogValue
-
         g = Game(
             w=np.array([[1.0, 0.3], [0.3, 1.0]]),
             lower=np.zeros(2), upper=np.full(2, 2.0),
@@ -196,3 +194,59 @@ class TestFdCheck:
             rep = fd_check(g, x_star, delta, t=t)
             errs.append(float(np.max(np.abs(rep.du_dt_fd - closed.du_dt))))
         assert errs[0] / errs[1] >= 8.0
+
+
+def random_interior_game(rng: np.random.Generator) -> tuple[Game, np.ndarray]:
+    """A weakly coupled game (W >= 0, not symmetric; clipped-quadratic and log values) and its interior NE."""
+    n = int(rng.integers(2, 25))
+    w = rng.uniform(0.0, 0.4 / n, size=(n, n))
+    np.fill_diagonal(w, 1.0)
+    values = tuple(QuadraticClippedValue(a=rng.uniform(2.0, 4.0), b=rng.uniform(0.5, 1.5)) if rng.random() < 0.5
+                   else LogValue(a=rng.uniform(1.0, 3.0), s=rng.uniform(0.5, 2.0)) for _ in range(n))
+    costs = tuple(QuadraticCost(c0=rng.uniform(0.5, 2.0)) for _ in range(n))
+    g = Game(w=w, lower=np.zeros(n), upper=np.full(n, 10.0), values=values, costs=costs)
+    res = solve_ne(g, tol=1e-13, max_iter=400_000)
+    assert res.converged
+    return g, res.x_star
+
+
+class TestEnvelopeForm:
+    """du/dt read from dx*/dt's one system, against the second system it replaced."""
+
+    @staticmethod
+    def curvatures(g, x_star):
+        ev, k = g.evaluator, gains(g, x_star)
+        return ev.value_d1(k), ev.value_d2(k), ev.dq
+
+    def test_matches_the_two_system_closed_form(self):
+        rng = np.random.default_rng(2002)
+        for _ in range(40):
+            g, x_star = random_interior_game(rng)
+            delta = rng.normal(size=g.n)
+            fp, fpp, cpp = self.curvatures(g, x_star)
+            a_x = np.diag(cpp) - fpp[:, None] * g.w
+            a_u = np.diag(cpp) - g.w * fpp[None, :]
+            du_two_systems = fp * (cpp - fpp) * np.linalg.solve(a_u, delta)
+
+            res = utility_derivative(g, x_star, delta)
+            assert np.array_equal(res.dx_dt, np.linalg.solve(a_x, fpp * delta))
+            assert np.array_equal(equilibrium_derivative(g, x_star, delta), res.dx_dt)
+            scale = np.max(np.abs(du_two_systems))
+            assert np.max(np.abs(res.du_dt - du_two_systems)) <= 1e-13 * scale
+            assert res.condition_number == np.linalg.cond(a_x)
+
+    def test_one_condition_number_and_one_solve_per_call(self, monkeypatch, two_player_symmetric):
+        calls = {"cond": 0, "solve": 0}
+
+        def counted(name):
+            inner = getattr(np.linalg, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        utility_derivative(two_player_symmetric, np.full(2, 0.75), np.array([1.0, -0.5]))
+        assert calls == {"cond": 1, "solve": 1}
