@@ -282,24 +282,22 @@ def random_er_game(n: int, p0: float, a: float, b: float, c0: float, seed: int) 
     return _homogeneous_game(w, a / (2.0 * b) + 1.0, a, b, c0)
 
 
-def delta_row_stats(w: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+def delta_row_stats(w: np.ndarray) -> tuple[np.ndarray, float]:
     """Row statistics delta_i = 2*indegree_i + paired-out-edge count, and max_i delta_i.
 
     delta_i is row i's sum of the coupling residual, so the maximum is the
     residual's infinity norm; both are read from W's degrees
-    (``_degree_stats``).  W must be 0/1 with unit diagonal; an (S, n, n)
-    stack gives the (S, n) statistics and the S maxima.
+    (``_degree_stats``).  W must be a 0/1 (n, n) matrix with unit diagonal.
     """
     w = np.asarray(w, dtype=float)
-    if np.any(np.diagonal(w, axis1=-2, axis2=-1) != 1.0):  # a nan diagonal entry fails too
+    if w.ndim != 2 or not 0 < w.shape[0] == w.shape[1]:
+        raise InputError(f"need a non-empty square matrix, got shape {w.shape}")
+    if np.any(np.diag(w) != 1.0):  # a nan diagonal entry fails too
         raise InputError("need unit diagonal")
     if not np.all((w == 0.0) | (w == 1.0)):  # the diagonal passed already
         raise InputError("need 0/1 off-diagonal entries")
-    n = w.shape[-1]
-    edges = (w == 1.0) & ~np.eye(n, dtype=bool)
-    delta = _degree_stats(edges.reshape(-1, n, n))[0].reshape(w.shape[:-1])
-    inf_norm = delta.max(axis=-1)
-    return delta, float(inf_norm) if w.ndim == 2 else inf_norm
+    delta = _degree_stats(((w == 1.0) & ~np.eye(len(w), dtype=bool))[None])[0][0]
+    return delta, float(delta.max())
 
 
 def _closed_form(formula):

@@ -60,9 +60,9 @@ class CertificateReport:
         return self.verdict == "pass"
 
 
-def _peak(m: np.ndarray) -> np.ndarray:
-    """max |entry| of each matrix of a stack (0 for an empty one); not finite exactly when an entry is not."""
-    return np.abs(m).max(axis=(-2, -1), initial=0.0)
+def _peak(m: np.ndarray) -> float:
+    """max |entry| of the matrix (0 for an empty one); not finite exactly when an entry is not."""
+    return float(np.abs(m).max(initial=0.0))
 
 
 def _pow2_scale(m: np.ndarray, peak: float) -> tuple[np.ndarray, int]:
@@ -89,7 +89,7 @@ def _slack(m: np.ndarray) -> float:
     two (``_pow2_scale``), so it neither over- nor underflows, and scaled back:
     at ordinary scales that moves no bit.
     """
-    s, e = _pow2_scale(m, float(_peak(m)))
+    s, e = _pow2_scale(m, _peak(m))
     return math.ldexp(SLACK_C * m.shape[-1] * UNIT_ROUNDOFF * float(np.linalg.norm(s, axis=(-2, -1))), e)
 
 
@@ -120,7 +120,7 @@ def _sigma_bound(m: np.ndarray) -> tuple[float, float]:
     is the bound minus 2^e sqrt(max(lambda_hat, 0)).  A matrix with a
     non-finite entry gets nan for both, and LAPACK never sees it.
     """
-    peak = float(_peak(m))
+    peak = _peak(m)
     if not math.isfinite(peak):
         return math.nan, math.nan
     if peak == 0.0:  # no row is non-zero
@@ -229,15 +229,15 @@ def common_value(game: Game) -> ScalarFunction | None:
 def coupling_residual(w: np.ndarray, gamma: np.ndarray | None = None) -> np.ndarray:
     """The weak-coupling matrix sigma_ij = sum_{k != i} gamma_k |w_ki| |w_kj|, gamma defaulting to ones.
 
-    It is off^T (gamma |W|), off being |W| with its diagonal zeroed, so the
-    k = i term drops out and every summand is non-negative.  An (S, n, n)
-    stack of W maps to the stack of their weak-coupling matrices.
+    It is off^T (gamma |W|), off being the (n, n) |W| with its diagonal
+    zeroed, so the k = i term drops out and every summand is non-negative.
     """
     abs_w = np.abs(np.asarray(w, dtype=float))
-    diag = np.arange(abs_w.shape[-1])
+    if abs_w.ndim != 2 or abs_w.shape[0] != abs_w.shape[1]:
+        raise InputError(f"need a square matrix, got shape {abs_w.shape}")
     off = abs_w.copy()
-    off[..., diag, diag] = 0.0
-    return np.swapaxes(off, -1, -2) @ (abs_w if gamma is None else gamma[:, None] * abs_w)
+    np.fill_diagonal(off, 0.0)
+    return off.T @ (abs_w if gamma is None else gamma[:, None] * abs_w)
 
 
 def cert_near_individual(game: Game, gamma: np.ndarray | None = None) -> CertificateReport:

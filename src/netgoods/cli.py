@@ -79,19 +79,11 @@ def _floats(text: str, name: str) -> list[float]:
 
 
 def _seed(args) -> int:
-    if args.seed is not None:
-        source, seed = "--seed", args.seed
-    else:
-        source, env = "NETGOODS_SEED", os.environ.get("NETGOODS_SEED")
-        if env is None:
-            return 0
-        try:
-            seed = int(env)
-        except ValueError as exc:
-            raise InputError(f"NETGOODS_SEED must be an integer, got {env!r}") from exc
-    if seed < 0:
-        raise InputError(f"{source} must be a non-negative integer, got {seed}")
-    return seed
+    if args.seed is None:
+        return 0
+    if args.seed < 0:
+        raise InputError(f"--seed must be a non-negative integer, got {args.seed}")
+    return args.seed
 
 
 def _solve_result_dict(res) -> dict:

@@ -71,12 +71,14 @@ def _integrate(game: Game, field, x0: np.ndarray, step: float, horizon: float,
                energy_fn=None) -> Trajectory:
     if not (0 < step < np.inf and 0 < horizon < np.inf and horizon / step < np.inf):  # NaN fails too
         raise InputError(f"need finite step>0, horizon>0, horizon/step; got step={step}, horizon={horizon}")
+    n_steps = int(round(horizon / step))
+    if n_steps < 1:
+        raise InputError(f"horizon {horizon} rounds to 0 steps of {step}; a run takes round(horizon/step) steps")
     x = game.require_feasible(np.asarray(x0, dtype=float))
     times, states, clipped = [0.0], [x], [False]
     # every state is already in the box, so field(x) is also the next step's k1
     fx = field(x)
     converged = bool(np.abs(fx).max() < FIELD_TOL)
-    n_steps = int(round(horizon / step))
     t = 0.0
     for _ in range(n_steps):
         if converged:

@@ -34,7 +34,6 @@ class SolveResult:
 
     ``residual`` is the final infinity-norm displacement of one iteration;
     ``final_gap`` the best-response gap at ``x_star`` (NaN if diverged).
-    ``iterates`` is present only when history was requested.
     """
 
     x_star: np.ndarray
@@ -42,7 +41,6 @@ class SolveResult:
     iterations: int
     final_gap: float
     residual: float
-    iterates: np.ndarray | None = None
 
     @property
     def converged(self) -> bool:
@@ -64,23 +62,30 @@ def default_step_eps(game: Game, gamma: np.ndarray) -> float:
     return float(np.clip(0.5 / (1.0 + scale), *_STEP_RANGE))
 
 
-def _prep(game, gamma, step_eps, x0, tol, max_iter):
+def _prep(game, gamma, step_eps, x0, tol, max_iter, betas=(0.0,)):
+    """(gamma, the step of each stage (one per beta, as in ``_solve``), x0), checked."""
     if not 0 < tol < np.inf:  # also rejects NaN
         raise InputError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise InputError(f"max_iter must be at least 1, got {max_iter}")
     gamma = np.ones(game.n) if gamma is None else _weights(game, gamma, "gamma")
     if step_eps is None:
-        step_eps = default_step_eps(game, gamma)
-    if not 0 < step_eps < np.inf:
+        eps = default_step_eps(game, gamma)
+        steps = [float(np.clip(eps / (1.0 + 2.0 * beta), *_STEP_RANGE)) for beta in betas]
+    elif 0 < step_eps < np.inf:
+        steps = [float(step_eps)] * len(betas)
+    else:
         raise InputError(f"step_eps must be positive and finite, got {step_eps}")
+    for eps in steps:  # a stage stops once a step moves less than tol * eps: at 0 it never would
+        if not 0 < tol * eps < np.inf:
+            raise InputError(f"the stop threshold tol * step_eps = {tol} * {eps} is not a positive finite float")
     if x0 is None:
         x0 = 0.5 * (game.lower + game.upper)
     x0 = game.require_feasible(np.asarray(x0, dtype=float))
-    return gamma, float(step_eps), x0
+    return gamma, steps, x0
 
 
-def _iterate(game, field, gamma, eps, xs, tol, max_iter, history=None):
+def _iterate(game, field, gamma, eps, xs, tol, max_iter):
     """Projected steps x <- Pi_X(x + eps*gamma*field(x)) on xs, in place.
 
     ``xs`` is one (n,) profile or an (S, n) batch of rows.  The field and the
@@ -90,7 +95,7 @@ def _iterate(game, field, gamma, eps, xs, tol, max_iter, history=None):
     ("diverged"; the row keeps its last finite point).  Filing the rows that
     stop works on (S, n) views and runs only on iterations where some row
     stops.  Returns each row's status, iteration count and last displacement
-    as (S,) arrays (S = 1 for a profile); ``history`` collects row 0's iterates.
+    as (S,) arrays (S = 1 for a profile).
     """
     field = field or (lambda y: _pseudo_gradient(game, y))  # the rows never leave the box
     step, stop, rows = eps * gamma, tol * eps, xs.reshape(-1, game.n)
@@ -99,8 +104,6 @@ def _iterate(game, field, gamma, eps, xs, tol, max_iter, history=None):
     for it in range(1, max_iter + 1):
         stepped = game.project(cur + step * field(cur))
         res = np.abs(stepped - cur).max(axis=-1)  # NaN where the step is not finite
-        if history is not None and not np.isnan(res).any():
-            history.append(stepped.reshape(-1, game.n)[0].copy())
         going = res >= stop
         if not going.all():  # file the rows that stop here and go on with the rest
             cur, stepped = cur.reshape(-1, game.n), stepped.reshape(-1, game.n)
@@ -118,25 +121,22 @@ def _iterate(game, field, gamma, eps, xs, tol, max_iter, history=None):
     return status, iters, residuals
 
 
-def _result(game, x, status, iterations, residual, history=None) -> SolveResult:
+def _result(game, x, status, iterations, residual) -> SolveResult:
     gap = float("nan") if status == "diverged" else br_gap(game, x)[0]
-    iterates = np.asarray(history) if history is not None else None
-    return SolveResult(x, str(status), int(iterations), gap, float(residual), iterates)
+    return SolveResult(x, str(status), int(iterations), gap, float(residual))
 
 
-def _solve(game, betas, gamma, step_eps, tol, max_iter, x0, keep_iterates=False) -> SolveResult:
+def _solve(game, betas, gamma, step_eps, tol, max_iter, x0) -> SolveResult:
     """The projected iteration in stages, one per beta (0: the original game); see solve_regularized."""
-    gamma, eps, x = _prep(game, gamma, step_eps, x0, tol, max_iter)
-    history = [x.copy()] if keep_iterates else None
+    gamma, steps, x = _prep(game, gamma, step_eps, x0, tol, max_iter, betas)
     x, total = x.copy(), 0
-    for beta in betas:
+    for beta, eps in zip(betas, steps):
         field = (lambda y, beta=beta: _pseudo_gradient(game, y) - 2.0 * beta * y) if beta else None
-        eps_b = eps if step_eps is not None else float(np.clip(eps / (1.0 + 2.0 * beta), *_STEP_RANGE))
-        (status,), (iterations,), (residual,) = _iterate(game, field, gamma, eps_b, x, tol, max_iter, history)
+        (status,), (iterations,), (residual,) = _iterate(game, field, gamma, eps, x, tol, max_iter)
         total += int(iterations)
         if status == "diverged":
             break
-    return _result(game, x, status, total, residual, history)
+    return _result(game, x, status, total, residual)
 
 
 def solve_ne(
@@ -146,13 +146,12 @@ def solve_ne(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     x0: np.ndarray | None = None,
-    keep_iterates: bool = False,
 ) -> SolveResult:
     """Projected fixed-point iteration on the (gamma-scaled) pseudo-gradient.
 
     Stops when the iteration displacement drops below tol*step_eps.
     """
-    return _solve(game, (0.0,), gamma, step_eps, tol, max_iter, x0, keep_iterates)
+    return _solve(game, (0.0,), gamma, step_eps, tol, max_iter, x0)
 
 
 def _check_eps(eps: float) -> None:
@@ -210,7 +209,9 @@ def multi_start_probe(
         raise InputError(f"need n_starts >= 1, got {n_starts}")
     if not 0 <= cluster_tol < np.inf:
         raise InputError(f"cluster_tol must be non-negative and finite, got {cluster_tol}")
-    gamma_v, eps, _ = _prep(game, gamma, step_eps, None, tol, max_iter)
+    if seed < 0:
+        raise InputError(f"need seed >= 0, got {seed}")
+    gamma_v, (eps,), _ = _prep(game, gamma, step_eps, None, tol, max_iter)
     rng = np.random.default_rng(seed)
     xs = game.lower + rng.random(check_shape((n_starts, game.n), "n_starts")) * (game.upper - game.lower)
     status, iters, residuals = _iterate(game, None, gamma_v, eps, xs, tol, max_iter)

@@ -129,7 +129,9 @@ class Evaluator:
     def value(self, k: np.ndarray) -> np.ndarray:
         """f_i(k_i)."""
         t, arg = self._in_domain(k)
-        quad = np.where(t <= self.clip, self.a * t - self.b * t * t, self.peak)
+        curved = t <= self.clip
+        t = np.where(curved, t, 0.0)  # the flat side reads the peak, so its t*t must not overflow
+        quad = np.where(curved, self.a * t - self.b * t * t, self.peak)
         return quad + self.log * np.log(arg)
 
     def value_d1(self, k: np.ndarray) -> np.ndarray:

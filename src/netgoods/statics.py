@@ -122,14 +122,22 @@ def utility_derivative(game: Game, x_star: np.ndarray, delta: np.ndarray) -> Sta
     cond = float(np.linalg.cond(a_x))
     if not np.isfinite(cond) or 1.0 / cond < RCOND_SINGULAR:
         raise SingularMatrixError(f"statics system is numerically singular (cond {cond:.3g})")
-    dx_dt = np.linalg.solve(a_x, fpp * delta)
+    with np.errstate(over="ignore", invalid="ignore"):  # a derivative beyond the float range is refused below
+        dx_dt = np.linalg.solve(a_x, fpp * delta)
+        du_dt = fp * (game.w @ dx_dt - dx_dt + delta)
+    _require_finite(f"the derivatives along delta = {delta.tolist()}", dx_dt, du_dt)
     return StaticsResult(
-        du_dt=fp * (game.w @ dx_dt - dx_dt + delta),
+        du_dt=du_dt,
         dx_dt=dx_dt,
         condition_number=cond,
         boundary_margin=margin,
         warnings=warnings,
     )
+
+
+def _require_finite(what: str, *arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise InputError(f"{what} are not finite floats")
 
 
 def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -147,20 +155,22 @@ def fd_check(game: Game, x_star: np.ndarray, delta: np.ndarray, t: float) -> FdR
     """
     if not 0 < t < np.inf:  # also rejects NaN
         raise InputError(f"need finite t > 0, got {t}")
+    delta = _delta(game, delta)
     closed = utility_derivative(game, x_star, delta)
     x_star = np.asarray(x_star, dtype=float)
 
     sides = {}
-    for s in (+1.0, -1.0):
-        pert = perturb_money(game, delta, s * t)
-        res = solve_ne(pert, x0=x_star, tol=FD_SOLVER_TOL, max_iter=FD_MAX_ITER)
-        if not res.converged:
-            raise InputError(f"perturbed solve at t={s * t:g} did not converge")
-        u, _ = utility_profile(pert, res.x_star)
-        sides[s] = (res.x_star, u)
-
-    dx_fd = (sides[1.0][0] - sides[-1.0][0]) / (2.0 * t)
-    du_fd = (sides[1.0][1] - sides[-1.0][1]) / (2.0 * t)
+    with np.errstate(over="ignore", invalid="ignore"):  # a difference beyond the float range is refused below
+        for s in (+1.0, -1.0):
+            pert = perturb_money(game, delta, s * t)
+            res = solve_ne(pert, x0=x_star, tol=FD_SOLVER_TOL, max_iter=FD_MAX_ITER)
+            if not res.converged:
+                raise InputError(f"perturbed solve at t={s * t:g} did not converge")
+            u, _ = utility_profile(pert, res.x_star)
+            sides[s] = (res.x_star, u)
+        dx_fd = (sides[1.0][0] - sides[-1.0][0]) / (2.0 * t)
+        du_fd = (sides[1.0][1] - sides[-1.0][1]) / (2.0 * t)
+    _require_finite(f"the finite differences along delta = {delta.tolist()} at t = {t}", dx_fd, du_fd)
     jump = max(
         float(np.max(np.abs(sides[s][0] - x_star))) for s in (+1.0, -1.0)
     ) > 100.0 * t

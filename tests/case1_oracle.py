@@ -2,11 +2,11 @@
 
 Each sample's W is drawn as ``Generator(Philox(key=(seed, 0))).random((n, n)) < p``
 with a unit diagonal, from the float uniforms.  Every statistic is read from
-the coupling residuals of all samples at once, as one stack: delta_i is row
-i's sum, the infinity norm its maximum, a sample whose residual ``_peak``
-reaches c0/(2b) fails, and the rest, like every ``sigma_maxes`` entry, are
-decided by ``_sigma_bound`` on the residual alone.  ``monte_carlo_case1``
-reads degrees and integer thresholds instead, and must give the same bits.
+each sample's coupling residual, formed on its own: delta_i is row i's sum,
+the infinity norm its maximum, a sample whose residual ``_peak`` reaches
+c0/(2b) fails, and the rest, like every ``sigma_maxes`` entry, are decided by
+``_sigma_bound`` on the residual alone.  ``monte_carlo_case1`` reads degrees
+and integer thresholds instead, and must give the same bits.
 """
 
 import math
@@ -25,19 +25,19 @@ def er_matrix(n: int, p: float, seed: int) -> np.ndarray:
     return w
 
 
-def residuals(n: int, p0: float, samples: int, seed: int) -> np.ndarray:
-    """The (samples, n, n) stack of the samples' coupling residuals."""
-    return coupling_residual(np.array([er_matrix(n, p0 / n, sample_seed(seed, s)) for s in range(samples)]))
+def residuals(n: int, p0: float, samples: int, seed: int) -> list[np.ndarray]:
+    """The samples' coupling residuals, one (n, n) matrix each."""
+    return [coupling_residual(er_matrix(n, p0 / n, sample_seed(seed, s))) for s in range(samples)]
 
 
 def case1(n: int, p0: float, b: float, c0: float, samples: int, seed: int) -> dict:
-    """The Monte Carlo's moments and per-sample columns, from the residual stack."""
+    """The Monte Carlo's moments and per-sample columns, from each sample's residual."""
     residual = residuals(n, p0, samples, seed)
     threshold = c0 / (2.0 * b)
-    delta = residual.sum(axis=-1)
+    delta = np.array([r.sum(axis=-1) for r in residual])
     means, sq_means = np.mean(delta, axis=-1), np.mean(delta**2, axis=-1)
     sigma_maxes = np.array([_sigma_bound(r)[0] for r in residual])
-    certified = _peak(residual) < threshold
+    certified = np.array([_peak(r) < threshold for r in residual])
     certified[certified] = sigma_maxes[certified] < threshold
     emp_mean = float(np.mean(means))
     return {

@@ -94,6 +94,33 @@ def two_player_symmetric():
     return make_two_player_symmetric()
 
 
+def max_iter_result(game, **kwargs):
+    """A stand-in for ``solve_ne`` whose solve ran out of iterations."""
+    from netgoods.equilibrium import SolveResult
+
+    return SolveResult(np.array(game.lower), "max_iter", 1, 0.0, 1.0)
+
+
+@pytest.fixture
+def solver_iterates(monkeypatch):
+    """The list the projected solver's iterates land in: its field runs once per iteration, at the iterate.
+
+    Each entry is a copy of the point ``equilibrium._pseudo_gradient`` is
+    called at, so a solve's list holds x0 and every later iterate but the last,
+    which is its ``x_star``.
+    """
+    from netgoods import equilibrium
+
+    iterates, field = [], equilibrium._pseudo_gradient
+
+    def recording(game, y):
+        iterates.append(y.copy())
+        return field(game, y)
+
+    monkeypatch.setattr(equilibrium, "_pseudo_gradient", recording)
+    return iterates
+
+
 def random_small_interaction_game(rng, n=None, coupling=0.25):
     """Random game with weak coupling; most draws pass the near-individual certificate.
 

@@ -141,7 +141,7 @@ def _certified_interior_candidate(rng):
                 values=tuple(values), costs=tuple(costs))
 
 
-def test_criterion_04_contraction_convergence():
+def test_criterion_04_contraction_convergence(solver_iterates):
     # the exponential-decay claim describes interior equilibria (projection
     # pinning converges even faster, breaking a two-sided fit), so the pool
     # conditions on certified instances whose NE is interior
@@ -155,13 +155,14 @@ def test_criterion_04_contraction_convergence():
         g = _certified_interior_candidate(rng)
         if not certify_any(g).passed:
             continue
-        res = solve_ne(g, tol=1e-12, keep_iterates=True, x0=g.lower.copy())
+        solver_iterates.clear()
+        res = solve_ne(g, tol=1e-12, x0=g.lower.copy())
         assert res.converged
         margin = float(np.min(np.minimum(res.x_star - g.lower, g.upper - res.x_star)))
         if margin < 1e-3:
             continue
         checked += 1
-        d = np.max(np.abs(res.iterates - res.x_star[None, :]), axis=1)
+        d = np.max(np.abs(np.array([*solver_iterates, res.x_star]) - res.x_star[None, :]), axis=1)
         keep = np.nonzero(d > 1e-10)[0]
         fit = fit_exponential(keep.astype(float), d[keep])
         assert fit.r_squared > 0.99, f"instance {checked}: r2 {fit.r_squared}"

@@ -125,7 +125,8 @@ class TestDeltaRowStats:
             assert inf_norm == float(np.max(coupling_residual(w).sum(axis=1)))
 
     def test_stacks_match_the_residual_row_sums(self):
-        # the degree identity against the residual itself, densities from none to complete
+        # the degree identity against the residual itself, densities from none to complete;
+        # _degree_stats reads a stack of edge matrices, each W's residual is formed on its own
         from netgoods.casestudy import _degree_stats
         from netgoods.certificates import _peak
 
@@ -134,12 +135,13 @@ class TestDeltaRowStats:
             for n in (1, 2, 7, 30):
                 ws = (rng.random((5, n, n)) < density).astype(float)
                 ws[:, range(n), range(n)] = 1.0
-                residual = coupling_residual(ws)
-                delta, inf_norms = delta_row_stats(ws)
-                assert delta.tobytes() == residual.sum(axis=-1).tobytes()
-                assert inf_norms.tobytes() == residual.sum(axis=-1).max(axis=-1).tobytes()
                 _, peaks = _degree_stats((ws == 1.0) & ~np.eye(n, dtype=bool))
-                assert np.array_equal(peaks, _peak(residual))
+                for w, peak in zip(ws, peaks):
+                    residual = coupling_residual(w)
+                    delta, inf_norm = delta_row_stats(w)
+                    assert delta.tobytes() == residual.sum(axis=-1).tobytes()
+                    assert inf_norm == residual.sum(axis=-1).max()
+                    assert peak == _peak(residual)
 
     def test_rejects_non_binary(self):
         w = np.eye(2)
@@ -153,23 +155,10 @@ class TestDeltaRowStats:
         with pytest.raises(InputError, match="unit diagonal"):
             delta_row_stats(w)
 
-    def test_stack_matches_per_matrix(self):
-        rng = np.random.default_rng(4)
-        ws = (rng.random((6, 9, 9)) < 0.3).astype(float)
-        for w in ws:
-            np.fill_diagonal(w, 1.0)
-        delta, inf_norms = delta_row_stats(ws)
-        for s, w in enumerate(ws):
-            d, m = delta_row_stats(w)
-            assert np.array_equal(delta[s], d) and inf_norms[s] == m
-        bad = ws.copy()
-        bad[4, 2, 2] = 0.0
-        with pytest.raises(InputError, match="unit diagonal"):
-            delta_row_stats(bad)
-        bad = ws.copy()
-        bad[5, 0, 3] = 2.0
-        with pytest.raises(InputError, match="0/1"):
-            delta_row_stats(bad)
+    @pytest.mark.parametrize("shape", [(3, 4, 4), (2, 3), (4,), (0, 0)])
+    def test_rejects_a_shape_other_than_one_square_matrix(self, shape):
+        with pytest.raises(InputError, match=re.escape(f"need a non-empty square matrix, got shape {shape}")):
+            delta_row_stats(np.ones(shape))
 
 
 class TestCouplingResidual:
@@ -187,11 +176,18 @@ class TestCouplingResidual:
 
     def test_weights_and_stacks(self):
         rng = np.random.default_rng(8)
-        ws = rng.normal(size=(4, 5, 5))
         gamma = rng.uniform(0.5, 2.0, size=5)
-        for w, r in zip(ws, coupling_residual(ws, gamma)):
+        for w in rng.normal(size=(4, 5, 5)):
+            r = coupling_residual(w, gamma)
             assert np.allclose(r, self.definition(w, gamma), rtol=1e-13, atol=0.0)
-            assert np.array_equal(r, coupling_residual(w, gamma))
+            # the weights scale W's rows: gamma = ones gives the unweighted residual's bits
+            assert np.array_equal(coupling_residual(w, np.ones(5)), coupling_residual(w))
+
+    @pytest.mark.parametrize("shape", [(4, 4, 4), (3, 4, 4), (2, 3), (4,)])
+    def test_rejects_a_shape_other_than_one_square_matrix(self, shape):
+        # a stack of W would otherwise come back as a (4, 4, 4) array of wrong sums
+        with pytest.raises(InputError, match=re.escape(f"need a square matrix, got shape {shape}")):
+            coupling_residual(np.ones(shape))
 
     def test_is_the_near_individual_matrix(self):
         from netgoods.certificates import cert_near_individual
@@ -323,7 +319,8 @@ class TestMonteCarloCase1:
 
         threshold = c0 / 2.0
         rep = monte_carlo_case1(n, p0, 3.0, 1.0, c0, samples=100, seed=3)
-        below = _peak(coupling_residual(_edges(n, p0 / n, rep.sample_seeds) + np.eye(n))) < threshold
+        below = np.array([_peak(coupling_residual(e + np.eye(n))) < threshold
+                          for e in _edges(n, p0 / n, rep.sample_seeds)])
         assert {0: "none", 100: "all"}.get(int(below.sum()), "some") == peaks_below
         assert rep.frac_certificate == float(np.mean(rep.sigma_maxes < threshold))
         assert rep.frac_certificate == float(np.mean(rep.certified))

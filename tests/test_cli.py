@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_fig1a_game, strict_loads
+from conftest import make_fig1a_game, make_two_player_symmetric, max_iter_result, strict_loads
 from netgoods import cli
 from netgoods.casestudy import random_er_game
 from netgoods.cli import build_parser, main
@@ -354,7 +354,8 @@ class TestCasestudy:
             assert rep.frac_inf_norm_within == float(np.mean(rep.within_bound))
             certified = np.array([row[5] for row in parsed], dtype=bool)
             assert np.array_equal(certified, rep.certified)
-            peaks = _peak(coupling_residual(_edges(12, 2.0 / 12, rep.sample_seeds) + np.eye(12)))
+            peaks = np.array([_peak(coupling_residual(e + np.eye(12)))
+                              for e in _edges(12, 2.0 / 12, rep.sample_seeds)])
             assert (np.sum(peaks < c0 / 2.0), np.sum(certified)) == (by_sigma, passed)
 
     @pytest.mark.parametrize("flag", ["--a", "--b", "--c0"])
@@ -363,17 +364,14 @@ class TestCasestudy:
                          flag, "inf"], tmp_path / "r.json")
         assert code == 2 and doc is None
 
-    @pytest.mark.parametrize("args, env, source", [
-        (["casestudy", "case1", "--n", "10", "--samples", "100", "--seed", "-1"], None, "--seed"),
-        (["casestudy", "case1", "--n", "10", "--samples", "100"], "-3", "NETGOODS_SEED"),
-        (["casestudy", "case2", "--n", "3", "--seed", "-1"], None, "--seed"),
+    @pytest.mark.parametrize("args", [
+        ["casestudy", "case1", "--n", "10", "--samples", "100", "--seed", "-1"],
+        ["casestudy", "case2", "--n", "3", "--seed", "-1"],
     ])
-    def test_negative_seed_exits_2(self, tmp_path, monkeypatch, capsys, args, env, source):
-        if env is not None:
-            monkeypatch.setenv("NETGOODS_SEED", env)
+    def test_negative_seed_exits_2(self, tmp_path, capsys, args):
         code, doc = run(args, tmp_path / "r.json")
         assert code == 2 and doc is None
-        assert source in capsys.readouterr().err
+        assert "--seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
     def test_case2_seed_range(self, tmp_path, capsys):
         code, doc = run(["casestudy", "case2", "--n", "3", "--seed", str(2**64 - 1)], tmp_path / "a.json")
@@ -621,13 +619,6 @@ class TestContract:
         assert main([*args, "--out", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_env_seed_used_as_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NETGOODS_SEED", "11")
-        p1 = tmp_path / "env.json"
-        assert main(["casestudy", "case1", "--n", "8", "--p0", "1",
-                     "--samples", "100", "--out", str(p1)]) == 0
-        assert json.loads(p1.read_text())["seed"] == 11
-
     def test_meta_file_separate_from_report(self, n1_path, tmp_path):
         out, meta = tmp_path / "r.json", tmp_path / "m.json"
         assert main(["solve", "--game", n1_path, "--out", str(out),
@@ -698,3 +689,83 @@ class TestContract:
         assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 2, 2]
         assert all(out for _, out, _ in fresh[:4]) and all(err for _, _, err in fresh[4:])
         assert shared == fresh * 2
+
+
+#: argv in a directory holding sym.json (two players), map.json (one map, not a list of
+#: maps) and w0.json (three entries); the module whose solve_ne is stubbed not to
+#: converge, or None; and the error message
+REFUSALS = [
+    (["verify", "--game", "sym.json", "--x", "1,a"], None, "--x: expected comma-separated reals, got '1,a'"),
+    (["verify", "--game", "sym.json", "--x", "mid"], None, "--x=mid is not supported here"),
+    (["transform", "--game", "sym.json", "--out-game", "o.json"], None,
+     "provide --d and --b, or --normalize-triangular"),
+    (["transform", "--game", "sym.json", "--d", "1,1", "--out-game", "o.json"], None,
+     "provide --d and --b, or --normalize-triangular"),
+    (["certify", "--game", "sym.json", "--maps", "map.json"], None, "map.json: expected a JSON list of maps"),
+    (["certify", "--game", "sym.json", "--theorem", "near-symmetric", "--w0", "w0.json"], None,
+     "--w0: matrix in w0.json has 3 entries, need 4"),
+    (["statics", "--game", "sym.json", "--delta", "1,0"], "cli",
+     "equilibrium solve did not converge; pass --x-star explicitly"),
+    (["statics", "--game", "sym.json", "--delta", "1,0", "--x-star", "0.75,0.75", "--fd-t", "1e-4"], "statics",
+     "perturbed solve at t=0.0001 did not converge"),
+    # f''*delta overflows; the fd solves at +-1e300 reach utilities of -inf
+    (["statics", "--game", "sym.json", "--delta", "1e308,-1e308"], None,
+     "the derivatives along delta = [1e+308, -1e+308] are not finite floats"),
+    (["statics", "--game", "sym.json", "--delta", "1,0", "--fd-t", "1e300"], None,
+     "the finite differences along delta = [1.0, 0.0] at t = 1e+300 are not finite floats"),
+    (["dynamics", "--game", "sym.json", "--step", "1", "--horizon", "0.4"], None,
+     "horizon 0.4 rounds to 0 steps of 1.0; a run takes round(horizon/step) steps"),
+    (["dynamics", "--game", "sym.json", "--step", "1", "--horizon", "0.5"], None,
+     "horizon 0.5 rounds to 0 steps of 1.0; a run takes round(horizon/step) steps"),
+    (["solve", "--game", "sym.json", "--step-eps", "1e-320"], None,
+     "the stop threshold tol * step_eps = 1e-10 * 1e-320 is not a positive finite float"),
+]
+
+
+@pytest.mark.parametrize("argv, stubbed, message", REFUSALS, ids=[" ".join(argv) for argv, _, _ in REFUSALS])
+def test_refusals_exit_2_with_their_message(tmp_path, monkeypatch, capsys, argv, stubbed, message):
+    # RuntimeWarnings are errors in this suite, so none of these may warn on the way
+    from netgoods import statics
+
+    monkeypatch.chdir(tmp_path)
+    save_game(make_two_player_symmetric(), "sym.json")
+    (tmp_path / "map.json").write_text('{"d": [1, 1], "b": [0, 0]}')
+    (tmp_path / "w0.json").write_text("[1, 0, 0]")
+    if stubbed is not None:
+        monkeypatch.setattr({"cli": cli, "statics": statics}[stubbed], "solve_ne", max_iter_result)
+    assert main([*argv, "--out", "r.json"]) == 2
+    assert not (tmp_path / "r.json").exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["verify", "--x", "1e200"], ["dynamics", "--x0", "1e200", "--horizon", "0.05"]],
+                         ids=["verify", "dynamics"])
+def test_huge_gains_past_the_peak_do_not_warn(tmp_path, argv):
+    # one player on [0, 1e200] with a linear cost: past the peak 1.5 the value reads
+    # its peak, and the curved side's a*t - b*t^2, which would overflow, is not evaluated
+    path = tmp_path / "big.json"
+    save_game(Game(w=np.eye(1), lower=np.zeros(1), upper=np.array([1e200]),
+                   values=(QuadraticClippedValue(a=3.0, b=1.0),), costs=(LinearCost(c1=1.0),)), path)
+    code, doc = run([argv[0], "--game", str(path), *argv[1:]], tmp_path / "r.json")
+    assert code == 0
+    if argv[0] == "verify":
+        assert doc == {"eps": 1e-08, "gap": 1e200, "is_ne": False, "worst": 0}
+    else:
+        assert doc["final_sw"] == -1e200 and doc["final_br_gap"] == 1e200
+
+
+def test_near_symmetric_against_the_symmetrized_w(tmp_path):
+    # sym.json's W is symmetric, so W0 = (W + W^T)/2 = W: the coupling term alone is
+    # left, 2 L_i |w_ij| / C_i = 0.5 against lambda_min(W0) = 0.5, and the rounding
+    # slack decides the fail
+    from netgoods.certificates import cert_near_symmetric
+
+    game = make_two_player_symmetric()
+    save_game(game, tmp_path / "sym.json")
+    code, doc = run(["certify", "--game", str(tmp_path / "sym.json"), "--theorem", "near-symmetric",
+                     "--w0", "symmetrized"], tmp_path / "r.json")
+    assert code == 0
+    rep = cert_near_symmetric(game, game.w)
+    assert doc["matrix"] == [[0.0, 0.5], [0.5, 0.0]] and doc["verdict"] == "fail"
+    assert (doc["margin"], doc["threshold"], doc["slack"]) == (rep.margin, rep.threshold, rep.slack)
+    assert -1e-14 < doc["margin"] < 0.0

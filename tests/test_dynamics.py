@@ -189,6 +189,44 @@ class TestFitRate:
             fit_inverse_linear(t, np.exp(-t))
 
 
+    def test_fit_rate_falls_back_to_the_exponential(self):
+        # no time is positive, so the inverse-linear fit refuses and fit_rate keeps the exponential
+        t = np.linspace(-2, -1, 50)
+        with pytest.raises(InputError, match="inverse-linear fit needs at least 2 samples with t > 0"):
+            fit_inverse_linear(t, np.exp(-t))
+        assert fit_rate(t, np.exp(-t)) == fit_exponential(t, np.exp(-t))
+        assert fit_rate(t, np.exp(-t)).model == "exponential"
+
+
+T20 = np.linspace(0.0, 1.0, 20)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g: fit_rate(T20, np.exp(-T20)[:19]), "times and gaps must be 1-D arrays of equal length"),
+    (lambda g: fit_exponential(T20[None], np.exp(-T20)[None]), "times and gaps must be 1-D arrays of equal length"),
+    (lambda g: fit_rate(T20[:5], np.exp(-T20[:5])), "need at least 10 samples, got 5"),
+    (lambda g: fit_rate(T20, np.zeros(20)), "degenerate series: non-positive gaps"),
+    (lambda g: fit_rate(T20, np.ones(20)), "degenerate series: constant gaps"),
+    (lambda g: integrate_sw_flow(g, np.zeros(1), step=0.0), "need finite step>0, horizon>0, horizon/step; "
+                                                            "got step=0.0, horizon=50.0"),
+    (lambda g: integrate_pseudo_gradient(g, ONES1, np.zeros(1), step=1.0, horizon=0.5),
+     "horizon 0.5 rounds to 0 steps of 1.0; a run takes round(horizon/step) steps"),
+    (lambda g: integrate_sw_flow(g, np.zeros(1), step=0.3, horizon=0.1),
+     "horizon 0.1 rounds to 0 steps of 0.3; a run takes round(horizon/step) steps"),
+], ids=["lengths", "2-d", "too-few", "zero-gaps", "constant-gaps", "step-zero", "half-a-step", "third-of-a-step"])
+def test_refusals(n1_game, call, message):
+    with pytest.raises(InputError) as exc:
+        call(n1_game)
+    assert str(exc.value) == message
+
+
+def test_a_horizon_rounds_to_its_step_count(n1_game):
+    # round(horizon/step) steps: 0.6 rounds up to one step of 1, 0.14 down to one of 0.1
+    for step, horizon, t_final in ((1.0, 0.6, 1.0), (0.1, 0.14, 0.1), (0.1, 0.16, 0.2)):
+        traj = integrate_sw_flow(n1_game, np.zeros(1), step=step, horizon=horizon)
+        assert traj.times[-1] == t_final
+
+
 class TestCsvExport:
     def test_columns_and_roundtrip(self, n1_game, tmp_path):
         traj = integrate_pseudo_gradient(n1_game, ONES1, np.zeros(1), horizon=0.1)

@@ -53,41 +53,44 @@ class TestSolveNe:
             assert res.converged
             assert verify_ne(g, res.x_star, 10 * tol)[0]
 
-    def test_keep_iterates(self, n1_game):
-        res = solve_ne(n1_game, x0=np.zeros(1), keep_iterates=True)
-        assert res.iterates is not None
-        assert res.iterates.shape == (res.iterations + 1, 1)
-
-    def test_residual_monotone_under_certificate(self):
+    def test_residual_monotone_under_certificate(self, solver_iterates):
         # contraction property: distances to the fixed point never increase
         rng = np.random.default_rng(61)
         for _ in range(5):
             g = random_small_interaction_game(rng, coupling=0.1)
             if not cert_near_individual(g).passed:
                 continue
-            res = solve_ne(g, step_eps=1e-3, tol=1e-9, keep_iterates=True)
-            assert res.converged
-            d = np.max(np.abs(res.iterates - res.x_star[None, :]), axis=1)
+            solver_iterates.clear()
+            res = solve_ne(g, step_eps=1e-3, tol=1e-9)
+            assert res.converged and len(solver_iterates) == res.iterations
+            d = np.max(np.abs(np.array([*solver_iterates, res.x_star]) - res.x_star[None, :]), axis=1)
             assert np.all(np.diff(d) <= 1e-12)
 
     def test_diverged_keeps_last_finite_point(self, n1_game, monkeypatch):
         calls = []
 
         def field(game, y):
-            calls.append(y.shape)
+            calls.append(y.copy())
             return np.full_like(y, np.nan if len(calls) == 4 else 0.1)
 
         monkeypatch.setattr(equilibrium, "_pseudo_gradient", field)
-        res = solve_ne(n1_game, x0=np.zeros(1), step_eps=0.1, keep_iterates=True)
+        res = solve_ne(n1_game, x0=np.zeros(1), step_eps=0.1)
         assert res.status == "diverged" and res.iterations == 4
         assert np.isnan(res.final_gap) and res.residual == np.inf
-        assert np.allclose(res.x_star, [0.03]) and res.iterates.shape == (4, 1)
-        assert set(calls) == {(1,)}  # the field sees (n,) profiles
+        # the field ran at 0, 0.01, 0.02 and 0.03, and its NaN step there left x_star at 0.03
+        assert [y.shape for y in calls] == [(1,)] * 4  # the field sees (n,) profiles
+        assert np.allclose(calls, [[0.0], [0.01], [0.02], [0.03]])
+        assert res.x_star.tobytes() == calls[-1].tobytes()
 
     def test_rejects_max_iter_below_one(self, n1_game):
         for bad in (0, -3):
             with pytest.raises(InputError, match="max_iter"):
                 solve_ne(n1_game, max_iter=bad)
+
+    def test_subnormal_stop_threshold_runs(self, n1_game):
+        # tol * 0.1 = 1e-321 is a positive subnormal, so the run can stop
+        res = solve_ne(n1_game, tol=1e-320)
+        assert res.converged and res.x_star[0] == 1.0
 
     def test_default_step_in_declared_range(self, fig1a_game):
         eps = default_step_eps(fig1a_game, np.ones(4))
@@ -254,10 +257,24 @@ def test_grid_oracle_keeps_exactly_the_points_verify_ne_accepts(case, m, eps):
     (lambda game: grid_oracle(random_er_game(7, 1.0, 3.0, 1.0, 1.0, seed=1), m=2, eps=1e-8),
      "grid oracle supports n <= 6, got n=7"),
     (lambda game: grid_oracle(game, m=1, eps=1e-8), "need m >= 2, got 1"),
-], ids=["no-starts", "grid-n7", "grid-m1"])
+    (lambda game: multi_start_probe(game, 2, -1), "need seed >= 0, got -1"),
+    # a stop threshold tol * step that underflows to 0 never stops a run; one that overflows stops any
+    (lambda game: solve_ne(game, tol=1e-300, step_eps=1e-30),
+     "the stop threshold tol * step_eps = 1e-300 * 1e-30 is not a positive finite float"),
+    (lambda game: solve_ne(game, tol=1e300, step_eps=1e10),
+     "the stop threshold tol * step_eps = 1e+300 * 10000000000.0 is not a positive finite float"),
+    (lambda game: multi_start_probe(game, 2, 0, step_eps=1e-320),
+     "the stop threshold tol * step_eps = 1e-10 * 1e-320 is not a positive finite float"),
+    # the beta = 1000 stage's default step is clipped to 1e-4, where tol * step underflows; at the
+    # beta = 1e-3 stage's step of about 0.1 it would not
+    (lambda game: solve_regularized(game, [1e3, 1e-3], tol=1e-320),
+     "the stop threshold tol * step_eps = 1e-320 * 0.0001 is not a positive finite float"),
+], ids=["no-starts", "grid-n7", "grid-m1", "seed-negative", "stop-underflows", "stop-overflows",
+        "probe-stop-underflows", "stage-stop-underflows"])
 def test_probe_and_oracle_refusals(n1_game, call, message):
-    with pytest.raises(InputError, match=message):
+    with pytest.raises(InputError) as exc:
         call(n1_game)
+    assert str(exc.value) == message
 
 
 class TestMultiStart:
@@ -436,15 +453,18 @@ class TestProfileShapes:
         gamma = np.ones(game.n)
         eps = default_step_eps(game, gamma)
 
-        def field(y):  # NaN once an entry drops below 0.9, which the path from the centre does
-            grad = pseudo_gradient(game, y)
-            return np.where(y < 0.9, np.nan, grad) if case == "diverged" else grad
+        def recording(hist):
+            def field(y):  # NaN once an entry drops below 0.9, which the path from the centre does
+                hist.append(y.copy())  # the iterate the step starts from
+                grad = pseudo_gradient(game, y)
+                return np.where(y < 0.9, np.nan, grad) if case == "diverged" else grad
+            return field
 
         x0 = 0.5 * (game.lower + game.upper)
         vec, row = x0.copy(), x0[None, :].copy()
         hist_vec, hist_row = [], []
-        got_vec = _iterate(game, field, gamma, eps, vec, 1e-10, max_iter, hist_vec)
-        got_row = _iterate(game, field, gamma, eps, row, 1e-10, max_iter, hist_row)
+        got_vec = _iterate(game, recording(hist_vec), gamma, eps, vec, 1e-10, max_iter)
+        got_row = _iterate(game, recording(hist_row), gamma, eps, row, 1e-10, max_iter)
         assert got_vec[0][0] == got_row[0][0] == case
         for a, b in zip(got_vec, got_row):  # status, iterations, residuals
             assert a.shape == b.shape == (1,) and a.tobytes() == b.tobytes()

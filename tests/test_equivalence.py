@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_small_interaction_game
+from conftest import make_two_player_symmetric, make_two_player_triangular, random_small_interaction_game
 from netgoods.equilibrium import solve_ne, verify_ne
 from netgoods.equivalence import (
     EquivalenceMap,
@@ -11,7 +11,7 @@ from netgoods.equivalence import (
     upper_triangular_normalizer,
 )
 from netgoods.errors import InputError
-from netgoods.functions import LogValue, QuadraticClippedValue, QuadraticCost
+from netgoods.functions import LinearCost, LogValue, QuadraticClippedValue, QuadraticCost
 from netgoods.game import Game, br_gap, evaluate, gains, utility_profile
 
 
@@ -128,27 +128,51 @@ class TestMapProfile:
             k2 = gains(g2, map_profile(emap, x, "forward"))
             assert np.allclose(k2, emap.d * k1 + m, atol=1e-12)
 
-    def test_infeasible_signals(self, n1_game):
-        emap = EquivalenceMap(d=np.array([2.0]), b=np.zeros(1))
-        with pytest.raises(InputError, match="infeasible"):
-            map_profile(emap, np.array([5.0]), "forward", game=n1_game)
 
-    def test_profile_inside_the_source_tolerance_maps_at_any_scale(self):
-        # x lies 9e-10 below the box [0, 0.5], inside the source tolerance 1e-9;
-        # the image lies 9e-4 below [0, 5e5], which a target tolerance not
-        # scaled by d would refuse
-        game = Game(w=np.eye(1), lower=np.zeros(1), upper=np.full(1, 0.5),
-                    values=(QuadraticClippedValue(a=3.0, b=1.0),), costs=(QuadraticCost(c0=1.0),))
-        emap = EquivalenceMap(d=np.array([1e6]), b=np.zeros(1))
-        x = np.array([-9e-10])
-        y = map_profile(emap, x, "forward", game=game)
-        assert np.array_equal(y, 1e6 * x)
-        y = np.array([-4e-4])  # inside the image box's tolerance 5e-4
-        assert np.array_equal(map_profile(emap, y, "inverse", game=game), y / 1e6)
-        with pytest.raises(InputError, match="infeasible in the source"):
-            map_profile(emap, np.array([-2e-9]), "forward", game=game)
-        with pytest.raises(InputError, match="infeasible in the source"):
-            map_profile(emap, np.array([-2e-3]), "inverse", game=game)
+def _triangular(w01=1.0, costs=None):
+    """The two-player triangular game with its W entry above the diagonal or its costs changed."""
+    g = make_two_player_triangular()
+    return Game(w=[[1.0, w01], [0.0, 1.0]], lower=g.lower, upper=g.upper, values=g.values, costs=costs or g.costs)
+
+
+MAP2 = EquivalenceMap(d=np.ones(2), b=np.zeros(2))
+MAP3 = EquivalenceMap(d=np.ones(3), b=np.zeros(3))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: EquivalenceMap(d=np.ones(2), b=np.zeros(3)), "d and b must be equal-length vectors"),
+    (lambda: EquivalenceMap(d=np.ones((2, 2)), b=np.zeros((2, 2))), "d and b must be equal-length vectors"),
+    (lambda: EquivalenceMap(d=np.array([1.0, -2.0]), b=np.zeros(2)), "need finite d > 0 and finite b"),
+    (lambda: EquivalenceMap(d=np.ones(2), b=np.array([0.0, np.inf])), "need finite d > 0 and finite b"),
+    (lambda: MAP3.shifts(make_two_player_symmetric()), "map is for 3 players, game has 2"),
+    (lambda: transform_game(make_two_player_symmetric(), MAP3), "map is for 3 players, game has 2"),
+    (lambda: EquivalenceMap.from_dict([1.0, 1.0]), "map: expected an object, got list"),
+    (lambda: EquivalenceMap.from_dict({"b": [0.0]}, where="m[2]"), "m[2]: missing required field 'd'"),
+    (lambda: EquivalenceMap.from_dict({"d": [1.0]}), "map: missing required field 'b'"),
+    (lambda: EquivalenceMap.from_dict({"d": [1.0], "b": ["x"]}), "map.b[0]: expected a number, got 'x'"),
+    (lambda: EquivalenceMap.from_dict({"d": [0.0], "b": [0.0]}), "map: need finite d > 0 and finite b"),
+    (lambda: EquivalenceMap.from_dict({"d": [1.0], "b": [0.0, 1.0]}), "map: d and b must be equal-length vectors"),
+    (lambda: map_profile(MAP2, np.zeros(3)), r"profile must have shape (2,), got (3,)"),
+    (lambda: map_profile(MAP2, np.zeros((1, 2)), "inverse"), r"profile must have shape (2,), got (1, 2)"),
+    (lambda: map_profile(MAP2, np.zeros(2), "sideways"), "direction must be 'forward' or 'inverse', got 'sideways'"),
+    (lambda: auto_epsilon(_triangular(costs=(QuadraticCost(c0=1.0), QuadraticCost(c0=2.0)))), "auto epsilon needs identical players"),
+    (lambda: auto_epsilon(_triangular(costs=(LinearCost(c1=1.0),) * 2)),
+     "auto epsilon needs homogeneous clipped-quadratic values and quadratic costs"),
+    (lambda: upper_triangular_normalizer(_triangular(w01=1.5)), "need |w_ij| <= 1 above the diagonal"),
+    (lambda: upper_triangular_normalizer(_triangular(w01=-1.5), eps=0.5), "need |w_ij| <= 1 above the diagonal"),
+    (lambda: upper_triangular_normalizer(_triangular(), eps=1.0), "need 0 < eps < 1, got 1.0"),
+    (lambda: upper_triangular_normalizer(_triangular(), eps=0.0), "need 0 < eps < 1, got 0.0"),
+    (lambda: upper_triangular_normalizer(_triangular(), eps=np.nan), "need 0 < eps < 1, got nan"),
+    (lambda: upper_triangular_normalizer(make_two_player_symmetric()),
+     r"W must be upper-triangular (w_ij = 0 for i > j)"),
+], ids=["d-b-lengths", "d-b-matrices", "d-negative", "b-inf", "shifts-size", "transform-size", "doc-list",
+        "doc-no-d", "doc-no-b", "doc-b-string", "doc-d-zero", "doc-lengths", "profile-size", "profile-batch",
+        "direction", "auto-unequal", "auto-linear-cost", "w-above-one", "w-below-minus-one", "eps-one", "eps-zero",
+        "eps-nan", "not-triangular"])
+def test_refusals(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 class TestUtilityInvarianceAndTransport:

@@ -306,6 +306,30 @@ def test_deserialization_errors_name_the_field():
         spec_from_dict({"params": {}}, where="players[3].value")
 
 
+@pytest.mark.parametrize("doc, message", [
+    ([1.0], "spec: expected an object, got list"),
+    (None, "spec: expected an object, got NoneType"),
+    ({"params": {}}, "spec: missing required field 'family'"),
+    ({"family": "log_value"}, "spec: missing required field 'params'"),
+    ({"family": "log_value", "params": [1.0, 1.0]}, "spec.params: expected an object"),
+    ({"family": 3, "params": {}}, "spec.family: unknown family '3'"),
+    ({"family": "affine_reparam", "params": {"scale": 1.0, "shift": 0.0}}, "spec.params: missing 'inner'"),
+    ({"family": "affine_reparam", "params": {"inner": 2, "scale": 1.0, "shift": 0.0}},
+     "spec.params.inner: expected an object, got int"),
+    ({"family": "affine_reparam", "params": {"inner": {"family": "log_value", "params": "a=1"}, "scale": 1.0,
+                                             "shift": 0.0}}, "spec.params.inner.params: expected an object"),
+    ({"family": "linear_cost", "params": {}}, "spec.params: missing 'c1' for family 'linear_cost'"),
+    ({"family": "quadratic_cost", "params": {"c0": True}}, "spec.params.c0: expected a number, got True"),
+    ({"family": "quadratic_cost", "params": {"c0": "1"}}, "spec.params.c0: expected a number, got '1'"),
+    ({"family": "quadratic_cost", "params": {"c0": -1}}, "spec: QuadraticCost needs finite c0>0, got -1.0"),
+], ids=["list", "null", "no-family", "no-params", "params-list", "family-int", "no-inner", "inner-int",
+        "inner-params-string", "no-c1", "c0-bool", "c0-string", "c0-negative"])
+def test_spec_document_refusals(doc, message):
+    with pytest.raises(InputError) as exc:
+        spec_from_dict(doc)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("doc, where", [
     ({"family": "quadratic_cost", "params": {"c0": 10**400}}, "spec.params.c0"),
     ({"family": "affine_reparam",

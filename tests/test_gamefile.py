@@ -73,6 +73,33 @@ def test_schema_errors_name_fields():
         game_from_dict(doc)
 
 
+def _with(**fields):
+    """The minimal one-player document with some top-level fields replaced, or dropped when None."""
+    doc = {**minimal_n1_doc(), **fields}
+    return {k: v for k, v in doc.items() if v is not None}
+
+
+@pytest.mark.parametrize("doc, where, message", [
+    ([minimal_n1_doc()], "game", "game: expected an object, got list"),
+    ("g", "g.json", "g.json: expected an object, got str"),
+    (_with(n=0), "game", "game.n: expected a positive integer, got 0"),
+    (_with(n=True), "game", "game.n: expected a positive integer, got True"),
+    (_with(upper=None), "game", "game: missing required field 'upper'"),
+    (_with(players={"0": {}}), "game", "game.players: expected a list of 1 objects"),
+    (_with(players=[]), "game", "game.players: expected a list of 1 objects"),
+    (_with(players=[["value", "cost"]]), "game", "game.players[0]: expected an object"),
+    (_with(n=2, W=[1.0, 0.0, 0.0, 1.0], lower=[0.0, 0.0], upper=[2.0, 2.0],
+           players=[minimal_n1_doc()["players"][0], 7]), "game", "game.players[1]: expected an object"),
+    (_with(players=[{"value": minimal_n1_doc()["players"][0]["value"]}]), "game",
+     "game.players[0]: missing required field 'cost'"),
+], ids=["list", "string", "n-zero", "n-bool", "no-upper", "players-object", "players-short", "player-list",
+        "second-player-int", "player-no-cost"])
+def test_document_refusals(doc, where, message):
+    with pytest.raises(InputError) as exc:
+        game_from_dict(doc, where=where)
+    assert str(exc.value) == message
+
+
 def test_inverted_bounds_rejected():
     doc = minimal_n1_doc()
     doc["lower"], doc["upper"] = [2.0], [0.0]

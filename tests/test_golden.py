@@ -94,7 +94,6 @@ def run_case(case: str) -> dict[str, bytes]:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_bytes_match_the_recorded_copy(case, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("NETGOODS_SEED", raising=False)
     outputs = run_case(case)
     assert f"{case}.json" in outputs, "the command wrote no report"
     for name, data in outputs.items():
@@ -114,7 +113,6 @@ def test_every_golden_file_has_a_case():
 
 
 def record() -> None:
-    os.environ.pop("NETGOODS_SEED", None)
     GOLDEN.mkdir(exist_ok=True)
     cwd = os.getcwd()
     for case in sorted(CASES):

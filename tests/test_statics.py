@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import max_iter_result
 from netgoods.equilibrium import solve_ne
 from netgoods.errors import InputError, SingularMatrixError
 from netgoods.functions import LinearCost, LogValue, QuadraticClippedValue, QuadraticCost
@@ -194,6 +195,38 @@ class TestFdCheck:
             rep = fd_check(g, x_star, delta, t=t)
             errs.append(float(np.max(np.abs(rep.du_dt_fd - closed.du_dt))))
         assert errs[0] / errs[1] >= 8.0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g: utility_derivative(g, np.full(2, 0.75), np.ones(3)), "delta must have shape (2,), got (3,)"),
+    (lambda g: utility_derivative(g, np.full(2, 0.75), np.array([1.0, np.nan])), "delta must be finite"),
+    # f''*delta = -2*1e308 overflows
+    (lambda g: utility_derivative(g, np.full(2, 0.75), np.array([1e308, -1e308])),
+     "the derivatives along delta = [1e+308, -1e+308] are not finite floats"),
+    (lambda g: equilibrium_derivative(g, np.full(2, 0.75), np.array([1e308, 0.0])),
+     "the derivatives along delta = [1e+308, 0.0] are not finite floats"),
+    (lambda g: fd_check(g, np.full(2, 0.75), np.ones(2), t=0.0), "need finite t > 0, got 0.0"),
+    (lambda g: fd_check(g, np.full(2, 0.75), np.ones(2), t=np.inf), "need finite t > 0, got inf"),
+    # at -1e300 the value's curved side reads about -1e600: the utility is -inf
+    (lambda g: fd_check(g, np.full(2, 0.75), np.array([1.0, 0.0]), t=1e300),
+     "the finite differences along delta = [1.0, 0.0] at t = 1e+300 are not finite floats"),
+    (lambda g: fd_check(g, np.full(2, 0.75), np.array([0.0, -2.0]), t=1e200),
+     "the finite differences along delta = [0.0, -2.0] at t = 1e+200 are not finite floats"),
+], ids=["delta-shape", "delta-nan", "derivative-overflows", "dx-overflows", "t-zero", "t-inf", "fd-at-1e300",
+        "fd-at-1e200"])
+def test_refusals(two_player_symmetric, call, message):
+    with pytest.raises(InputError) as exc:
+        call(two_player_symmetric)
+    assert str(exc.value) == message
+
+
+def test_fd_check_refuses_a_perturbed_solve_that_does_not_converge(two_player_symmetric, monkeypatch):
+    from netgoods import statics
+
+    monkeypatch.setattr(statics, "solve_ne", max_iter_result)
+    with pytest.raises(InputError) as exc:
+        fd_check(two_player_symmetric, np.full(2, 0.75), np.ones(2), t=1e-4)
+    assert str(exc.value) == "perturbed solve at t=0.0001 did not converge"
 
 
 def random_interior_game(rng: np.random.Generator) -> tuple[Game, np.ndarray]:
