@@ -7,6 +7,8 @@ clock and argv go to a separate metadata file via --meta, never into the
 report.  A command builds its report from the library's records as they are,
 arrays and non-finite floats included: ``gamefile.dumps_canonical`` writes
 arrays as lists and non-finite floats as null, so every report is strict JSON.
+A certificate's matrix, and case 2's W, are written as a game file writes W:
+the sparse object when fewer than a third of the entries are stored.
 Exit codes: 0 success, 1 computation failure, 2 input error (an output path
 that cannot be written and a size too large to allocate included).
 """
@@ -52,7 +54,8 @@ from .equilibrium import (
 from .equivalence import EquivalenceMap, transform_game, upper_triangular_normalizer
 from .errors import InputError, NetgoodsError
 from .functions import spec_from_dict
-from .gamefile import _matrix, _number_list, _read_json, dumps_canonical, load_game, save_game
+from .gamefile import (_matrix, _number_list, _read_json, _sparse_doc, _w_doc, dumps_canonical, load_game,
+                       save_game)
 from .statics import fd_check, utility_derivative
 
 
@@ -174,6 +177,13 @@ def _load_w0(args, game) -> np.ndarray:
     return _matrix(doc, n, where)  # a row-major list or a sparse object, like a game file's W
 
 
+def _certificate_doc(rep) -> dict:
+    """A certificate record's fields as a report writes them: its matrix as a game file's
+    sparse W object when fewer than a third of its entries are stored, else as the array."""
+    sparse = _sparse_doc(rep.matrix)
+    return {**vars(rep), "matrix": rep.matrix if sparse is None else sparse}
+
+
 def _cmd_certify(args) -> tuple[dict, int]:
     game = load_game(args.game)
     gamma = _vector(args.gamma, game.n, "gamma")
@@ -197,7 +207,7 @@ def _cmd_certify(args) -> tuple[dict, int]:
         rep = cert_near_potential(game, f_common, gamma)
     else:
         rep = cert_near_symmetric(game, _load_w0(args, game))
-    return vars(rep), 0  # the record's fields, arrays and non-finite floats as they are
+    return _certificate_doc(rep), 0
 
 
 def _cmd_transform(args) -> tuple[dict, int]:
@@ -286,9 +296,9 @@ def _cmd_casestudy(args) -> tuple[dict, int]:
         "case": "case2",
         "n": rep.n, "density": rep.density, "seed": rep.seed,
         "epsilon": rep.epsilon,
-        "W": rep.w.ravel(),
+        "W": _w_doc(rep.w),
         "scaling": rep.scaling,
-        "certificate": vars(rep.certificate),
+        "certificate": _certificate_doc(rep.certificate),
         "x_solver": rep.x_solver,
         "x_backward": rep.x_backward,
         "x_transformed_back": rep.x_transformed_back,

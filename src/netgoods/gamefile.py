@@ -101,15 +101,22 @@ def _matrix(value, n: int, where: str) -> np.ndarray:
     return w
 
 
-def _w_doc(w: np.ndarray):
-    """W as a game file writes it: its entries other than +0.0 as an object when
-    they are fewer than a third of n*n, else the row-major list."""
-    flat = w.ravel()
+def _sparse_doc(m: np.ndarray) -> dict | None:
+    """An (n, n) matrix's entries other than +0.0 (-0.0, nan and inf included) as the {"cols",
+    "rows", "vals"} object when they are fewer than a third of n*n, else None: the one rule for
+    W in a game file and for a matrix in a report."""
+    flat = m.ravel()
     stored = np.flatnonzero(flat.view(np.uint64))  # +0.0 is the one float whose bits are all 0
     if 3 * stored.size >= flat.size:
-        return flat.tolist()
-    rows, cols = np.divmod(stored, w.shape[1])
+        return None
+    rows, cols = np.divmod(stored, m.shape[1])
     return {"cols": cols.tolist(), "rows": rows.tolist(), "vals": flat[stored].tolist()}
+
+
+def _w_doc(w: np.ndarray):
+    """W as a game file writes it: the sparse object, else the row-major list."""
+    doc = _sparse_doc(w)
+    return w.ravel().tolist() if doc is None else doc
 
 
 def _exact_key(value) -> bytes | None:

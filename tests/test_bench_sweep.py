@@ -35,7 +35,7 @@ def test_every_row_runs(sweep, tmp_path, monkeypatch):
     case1_row = sweep.sweep_case1(once)
     assert set(game_row) == {"solve_ne", "solve_regularized", "multi_start_probe", "br_gap", "br_gap_batch",
                              "best_response", "pseudo_gradient", "integrate_sw_flow", "certify_any",
-                             "sigma_bound", "load_game", "save_game"}
+                             "certify_report", "sigma_bound", "load_game", "save_game"}
     assert set(case1_row) == {"case1_keys", "edges", "degree_stats", "sigma_bound_stack", "monte_carlo_case1",
                               "case1_sigma_maxes"}
     assert all(row["ref_s"] == 0.0 for row in (*game_row.values(), *case1_row.values()))

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from netgoods.certificates import (
     certify_any,
     spectral_bounds,
 )
+from netgoods.cli import _certificate_doc
 from netgoods.equilibrium import multi_start_probe, solve_ne
 from netgoods.equivalence import upper_triangular_normalizer
 from netgoods.errors import InputError
@@ -519,7 +521,7 @@ def near_pole_reports(g):
 
 def written(rep):
     """A report as the CLI writes it, parsed back strictly."""
-    return strict_loads(dumps_canonical(vars(rep)))
+    return strict_loads(dumps_canonical(_certificate_doc(rep)))
 
 
 class TestCertifyAny:
@@ -542,7 +544,12 @@ class TestCertifyAny:
     def test_non_finite_numbers_written_as_null(self):
         docs = [written(rep) for rep in near_pole_reports(near_pole_game())]
         assert docs[1]["details"]["l0"] is None and docs[1]["details"]["c"] == 2.0
-        assert docs[2]["details"]["sigma_i"] == [None] and docs[2]["matrix"] == [[None]]
+        assert docs[2]["details"]["sigma_i"] == [None] and docs[2]["matrix"] == [[None]]  # 1 of 1 stored
+        assert docs[1]["matrix"] == {"cols": [], "rows": [], "vals": []}  # a 1x1 zero residual
+        inf_at = np.zeros((3, 3))
+        inf_at[1, 2] = math.inf
+        rep = replace(cert_near_individual(near_pole_game()), matrix=inf_at)
+        assert written(rep)["matrix"] == {"cols": [2], "rows": [1], "vals": [None]}
 
     def test_no_runtime_warning_at_a_log_pole(self):
         g = near_pole_game()

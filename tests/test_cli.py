@@ -6,12 +6,12 @@ import pytest
 
 from conftest import make_fig1a_game, make_two_player_symmetric, max_iter_result, strict_loads
 from netgoods import cli
-from netgoods.casestudy import random_er_game
+from netgoods.casestudy import case2_pipeline, random_er_game, random_upper_triangular
 from netgoods.cli import build_parser, main
 from netgoods.functions import (AffineReparam, LinearCost, LogValue, QuadraticClippedValue, QuadraticCost,
                                 spec_to_dict)
 from netgoods.game import Game
-from netgoods.gamefile import game_to_dict, save_game
+from netgoods.gamefile import _matrix, game_to_dict, save_game
 
 
 @pytest.fixture
@@ -155,7 +155,17 @@ class TestCertify:
         code, doc = run(["certify", "--game", fig1a_path], tmp_path / "r.json")
         assert code == 0
         assert doc["verdict"] == "fail"
-        assert len(doc["matrix"]) == 4
+        # 8 of the 16 entries are stored, and 3 * 8 >= 16: the matrix stays 4 rows
+        assert [len(row) for row in doc["matrix"]] == [4] * 4
+        assert sum(v != 0.0 for row in doc["matrix"] for v in row) == 8
+
+    def test_er_report_does_not_grow_with_n_squared(self, tmp_path):
+        # 1.04 MB when the 300x300 matrix is written dense; about n entries are stored
+        path = tmp_path / "er.json"
+        save_game(random_er_game(300, 1, 3, 1, 1, seed=5), path)
+        code, doc = run(["certify", "--game", str(path), "--theorem", "any"], tmp_path / "r.json")
+        assert code == 0 and set(doc["matrix"]) == {"cols", "rows", "vals"}
+        assert (tmp_path / "r.json").stat().st_size < 100_000
 
     def test_gamma_ones_explicit(self, fig1a_path, tmp_path):
         code, doc = run(
@@ -409,6 +419,15 @@ class TestCasestudy:
         assert code == 0
         assert doc["certificate"]["verdict"] == "pass"
         assert doc["solver_vs_backward"] < 1e-6
+
+    def test_case2_low_density_writes_sparse_matrices(self, tmp_path):
+        code, doc = run(["casestudy", "case2", "--n", "8", "--density", "0.2", "--seed", "5"],
+                        tmp_path / "r.json")
+        assert code == 0
+        assert len(doc["W"]["vals"]) == 11  # of 64
+        assert _matrix(doc["W"], 8, "W").tobytes() == random_upper_triangular(8, 0.2, 5).tobytes()
+        cert = case2_pipeline(8, 3.0, 1.0, 1.0, density=0.2, seed=5).certificate
+        assert _matrix(doc["certificate"]["matrix"], 8, "matrix").tobytes() == cert.matrix.tobytes()
 
 
 class TestOracle:

@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import games_and_profiles, make_fig1a_game, random_small_interaction_game, strict_loads
 from netgoods import gamefile
 from netgoods.casestudy import random_er_game
+from netgoods.cli import _certificate_doc
 from netgoods.errors import InputError
 from netgoods.functions import spec_from_dict
 from netgoods.game import Evaluator, Game
@@ -422,6 +424,7 @@ def test_dense_list_from_a_third_of_the_entries(edges, form):
     doc = game_to_dict(_game(w))
     assert type(doc["W"]) is form
     assert game_from_dict(doc).w.tobytes() == w.tobytes()
+    assert type(_report_matrix(w)) is form  # a report's matrix by the same rule, dense as n rows
 
 
 def test_unsorted_sparse_file_is_refused(tmp_path):
@@ -444,6 +447,43 @@ def test_dense_layout_of_an_er_game_loads_as_its_sparse_file(tmp_path):
     for field in ("w", "lower", "upper"):
         assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
     assert a.evaluator.cols.tobytes() == b.evaluator.cols.tobytes()
+
+
+# --- one sparse rule for a game file's W and a report's matrix -------------------------------
+
+#: entries other than +0.0: a signed zero, subnormals, the edge of the float range and plain values
+_STORED = np.array([-0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.0, -0.3])
+
+
+@st.composite
+def _square_matrices(draw):
+    """An (n, n) matrix with about a third of its entries stored, and how many are."""
+    n = draw(st.integers(1, 40))
+    third = n * n // 3
+    stored = draw(st.integers(max(0, third - 2), min(n * n, third + 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = np.zeros(n * n)
+    m[rng.choice(n * n, stored, replace=False)] = rng.choice(_STORED, stored)
+    return m.reshape(n, n), stored
+
+
+def _report_matrix(m):
+    """A certificate report's matrix as the CLI writes it, parsed back."""
+    return strict_loads(dumps_canonical(_certificate_doc(SimpleNamespace(matrix=m))))["matrix"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_square_matrices())
+def test_report_matrix_takes_the_game_file_form_and_reads_back_bit_for_bit(case):
+    m, stored = case
+    n = len(m)
+    got, w = _report_matrix(m), gamefile._w_doc(m)
+    assert type(got) is type(w) is (dict if 3 * stored < n * n else list)
+    if isinstance(got, dict):
+        assert got == w and len(got["vals"]) == stored
+        assert gamefile._matrix(got, n, "matrix").tobytes() == m.tobytes()
+    else:
+        assert np.array(got).shape == (n, n) and np.array(got).tobytes() == m.tobytes()
 
 
 def _sparse_doc(**w):

@@ -24,6 +24,10 @@ flow-rk4 games):
   box centre, diagnostics included (it stops early if the field vanishes;
   ``steps`` records how many it took);
 - ``certify_any`` with its defaults;
+- ``certify_report``: ``dumps_canonical`` of the report that ``netgoods
+  certify`` builds from that certificate (``bytes`` its length): its matrix
+  as the sparse object when fewer than a third of the entries are stored (a
+  source tree without ``cli._certificate_doc`` writes it dense);
 - ``_sigma_bound`` (the rounding-safe sigma_max behind every certificate and
   the default solver step) on the game's |W|;
 - ``load_game`` on the game written by ``save_game``: an ER file holds W in
@@ -161,7 +165,12 @@ def sweep_game(game, timer) -> dict:
     from netgoods.dynamics import integrate_sw_flow
     from netgoods.equilibrium import multi_start_probe, solve_ne, solve_regularized
     from netgoods.game import best_response, br_gap, pseudo_gradient
-    from netgoods.gamefile import load_game, save_game
+    from netgoods.gamefile import dumps_canonical, load_game, save_game
+
+    try:
+        from netgoods.cli import _certificate_doc
+    except ImportError:  # a source tree that writes every report matrix dense
+        _certificate_doc = vars
 
     centre = 0.5 * (game.lower + game.upper)
     row = {}
@@ -185,6 +194,8 @@ def sweep_game(game, timer) -> dict:
     row["integrate_sw_flow"]["steps"] = len(traj.times) - 1
     row["certify_any"], rep = timer(lambda: certify_any(game))
     row["certify_any"].update(theorem=rep.theorem, verdict=rep.verdict)
+    row["certify_report"], text = timer(lambda: dumps_canonical(_certificate_doc(rep)))
+    row["certify_report"]["bytes"] = len(text)
     abs_w = np.abs(game.w)
     row["sigma_bound"], _ = timer(lambda: _sigma_bound(abs_w))
     with tempfile.TemporaryDirectory() as tmp:
