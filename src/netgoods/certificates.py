@@ -18,7 +18,7 @@ import numpy as np
 from .equivalence import EquivalenceMap, transform_game
 from .errors import InputError
 from .functions import ScalarFunction
-from .game import Evaluator, Game, _weights, gain_bounds
+from .game import Evaluator, Game, _default_gamma, gain_bounds
 
 #: float64 unit roundoff
 UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2.0
@@ -215,10 +215,6 @@ def _report(theorem: str, game: Game, gamma: np.ndarray, matrix: np.ndarray, thr
         margin=margin, verdict="pass" if threshold > 0 and margin > 0 else "fail",
         notes=notes, details=details, slack=slack,
     )
-
-
-def _default_gamma(game: Game, gamma) -> np.ndarray:
-    return np.ones(game.n) if gamma is None else _weights(game, gamma, "gamma")
 
 
 def common_value(game: Game) -> ScalarFunction | None:

@@ -89,11 +89,6 @@ def _seed(args) -> int:
     return args.seed
 
 
-def _solve_result_dict(res) -> dict:
-    return {"x_star": res.x_star, "status": res.status, "iterations": res.iterations,
-            "final_gap": res.final_gap, "residual": res.residual}
-
-
 def _cmd_solve(args) -> tuple[dict, int]:
     game = load_game(args.game)
     gamma = _vector(args.gamma, game.n, "gamma")
@@ -106,7 +101,7 @@ def _cmd_solve(args) -> tuple[dict, int]:
         else:
             report["beta_schedule"] = betas = _floats(args.beta_schedule, "beta-schedule")
             res = solve_regularized(game, betas, **opts)
-        return {**report, **_solve_result_dict(res)}, 0 if res.converged else 1
+        return {**report, **vars(res)}, 0 if res.converged else 1
     if args.method == "backward":
         x = backward_induction(game)
         ok, gap, worst = verify_ne(game, x, 1e-8)
@@ -127,7 +122,7 @@ def _cmd_solve(args) -> tuple[dict, int]:
         "n_starts": args.n_starts,
         "seed": _seed(args),
         "cluster_tol": args.cluster_tol,
-        "clusters": [_solve_result_dict(r) for r in reps],
+        "clusters": [vars(r) for r in reps],
     }
     return report, 0 if reps else 1
 
@@ -256,10 +251,6 @@ def _cmd_statics(args) -> tuple[dict, int]:
             "dx_rel_err": fd.dx_rel_err,
             "warm_start_jump": fd.warm_start_jump,
         }
-    if args.out:
-        print(f"{'player':>6} {'du/dt':>14} {'dx/dt':>14}")
-        for i in range(game.n):
-            print(f"{i:>6} {result.du_dt[i]:>14.6g} {result.dx_dt[i]:>14.6g}")
     return report, 0
 
 
@@ -292,20 +283,8 @@ def _cmd_casestudy(args) -> tuple[dict, int]:
         return report, 0
     rep = cs.case2_pipeline(args.n, args.a, args.b, args.c0,
                             density=args.density, seed=_seed(args), x_upper=args.x_upper)
-    report = {
-        "case": "case2",
-        "n": rep.n, "density": rep.density, "seed": rep.seed,
-        "epsilon": rep.epsilon,
-        "W": _w_doc(rep.w),
-        "scaling": rep.scaling,
-        "certificate": _certificate_doc(rep.certificate),
-        "x_solver": rep.x_solver,
-        "x_backward": rep.x_backward,
-        "x_transformed_back": rep.x_transformed_back,
-        "solver_vs_backward": rep.solver_vs_backward,
-        "solver_vs_transformed": rep.solver_vs_transformed,
-        "mapped_ne_verified": rep.mapped_ne_verified,
-    }
+    report = {"case": "case2", **vars(rep), "W": _w_doc(rep.w), "certificate": _certificate_doc(rep.certificate)}
+    del report["w"]
     code = 0 if (rep.mapped_ne_verified and rep.solver_vs_backward < 1e-6) else 1
     return report, code
 

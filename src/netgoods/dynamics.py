@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, IntegrationError
+from .errors import InputError, IntegrationError, check_shape
 from .game import (
     Game,
     _br_gap,
@@ -74,15 +74,14 @@ def _integrate(game: Game, field, x0: np.ndarray, step: float, horizon: float,
     n_steps = int(round(horizon / step))
     if n_steps < 1:
         raise InputError(f"horizon {horizon} rounds to 0 steps of {step}; a run takes round(horizon/step) steps")
+    check_shape((n_steps + 1, game.n), "horizon/step")
     x = game.require_feasible(np.asarray(x0, dtype=float))
     times, states, clipped = [0.0], [x], [False]
     # every state is already in the box, so field(x) is also the next step's k1
     fx = field(x)
-    converged = bool(np.abs(fx).max() < FIELD_TOL)
     t = 0.0
-    for _ in range(n_steps):
-        if converged:
-            break
+    # states holds the start and one state per step taken
+    while not (converged := bool(np.abs(fx).max() < FIELD_TOL)) and len(states) <= n_steps:
         k1 = fx
         k2 = field(game.project(x + 0.5 * step * k1))
         k3 = field(game.project(x + 0.5 * step * k2))
@@ -101,7 +100,6 @@ def _integrate(game: Game, field, x0: np.ndarray, step: float, horizon: float,
         states.append(x)
         clipped.append(was_clipped)
         fx = field(x)
-        converged = bool(np.abs(fx).max() < FIELD_TOL)
     return _finish(game, times, states, clipped, energy_fn, converged)
 
 

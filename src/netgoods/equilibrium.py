@@ -16,7 +16,7 @@ import numpy as np
 
 from .certificates import _sigma_bound
 from .errors import InputError, check_shape
-from .game import (Game, _pseudo_gradient, _require_upper_triangular, _weights, best_response, br_gap,
+from .game import (Game, _default_gamma, _pseudo_gradient, _require_upper_triangular, best_response, br_gap,
                    gain_bounds)
 
 DEFAULT_TOL = 1e-10
@@ -68,7 +68,7 @@ def _prep(game, gamma, step_eps, x0, tol, max_iter, betas=(0.0,)):
         raise InputError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise InputError(f"max_iter must be at least 1, got {max_iter}")
-    gamma = np.ones(game.n) if gamma is None else _weights(game, gamma, "gamma")
+    gamma = _default_gamma(game, gamma)
     if step_eps is None:
         eps = default_step_eps(game, gamma)
         steps = [float(np.clip(eps / (1.0 + 2.0 * beta), *_STEP_RANGE)) for beta in betas]

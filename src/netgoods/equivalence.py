@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .functions import AffineReparam, QuadraticClippedValue, QuadraticCost
+from .functions import QuadraticClippedValue, QuadraticCost, _reparam
 from .game import Game, _require_upper_triangular
 from .gamefile import _number_list
 
@@ -92,13 +92,8 @@ def transform_game(game: Game, emap: EquivalenceMap) -> Game:
         lower2, upper2 = d * game.lower + b, d * game.upper + b
     if np.max(np.abs(np.concatenate([lower2, upper2]))) > MAX_MAPPED_BOUND:
         raise InputError(f"mapped bounds exceed {MAX_MAPPED_BOUND:g}; map rejected")
-    def reparam(spec, scale, shift):
-        if scale == 1.0 and shift == 0.0:
-            return spec
-        return AffineReparam(inner=spec, scale=float(scale), shift=float(shift))
-
-    values2 = tuple(reparam(game.values[i], d[i], m[i]) for i in range(game.n))
-    costs2 = tuple(reparam(game.costs[i], d[i], b[i]) for i in range(game.n))
+    values2 = tuple(_reparam(game.values[i], d[i], m[i]) for i in range(game.n))
+    costs2 = tuple(_reparam(game.costs[i], d[i], b[i]) for i in range(game.n))
     return Game(w=w2, lower=lower2, upper=upper2, values=values2, costs=costs2)
 
 

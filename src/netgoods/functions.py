@@ -124,6 +124,13 @@ class AffineReparam(ScalarFunction):
         return (lo, hi)
 
 
+def _reparam(spec: ScalarFunction, scale, shift) -> ScalarFunction:
+    """spec((y - shift) / scale), or spec itself when the map is the identity (shift -0.0 included)."""
+    if scale == 1.0 and shift == 0.0:
+        return spec
+    return AffineReparam(inner=spec, scale=float(scale), shift=float(shift))
+
+
 #: a spec of each kind, to pair with a lone spec of the other kind whose rows alone are read
 _PLACEHOLDERS = {"value": QuadraticClippedValue(a=1.0, b=1.0), "cost": LinearCost(c1=1.0)}
 

@@ -450,6 +450,11 @@ def _weights(game: Game, v, name: str) -> np.ndarray:
     return v
 
 
+def _default_gamma(game: Game, gamma) -> np.ndarray:
+    """The player weights gamma, checked as ``_weights`` does; ones when None."""
+    return np.ones(game.n) if gamma is None else _weights(game, gamma, "gamma")
+
+
 def weighted_welfare_gradient(game: Game, gamma: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Gradient of the gamma-weighted welfare (batched)."""
     gamma = _weights(game, gamma, "gamma")

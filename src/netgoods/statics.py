@@ -18,7 +18,7 @@ import numpy as np
 
 from .equilibrium import solve_ne
 from .errors import InputError, SingularMatrixError
-from .functions import AffineReparam
+from .functions import _reparam
 from .game import Game, gains, pseudo_gradient, utility_profile
 
 #: componentwise stationarity required of the supplied equilibrium
@@ -58,15 +58,8 @@ class FdReport:
 def perturb_money(game: Game, delta: np.ndarray, t: float) -> Game:
     """The game whose values read f_i(k + delta_i*t); W, costs, bounds unchanged."""
     delta = _delta(game, delta)
-    values = []
-    for i in range(game.n):
-        shift = -float(delta[i]) * float(t)
-        if shift == 0.0:
-            values.append(game.values[i])
-        else:
-            values.append(AffineReparam(inner=game.values[i], scale=1.0, shift=shift))
-    return Game(w=game.w, lower=game.lower, upper=game.upper,
-                values=tuple(values), costs=tuple(game.costs))
+    values = tuple(_reparam(game.values[i], 1.0, -float(delta[i]) * float(t)) for i in range(game.n))
+    return Game(w=game.w, lower=game.lower, upper=game.upper, values=values, costs=tuple(game.costs))
 
 
 def _delta(game: Game, delta) -> np.ndarray:

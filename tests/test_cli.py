@@ -8,10 +8,11 @@ from conftest import make_fig1a_game, make_two_player_symmetric, max_iter_result
 from netgoods import cli
 from netgoods.casestudy import case2_pipeline, random_er_game, random_upper_triangular
 from netgoods.cli import build_parser, main
+from netgoods.equilibrium import multi_start_probe, solve_ne, solve_regularized
 from netgoods.functions import (AffineReparam, LinearCost, LogValue, QuadraticClippedValue, QuadraticCost,
                                 spec_to_dict)
 from netgoods.game import Game
-from netgoods.gamefile import _matrix, game_to_dict, save_game
+from netgoods.gamefile import _matrix, _w_doc, dumps_canonical, game_to_dict, load_game, save_game
 
 
 @pytest.fixture
@@ -148,6 +149,13 @@ class TestDynamics:
         assert code == 2 and doc is None
         assert ("error: need finite step>0, horizon>0, horizon/step; "
                 "got step=1e-300, horizon=10000000000.0") in capsys.readouterr().err
+
+    def test_step_count_too_large_to_store_exits_2(self, n1_path, tmp_path, capsys):
+        # 10^300 steps is a finite count, but their states exceed numpy's index range
+        code, doc = run(["dynamics", "--game", n1_path, "--step", "1e-300", "--horizon", "1"],
+                        tmp_path / "r.json")
+        assert code == 2 and doc is None
+        assert capsys.readouterr().err.startswith("error: horizon/step is too large: an array of shape (")
 
 
 class TestCertify:
@@ -428,6 +436,38 @@ class TestCasestudy:
         assert _matrix(doc["W"], 8, "W").tobytes() == random_upper_triangular(8, 0.2, 5).tobytes()
         cert = case2_pipeline(8, 3.0, 1.0, 1.0, density=0.2, seed=5).certificate
         assert _matrix(doc["certificate"]["matrix"], 8, "matrix").tobytes() == cert.matrix.tobytes()
+
+
+class TestReportsCarryTheirRecords:
+    """A report is its record's fields plus the command's own keys, so a field added to the record reaches it."""
+
+    @staticmethod
+    def as_json(doc):
+        return strict_loads(dumps_canonical(doc))
+
+    def test_fixed_point_and_regularized(self, fig1a_path, tmp_path):
+        game = load_game(fig1a_path)
+        _, doc = run(["solve", "--game", fig1a_path], tmp_path / "r.json")
+        assert doc == self.as_json({"method": "fixed-point", **vars(solve_ne(game))})
+        _, doc = run(["solve", "--game", fig1a_path, "--method", "regularized", "--beta-schedule", "1e-2,1e-4"],
+                        tmp_path / "r.json")
+        res = solve_regularized(game, [1e-2, 1e-4])
+        assert doc == self.as_json({"method": "regularized", "beta_schedule": [1e-2, 1e-4], **vars(res)})
+
+    def test_multistart_clusters(self, fig1a_path, tmp_path):
+        _, doc = run(["solve", "--game", fig1a_path, "--method", "multistart", "--n-starts", "8", "--seed", "3"],
+                        tmp_path / "r.json")
+        reps = multi_start_probe(load_game(fig1a_path), n_starts=8, seed=3)
+        assert len(reps) > 1
+        assert doc["clusters"] == self.as_json([vars(r) for r in reps])
+
+    def test_case2(self, tmp_path):
+        _, doc = run(["casestudy", "case2", "--n", "6", "--density", "0.5", "--seed", "5"], tmp_path / "r.json")
+        rep = case2_pipeline(6, 3.0, 1.0, 1.0, density=0.5, seed=5)
+        fields = {k: v for k, v in vars(rep).items() if k not in ("w", "certificate")}
+        assert doc == self.as_json({"case": "case2", **fields, "W": _w_doc(rep.w),
+                                    "certificate": cli._certificate_doc(rep.certificate)})
+        assert doc["certificate"].keys() == vars(rep.certificate).keys()
 
 
 class TestOracle:

@@ -75,6 +75,11 @@ class TestPseudoGradientFlow:
         with pytest.raises(InputError, match="horizon/step; got"):
             integrate_sw_flow(n1_game, np.zeros(1), step=1e-300, horizon=1e10)
 
+    def test_step_count_too_large_to_store_rejected(self, n1_game):
+        # 10^300 steps is a finite count, so only the size of the stored states refuses it
+        with pytest.raises(InputError, match=r"horizon/step is too large: an array of shape \(\d{300}, 1\)"):
+            integrate_sw_flow(n1_game, np.zeros(1), step=1e-300, horizon=1.0)
+
 
 class TestSwFlow:
     def test_n1_rate_is_minus_six(self, n1_game):

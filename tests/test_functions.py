@@ -16,6 +16,7 @@ from netgoods.functions import (
     QuadraticCost,
     ScalarFunction,
     _FAMILIES,
+    _reparam,
     spec_from_dict,
     spec_to_dict,
 )
@@ -212,6 +213,13 @@ def test_affine_reparam_chain_rule_exact():
         assert value == pytest.approx(inner_value, abs=1e-15)
         assert d1 == pytest.approx(inner_d1 / 2.0, abs=1e-15)
         assert d2 == pytest.approx(inner_d2 / 4.0, abs=1e-15)
+
+
+def test_reparam_keeps_the_spec_under_the_identity():
+    spec = LogValue(a=1.0, s=1.0)
+    assert _reparam(spec, 1.0, 0.0) is spec
+    assert _reparam(spec, 1.0, -0.0) is spec
+    assert _reparam(spec, np.float64(2.0), np.float64(0.5)) == AffineReparam(spec, scale=2.0, shift=0.5)
 
 
 def test_affine_reparam_smoothness_rescaling():

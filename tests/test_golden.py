@@ -18,7 +18,7 @@ import pytest
 
 from conftest import (make_fig1a_game, make_n1_game, make_two_player_symmetric, make_two_player_triangular,
                       strict_loads)
-from netgoods.cli import main
+from netgoods.cli import build_parser, main
 from netgoods.functions import AffineReparam, LinearCost, LogValue, QuadraticClippedValue, QuadraticCost
 from netgoods.game import Game
 from netgoods.gamefile import save_game
@@ -98,6 +98,21 @@ def test_report_bytes_match_the_recorded_copy(case, tmp_path, monkeypatch):
     assert f"{case}.json" in outputs, "the command wrote no report"
     for name, data in outputs.items():
         assert data == (GOLDEN / name).read_bytes(), name
+
+
+#: one case per subcommand
+FIRST_CASES = sorted({argv[0]: case for case, argv in reversed(CASES.items())}.values())
+
+
+def test_every_subcommand_has_a_case():
+    assert {CASES[case][0] for case in FIRST_CASES} == set(build_parser()._subparsers._group_actions[0].choices)
+
+
+@pytest.mark.parametrize("case", FIRST_CASES)
+def test_a_report_written_with_out_leaves_stdout_empty(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    run_case(case)
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.iterdir()))

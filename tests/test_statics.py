@@ -17,11 +17,12 @@ D1 = np.array([1.0])
 
 
 class TestPerturbMoney:
-    def test_zero_magnitude_identity(self, n1_game):
-        g = perturb_money(n1_game, D1, 0.0)
-        assert g.values == n1_game.values
-        assert g.costs == n1_game.costs
-        assert np.array_equal(g.w, n1_game.w)
+    def test_zero_magnitude_identity(self, two_player_symmetric):
+        g0 = two_player_symmetric
+        g = perturb_money(g0, np.array([1.0, -1.0]), 0.0)  # shifts -0.0 and +0.0
+        # the very spec objects, not equal copies
+        assert all(a is b for a, b in zip(g.values + g.costs, g0.values + g0.costs))
+        assert np.array_equal(g.w, g0.w)
 
     def test_value_reads_shifted_gain(self, n1_game):
         g = perturb_money(n1_game, D1, 0.1)
