@@ -35,8 +35,9 @@ INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
 INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
 MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 XSHIFT = 16
-#: case-1 samples per drawn chunk; bounds the memory of its (SIGMA_CHUNK, n, n) bool edge array and edge lists
-SIGMA_CHUNK = 32
+#: case-1 entries per drawn chunk: max(1, CHUNK_ENTRIES // n**2) samples, so a chunk's bool edge array
+#: and edge lists stay near this size at any n
+CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,8 @@ class Case1Report:
     def sigma_maxes(self) -> np.ndarray:
         """Each sample's ``_sigma_bound`` of its coupling residual, from its W drawn again by its seed.
 
-        The edges come in the chunks of ``monte_carlo_case1``, and each
+        The edges are drawn again in the chunks of ``monte_carlo_case1``
+        (``_edge_chunks``, about ``CHUNK_ENTRIES`` entries each), and each
         sample's residual is formed and bounded on its own.
         """
         chunks = _edge_chunks(self.n, _edge_probability(self.n, self.p0), self.sample_seeds)
@@ -186,41 +188,49 @@ def _edge_probability(n: int, p0: float) -> float:
     return p
 
 
-def _threshold(p: float) -> np.uint64:
-    """c = ceil(p * 2**53): a Philox word r draws a uniform below p exactly when (r >> 11) < c.
+def _threshold(p: float) -> int:
+    """t = ceil(p * 2**53) * 2**11: a Philox word r draws a uniform below p exactly when r < t.
 
     numpy's Philox double is m * 2**-53 with m = r >> 11, exactly, and
-    p * 2**53 is exact too, so m * 2**-53 < p holds for the integer m exactly
-    when m < c.  c = 2**53 at p = 1 fits a uint64, where c << 11 would not.
+    p * 2**53 is exact too, so m * 2**-53 < p holds exactly when m < c =
+    ceil(p * 2**53), and for integers m < c holds exactly when r < c * 2**11.
+    t is a Python int, since t = 2**64 at p = 1 fits no uint64.
     """
-    return np.uint64(math.ceil(math.ldexp(p, 53)))
+    return math.ceil(math.ldexp(p, 53)) << 11
 
 
-def _below(words: np.ndarray, c: np.uint64, out: np.ndarray | None = None) -> np.ndarray:
-    """Whether each Philox word's double lies below p, for c = ``_threshold(p)``; shifts ``words`` in place."""
-    return np.less(np.right_shift(words, 11, out=words), c, out=out)
+def _below(words: np.ndarray, t: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Whether each Philox word's double lies below p, for t = ``_threshold(p)``: one compare per word.
+
+    numpy compares a uint64 array with a Python int exactly: numpy 2 by its
+    Python-int comparison loops, numpy 1.x in uint64 up to 2**64 - 1 and as
+    Python objects at t = 2**64 (p = 1), where every word lies below t.  At
+    t = 0 (p = 0) none does.
+    """
+    return np.less(words, t, out=out)
 
 
 def _bernoulli(p: float, seeds, count: int, stream: int = 0) -> np.ndarray:
     """(S, count) bool Bernoulli(p) entries, one row per seed, keyed by (seed, stream).
 
     Each row is ``Generator(Philox(key=(seed, stream))).random(count) < p``,
-    read from the raw words (``_below``): one Philox generator is re-keyed
-    with counter 0 and an empty buffer before each draw, so no bits of one
-    row reach the next.  Each seed must lie in [0, 2**64): numpy refuses any
-    other key word with an ``OverflowError`` (the public entry points check
-    theirs with ``_key`` for an InputError).
+    read from the raw words with one compare each (``_below``): one Philox
+    generator is re-keyed from one reused state dict, with counter 0 and an
+    empty buffer, before each draw, so no bits of one row reach the next.
+    Each seed must lie in [0, 2**64): numpy refuses any other key word with
+    an ``OverflowError`` (the public entry points check theirs with ``_key``
+    for an InputError).
     """
     words_shape = check_shape((count,), "n")  # the uint64 words of one draw
     out = np.empty(check_shape((len(seeds), count), "n", itemsize=1), dtype=bool)
-    c = _threshold(p)
+    t = _threshold(p)
     bits = np.random.Philox(0)
+    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (0, stream)},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for k, seed in enumerate(seeds):
-        bits.state = {
-            "bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (seed, stream)},
-            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
-        _below(bits.random_raw(words_shape), c, out=out[k])
+        state["state"]["key"] = (seed, stream)
+        bits.state = state
+        _below(bits.random_raw(words_shape), t, out=out[k])
     return out
 
 
@@ -232,9 +242,15 @@ def _edges(n: int, p: float, seeds) -> np.ndarray:
 
 
 def _edge_chunks(n: int, p: float, seeds):
-    """The seeds' ``_edges``, one (S, n, n) array per ``SIGMA_CHUNK`` seeds."""
-    for lo in range(0, len(seeds), SIGMA_CHUNK):
-        yield _edges(n, p, seeds[lo:lo + SIGMA_CHUNK])
+    """The seeds' ``_edges``, max(1, ``CHUNK_ENTRIES`` // n**2) seeds to a chunk.
+
+    That is 104 samples at n = 50 and one from n = 363 on (from n = 512 on,
+    one sample holds more entries than the budget), and only the last
+    chunk can be partial.
+    """
+    size = max(1, CHUNK_ENTRIES // (n * n))
+    for lo in range(0, len(seeds), size):
+        yield _edges(n, p, seeds[lo:lo + size])
 
 
 def _residual(edges: np.ndarray) -> np.ndarray:
@@ -371,8 +387,9 @@ def monte_carlo_case1(
     above.  Only each sample's W is drawn (as ``random_er_game`` draws it),
     keyed by ``sample_seed(seed, s)``; ``_sample_seeds`` derives all those
     keys in one pass, which limits ``samples`` to 2**32.  The edges come as
-    bool arrays of ``SIGMA_CHUNK`` samples (``_edges``, which compares raw
-    Philox words with an integer threshold), and every statistic is read
+    bool arrays of about ``CHUNK_ENTRIES`` entries, max(1, CHUNK_ENTRIES // n**2)
+    samples each (``_edge_chunks``, whose ``_edges`` compare each raw Philox
+    word once with an integer threshold), and every statistic is read
     from their degrees (``_degree_stats``): delta_i, its maximum (the
     residual's infinity norm) and the residual's largest entry (``_peak``),
     all integers, with the bits the residual itself gives.  Each verdict

@@ -254,6 +254,10 @@ def _cmd_statics(args) -> tuple[dict, int]:
     return report, 0
 
 
+#: Case1Report's per-sample columns: the CSV writes them, the report leaves them out
+_CASE1_COLUMNS = ("sample_seeds", "inf_norms", "sigma_maxes", "within_bound", "certified")
+
+
 def _cmd_casestudy(args) -> tuple[dict, int]:
     if args.which == "case1":
         rep = cs.monte_carlo_case1(args.n, args.p0, args.a, args.b, args.c0,
@@ -266,20 +270,10 @@ def _cmd_casestudy(args) -> tuple[dict, int]:
                            rep.within_bound.tolist(), rep.certified.tolist())
                 for s, (seed, inf_norm, sigma_max, within, certified) in enumerate(rows):
                     fh.write(f"{s},{seed},{inf_norm!r},{sigma_max!r},{int(within)},{int(certified)}\n")
-        report = {
-            "case": "case1",
-            "n": rep.n, "p0": rep.p0, "samples": rep.samples, "seed": rep.seed,
-            "emp_delta_mean": rep.emp_delta_mean,
-            "emp_delta_var": rep.emp_delta_var,
-            "se_delta_mean": rep.se_delta_mean,
-            "se_delta_var": rep.se_delta_var,
-            "closed_delta_mean": rep.closed_delta_mean,
-            "closed_delta_var": rep.closed_delta_var,
-            "bound": rep.bound,
-            "frac_inf_norm_within": rep.frac_inf_norm_within,
-            "frac_certificate": rep.frac_certificate,
-            "csv": args.csv,
-        }
+        report = {"case": "case1", **vars(rep), "frac_inf_norm_within": rep.frac_inf_norm_within,
+                  "frac_certificate": rep.frac_certificate, "csv": args.csv}
+        for column in _CASE1_COLUMNS:  # sigma_maxes is in vars(rep) once the CSV has read it
+            report.pop(column, None)
         return report, 0
     rep = cs.case2_pipeline(args.n, args.a, args.b, args.c0,
                             density=args.density, seed=_seed(args), x_upper=args.x_upper)

@@ -10,6 +10,8 @@ are computed once it ends, in batches of stored states.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +69,14 @@ class RateFit:
     r_squared: float
 
 
+def _physical_memory() -> float:
+    """This machine's physical memory in bytes, or inf where ``os.sysconf`` cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name, on this platform
+        return math.inf
+
+
 def _integrate(game: Game, field, x0: np.ndarray, step: float, horizon: float,
                energy_fn=None) -> Trajectory:
     if not (0 < step < np.inf and 0 < horizon < np.inf and horizon / step < np.inf):  # NaN fails too
@@ -74,7 +84,10 @@ def _integrate(game: Game, field, x0: np.ndarray, step: float, horizon: float,
     n_steps = int(round(horizon / step))
     if n_steps < 1:
         raise InputError(f"horizon {horizon} rounds to 0 steps of {step}; a run takes round(horizon/step) steps")
-    check_shape((n_steps + 1, game.n), "horizon/step")
+    stored = math.prod(check_shape((n_steps + 1, game.n), "horizon/step")) * 8  # bytes of the stored states
+    if stored > (memory := _physical_memory()):
+        raise InputError(f"horizon/step is too large: {n_steps + 1} stored states of {game.n} floats take "
+                         f"{stored} bytes, more than the {memory} bytes of physical memory")
     x = game.require_feasible(np.asarray(x0, dtype=float))
     times, states, clipped = [0.0], [x], [False]
     # every state is already in the box, so field(x) is also the next step's k1

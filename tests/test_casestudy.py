@@ -277,6 +277,27 @@ def report():
     return monte_carlo_case1(20, 1.0, 3.0, 1.0, 1.0, samples=400, seed=11)
 
 
+@pytest.fixture
+def chunks_of(monkeypatch):
+    """``chunks_of(n, size)`` sets the entry budget to ``size`` samples of n*n entries (None keeps it); it
+    returns the list of the sample counts that ``_edges`` is then called with, one entry per drawn chunk."""
+    from netgoods import casestudy
+
+    drawn, draw = [], casestudy._edges
+
+    def edges(n, p, seeds):
+        drawn.append(len(seeds))
+        return draw(n, p, seeds)
+
+    def chunks_of(n, size):
+        if size is not None:
+            monkeypatch.setattr(casestudy, "CHUNK_ENTRIES", size * n * n)
+        monkeypatch.setattr(casestudy, "_edges", edges)
+        return drawn
+
+    return chunks_of
+
+
 class TestMonteCarloCase1:
     def test_moments_within_confidence(self, report):
         assert abs(report.emp_delta_mean - report.closed_delta_mean) <= 4 * report.se_delta_mean
@@ -294,13 +315,18 @@ class TestMonteCarloCase1:
         assert np.array_equal(a.sigma_maxes, b.sigma_maxes)
         assert a.sample_seeds == b.sample_seeds
 
-    def test_samples_match_per_game_route(self):
-        # 100 samples end in a partial chunk (SIGMA_CHUNK = 32); every sample must
+    def test_samples_match_per_game_route(self, chunks_of):
+        # 100 samples in chunks of 32 end in a partial chunk; every sample must
         # give what the game random_er_game draws for its seed gives on its own
         from netgoods.casestudy import sample_seed
         from netgoods.certificates import spectral_bounds
 
+        drawn = chunks_of(12, 32)
         rep = monte_carlo_case1(12, 2.0, 3.0, 1.0, 1.0, samples=100, seed=6)
+        assert drawn == [32, 32, 32, 4]
+        drawn.clear()
+        rep.sigma_maxes  # drawn again in the same chunks
+        assert drawn == [32, 32, 32, 4]
         for s in range(100):
             w = random_er_game(12, 2.0, 3.0, 1.0, 1.0, sample_seed(6, s)).w
             assert rep.sigma_maxes[s] == spectral_bounds(coupling_residual(w))[0]
@@ -344,18 +370,22 @@ class TestMonteCarloCase1:
         assert rep.sigma_maxes is sigma
         assert sigma.shape == (100,) and np.all(sigma >= 0.5)
 
-    def test_partial_buckets_keep_sample_order(self):
+    def test_partial_buckets_keep_sample_order(self, chunks_of):
         # at n = 5, p0 = 0.5 the residuals of one chunk have 0 to 4 non-zero rows;
         # each sample keeps the bound of its residual alone, in sample order
-        from netgoods.casestudy import SIGMA_CHUNK, sample_seed
+        from netgoods.casestudy import sample_seed
         from netgoods.certificates import _sigma_bound
 
+        drawn = chunks_of(5, 32)
         rep = monte_carlo_case1(5, 0.5, 3.0, 1.0, 1.0, samples=100, seed=12)
+        rep.sigma_maxes
+        assert drawn == [32, 32, 32, 4] * 2  # the Monte Carlo's chunks, then the column's
         residuals = [coupling_residual(random_er_game(5, 0.5, 3.0, 1.0, 1.0, sample_seed(12, s)).w)
                      for s in range(100)]
         counts = [int(r.any(axis=1).sum()) for r in residuals]
         assert 0 in counts
-        assert sum(counts.count(c) % SIGMA_CHUNK != 0 for c in set(counts)) >= 2
+        for lo in range(0, 100, 32):  # every chunk, the partial last one too, mixes row counts
+            assert len(set(counts[lo:lo + 32])) >= 2
         for s, r in enumerate(residuals):
             assert rep.sigma_maxes[s] == _sigma_bound(r)[0]
         assert np.all(rep.sigma_maxes[np.array(counts) == 0] == 0.0)
@@ -380,19 +410,41 @@ class TestMonteCarloCase1:
                 assert np.array_equal(w, want)
             assert np.array_equal(_edges(n, 0.3, seeds[:2])[1], _edges(n, 0.3, seeds[1:2])[0])
 
-    @pytest.mark.parametrize("p", [5e-324, 0.02, 1 / 3, math.nextafter(1.0, 0.0), 1.0])
+    @pytest.mark.parametrize("p", [0.0, 2.0**-53, 5e-324, 1 / 50, 1 / 3, 0.5, 1 - 2.0**-53, 1.0])
     def test_integer_threshold_at_its_boundary(self, p):
-        # a word r draws the double m * 2**-53, m = r >> 11; hand-made words put m at
-        # c - 1 and c (c = 2**53 at p = 1 is no word), under four patterns of the 11 dropped bits
+        # a word r draws the double m * 2**-53, m = r >> 11, and is an edge when m < c = ceil(p * 2**53);
+        # the one compare r < c * 2**11 must agree on hand-made words at both ends of the word range,
+        # on each side of c * 2**11 (no word at p = 1, where it is 2**64) under four patterns of
+        # the 11 dropped bits, and on random words
         from netgoods.casestudy import _below, _threshold
 
-        c = int(_threshold(p))
-        ms = [m for m in (c - 1, c) if 0 <= m < 2**53]
-        low = (0, 1, 0x5A5, 2**11 - 1)
-        words = np.array([m << 11 | bits for m in ms for bits in low], dtype=np.uint64)
-        want = np.array([math.ldexp(m, -53) < p for m in ms for _ in low])
-        assert np.array_equal(_below(words, _threshold(p)), want)
-        assert want[0] and (len(ms) == 1 or not want[-1])  # c is the first m that fails
+        c = math.ceil(math.ldexp(p, 53))
+        t = _threshold(p)
+        assert t == c << 11
+        crafted = [w for m in (c - 1, c) if 0 <= m < 2**53 for w in (m << 11, m << 11 | 1, m << 11 | 0x5A5,
+                                                                        m << 11 | 2**11 - 1)]
+        crafted += [0, t - 1, t, 2**64 - 1]
+        words = np.array([w for w in crafted if 0 <= w < 2**64], dtype=np.uint64)
+        words = np.concatenate([words, np.random.Philox(key=[3, 0]).random_raw(1000)])
+        got = _below(words, t)
+        assert got.dtype == bool and got.shape == words.shape
+        assert np.array_equal(got, (words >> np.uint64(11)) < np.uint64(c))  # c <= 2**53 fits a uint64
+        assert np.array_equal(got, (words >> np.uint64(11)) * 2.0**-53 < p)  # the double numpy draws
+        if 0 < c < 2**53:  # the word c * 2**11 is the first that fails: a compare r <= c * 2**11 would take it
+            assert _below(np.array([t - 1, t], dtype=np.uint64), t).tolist() == [True, False]
+
+    @pytest.mark.parametrize("p", [0.0, 2.0**-53, 1 / 50, 0.5, 1 - 2.0**-53, 1.0])
+    @pytest.mark.parametrize("stream", [0, 1])
+    def test_one_compare_is_the_float_draw(self, p, stream):
+        # every row of the sampler is numpy's own uniforms below p for its (seed, stream) key
+        from netgoods.casestudy import _bernoulli, sample_seed
+
+        seeds = [0, 2**64 - 1] + [sample_seed(21, s) for s in range(6)]
+        rows = _bernoulli(p, seeds, 997, stream)
+        for row, seed in zip(rows, seeds):
+            assert np.array_equal(row, philox(seed, stream).random(997) < p)
+        if p in (0.0, 1.0):  # no word is below t = 0, and every word is below t = 2**64
+            assert np.all(rows == (p == 1.0))
 
     @pytest.mark.parametrize("n", [1, 5, 7, 20])
     @pytest.mark.parametrize("p", [0.0, 5e-324, 0.1, 1 / 3, 0.5, math.nextafter(1.0, 0.0), 1.0])
@@ -408,20 +460,34 @@ class TestMonteCarloCase1:
 
     @pytest.mark.parametrize("n, p0s", [(1, (0.0, 0.5, 1.0)), (5, (0.0, 0.5, 1.0, 2.0, 5.0)),
                                         (12, (0.0, 0.5, 1.0, 2.0, 12.0)), (50, (0.0, 0.5, 1.0, 2.0, 50.0))])
-    def test_bits_equal_the_dense_oracle(self, n, p0s):
-        # 100 samples end in a partial chunk; every column and moment keeps the dense route's bits
-        from netgoods.casestudy import SIGMA_CHUNK
-
-        assert 100 % SIGMA_CHUNK != 0
+    @pytest.mark.parametrize("size, chunks", [(32, [32, 32, 32, 4]), (None, [100])])
+    def test_bits_equal_the_dense_oracle(self, n, p0s, size, chunks, chunks_of):
+        # 100 samples in chunks of 32 end in a partial chunk, and the default budget draws them
+        # in one (n <= 51); every column and moment keeps the dense route's bits
+        drawn = chunks_of(n, size)
         for p0 in p0s:
             for c0 in (1.0, 5.0, 40.0):
+                drawn.clear()
                 rep = monte_carlo_case1(n, p0, 3.0, 1.0, c0, samples=100, seed=n + 17)
+                assert drawn == chunks
                 want = case1_oracle.case1(n, p0, 1.0, c0, samples=100, seed=n + 17)
                 for key in ("emp_delta_mean", "emp_delta_var", "se_delta_mean", "se_delta_var"):
                     assert repr(getattr(rep, key)) == repr(want[key]), (p0, c0, key)
                 for key in ("inf_norms", "certified", "sigma_maxes"):
                     got = getattr(rep, key)
                     assert got.dtype == want[key].dtype and got.tobytes() == want[key].tobytes(), (p0, c0, key)
+
+    @pytest.mark.parametrize("n, seeds, chunks", [
+        (5, 250, [250]), (50, 250, [104, 104, 42]), (362, 5, [2, 2, 1]), (363, 3, [1, 1, 1]), (512, 2, [1, 1]),
+    ])
+    def test_chunks_are_sized_in_entries(self, monkeypatch, n, seeds, chunks):
+        # max(1, 2**18 // n**2) samples to a chunk: 104 at n = 50, one from n = 363 on
+        from netgoods import casestudy
+
+        monkeypatch.setattr(casestudy, "_edges", lambda n, p, seeds: seeds)
+        drawn = list(casestudy._edge_chunks(n, 0.1, list(range(seeds))))
+        assert [len(c) for c in drawn] == chunks
+        assert [s for c in drawn for s in c] == list(range(seeds))
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 99])
     @pytest.mark.parametrize("count", [1, 100, 1000])

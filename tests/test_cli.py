@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_fig1a_game, make_two_player_symmetric, max_iter_result, strict_loads
 from netgoods import cli
-from netgoods.casestudy import case2_pipeline, random_er_game, random_upper_triangular
+from netgoods.casestudy import case2_pipeline, monte_carlo_case1, random_er_game, random_upper_triangular
 from netgoods.cli import build_parser, main
 from netgoods.equilibrium import multi_start_probe, solve_ne, solve_regularized
 from netgoods.functions import (AffineReparam, LinearCost, LogValue, QuadraticClippedValue, QuadraticCost,
@@ -156,6 +156,14 @@ class TestDynamics:
                         tmp_path / "r.json")
         assert code == 2 and doc is None
         assert capsys.readouterr().err.startswith("error: horizon/step is too large: an array of shape (")
+
+    def test_states_beyond_physical_memory_exit_2(self, n1_path, tmp_path, capsys, monkeypatch):
+        # 10^12 steps fit numpy's index range, but not their states in memory: refused before the first step
+        monkeypatch.setattr(Game, "project", lambda *args: pytest.fail("took a step"))
+        code, doc = run(["dynamics", "--game", n1_path, "--x0", "0", "--step", "1e-12", "--horizon", "1"],
+                        tmp_path / "r.json")
+        assert code == 2 and doc is None
+        assert capsys.readouterr().err.startswith("error: horizon/step is too large: 1000000000001 stored states")
 
 
 class TestCertify:
@@ -460,6 +468,19 @@ class TestReportsCarryTheirRecords:
         reps = multi_start_probe(load_game(fig1a_path), n_starts=8, seed=3)
         assert len(reps) > 1
         assert doc["clusters"] == self.as_json([vars(r) for r in reps])
+
+    @pytest.mark.parametrize("with_csv", [False, True])
+    def test_case1(self, tmp_path, with_csv):
+        # the per-sample columns go to the CSV only; --csv reads sigma_maxes, which must stay out too
+        csv = str(tmp_path / "s.csv") if with_csv else None
+        _, doc = run(["casestudy", "case1", "--n", "8", "--p0", "1", "--c0", "5", "--samples", "100", "--seed", "4",
+                      *(["--csv", csv] if csv else [])], tmp_path / "r.json")
+        rep = monte_carlo_case1(8, 1.0, 3.0, 1.0, 5.0, samples=100, seed=4)
+        columns = ("sample_seeds", "inf_norms", "within_bound", "certified")
+        fields = {k: v for k, v in vars(rep).items() if k not in columns}
+        assert doc == self.as_json({"case": "case1", **fields, "frac_inf_norm_within": rep.frac_inf_norm_within,
+                                    "frac_certificate": rep.frac_certificate, "csv": csv})
+        assert "sigma_maxes" not in doc and 0.0 < doc["frac_certificate"] < 1.0
 
     def test_case2(self, tmp_path):
         _, doc = run(["casestudy", "case2", "--n", "6", "--density", "0.5", "--seed", "5"], tmp_path / "r.json")

@@ -80,6 +80,23 @@ class TestPseudoGradientFlow:
         with pytest.raises(InputError, match=r"horizon/step is too large: an array of shape \(\d{300}, 1\)"):
             integrate_sw_flow(n1_game, np.zeros(1), step=1e-300, horizon=1.0)
 
+    def test_states_beyond_physical_memory_rejected(self, n1_game, fig1a_game, monkeypatch):
+        # 10^12 steps can be indexed, but their 8 TB of states exceed any memory: refused before a step
+        from netgoods import dynamics
+
+        monkeypatch.setattr(Game, "project", lambda *args: pytest.fail("took a step"))
+        with pytest.raises(InputError, match=r"horizon/step is too large: 1000000000001 stored states of 1 "
+                                             r"floats take 8000000000008 bytes, more than the \d+ bytes"):
+            integrate_sw_flow(n1_game, np.zeros(1), step=1e-12, horizon=1.0)
+        monkeypatch.undo()
+        # the limit is the states' bytes: 201 states of 4 floats need 6432
+        monkeypatch.setattr(dynamics, "_physical_memory", lambda: 201 * 4 * 8 - 1)
+        with pytest.raises(InputError, match="201 stored states of 4 floats take 6432 bytes, more than the 6431"):
+            integrate_pseudo_gradient(fig1a_game, np.ones(4), np.full(4, 0.5), step=1e-2, horizon=2.0)
+        monkeypatch.setattr(dynamics, "_physical_memory", lambda: 201 * 4 * 8)
+        traj = integrate_pseudo_gradient(fig1a_game, np.ones(4), np.full(4, 0.5), step=1e-2, horizon=2.0)
+        assert len(traj.times) > 1
+
 
 class TestSwFlow:
     def test_n1_rate_is_minus_six(self, n1_game):

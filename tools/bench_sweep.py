@@ -43,12 +43,15 @@ b = 1, c0 = 1), on the draws of ``sample_seed(5, s)``:
 
 - ``case1_keys``: deriving the ``CASE1_KEYS`` sample keys of seed 5 as
   ``casestudy case1`` does (``_sample_seeds``);
-- ``edges``: drawing one chunk of ``SIGMA_CHUNK`` samples' edges as bool
-  arrays, from raw Philox words against the integer threshold (``_edges``);
+- ``edges``: drawing one chunk of samples' edges as bool arrays, from raw
+  Philox words against the integer threshold (``_edges``), as the Monte
+  Carlo draws it at n = 50: ``CHUNK_ENTRIES // n**2`` samples (104; a source
+  tree that draws ``SIGMA_CHUNK`` samples to a chunk is timed on the same
+  104, so both trees draw the same words);
 - ``degree_stats``: the delta statistics and residual peaks of that chunk,
   read from its degrees (``_degree_stats``), which is all the Monte Carlo
   reads at c0 = b = 1;
-- ``_sigma_bound`` on each of the chunk's ``SIGMA_CHUNK`` coupling
+- ``sigma_bound_stack``: ``_sigma_bound`` on each of the chunk's coupling
   residuals, each formed from its sample's edges and bounded on its own, as
   the ``sigma_maxes`` column bounds them (it drops their zero rows itself);
 - ``monte_carlo_case1`` with 100 samples;
@@ -98,6 +101,8 @@ CASE1 = (50, 1.0, 3.0, 1.0, 1.0)
 CASE1_SAMPLES = 100
 #: sample keys derived by the case1_keys row (perfbench's case1-mc runs 1000 samples)
 CASE1_KEYS = 1000
+#: entries of the case-1 chunk rows in a source tree without ``casestudy.CHUNK_ENTRIES``
+CASE1_CHUNK_ENTRIES = 1 << 18
 
 
 def _load(name: str, path: str):
@@ -207,13 +212,14 @@ def sweep_game(game, timer) -> dict:
 
 
 def sweep_case1(timer) -> dict:
-    from netgoods.casestudy import (SIGMA_CHUNK, _degree_stats, _edges, _residual, _sample_seeds,
-                                    monte_carlo_case1, sample_seed)
+    from netgoods import casestudy
+    from netgoods.casestudy import _degree_stats, _edges, _residual, _sample_seeds, monte_carlo_case1, sample_seed
     from netgoods.certificates import _sigma_bound
 
     n, p0, a, b, c0 = CASE1
     p = p0 / n
-    seeds = [sample_seed(5, s) for s in range(SIGMA_CHUNK)]
+    stack = max(1, getattr(casestudy, "CHUNK_ENTRIES", CASE1_CHUNK_ENTRIES) // (n * n))
+    seeds = [sample_seed(5, s) for s in range(stack)]
     row = {}
     row["case1_keys"], _ = timer(lambda: _sample_seeds(5, CASE1_KEYS))
     row["case1_keys"]["samples"] = CASE1_KEYS
@@ -221,7 +227,7 @@ def sweep_case1(timer) -> dict:
     row["degree_stats"], _ = timer(lambda: _degree_stats(edges))
     row["sigma_bound_stack"], _ = timer(lambda: [_sigma_bound(_residual(e)) for e in edges])
     for key in ("edges", "degree_stats", "sigma_bound_stack"):
-        row[key]["stack"] = SIGMA_CHUNK
+        row[key]["stack"] = stack
     row["monte_carlo_case1"], rep = timer(lambda: monte_carlo_case1(n, p0, a, b, c0, CASE1_SAMPLES, 5))
     row["monte_carlo_case1"].update(samples=CASE1_SAMPLES, frac_certificate=rep.frac_certificate)
     row["case1_sigma_maxes"], _ = timer(
