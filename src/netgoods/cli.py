@@ -242,15 +242,7 @@ def _cmd_statics(args) -> tuple[dict, int]:
     result = utility_derivative(game, x_star, delta)
     report = {"x_star": x_star, "delta": delta, **vars(result)}
     if args.fd_t is not None:
-        fd = fd_check(game, x_star, delta, t=args.fd_t)
-        report["fd"] = {
-            "t": args.fd_t,
-            "du_dt": fd.du_dt_fd,
-            "dx_dt": fd.dx_dt_fd,
-            "du_rel_err": fd.du_rel_err,
-            "dx_rel_err": fd.dx_rel_err,
-            "warm_start_jump": fd.warm_start_jump,
-        }
+        report["fd"] = {"t": args.fd_t, **vars(fd_check(game, x_star, delta, t=args.fd_t))}
     return report, 0
 
 

@@ -34,7 +34,8 @@ DEFAULT_STEP = 1e-2
 DEFAULT_HORIZON = 50.0
 #: leading fraction of samples discarded by rate fits to skip transients
 FIT_DISCARD = 0.1
-#: states per batch when computing trajectory diagnostics, which bounds their memory
+#: states per batch when computing trajectory diagnostics or writing a trajectory's CSV, which bounds
+#: the memory of both
 DIAG_CHUNK = 256
 
 
@@ -77,6 +78,11 @@ def _physical_memory() -> float:
         return math.inf
 
 
+def _trajectory_bytes(n_states: int, n: int, energy: bool) -> int:
+    """Bytes of a trajectory's per-step arrays: states, times, clipped flags, welfare, gaps and energy."""
+    return n_states * (8 * n + 8 + 1 + 8 + 8 + (8 if energy else 0))
+
+
 def _integrate(game: Game, field, x0: np.ndarray, step: float, horizon: float,
                energy_fn=None) -> Trajectory:
     if not (0 < step < np.inf and 0 < horizon < np.inf and horizon / step < np.inf):  # NaN fails too
@@ -84,17 +90,20 @@ def _integrate(game: Game, field, x0: np.ndarray, step: float, horizon: float,
     n_steps = int(round(horizon / step))
     if n_steps < 1:
         raise InputError(f"horizon {horizon} rounds to 0 steps of {step}; a run takes round(horizon/step) steps")
-    stored = math.prod(check_shape((n_steps + 1, game.n), "horizon/step")) * 8  # bytes of the stored states
+    shape = check_shape((n_steps + 1, game.n), "horizon/step")
+    stored = _trajectory_bytes(n_steps + 1, game.n, energy_fn is not None)
     if stored > (memory := _physical_memory()):
-        raise InputError(f"horizon/step is too large: {n_steps + 1} stored states of {game.n} floats take "
-                         f"{stored} bytes, more than the {memory} bytes of physical memory")
+        raise InputError(f"horizon/step is too large: {n_steps + 1} stored states of {game.n} floats, with their "
+                         f"per-step records, take {stored} bytes, more than the {memory} bytes of physical memory")
     x = game.require_feasible(np.asarray(x0, dtype=float))
-    times, states, clipped = [0.0], [x], [False]
+    # row m holds the start (m = 0) or the state after step m; rows [0, filled) are written
+    times, states, clipped = np.empty(shape[0]), np.empty(shape), np.zeros(shape[0], dtype=bool)
+    times[0], states[0], filled = 0.0, x, 1
     # every state is already in the box, so field(x) is also the next step's k1
     fx = field(x)
     t = 0.0
-    # states holds the start and one state per step taken
-    while not (converged := bool(np.abs(fx).max() < FIELD_TOL)) and len(states) <= n_steps:
+    # ufunc reductions and count_nonzero run in C, where ndarray.max and .any go through Python
+    while not (converged := bool(np.maximum.reduce(np.abs(fx), axis=None) < FIELD_TOL)) and filled <= n_steps:
         k1 = fx
         k2 = field(game.project(x + 0.5 * step * k1))
         k3 = field(game.project(x + 0.5 * step * k2))
@@ -102,34 +111,33 @@ def _integrate(game: Game, field, x0: np.ndarray, step: float, horizon: float,
         raw = x + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         x = game.project(raw)
         # projecting a non-finite entry always moves it, so only a clipped step needs the test
-        was_clipped = bool((x != raw).any())
-        if was_clipped and not np.isfinite(raw).all():
+        was_clipped = np.count_nonzero(x != raw) != 0
+        if was_clipped and np.count_nonzero(np.isfinite(raw)) != raw.size:
             raise IntegrationError(
                 f"non-finite state at t={t + step}",
-                last_good=_finish(game, times, states, clipped, energy_fn, False),
+                last_good=_finish(game, times, states, clipped, filled, energy_fn, False),
             )
         t += step
-        times.append(t)
-        states.append(x)
-        clipped.append(was_clipped)
+        times[filled], states[filled], clipped[filled] = t, x, was_clipped
+        filled += 1
         fx = field(x)
-    return _finish(game, times, states, clipped, energy_fn, converged)
+    return _finish(game, times, states, clipped, filled, energy_fn, converged)
 
 
-def _finish(game, times, states, clipped, energy_fn, converged):
-    """The trajectory, with its diagnostics computed on the stored states in row chunks."""
-    states = np.asarray(states)
-    sw, gaps = np.empty(len(states)), np.empty(len(states))
-    energy = np.empty(len(states)) if energy_fn is not None else None
-    for lo in range(0, len(states), DIAG_CHUNK):
+def _finish(game, times, states, clipped, filled, energy_fn, converged):
+    """The trajectory of the first ``filled`` rows, with its diagnostics computed on them in row chunks."""
+    times, states, clipped = times[:filled], states[:filled], clipped[:filled]
+    sw, gaps = np.empty(filled), np.empty(filled)
+    energy = np.empty(filled) if energy_fn is not None else None
+    for lo in range(0, filled, DIAG_CHUNK):
         rows = slice(lo, lo + DIAG_CHUNK)
         k, u = _utilities(game, states[rows])  # every stored state is in the box
         sw[rows] = np.sum(u, axis=-1)
         gaps[rows] = _br_gap(game, states[rows], k, u)[0]
         if energy is not None:
             energy[rows] = energy_fn(states[rows], u)
-    return Trajectory(times=np.asarray(times), states=states, sw=sw, br_gaps=gaps,
-                      clipped=np.asarray(clipped, dtype=bool), energy=energy, converged=converged)
+    return Trajectory(times=times, states=states, sw=sw, br_gaps=gaps, clipped=clipped, energy=energy,
+                      converged=converged)
 
 
 def integrate_pseudo_gradient(
@@ -234,9 +242,10 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
     cols = [traj.times[:, None], traj.states, traj.sw[:, None], traj.br_gaps[:, None]]
     if traj.energy is not None:
         cols.append(traj.energy[:, None])
-    rows = np.hstack(cols).tolist()  # Python floats, written as their repr
     # the bytes csv.writer writes: no field needs quoting, lines end in "\r\n"
     end = "\r\n" if traj.energy is not None else ",\r\n"  # a blank energy field
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["t", *[f"x_{i + 1}" for i in range(n)], "sw", "br_gap", "energy"]) + "\r\n")
-        fh.writelines(",".join(map(repr, row)) + end for row in rows)
+        for lo in range(0, traj.times.size, DIAG_CHUNK):
+            rows = np.hstack([col[lo:lo + DIAG_CHUNK] for col in cols]).tolist()  # Python floats, written as repr
+            fh.writelines(",".join(map(repr, row)) + end for row in rows)

@@ -103,9 +103,10 @@ def _iterate(game, field, gamma, eps, xs, tol, max_iter):
     active, cur, res, it = np.arange(rows.shape[0]), xs, residuals, 0
     for it in range(1, max_iter + 1):
         stepped = game.project(cur + step * field(cur))
-        res = np.abs(stepped - cur).max(axis=-1)  # NaN where the step is not finite
+        # ufunc reductions and count_nonzero run in C, where ndarray.max and .all go through Python
+        res = np.maximum.reduce(np.abs(stepped - cur), axis=-1)  # NaN where the step is not finite
         going = res >= stop
-        if not going.all():  # file the rows that stop here and go on with the rest
+        if np.count_nonzero(going) != going.size:  # file the rows that stop here and go on with the rest
             cur, stepped = cur.reshape(-1, game.n), stepped.reshape(-1, game.n)
             res, going = res.reshape(-1), going.reshape(-1)
             done, nan = active[~going], np.isnan(res[~going])

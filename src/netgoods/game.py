@@ -54,6 +54,18 @@ class Evaluator:
     wherever the log argument mu*t + s is not > 0, and ``outside_domain``
     tells where gains leave the domains.  Nothing is clamped.
 
+    ``value_d1``, the field of every solver step and RK4 stage, skips a term
+    that cannot change a bit for any of the evaluator's players.  Each
+    evaluator decides from its own rows when it is built, so a ``column`` or
+    a gathered sub-evaluator decides for its players alone:
+    - the affine map, when every player has v_scale 1 and v_shift +0.0:
+      (k - 0.0)/1.0 is k bit for bit, -0.0 included, and so is d1/1.0;
+    - the log term, when every player has log 0, mu 0 and s > 0: log/arg is
+      then +-0.0 and the quadratic term is never -0.0 (a > 0 on the curved
+      side, +0.0 on the flat one), so the sum has the quadratic term's bits.
+      A non-finite t, where mu*t + s would be NaN, still raises the same
+      DomainError.
+
     Rows, one entry per player: ``k_lo`` and ``x_lo``, the lower ends of the
     value and cost domains; the value parameters ``v_scale``, ``v_shift``,
     ``a``, ``b``, ``b2`` = 2b, ``clip`` (the peak in t), ``peak``, ``log``, ``mu``,
@@ -82,6 +94,10 @@ class Evaluator:
         self.cols = cols  # one row per parameter, one column per player
         (self.k_lo, self.x_lo, self.v_scale, self.v_shift, self.a, self.b, self.b2, self.clip, self.peak,
          self.log, self.mu, self.s, self.c_scale, self.c_shift, self.q, self.l, self.dq, self.dl) = cols
+        # the value terms that can change a bit for some player; value_d1 skips the others
+        self._mapped = bool(np.count_nonzero((self.v_scale != 1.0) | (self.v_shift != 0.0)
+                                             | np.signbit(self.v_shift)))
+        self._logged = bool(np.count_nonzero((self.log != 0.0) | (self.mu != 0.0) | ~(self.s > 0.0)))
 
     @classmethod
     def of(cls, values, costs) -> Evaluator:
@@ -136,9 +152,16 @@ class Evaluator:
 
     def value_d1(self, k: np.ndarray) -> np.ndarray:
         """f_i'(k_i)."""
-        t, arg = self._in_domain(k)
-        quad = np.where(t <= self.clip, self.a - self.b2 * t, 0.0)
-        return (self.log / arg + quad) / self.v_scale
+        if self._logged:
+            t, arg = self._in_domain(k)
+            d1 = self.log / arg + np.where(t <= self.clip, self.a - self.b2 * t, 0.0)
+        else:
+            t = self._t(k)
+            finite = np.isfinite(t)
+            if np.count_nonzero(finite) != finite.size:  # where mu*t + s is NaN
+                self._in_domain(k)  # raises
+            d1 = np.where(t <= self.clip, self.a - self.b2 * t, 0.0)
+        return d1 / self.v_scale if self._mapped else d1
 
     def value_d2(self, k: np.ndarray) -> np.ndarray:
         """f_i''(k_i)."""
@@ -196,7 +219,7 @@ class Evaluator:
         return np.max(np.where(right > left, gaps, 0.0), axis=(0, 1))
 
     def _t(self, k):
-        return (k - self.v_shift) / self.v_scale
+        return (k - self.v_shift) / self.v_scale if self._mapped else k
 
     def _arg(self, k):
         # the log argument mu*t + s at gains k, unchecked: 0 at a log pole

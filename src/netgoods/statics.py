@@ -48,8 +48,8 @@ class StaticsResult:
 class FdReport:
     """Central-difference cross-check of the closed forms."""
 
-    du_dt_fd: np.ndarray
-    dx_dt_fd: np.ndarray
+    du_dt: np.ndarray
+    dx_dt: np.ndarray
     du_rel_err: float
     dx_rel_err: float
     warm_start_jump: bool
@@ -168,8 +168,8 @@ def fd_check(game: Game, x_star: np.ndarray, delta: np.ndarray, t: float) -> FdR
         float(np.max(np.abs(sides[s][0] - x_star))) for s in (+1.0, -1.0)
     ) > 100.0 * t
     return FdReport(
-        du_dt_fd=du_fd,
-        dx_dt_fd=dx_fd,
+        du_dt=du_fd,
+        dx_dt=dx_fd,
         du_rel_err=_rel_err(closed.du_dt, du_fd),
         dx_rel_err=_rel_err(closed.dx_dt, dx_fd),
         warm_start_jump=jump,

@@ -34,7 +34,8 @@ def test_every_row_runs(sweep, tmp_path, monkeypatch):
     game_row = sweep.sweep_game(random_er_game(10, 1.0, 3.0, 1.0, 1.0, seed=5), once)
     case1_row = sweep.sweep_case1(once)
     assert set(game_row) == {"solve_ne", "solve_regularized", "multi_start_probe", "br_gap", "br_gap_batch",
-                             "best_response", "pseudo_gradient", "integrate_sw_flow", "certify_any",
+                             "best_response", "pseudo_gradient", "integrate_pseudo_gradient",
+                             "integrate_sw_flow", "certify_any",
                              "certify_report", "sigma_bound", "load_game", "save_game"}
     assert set(case1_row) == {"case1_keys", "edges", "degree_stats", "sigma_bound_stack", "monte_carlo_case1",
                               "case1_sigma_maxes"}

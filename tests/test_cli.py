@@ -13,6 +13,7 @@ from netgoods.functions import (AffineReparam, LinearCost, LogValue, QuadraticCl
                                 spec_to_dict)
 from netgoods.game import Game
 from netgoods.gamefile import _matrix, _w_doc, dumps_canonical, game_to_dict, load_game, save_game
+from netgoods.statics import fd_check, utility_derivative
 
 
 @pytest.fixture
@@ -489,6 +490,13 @@ class TestReportsCarryTheirRecords:
         assert doc == self.as_json({"case": "case2", **fields, "W": _w_doc(rep.w),
                                     "certificate": cli._certificate_doc(rep.certificate)})
         assert doc["certificate"].keys() == vars(rep.certificate).keys()
+
+    def test_statics_and_its_fd_block(self, n1_path, tmp_path):
+        _, doc = run(["statics", "--game", n1_path, "--delta", "1", "--x-star", "1", "--fd-t", "1e-4"],
+                     tmp_path / "r.json")
+        game, x_star, delta = load_game(n1_path), np.ones(1), np.ones(1)
+        assert doc == self.as_json({"x_star": x_star, "delta": delta, **vars(utility_derivative(game, x_star, delta)),
+                                    "fd": {"t": 1e-4, **vars(fd_check(game, x_star, delta, t=1e-4))}})
 
 
 class TestOracle:

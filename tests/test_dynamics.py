@@ -86,16 +86,38 @@ class TestPseudoGradientFlow:
 
         monkeypatch.setattr(Game, "project", lambda *args: pytest.fail("took a step"))
         with pytest.raises(InputError, match=r"horizon/step is too large: 1000000000001 stored states of 1 "
-                                             r"floats take 8000000000008 bytes, more than the \d+ bytes"):
+                                             r"floats, with their per-step records, take 33000000000033 bytes, "
+                                             r"more than the \d+ bytes"):
             integrate_sw_flow(n1_game, np.zeros(1), step=1e-12, horizon=1.0)
         monkeypatch.undo()
-        # the limit is the states' bytes: 201 states of 4 floats need 6432
-        monkeypatch.setattr(dynamics, "_physical_memory", lambda: 201 * 4 * 8 - 1)
-        with pytest.raises(InputError, match="201 stored states of 4 floats take 6432 bytes, more than the 6431"):
-            integrate_pseudo_gradient(fig1a_game, np.ones(4), np.full(4, 0.5), step=1e-2, horizon=2.0)
-        monkeypatch.setattr(dynamics, "_physical_memory", lambda: 201 * 4 * 8)
-        traj = integrate_pseudo_gradient(fig1a_game, np.ones(4), np.full(4, 0.5), step=1e-2, horizon=2.0)
-        assert len(traj.times) > 1
+        # the limit is the bytes of every per-step array: 201 rows of 4 floats, a time, a clipped flag, the
+        # welfare and the gap need 201 * 57 = 11457, and 201 * 8 more with an energy
+        for x_star, need in ((None, 11457), (np.ones(4), 13065)):
+            monkeypatch.setattr(dynamics, "_physical_memory", lambda: need - 1)
+            with pytest.raises(InputError, match=f"201 stored states of 4 floats, with their per-step records, "
+                                                 f"take {need} bytes, more than the {need - 1}"):
+                integrate_pseudo_gradient(fig1a_game, np.ones(4), np.full(4, 0.5), step=1e-2, horizon=2.0,
+                                          x_star=x_star)
+            monkeypatch.setattr(dynamics, "_physical_memory", lambda: need)
+            traj = integrate_pseudo_gradient(fig1a_game, np.ones(4), np.full(4, 0.5), step=1e-2, horizon=2.0,
+                                             x_star=x_star)
+            assert len(traj.times) > 1
+
+    def test_peak_memory_is_what_the_cap_counts(self, n1_game):
+        # 5000 steps at n=1: every per-step array is allocated once, as the cap counts it; states kept as a
+        # list of (1,) arrays took about 26 times the bytes of the stored floats
+        import tracemalloc
+
+        from netgoods.dynamics import _trajectory_bytes
+
+        tracemalloc.start()
+        try:
+            traj = integrate_sw_flow(n1_game, np.zeros(1), step=2e-4, horizon=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.times.size == 5001 and not traj.converged
+        assert peak <= 2 * _trajectory_bytes(5001, 1, False)
 
 
 class TestSwFlow:
@@ -279,6 +301,26 @@ class TestCsvExport:
                 writer.writerow([repr(float(traj.times[k])),
                                  *[repr(float(v)) for v in traj.states[k]],
                                  repr(float(traj.sw[k])), repr(float(traj.br_gaps[k])), energy])
+        got = tmp_path / "got.csv"
+        trajectory_to_csv(traj, got)
+        assert got.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("with_energy", [False, True])
+    def test_chunks_write_the_one_shot_bytes(self, n1_game, tmp_path, with_energy):
+        # reference: the writer that formats the whole trajectory with one .tolist()
+        from netgoods.dynamics import DIAG_CHUNK
+
+        traj = integrate_pseudo_gradient(n1_game, ONES1, np.zeros(1), step=1e-2, horizon=6.0,
+                                         x_star=np.ones(1) if with_energy else None)
+        assert traj.times.size == 601 > 2 * DIAG_CHUNK  # two full chunks and a partial one
+        cols = [traj.times[:, None], traj.states, traj.sw[:, None], traj.br_gaps[:, None]]
+        if with_energy:
+            cols.append(traj.energy[:, None])
+        end = "\r\n" if with_energy else ",\r\n"
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            fh.write("t,x_1,sw,br_gap,energy\r\n")
+            fh.writelines(",".join(map(repr, row)) + end for row in np.hstack(cols).tolist())
         got = tmp_path / "got.csv"
         trajectory_to_csv(traj, got)
         assert got.read_bytes() == ref.read_bytes()

@@ -1,4 +1,8 @@
+import importlib.util
+import sys
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -42,6 +46,7 @@ QUAD = QuadraticClippedValue(a=3.0, b=1.0)
 COST = QuadraticCost(c0=1.0)
 #: stopping width of the reference bisections below
 REF_TOL = 1e-12
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_game(w, lo, hi):
@@ -578,6 +583,100 @@ class TestMaskFreeEvaluator:
             k[:3, 0::2] = [[-0.0], [0.0], [oracle.clip_point(BASE_VALUES[0])]]
         for name, d1 in (("value", False), ("value_d1", True)):
             assert same_bits(getattr(ev, name)(k), per_family_reference(values, k, d1))
+
+
+def general_value_d1(ev, k):
+    """Reference: f_i'(k_i) with every term kept, t = (k - v_shift)/v_scale and the log term included."""
+    t = (k - ev.v_shift) / ev.v_scale
+    arg = ev.mu * t + ev.s
+    if not np.all(arg > 0.0):
+        raise DomainError("outside the value domain")
+    return (ev.log / arg + np.where(t <= ev.clip, ev.a - ev.b2 * t, 0.0)) / ev.v_scale
+
+
+def _fixed_work_game(rng, n):
+    """perfbench's flow-rk4 game generator, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {"workloads": module}):  # dataclasses look their module up there
+        spec.loader.exec_module(module)
+    return module.fixed_work_game(rng, n)
+
+
+FOLD_GAMES = ("er", "fixed_work", "fixed_work_twice_reparameterized", "er_one_log_value", "er_one_mapped_value")
+
+
+@pytest.fixture(scope="module")
+def fold_games():
+    """name -> (game, (mapped, logged)): the terms its evaluator keeps, a game on each side of each choice."""
+    games = {name: (game, flags) for name, game, flags in _fold_games()}
+    assert tuple(games) == FOLD_GAMES
+    return games
+
+
+def _fold_games():
+    from netgoods.casestudy import random_er_game
+    from netgoods.equivalence import EquivalenceMap, transform_game
+
+    er = random_er_game(30, 1.0, 3.0, 1.0, 1.0, seed=5)
+    yield "er", er, (False, False)
+    rng = np.random.default_rng([2, 0])
+    fixed = _fixed_work_game(rng, 20)
+    yield "fixed_work", fixed, (False, True)
+    for _ in range(2):
+        fixed = transform_game(fixed, EquivalenceMap(d=rng.uniform(0.5, 2.0, 20), b=rng.uniform(-0.5, 0.5, 20)))
+    yield "fixed_work_twice_reparameterized", fixed, (True, True)
+    one = list(er.values)
+    one[7] = LogValue(a=2.0, s=2.0)
+    yield "er_one_log_value", Game(w=er.w, lower=er.lower, upper=er.upper, values=tuple(one),
+                                   costs=er.costs), (False, True)
+    one[7] = AffineReparam(inner=er.values[7], scale=1.5, shift=0.0)
+    yield "er_one_mapped_value", Game(w=er.w, lower=er.lower, upper=er.upper, values=tuple(one),
+                                      costs=er.costs), (True, False)
+
+
+class TestSkippedTerms:
+    """value_d1 skips the affine map or the log term only where neither can change a bit for any player."""
+
+    @staticmethod
+    def gains(game):
+        # random in-box gains, then rows of -0.0, +0.0 and each quadratic value's exact peak wherever the
+        # player's value domain holds them
+        ev, rng = game.evaluator, np.random.default_rng(game.n)
+        k = (game.lower + rng.random((40, game.n)) * (game.upper - game.lower)) @ game.w.T
+        for row, special in enumerate((np.full(game.n, -0.0), np.full(game.n, 0.0), ev.value_kink())):
+            ok = np.isfinite(special) & ~ev.outside_domain(special)[0]
+            k[row] = np.where(ok, special, k[row])
+        assert np.signbit(k[0]).any() and (k[1] == 0.0).any() and (k[2] == ev.value_kink()).any()
+        return k
+
+    @pytest.mark.parametrize("name", FOLD_GAMES)
+    def test_same_bits_as_the_general_formula(self, fold_games, name):
+        game, flags = fold_games[name]
+        ev = game.evaluator
+        assert (ev._mapped, ev._logged) == flags
+        k = self.gains(game)
+        assert same_bits(ev.value_d1(k), general_value_d1(ev, k))  # (S, n) batch
+        for row in k[:4]:  # single profiles
+            assert same_bits(ev.value_d1(row), general_value_d1(ev, row))
+        for i in (0, 7):  # each column decides for itself
+            col = ev.column(i)
+            assert same_bits(col.value_d1(k[:, i]), general_value_d1(col, k[:, i]))
+        x = game.lower + np.random.default_rng(1).random((5, game.n)) * (game.upper - game.lower)
+        assert same_bits(_pseudo_gradient(game, x), general_value_d1(ev, x @ game.w.T) - ev.cost_d1(x))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["er", "er_one_mapped_value"])
+    def test_non_finite_gain_in_a_log_free_game_raises(self, fold_games, name, bad):
+        game, (_, logged) = fold_games[name]
+        assert not logged
+        k = self.gains(game)
+        k[5, 7] = bad
+        for gains_ in (k, k[5]):
+            # 0 * inf in mu*t + s warns, as it did before the log term was skipped
+            with np.errstate(invalid="ignore"), pytest.raises(DomainError,
+                                                              match=f"gain {bad} is outside its value domain"):
+                game.evaluator.value_d1(gains_)
 
 
 class TestPrivateFields:

@@ -194,7 +194,7 @@ class TestFdCheck:
         errs = []
         for t in (4e-3, 1e-3):
             rep = fd_check(g, x_star, delta, t=t)
-            errs.append(float(np.max(np.abs(rep.du_dt_fd - closed.du_dt))))
+            errs.append(float(np.max(np.abs(rep.du_dt - closed.du_dt))))
         assert errs[0] / errs[1] >= 8.0
 
 

@@ -28,7 +28,7 @@ PUBLIC = {
                           "details=<factory>", "transform=None", "slack=0.0", "attempts=()"),
     "DomainError": None,
     "EquivalenceMap": ("d", "b"),
-    "FdReport": ("du_dt_fd", "dx_dt_fd", "du_rel_err", "dx_rel_err", "warm_start_jump"),
+    "FdReport": ("du_dt", "dx_dt", "du_rel_err", "dx_rel_err", "warm_start_jump"),
     "GainBounds": ("k_lo", "k_hi"),
     "Game": ("w", "lower", "upper", "values", "costs"),
     "InputError": None,

@@ -20,9 +20,11 @@ flow-rk4 games):
 - ``multi_start_probe`` from ``MULTI_STARTS`` random starts (seed 0), which
   steps an (S, n) batch (wall time, the clusters and the summed iterations
   of their representatives);
-- one ``integrate_sw_flow`` run of 200 steps (step 1e-2, horizon 2) from the
-  box centre, diagnostics included (it stops early if the field vanishes;
-  ``steps`` records how many it took);
+- one ``integrate_pseudo_gradient`` run (alpha = 1) and one
+  ``integrate_sw_flow`` run, each of 200 steps (step 1e-2, horizon 2) from
+  the box centre, diagnostics included, as perfbench's flow-rk4 runs both
+  fields (a run stops early if its field vanishes; ``steps`` records how
+  many it took);
 - ``certify_any`` with its defaults;
 - ``certify_report``: ``dumps_canonical`` of the report that ``netgoods
   certify`` builds from that certificate (``bytes`` its length): its matrix
@@ -167,7 +169,7 @@ def sweep_game(game, timer) -> dict:
     import numpy as np
 
     from netgoods.certificates import _sigma_bound, certify_any
-    from netgoods.dynamics import integrate_sw_flow
+    from netgoods.dynamics import integrate_pseudo_gradient, integrate_sw_flow
     from netgoods.equilibrium import multi_start_probe, solve_ne, solve_regularized
     from netgoods.game import best_response, br_gap, pseudo_gradient
     from netgoods.gamefile import dumps_canonical, load_game, save_game
@@ -195,6 +197,10 @@ def sweep_game(game, timer) -> dict:
     for key in ("ref_s", "wall_s"):  # per call
         row["best_response"][key] /= game.n
     row["pseudo_gradient"], _ = timer(lambda: pseudo_gradient(game, x))
+    alpha = np.ones(game.n)
+    row["integrate_pseudo_gradient"], traj = timer(
+        lambda: integrate_pseudo_gradient(game, alpha, centre, step=1e-2, horizon=2.0))
+    row["integrate_pseudo_gradient"]["steps"] = len(traj.times) - 1
     row["integrate_sw_flow"], traj = timer(lambda: integrate_sw_flow(game, centre, step=1e-2, horizon=2.0))
     row["integrate_sw_flow"]["steps"] = len(traj.times) - 1
     row["certify_any"], rep = timer(lambda: certify_any(game))
