@@ -16,7 +16,7 @@ import numpy as np
 
 from .certificates import _sigma_bound
 from .errors import InputError, check_shape
-from .game import (Game, _default_gamma, _pseudo_gradient, _require_upper_triangular, best_response, br_gap,
+from .game import (Game, _default_gamma, _require_upper_triangular, _run_field, best_response, br_gap,
                    gain_bounds)
 
 DEFAULT_TOL = 1e-10
@@ -88,16 +88,16 @@ def _prep(game, gamma, step_eps, x0, tol, max_iter, betas=(0.0,)):
 def _iterate(game, field, gamma, eps, xs, tol, max_iter):
     """Projected steps x <- Pi_X(x + eps*gamma*field(x)) on xs, in place.
 
-    ``xs`` is one (n,) profile or an (S, n) batch of rows.  The field and the
-    step see ``xs`` in its own shape, so a single start never pays numpy's
-    broadcast of (1, n) against the (n,) parameter rows.  A row stops once a
-    step moves it less than tol*eps ("converged") or is not finite
-    ("diverged"; the row keeps its last finite point).  Filing the rows that
-    stop works on (S, n) views and runs only on iterations where some row
-    stops.  Returns each row's status, iteration count and last displacement
-    as (S,) arrays (S = 1 for a profile).
+    ``field`` is the run's field (``game._run_field``, built once by the
+    caller), evaluated on in-box rows only.  ``xs`` is one (n,) profile or an
+    (S, n) batch of rows.  The field and the step see ``xs`` in its own shape,
+    so a single start never pays numpy's broadcast of (1, n) against the (n,)
+    parameter rows.  A row stops once a step moves it less than tol*eps
+    ("converged") or is not finite ("diverged"; the row keeps its last finite
+    point).  Filing the rows that stop works on (S, n) views and runs only on
+    iterations where some row stops.  Returns each row's status, iteration
+    count and last displacement as (S,) arrays (S = 1 for a profile).
     """
-    field = field or (lambda y: _pseudo_gradient(game, y))  # the rows never leave the box
     step, stop, rows = eps * gamma, tol * eps, xs.reshape(-1, game.n)
     iters, residuals = np.zeros(rows.shape[0], dtype=int), np.full(rows.shape[0], np.inf)
     active, cur, res, it = np.arange(rows.shape[0]), xs, residuals, 0
@@ -130,9 +130,9 @@ def _result(game, x, status, iterations, residual) -> SolveResult:
 def _solve(game, betas, gamma, step_eps, tol, max_iter, x0) -> SolveResult:
     """The projected iteration in stages, one per beta (0: the original game); see solve_regularized."""
     gamma, steps, x = _prep(game, gamma, step_eps, x0, tol, max_iter, betas)
-    x, total = x.copy(), 0
+    x, total, base = x.copy(), 0, _run_field(game)
     for beta, eps in zip(betas, steps):
-        field = (lambda y, beta=beta: _pseudo_gradient(game, y) - 2.0 * beta * y) if beta else None
+        field = (lambda y, beta=beta: base(y) - 2.0 * beta * y) if beta else base
         (status,), (iterations,), (residual,) = _iterate(game, field, gamma, eps, x, tol, max_iter)
         total += int(iterations)
         if status == "diverged":
@@ -215,7 +215,7 @@ def multi_start_probe(
     gamma_v, (eps,), _ = _prep(game, gamma, step_eps, None, tol, max_iter)
     rng = np.random.default_rng(seed)
     xs = game.lower + rng.random(check_shape((n_starts, game.n), "n_starts")) * (game.upper - game.lower)
-    status, iters, residuals = _iterate(game, None, gamma_v, eps, xs, tol, max_iter)
+    status, iters, residuals = _iterate(game, _run_field(game), gamma_v, eps, xs, tol, max_iter)
     converged = np.nonzero(status == "converged")[0]
     reps: list[SolveResult] = []
     centres = np.empty((converged.size, game.n))  # reps' x_star, stacked in the first len(reps) rows

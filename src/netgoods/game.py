@@ -65,6 +65,9 @@ class Evaluator:
       side, +0.0 on the flat one), so the sum has the quadratic term's bits.
       A non-finite t, where mu*t + s would be NaN, still raises the same
       DomainError.
+    Its formula has one copy, a closure over the rows and these two choices
+    (``_d1``), bound when the evaluator is built; a run's field
+    (``_run_field``) calls that closure directly.
 
     Rows, one entry per player: ``k_lo`` and ``x_lo``, the lower ends of the
     value and cost domains; the value parameters ``v_scale``, ``v_shift``,
@@ -98,6 +101,7 @@ class Evaluator:
         self._mapped = bool(np.count_nonzero((self.v_scale != 1.0) | (self.v_shift != 0.0)
                                              | np.signbit(self.v_shift)))
         self._logged = bool(np.count_nonzero((self.log != 0.0) | (self.mu != 0.0) | ~(self.s > 0.0)))
+        self._d1 = self._bind_d1()
 
     @classmethod
     def of(cls, values, costs) -> Evaluator:
@@ -152,16 +156,33 @@ class Evaluator:
 
     def value_d1(self, k: np.ndarray) -> np.ndarray:
         """f_i'(k_i)."""
-        if self._logged:
-            t, arg = self._in_domain(k)
-            d1 = self.log / arg + np.where(t <= self.clip, self.a - self.b2 * t, 0.0)
-        else:
-            t = self._t(k)
-            finite = np.isfinite(t)
-            if np.count_nonzero(finite) != finite.size:  # where mu*t + s is NaN
-                self._in_domain(k)  # raises
-            d1 = np.where(t <= self.clip, self.a - self.b2 * t, 0.0)
-        return d1 / self.v_scale if self._mapped else d1
+        return self._d1(k)
+
+    def _bind_d1(self):
+        """``value_d1`` as a closure over this evaluator's rows and skip flags (``_d1``).
+
+        A run's field (``_run_field``) calls it directly, so that a solver step
+        or an RK4 stage pays one Python frame here on top of its ufunc calls.
+        """
+        v_scale, v_shift, a, b2, clip, log, mu, s = (self.v_scale, self.v_shift, self.a, self.b2, self.clip,
+                                                     self.log, self.mu, self.s)
+        mapped, logged = self._mapped, self._logged  # no reference to self: the evaluator stays out of a cycle
+
+        def d1(k):
+            t = (k - v_shift) / v_scale if mapped else k
+            if logged:
+                arg = mu * t + s
+                if np.count_nonzero(arg > _ZERO) != arg.size:
+                    _refuse_gain(k, arg)
+                out = log / arg + np.where(t <= clip, a - b2 * t, _ZERO)
+            else:
+                finite = np.isfinite(t)
+                if np.count_nonzero(finite) != finite.size:
+                    _refuse_gain(k, mu * t + s)  # NaN there
+                out = np.where(t <= clip, a - b2 * t, _ZERO)
+            return out / v_scale if mapped else out
+
+        return d1
 
     def value_d2(self, k: np.ndarray) -> np.ndarray:
         """f_i''(k_i)."""
@@ -242,8 +263,7 @@ class Evaluator:
         t = self._t(k)
         arg = self.mu * t + self.s
         if np.count_nonzero(arg > _ZERO) != arg.size:  # cheaper than ndarray.all
-            bad = np.broadcast_to(k, arg.shape)[~(arg > 0.0)][0]
-            raise DomainError(f"gain {bad} is outside its value domain: mu*t + s is not > 0 (a log pole)")
+            _refuse_gain(k, arg)
         return t, arg
 
     def _d2(self, arg, branch):
@@ -290,6 +310,12 @@ class Evaluator:
             root = np.sqrt(np.maximum(a1 * a1 - 4.0 * self.dq * a0, 0.0))
             t = np.where(a1 >= 0.0, -2.0 * a0 / (a1 + root), (root - a1) / (2.0 * self.dq))
             return np.where(self.log > 0.0, t, quad)
+
+
+def _refuse_gain(k, arg):
+    """DomainError at the first gain of k whose log argument mu*t + s, ``arg``, is not > 0 (a log pole)."""
+    bad = np.broadcast_to(k, arg.shape)[~(arg > 0.0)][0]
+    raise DomainError(f"gain {bad} is outside its value domain: mu*t + s is not > 0 (a log pole)")
 
 
 def evaluate(spec: ScalarFunction, point: float) -> tuple[float, float, float]:
@@ -453,6 +479,24 @@ def _pseudo_gradient(game: Game, x: np.ndarray) -> np.ndarray:
 def _sw_gradient(game: Game, x: np.ndarray) -> np.ndarray:
     # x: as for _pseudo_gradient
     return game.evaluator.value_d1(x @ game.w.T) @ game.w - game.evaluator.cost_d1(x)
+
+
+def _run_field(game: Game, alpha: np.ndarray | None = None, welfare: bool = False):
+    """One run's field, built before its first step: x -> alpha * _pseudo_gradient(x), or _sw_gradient(x).
+
+    It binds W.T, the cost slope and the evaluator's value_d1 closure, with the
+    terms that closure skips, so each call costs its ufunc calls and three
+    Python frames (its own, the closure's and the cost slope's).  The product with ``alpha`` is skipped when every entry is 1.0:
+    1.0*g is g bit for bit.  The bits are those of the unbound fields; x must
+    lie in the box, as for ``_pseudo_gradient``, and nothing is validated.
+    """
+    ev, w = game.evaluator, game.w
+    d1, c1, wt = ev._d1, ev.cost_d1, w.T
+    if welfare:
+        return lambda x: d1(x @ wt) @ w - c1(x)
+    if alpha is None or not np.count_nonzero(alpha != 1.0):
+        return lambda x: d1(x @ wt) - c1(x)
+    return lambda x: alpha * (d1(x @ wt) - c1(x))
 
 
 def pseudo_gradient(game: Game, x: np.ndarray) -> np.ndarray:

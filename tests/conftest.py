@@ -101,23 +101,35 @@ def max_iter_result(game, **kwargs):
     return SolveResult(np.array(game.lower), "max_iter", 1, 0.0, 1.0)
 
 
+def patch_run_field(monkeypatch, module, wrap):
+    """Make every run that ``module`` starts step on wrap(field), field the one ``_run_field`` builds it.
+
+    ``_run_field`` builds each run's field once, before its first step, so
+    this is where a test records or replaces the field of a step loop.
+    """
+    build = module._run_field
+    monkeypatch.setattr(module, "_run_field", lambda game, *args, **kwargs: wrap(build(game, *args, **kwargs)))
+
+
 @pytest.fixture
 def solver_iterates(monkeypatch):
     """The list the projected solver's iterates land in: its field runs once per iteration, at the iterate.
 
-    Each entry is a copy of the point ``equilibrium._pseudo_gradient`` is
-    called at, so a solve's list holds x0 and every later iterate but the last,
-    which is its ``x_star``.
+    Each entry is a copy of the point the run's field (``equilibrium._run_field``)
+    is called at, so a solve's list holds x0 and every later iterate but the
+    last, which is its ``x_star``.
     """
     from netgoods import equilibrium
 
-    iterates, field = [], equilibrium._pseudo_gradient
+    iterates = []
 
-    def recording(game, y):
-        iterates.append(y.copy())
-        return field(game, y)
+    def recording(field):
+        def record(y):
+            iterates.append(y.copy())
+            return field(y)
+        return record
 
-    monkeypatch.setattr(equilibrium, "_pseudo_gradient", recording)
+    patch_run_field(monkeypatch, equilibrium, recording)
     return iterates
 
 

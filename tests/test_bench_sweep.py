@@ -36,7 +36,8 @@ def test_every_row_runs(sweep, tmp_path, monkeypatch):
     assert set(game_row) == {"solve_ne", "solve_regularized", "multi_start_probe", "br_gap", "br_gap_batch",
                              "best_response", "pseudo_gradient", "integrate_pseudo_gradient",
                              "integrate_sw_flow", "certify_any",
-                             "certify_report", "sigma_bound", "load_game", "save_game"}
+                             "certify_report", "sigma_bound", "load_game", "save_game", "trajectory_to_csv"}
+    assert game_row["trajectory_to_csv"]["rows"] == game_row["integrate_pseudo_gradient"]["steps"] + 1 == 201
     assert set(case1_row) == {"case1_keys", "edges", "degree_stats", "sigma_bound_stack", "monte_carlo_case1",
                               "case1_sigma_maxes"}
     assert all(row["ref_s"] == 0.0 for row in (*game_row.values(), *case1_row.values()))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import netgoods.dynamics as dyn
+from conftest import patch_run_field
 from netgoods.dynamics import (
     Trajectory,
     fit_exponential,
@@ -50,16 +52,15 @@ class TestPseudoGradientFlow:
             errs.append(abs(traj.final_state[0] - exact))
         assert errs[0] / errs[1] >= 8.0
 
-    def test_non_finite_state_raises(self, n1_game):
+    def test_non_finite_state_raises(self, n1_game, monkeypatch):
         # box projection makes game fields overflow-proof, so drive the
-        # integrator core with a field that goes bad mid-flight
-        from netgoods.dynamics import _integrate
-
+        # run with a field that goes bad mid-flight
         def field(x):
             return np.array([np.nan]) if x[0] > 0.5 else np.array([1.0])
 
+        patch_run_field(monkeypatch, dyn, lambda _: field)
         with pytest.raises(IntegrationError) as exc:
-            _integrate(n1_game, field, np.zeros(1), step=0.1, horizon=5.0)
+            integrate_pseudo_gradient(n1_game, ONES1, np.zeros(1), step=0.1, horizon=5.0)
         assert isinstance(exc.value.last_good, Trajectory)
         assert np.all(np.isfinite(exc.value.last_good.states))
         assert exc.value.last_good.times.size >= 2
@@ -307,45 +308,56 @@ class TestCsvExport:
 
     @pytest.mark.parametrize("with_energy", [False, True])
     def test_chunks_write_the_one_shot_bytes(self, n1_game, tmp_path, with_energy):
-        # reference: the writer that formats the whole trajectory with one .tolist()
+        # reference: the writer that formats the whole trajectory with one .tolist(), every value with repr;
+        # besides the run's trajectory, copies of it with values that only their bits tell apart
+        from dataclasses import replace
+
         from netgoods.dynamics import DIAG_CHUNK
 
         traj = integrate_pseudo_gradient(n1_game, ONES1, np.zeros(1), step=1e-2, horizon=6.0,
                                          x_star=np.ones(1) if with_energy else None)
         assert traj.times.size == 601 > 2 * DIAG_CHUNK  # two full chunks and a partial one
-        cols = [traj.times[:, None], traj.states, traj.sw[:, None], traj.br_gaps[:, None]]
-        if with_energy:
-            cols.append(traj.energy[:, None])
+        cases = [traj]
+        if with_energy:  # inf and nan in the energy column, in two batches
+            energy = traj.energy.copy()
+            energy[[1, 2, 3, DIAG_CHUNK, DIAG_CHUNK + 1]] = [np.inf, np.nan, -np.inf, np.nan, np.inf]
+            cases.append(replace(traj, energy=energy))
+        else:
+            signed = traj.states.copy()  # +0.0 and -0.0 in one column of one batch
+            signed[[0, 3, 7, 9], 0] = [0.0, -0.0, 0.0, -0.0]
+            straddling = traj.states.copy()  # one value on both sides of each batch boundary
+            for edge in (DIAG_CHUNK, 2 * DIAG_CHUNK):
+                straddling[edge - 2:edge + 2, 0] = 0.25
+            cases += [replace(traj, states=signed), replace(traj, states=straddling)]
         end = "\r\n" if with_energy else ",\r\n"
-        ref = tmp_path / "ref.csv"
-        with open(ref, "w", newline="") as fh:
-            fh.write("t,x_1,sw,br_gap,energy\r\n")
-            fh.writelines(",".join(map(repr, row)) + end for row in np.hstack(cols).tolist())
-        got = tmp_path / "got.csv"
-        trajectory_to_csv(traj, got)
-        assert got.read_bytes() == ref.read_bytes()
+        for case in cases:
+            cols = [case.times[:, None], case.states, case.sw[:, None], case.br_gaps[:, None]]
+            if with_energy:
+                cols.append(case.energy[:, None])
+            ref = tmp_path / "ref.csv"
+            with open(ref, "w", newline="") as fh:
+                fh.write("t,x_1,sw,br_gap,energy\r\n")
+                fh.writelines(",".join(map(repr, row)) + end for row in np.hstack(cols).tolist())
+            got = tmp_path / "got.csv"
+            trajectory_to_csv(case, got)
+            assert got.read_bytes() == ref.read_bytes()
 
 
 class TestIntegratorCore:
-    def test_four_field_evaluations_per_step(self, n1_game):
-        from netgoods.dynamics import _integrate
-        from netgoods.game import pseudo_gradient
-
+    def test_four_field_evaluations_per_step(self, n1_game, monkeypatch):
         calls = []
-
-        def field(x):
-            calls.append(x)
-            return pseudo_gradient(n1_game, x)
-
-        traj = _integrate(n1_game, field, np.zeros(1), step=0.01, horizon=0.5)
-        steps = traj.times.size - 1
-        assert steps == 50
-        assert len(calls) == 1 + 4 * steps
+        patch_run_field(monkeypatch, dyn, lambda field: lambda x: calls.append(x.copy()) or field(x))
+        for run in (lambda: integrate_pseudo_gradient(n1_game, ONES1, np.zeros(1), step=0.01, horizon=0.5),
+                    lambda: integrate_sw_flow(n1_game, np.zeros(1), step=0.01, horizon=0.5)):
+            calls.clear()
+            steps = run().times.size - 1
+            assert steps == 50
+            assert len(calls) == 1 + 4 * steps
 
     def test_states_bitwise_equal_to_five_evaluation_rk4(self):
         # reference: classical RK4 that re-evaluates k1 at the start of every step
         from conftest import random_small_interaction_game
-        from netgoods.dynamics import FIELD_TOL, _integrate
+        from netgoods.dynamics import FIELD_TOL
         from netgoods.game import pseudo_gradient
 
         g = random_small_interaction_game(np.random.default_rng(3), n=5)
@@ -364,11 +376,10 @@ class TestIntegratorCore:
             ref.append(x)
             if np.max(np.abs(field(x))) < FIELD_TOL:
                 break
-        traj = _integrate(g, field, g.lower, step=step, horizon=step * 40)
+        traj = integrate_pseudo_gradient(g, np.ones(5), g.lower, step=step, horizon=step * 40)
         assert np.array_equal(traj.states, np.asarray(ref))
 
     def test_batched_diagnostics_match_per_state_across_chunks(self, monkeypatch):
-        import netgoods.dynamics as dyn
         from conftest import random_small_interaction_game
         from netgoods.equilibrium import solve_ne
 
@@ -389,7 +400,6 @@ class TestIntegratorCore:
 
     def test_diagnostics_evaluate_each_state_once(self, monkeypatch):
         # per chunk: the utilities, shared by sw, the gaps and the energy, and the best responses' values
-        import netgoods.dynamics as dyn
         from conftest import random_small_interaction_game
         from netgoods.game import Evaluator
 
@@ -402,28 +412,26 @@ class TestIntegratorCore:
         assert traj.times.size == 31
         assert shapes == [(6,)] + [(7, 6), (7, 6)] * 4 + [(3, 6), (3, 6)]  # x_star's, then the chunks'
 
-    def test_last_good_carries_diagnostics(self, n1_game):
-        from netgoods.dynamics import _integrate
-
+    def test_last_good_carries_diagnostics(self, n1_game, monkeypatch):
         def field(x):
             return np.array([np.nan]) if x[0] > 0.5 else np.array([1.0])
 
+        patch_run_field(monkeypatch, dyn, lambda _: field)
         with pytest.raises(IntegrationError) as exc:
-            _integrate(n1_game, field, np.zeros(1), step=0.1, horizon=5.0)
+            integrate_sw_flow(n1_game, np.zeros(1), step=0.1, horizon=5.0)
         good = exc.value.last_good
         assert good.sw.shape == good.br_gaps.shape == good.times.shape
         for k, x in enumerate(good.states):
             assert good.sw[k] == utility_profile(n1_game, x)[1]
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_non_finite_step_raises_even_when_projection_hides_it(self, n1_game, bad):
-        from netgoods.dynamics import _integrate
-
+    def test_non_finite_step_raises_even_when_projection_hides_it(self, n1_game, monkeypatch, bad):
         def field(x):  # +-inf steps land on the box edge after projection
             return np.array([bad]) if x[0] > 0.5 else np.array([1.0])
 
+        patch_run_field(monkeypatch, dyn, lambda _: field)
         with pytest.raises(IntegrationError, match="non-finite state") as exc:
-            _integrate(n1_game, field, np.zeros(1), step=0.1, horizon=5.0)
+            integrate_pseudo_gradient(n1_game, ONES1, np.zeros(1), step=0.1, horizon=5.0)
         assert np.all(exc.value.last_good.states <= 0.5 + 0.1)
 
     @pytest.mark.parametrize("flow", ["pseudo", "sw"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import games_and_profiles, random_small_interaction_game
+from conftest import games_and_profiles, patch_run_field, random_small_interaction_game
 from netgoods import equilibrium
 from netgoods.casestudy import random_er_game
 from netgoods.certificates import cert_near_individual, spectral_bounds
@@ -21,9 +21,9 @@ from netgoods.equilibrium import (
     verify_ne,
 )
 from netgoods.errors import InputError
-from netgoods.functions import LinearCost, QuadraticClippedValue, QuadraticCost
+from netgoods.functions import LinearCost, LogValue, QuadraticClippedValue, QuadraticCost
 from netgoods.equivalence import EquivalenceMap, transform_game
-from netgoods.game import Game, _pseudo_gradient, br_gap, evaluate, pseudo_gradient
+from netgoods.game import Game, _run_field, br_gap, evaluate, pseudo_gradient
 
 
 class TestSolveNe:
@@ -69,11 +69,11 @@ class TestSolveNe:
     def test_diverged_keeps_last_finite_point(self, n1_game, monkeypatch):
         calls = []
 
-        def field(game, y):
+        def field(y):
             calls.append(y.copy())
             return np.full_like(y, np.nan if len(calls) == 4 else 0.1)
 
-        monkeypatch.setattr(equilibrium, "_pseudo_gradient", field)
+        patch_run_field(monkeypatch, equilibrium, lambda _: field)
         res = solve_ne(n1_game, x0=np.zeros(1), step_eps=0.1)
         assert res.status == "diverged" and res.iterations == 4
         assert np.isnan(res.final_gap) and res.residual == np.inf
@@ -320,7 +320,7 @@ class TestMultiStart:
         reps = multi_start_probe(g, n_starts=n_starts, seed=seed, cluster_tol=cluster_tol)
         xs = g.lower + np.random.default_rng(seed).random((n_starts, g.n)) * (g.upper - g.lower)
         gamma = np.ones(g.n)
-        status, _, _ = _iterate(g, None, gamma, default_step_eps(g, gamma), xs, 1e-10, 50_000)
+        status, _, _ = _iterate(g, _run_field(g), gamma, default_step_eps(g, gamma), xs, 1e-10, 50_000)
         want = []
         for s in np.nonzero(status == "converged")[0]:
             if not any(np.max(np.abs(xs[s] - r)) <= cluster_tol for r in want):
@@ -475,11 +475,10 @@ class TestProfileShapes:
     def test_field_shapes(self, fig1a_game, monkeypatch):
         shapes = []
 
-        def recording(game, y):
-            shapes.append(y.shape)
-            return _pseudo_gradient(game, y)
+        def recording(field):
+            return lambda y: shapes.append(y.shape) or field(y)
 
-        monkeypatch.setattr(equilibrium, "_pseudo_gradient", recording)
+        patch_run_field(monkeypatch, equilibrium, recording)
         solve_ne(fig1a_game)
         solve_regularized(fig1a_game, [1.0, 0.1])
         assert set(shapes) == {(4,)}
@@ -494,3 +493,26 @@ class TestProfileShapes:
         for _ in range(200):
             x = er_game.lower + rng.random(er_game.n) * (er_game.upper - er_game.lower)
             assert (x @ wt).tobytes() == (x[None] @ wt)[0].tobytes()
+
+    def test_a_start_solved_alone_equals_its_row_in_a_batch(self):
+        # each row of a batch steps as that start does alone.  BLAS may round a row of an (S, n) @ W.T
+        # product apart from the (n,) @ W.T of that row alone (on fig1a's W, 5 of 12 starts end apart in
+        # their last bits), so W pairs the players with weight 0.5: every gain x_i + 0.5*x_j is then the same
+        # bits in any order of summation, and what is compared is the loop alone
+        n = 6
+        w = np.eye(n)
+        w[np.arange(n), np.arange(n) ^ 1] = 0.5
+        values = tuple(QuadraticClippedValue(a=3.0 + i, b=1.0) if i % 3 else LogValue(a=2.0, s=1.5)
+                       for i in range(n))
+        costs = tuple(QuadraticCost(c0=1.0 + 0.25 * i) if i % 2 else LinearCost(c1=0.5) for i in range(n))
+        game = Game(w=w, lower=np.zeros(n), upper=np.full(n, 2.0), values=values, costs=costs)
+        starts = game.lower + np.random.default_rng(4).random((8, n)) * (game.upper - game.lower)
+        gamma = np.ones(n)
+        xs = starts.copy()
+        status, iters, residuals = _iterate(game, _run_field(game), gamma, default_step_eps(game, gamma), xs,
+                                            1e-10, 50_000)
+        assert len(set(iters)) > 1  # rows leave the batch at different iterations
+        for s, x0 in enumerate(starts):
+            alone = solve_ne(game, x0=x0)
+            assert alone.status == status[s] == "converged" and alone.iterations == iters[s]
+            assert alone.x_star.tobytes() == xs[s].tobytes() and alone.residual == residuals[s]

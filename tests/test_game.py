@@ -29,6 +29,7 @@ from netgoods.game import (
     _best_responses,
     _fold,
     _pseudo_gradient,
+    _run_field,
     _sw_gradient,
     best_response,
     br_gap,
@@ -679,6 +680,17 @@ class TestSkippedTerms:
                 game.evaluator.value_d1(gains_)
 
 
+def weakly_coupled_game(values, costs, rng):
+    """A game of these players under small positive weights, on boxes of width 0.5 above their domains' ends."""
+    n = len(values)
+    w = np.eye(n) + 0.05 * rng.uniform(0.0, 1.0, (n, n)) * (1 - np.eye(n))
+    lo = np.array([max(c.domain()[0], 0.0) + 0.1 for c in costs])
+    # keep every reachable gain inside the value domains
+    k_lo = np.array([v.domain()[0] for v in values])
+    lo = np.maximum(lo, np.where(np.isfinite(k_lo), k_lo + 1.0, lo))
+    return Game(w=w, lower=lo, upper=lo + 0.5, values=tuple(values), costs=tuple(costs))
+
+
 class TestPrivateFields:
     def games(self):
         rng = np.random.default_rng(31)
@@ -686,12 +698,7 @@ class TestPrivateFields:
             n = 6
             values = [nest(BASE_VALUES[i % 2], depth, rng) for i in range(n)]
             costs = [nest(BASE_COSTS[(i // 2) % 2], depth, rng) for i in range(n)]
-            w = np.eye(n) + 0.05 * rng.uniform(0.0, 1.0, (n, n)) * (1 - np.eye(n))
-            lo = np.array([max(c.domain()[0], 0.0) + 0.1 for c in costs])
-            # keep every reachable gain inside the value domains
-            k_lo = np.array([v.domain()[0] for v in values])
-            lo = np.maximum(lo, np.where(np.isfinite(k_lo), k_lo + 1.0, lo))
-            yield Game(w=w, lower=lo, upper=lo + 0.5, values=tuple(values), costs=tuple(costs))
+            yield weakly_coupled_game(values, costs, rng)
 
     def test_bitwise_equal_to_public_fields_in_box(self):
         for g in self.games():
@@ -713,6 +720,46 @@ class TestPrivateFields:
                 call(np.stack([g.lower, outside]))
             with pytest.raises(InputError, match="profile must have shape"):
                 call(g.lower[:-1])
+
+
+class TestRunField:
+    """A run's field, built once, has the unbound fields' bits, and refuses gains outside the value domains."""
+
+    PAIRS = [(v, c) for v in BASE_VALUES for c in BASE_COSTS]
+
+    @staticmethod
+    def game(value, cost, depth, rng, n=5):
+        """n players of one family pair, each nested ``depth`` deep with its own maps."""
+        return weakly_coupled_game([nest(value, depth, rng) for _ in range(n)],
+                                   [nest(cost, depth, rng) for _ in range(n)], rng)
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize("pair", range(4), ids=["quad-quad", "quad-linear", "log-quad", "log-linear"])
+    def test_same_bits_as_the_unbound_fields(self, pair, depth):
+        rng = np.random.default_rng([pair, depth])
+        g = self.game(*self.PAIRS[pair], depth, rng)
+        assert (g.evaluator._mapped, g.evaluator._logged) == (depth > 0, pair >= 2)
+        xs = g.lower + rng.random((9, g.n)) * (g.upper - g.lower)
+        xs[0], xs[1] = g.lower, g.upper
+        sw = _run_field(g, welfare=True)
+        for alpha in (np.ones(g.n), np.linspace(0.5, 2.0, g.n)):
+            field = _run_field(g, alpha)
+            for x in (xs, xs[3]):
+                assert same_bits(field(x), alpha * _pseudo_gradient(g, x))
+                assert same_bits(sw(x), _sw_gradient(g, x))
+
+    @pytest.mark.parametrize("value", BASE_VALUES, ids=["quad", "log"])
+    def test_gains_outside_the_value_domains_raise(self, value):
+        g = self.game(value, BASE_COSTS[0], 1, np.random.default_rng(7))
+        nan = g.lower.copy()
+        nan[2] = np.nan
+        bad = [nan, np.stack([g.upper, nan])]
+        if isinstance(value, LogValue):  # every gain below its log pole
+            bad.append(g.lower - 100.0)
+        for field in (_run_field(g), _run_field(g, np.linspace(0.5, 2.0, g.n)), _run_field(g, welfare=True)):
+            for x in bad:
+                with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="outside its value domain"):
+                    field(x)
 
 
 def full_array_bisect(ev, d, lo, hi, tol):

@@ -25,6 +25,9 @@ flow-rk4 games):
   the box centre, diagnostics included, as perfbench's flow-rk4 runs both
   fields (a run stops early if its field vanishes; ``steps`` records how
   many it took);
+- ``trajectory_to_csv`` of that ``integrate_pseudo_gradient`` run's
+  trajectory (201 rows unless the run stopped early; ``rows`` records them),
+  written to a temporary file, as ``netgoods dynamics --csv`` writes it;
 - ``certify_any`` with its defaults;
 - ``certify_report``: ``dumps_canonical`` of the report that ``netgoods
   certify`` builds from that certificate (``bytes`` its length): its matrix
@@ -169,7 +172,7 @@ def sweep_game(game, timer) -> dict:
     import numpy as np
 
     from netgoods.certificates import _sigma_bound, certify_any
-    from netgoods.dynamics import integrate_pseudo_gradient, integrate_sw_flow
+    from netgoods.dynamics import integrate_pseudo_gradient, integrate_sw_flow, trajectory_to_csv
     from netgoods.equilibrium import multi_start_probe, solve_ne, solve_regularized
     from netgoods.game import best_response, br_gap, pseudo_gradient
     from netgoods.gamefile import dumps_canonical, load_game, save_game
@@ -198,9 +201,9 @@ def sweep_game(game, timer) -> dict:
         row["best_response"][key] /= game.n
     row["pseudo_gradient"], _ = timer(lambda: pseudo_gradient(game, x))
     alpha = np.ones(game.n)
-    row["integrate_pseudo_gradient"], traj = timer(
+    row["integrate_pseudo_gradient"], pseudo_traj = timer(
         lambda: integrate_pseudo_gradient(game, alpha, centre, step=1e-2, horizon=2.0))
-    row["integrate_pseudo_gradient"]["steps"] = len(traj.times) - 1
+    row["integrate_pseudo_gradient"]["steps"] = len(pseudo_traj.times) - 1
     row["integrate_sw_flow"], traj = timer(lambda: integrate_sw_flow(game, centre, step=1e-2, horizon=2.0))
     row["integrate_sw_flow"]["steps"] = len(traj.times) - 1
     row["certify_any"], rep = timer(lambda: certify_any(game))
@@ -214,6 +217,9 @@ def sweep_game(game, timer) -> dict:
         save_game(game, path)
         row["load_game"], _ = timer(lambda: load_game(path))
         row["save_game"], _ = timer(lambda: save_game(game, path))
+        csv_path = os.path.join(tmp, "trajectory.csv")
+        row["trajectory_to_csv"], _ = timer(lambda: trajectory_to_csv(pseudo_traj, csv_path))
+        row["trajectory_to_csv"]["rows"] = len(pseudo_traj.times)
     return row
 
 
