@@ -194,29 +194,23 @@ def _threshold(p: float) -> int:
     numpy's Philox double is m * 2**-53 with m = r >> 11, exactly, and
     p * 2**53 is exact too, so m * 2**-53 < p holds exactly when m < c =
     ceil(p * 2**53), and for integers m < c holds exactly when r < c * 2**11.
-    t is a Python int, since t = 2**64 at p = 1 fits no uint64.
+    t is a Python int, since t = 2**64 at p = 1 fits no uint64.  numpy
+    compares a uint64 array with a Python int exactly: numpy 2 by its
+    Python-int comparison loops, numpy 1.x in uint64 up to 2**64 - 1 and as
+    Python objects at t = 2**64, where every word lies below t.  At t = 0
+    (p = 0) none does.
     """
     return math.ceil(math.ldexp(p, 53)) << 11
-
-
-def _below(words: np.ndarray, t: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Whether each Philox word's double lies below p, for t = ``_threshold(p)``: one compare per word.
-
-    numpy compares a uint64 array with a Python int exactly: numpy 2 by its
-    Python-int comparison loops, numpy 1.x in uint64 up to 2**64 - 1 and as
-    Python objects at t = 2**64 (p = 1), where every word lies below t.  At
-    t = 0 (p = 0) none does.
-    """
-    return np.less(words, t, out=out)
 
 
 def _bernoulli(p: float, seeds, count: int, stream: int = 0) -> np.ndarray:
     """(S, count) bool Bernoulli(p) entries, one row per seed, keyed by (seed, stream).
 
     Each row is ``Generator(Philox(key=(seed, stream))).random(count) < p``,
-    read from the raw words with one compare each (``_below``): one Philox
-    generator is re-keyed from one reused state dict, with counter 0 and an
-    empty buffer, before each draw, so no bits of one row reach the next.
+    read from the raw words with one compare each against ``_threshold(p)``:
+    one Philox generator is re-keyed from one reused state dict, with counter
+    0 and an empty buffer, before each draw, so no bits of one row reach the
+    next.
     Each seed must lie in [0, 2**64): numpy refuses any other key word with
     an ``OverflowError`` (the public entry points check theirs with ``_key``
     for an InputError).
@@ -230,7 +224,7 @@ def _bernoulli(p: float, seeds, count: int, stream: int = 0) -> np.ndarray:
     for k, seed in enumerate(seeds):
         state["state"]["key"] = (seed, stream)
         bits.state = state
-        _below(bits.random_raw(words_shape), t, out=out[k])
+        np.less(bits.random_raw(words_shape), t, out=out[k])
     return out
 
 

@@ -24,7 +24,6 @@ from .game import (
     _utilities,
     _weights,
     utility_profile,
-    weighted_welfare_gradient,
 )
 
 #: the flow is declared converged once the driving field is this small
@@ -106,7 +105,7 @@ def _integrate(game: Game, field, x0: np.ndarray, step: float, horizon: float,
     if stored > (memory := _physical_memory()):
         raise InputError(f"horizon/step is too large: {n_steps + 1} stored states of {game.n} floats, with their "
                          f"per-step records, take {stored} bytes, more than the {memory} bytes of physical memory")
-    x0 = game.require_feasible(np.asarray(x0, dtype=float))
+    x0 = game.require_feasible(x0)
     # row m holds the start (m = 0) or the state after step m; rows [0, filled) are written
     times, states, clipped = np.empty(shape[0]), np.empty(shape), np.zeros(shape[0], dtype=bool)
     times[0], states[0], filled = 0.0, x0, 1
@@ -176,9 +175,9 @@ def integrate_pseudo_gradient(
 
     energy_fn = None
     if x_star is not None:
-        x_star = game.require_feasible(np.asarray(x_star, dtype=float))
+        x_star = game.require_feasible(x_star)
         u_star = utility_profile(game, x_star)[0] @ alpha
-        g_star = weighted_welfare_gradient(game, alpha, x_star)
+        g_star = _run_field(game, alpha, welfare=True)(x_star)
 
         def energy_fn(xs, u):
             return u_star - u @ alpha + (xs - x_star) @ g_star
@@ -212,6 +211,8 @@ def _prepare_series(times, gaps):
         raise InputError("times and gaps must be 1-D arrays of equal length")
     if times.size < 10:
         raise InputError(f"need at least 10 samples, got {times.size}")
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(gaps))):  # NaN passes the tests below
+        raise InputError("degenerate series: non-finite times or gaps")
     if np.any(gaps <= 0):
         raise InputError("degenerate series: non-positive gaps")
     skip = int(FIT_DISCARD * times.size)
@@ -221,6 +222,8 @@ def _prepare_series(times, gaps):
 def fit_exponential(times, gaps) -> RateFit:
     """Fit log(gap) = log(A) + rate*t; r^2 measured on log(gap)."""
     t, g = _prepare_series(times, gaps)
+    if np.all(t == t[0]):  # no line through them: polyfit fails or warns
+        raise InputError("degenerate series: all times equal")
     logg = np.log(g)
     slope, intercept = np.polyfit(t, logg, 1)
     return RateFit("exponential", float(slope), _r_squared(logg, slope * t + intercept))
@@ -233,6 +236,8 @@ def fit_inverse_linear(times, gaps) -> RateFit:
     if int(np.sum(mask)) < 2:
         raise InputError("inverse-linear fit needs at least 2 samples with t > 0")
     u = 1.0 / t[mask]
+    if np.all(u == u[0]):
+        raise InputError("inverse-linear fit needs 1/t to take at least 2 values")
     slope, intercept = np.polyfit(u, g[mask], 1)
     return RateFit("inverse_linear", float(slope), _r_squared(g[mask], slope * u + intercept))
 

@@ -81,7 +81,7 @@ def _prep(game, gamma, step_eps, x0, tol, max_iter, betas=(0.0,)):
             raise InputError(f"the stop threshold tol * step_eps = {tol} * {eps} is not a positive finite float")
     if x0 is None:
         x0 = 0.5 * (game.lower + game.upper)
-    x0 = game.require_feasible(np.asarray(x0, dtype=float))
+    x0 = game.require_feasible(x0)
     return gamma, steps, x0
 
 

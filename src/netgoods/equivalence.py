@@ -85,9 +85,12 @@ def transform_game(game: Game, emap: EquivalenceMap) -> Game:
     if game.n != emap.n:
         raise InputError(f"map is for {emap.n} players, game has {game.n}")
     d, b = emap.d, emap.b
-    m = emap.shifts(game)
-    w2 = (d[:, None] * game.w) / d[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf*0 = nan, which the check below rejects
+        m = emap.shifts(game)
+        w2 = (d[:, None] * game.w) / d[None, :]
     np.fill_diagonal(w2, 1.0)
+    if not (np.all(np.isfinite(w2)) and np.all(np.isfinite(m))):
+        raise InputError("mapped couplings or gain shifts are not finite; map rejected")
     with np.errstate(over="ignore"):  # a bound that overflows is inf, which the check below rejects
         lower2, upper2 = d * game.lower + b, d * game.upper + b
     if np.max(np.abs(np.concatenate([lower2, upper2]))) > MAX_MAPPED_BOUND:

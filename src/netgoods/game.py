@@ -65,9 +65,8 @@ class Evaluator:
       side, +0.0 on the flat one), so the sum has the quadratic term's bits.
       A non-finite t, where mu*t + s would be NaN, still raises the same
       DomainError.
-    Its formula has one copy, a closure over the rows and these two choices
-    (``_d1``), bound when the evaluator is built; a run's field
-    (``_run_field``) calls that closure directly.
+    It is a closure over the rows and these two choices, bound as an
+    attribute when the evaluator is built, so a call pays one Python frame.
 
     Rows, one entry per player: ``k_lo`` and ``x_lo``, the lower ends of the
     value and cost domains; the value parameters ``v_scale``, ``v_shift``,
@@ -98,10 +97,28 @@ class Evaluator:
         (self.k_lo, self.x_lo, self.v_scale, self.v_shift, self.a, self.b, self.b2, self.clip, self.peak,
          self.log, self.mu, self.s, self.c_scale, self.c_shift, self.q, self.l, self.dq, self.dl) = cols
         # the value terms that can change a bit for some player; value_d1 skips the others
-        self._mapped = bool(np.count_nonzero((self.v_scale != 1.0) | (self.v_shift != 0.0)
-                                             | np.signbit(self.v_shift)))
-        self._logged = bool(np.count_nonzero((self.log != 0.0) | (self.mu != 0.0) | ~(self.s > 0.0)))
-        self._d1 = self._bind_d1()
+        self._mapped = mapped = bool(np.count_nonzero((self.v_scale != 1.0) | (self.v_shift != 0.0)
+                                                      | np.signbit(self.v_shift)))
+        self._logged = logged = bool(np.count_nonzero((self.log != 0.0) | (self.mu != 0.0) | ~(self.s > 0.0)))
+        v_scale, v_shift, a, b2, clip, log, mu, s = (self.v_scale, self.v_shift, self.a, self.b2, self.clip,
+                                                     self.log, self.mu, self.s)
+
+        def value_d1(k):
+            """f_i'(k_i)."""
+            t = (k - v_shift) / v_scale if mapped else k
+            if logged:
+                arg = mu * t + s
+                if np.count_nonzero(arg > _ZERO) != arg.size:
+                    _refuse_gain(k, arg)
+                out = log / arg + np.where(t <= clip, a - b2 * t, _ZERO)
+            else:
+                finite = np.isfinite(t)
+                if np.count_nonzero(finite) != finite.size:
+                    _refuse_gain(k, mu * t + s)  # NaN there
+                out = np.where(t <= clip, a - b2 * t, _ZERO)
+            return out / v_scale if mapped else out
+
+        self.value_d1 = value_d1  # no reference to self: the evaluator stays out of a cycle
 
     @classmethod
     def of(cls, values, costs) -> Evaluator:
@@ -153,36 +170,6 @@ class Evaluator:
         t = np.where(curved, t, 0.0)  # the flat side reads the peak, so its t*t must not overflow
         quad = np.where(curved, self.a * t - self.b * t * t, self.peak)
         return quad + self.log * np.log(arg)
-
-    def value_d1(self, k: np.ndarray) -> np.ndarray:
-        """f_i'(k_i)."""
-        return self._d1(k)
-
-    def _bind_d1(self):
-        """``value_d1`` as a closure over this evaluator's rows and skip flags (``_d1``).
-
-        A run's field (``_run_field``) calls it directly, so that a solver step
-        or an RK4 stage pays one Python frame here on top of its ufunc calls.
-        """
-        v_scale, v_shift, a, b2, clip, log, mu, s = (self.v_scale, self.v_shift, self.a, self.b2, self.clip,
-                                                     self.log, self.mu, self.s)
-        mapped, logged = self._mapped, self._logged  # no reference to self: the evaluator stays out of a cycle
-
-        def d1(k):
-            t = (k - v_shift) / v_scale if mapped else k
-            if logged:
-                arg = mu * t + s
-                if np.count_nonzero(arg > _ZERO) != arg.size:
-                    _refuse_gain(k, arg)
-                out = log / arg + np.where(t <= clip, a - b2 * t, _ZERO)
-            else:
-                finite = np.isfinite(t)
-                if np.count_nonzero(finite) != finite.size:
-                    _refuse_gain(k, mu * t + s)  # NaN there
-                out = np.where(t <= clip, a - b2 * t, _ZERO)
-            return out / v_scale if mapped else out
-
-        return d1
 
     def value_d2(self, k: np.ndarray) -> np.ndarray:
         """f_i''(k_i)."""
@@ -466,47 +453,44 @@ def utility_profile(game: Game, x: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _utilities(game: Game, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # x: as for _pseudo_gradient; its gains k = Wx and its utilities f(k) - c(x)
+    # x: a float array of profiles already inside the box, so nothing is validated; its gains k = Wx and
+    # its utilities f(k) - c(x)
     k = x @ game.w.T
     return k, game.evaluator.value(k) - game.evaluator.cost(x)
 
 
-def _pseudo_gradient(game: Game, x: np.ndarray) -> np.ndarray:
-    # x: a float array of profiles already inside the box, so nothing is validated
-    return game.evaluator.value_d1(x @ game.w.T) - game.evaluator.cost_d1(x)
-
-
-def _sw_gradient(game: Game, x: np.ndarray) -> np.ndarray:
-    # x: as for _pseudo_gradient
-    return game.evaluator.value_d1(x @ game.w.T) @ game.w - game.evaluator.cost_d1(x)
-
-
 def _run_field(game: Game, alpha: np.ndarray | None = None, welfare: bool = False):
-    """One run's field, built before its first step: x -> alpha * _pseudo_gradient(x), or _sw_gradient(x).
+    """The field, the one copy of its formulas, as a function of in-box profiles x (batched).
 
-    It binds W.T, the cost slope and the evaluator's value_d1 closure, with the
-    terms that closure skips, so each call costs its ufunc calls and three
-    Python frames (its own, the closure's and the cost slope's).  The product with ``alpha`` is skipped when every entry is 1.0:
-    1.0*g is g bit for bit.  The bits are those of the unbound fields; x must
-    lie in the box, as for ``_pseudo_gradient``, and nothing is validated.
+    It is the alpha-scaled pseudo-gradient x -> alpha * (f'(Wx) - c'(x)), or
+    with ``welfare`` the gradient of the alpha-weighted welfare,
+    x -> (alpha * f'(Wx)) W - alpha * c'(x).  A run builds it once, before its
+    first step, and a public field on each call.  It binds W.T, the cost slope
+    and the evaluator's ``value_d1`` closure, so each call costs its ufunc
+    calls and three Python frames (its own, ``value_d1``'s and the cost
+    slope's).  The products with ``alpha`` are skipped when it is None or
+    every entry is 1.0: 1.0*g is g bit for bit.  Nothing is validated.
     """
     ev, w = game.evaluator, game.w
-    d1, c1, wt = ev._d1, ev.cost_d1, w.T
+    d1, c1, wt = ev.value_d1, ev.cost_d1, w.T
+    ones = alpha is None or not np.count_nonzero(alpha != 1.0)
     if welfare:
-        return lambda x: d1(x @ wt) @ w - c1(x)
-    if alpha is None or not np.count_nonzero(alpha != 1.0):
+        if ones:
+            return lambda x: d1(x @ wt) @ w - c1(x)
+        return lambda x: (alpha * d1(x @ wt)) @ w - alpha * c1(x)
+    if ones:
         return lambda x: d1(x @ wt) - c1(x)
     return lambda x: alpha * (d1(x @ wt) - c1(x))
 
 
 def pseudo_gradient(game: Game, x: np.ndarray) -> np.ndarray:
     """Own-action utility derivatives (f_i'(k_i) - c_i'(x_i))_i (unit diagonal; batched)."""
-    return _pseudo_gradient(game, game.require_feasible(x))
+    return _run_field(game)(game.require_feasible(x))
 
 
 def sw_gradient(game: Game, x: np.ndarray) -> np.ndarray:
     """Gradient of social welfare: component j is sum_i f_i'(k_i) w_ij - c_j'(x_j) (batched)."""
-    return _sw_gradient(game, game.require_feasible(x))
+    return _run_field(game, welfare=True)(game.require_feasible(x))
 
 
 def _weights(game: Game, v, name: str) -> np.ndarray:
@@ -525,9 +509,7 @@ def _default_gamma(game: Game, gamma) -> np.ndarray:
 def weighted_welfare_gradient(game: Game, gamma: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Gradient of the gamma-weighted welfare (batched)."""
     gamma = _weights(game, gamma, "gamma")
-    x = game.require_feasible(x)
-    fp = gamma * game.evaluator.value_d1(gains(game, x))
-    return fp @ game.w - gamma * game.evaluator.cost_d1(x)
+    return _run_field(game, gamma, welfare=True)(game.require_feasible(x))
 
 
 def externality(game: Game, i: int, x: np.ndarray) -> float:
@@ -574,8 +556,7 @@ def br_gap(game: Game, x: np.ndarray) -> tuple[float, int]:
 
 
 def _br_gap(game: Game, x: np.ndarray, k: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # x: as for _pseudo_gradient, k and u its gains and utilities (_utilities); a deviation's gain is
-    # its utility less u
+    # x: as for _utilities, k and u its gains and utilities there; a deviation's gain is its utility less u
     ev, d = game.evaluator, k - np.diag(game.w) * x
     br = _best_responses(ev, d, game.lower, game.upper)
     gaps = (ev.value(br + d) - ev.cost(br)) - u

@@ -19,7 +19,7 @@ import numpy as np
 from .equilibrium import solve_ne
 from .errors import InputError, SingularMatrixError
 from .functions import _reparam
-from .game import Game, gains, pseudo_gradient, utility_profile
+from .game import Game, gains, utility_profile
 
 #: componentwise stationarity required of the supplied equilibrium
 STATIONARITY_TOL = 1e-8
@@ -72,8 +72,10 @@ def _delta(game: Game, delta) -> np.ndarray:
 
 
 def _interior_curvatures(game: Game, x_star: np.ndarray):
-    x_star = game.require_feasible(np.asarray(x_star, dtype=float))
-    pg = pseudo_gradient(game, x_star)
+    x_star = game.require_feasible(x_star)
+    ev, k = game.evaluator, gains(game, x_star)
+    fp = ev.value_d1(k)
+    pg = fp - ev.cost_d1(x_star)  # the pseudo-gradient
     if np.max(np.abs(pg)) > STATIONARITY_TOL:
         i = int(np.argmax(np.abs(pg)))
         raise InputError(
@@ -86,9 +88,7 @@ def _interior_curvatures(game: Game, x_star: np.ndarray):
             f"x_star sits on the box boundary (margin {margin:.3g}); "
             "interior equilibrium required"
         )
-    ev = game.evaluator
-    k = gains(game, x_star)
-    fp, fpp, cpp = ev.value_d1(k), ev.value_d2(k), ev.dq
+    fpp, cpp = ev.value_d2(k), ev.dq
     warnings = tuple(f"player {i}: equilibrium gain within {KINK_WARN_TOL:g} of a value "
                      "kink; second derivative uses the curved-side convention"
                      for i in np.flatnonzero(np.abs(k - ev.value_kink()) < KINK_WARN_TOL))

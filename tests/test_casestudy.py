@@ -416,7 +416,7 @@ class TestMonteCarloCase1:
         # the one compare r < c * 2**11 must agree on hand-made words at both ends of the word range,
         # on each side of c * 2**11 (no word at p = 1, where it is 2**64) under four patterns of
         # the 11 dropped bits, and on random words
-        from netgoods.casestudy import _below, _threshold
+        from netgoods.casestudy import _threshold
 
         c = math.ceil(math.ldexp(p, 53))
         t = _threshold(p)
@@ -426,12 +426,12 @@ class TestMonteCarloCase1:
         crafted += [0, t - 1, t, 2**64 - 1]
         words = np.array([w for w in crafted if 0 <= w < 2**64], dtype=np.uint64)
         words = np.concatenate([words, np.random.Philox(key=[3, 0]).random_raw(1000)])
-        got = _below(words, t)
+        got = np.less(words, t)
         assert got.dtype == bool and got.shape == words.shape
         assert np.array_equal(got, (words >> np.uint64(11)) < np.uint64(c))  # c <= 2**53 fits a uint64
         assert np.array_equal(got, (words >> np.uint64(11)) * 2.0**-53 < p)  # the double numpy draws
         if 0 < c < 2**53:  # the word c * 2**11 is the first that fails: a compare r <= c * 2**11 would take it
-            assert _below(np.array([t - 1, t], dtype=np.uint64), t).tolist() == [True, False]
+            assert np.less(np.array([t - 1, t], dtype=np.uint64), t).tolist() == [True, False]
 
     @pytest.mark.parametrize("p", [0.0, 2.0**-53, 1 / 50, 0.5, 1 - 2.0**-53, 1.0])
     @pytest.mark.parametrize("stream", [0, 1])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -219,7 +221,7 @@ class TestFitRate:
         fit = fit_exponential(t, g)
         assert fit.rate == pytest.approx(-2.0, abs=1e-6)
 
-    def test_degenerate_series(self):
+    def test_degenerate_series(self, capfd):
         t = np.linspace(0, 1, 20)
         with pytest.raises(InputError):
             fit_rate(t, np.zeros(20))
@@ -227,11 +229,29 @@ class TestFitRate:
             fit_rate(t, np.ones(20))
         with pytest.raises(InputError):
             fit_rate(t[:5], np.exp(-t[:5]))
+        # a NaN gap once fit to rate nan with r^2 = 1; an inf gap, a NaN time and equal times ran into LAPACK
+        for at, bad in (("gaps", np.nan), ("gaps", np.inf), ("times", np.nan), ("times", -np.inf)):
+            series = {"times": t.copy(), "gaps": np.exp(-t)}
+            series[at][10] = bad
+            with pytest.raises(InputError, match="non-finite times or gaps"):
+                fit_rate(**series)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # polyfit's RankWarning too
+            with pytest.raises(InputError, match="all times equal"):
+                fit_rate(np.full(20, 0.5), np.exp(-t))
+        assert capfd.readouterr() == ("", "")  # no LAPACK error printed
 
     def test_inverse_linear_needs_positive_times(self):
         t = np.linspace(-2, -1, 50)
         with pytest.raises(InputError):
             fit_inverse_linear(t, np.exp(-t))
+        # two equal positive times give one 1/t: no line through them, so no fit (it once warned, r^2 = 0)
+        t[-2:] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="1/t to take at least 2 values"):
+                fit_inverse_linear(t, np.exp(-t))
+            assert fit_rate(t, np.exp(-t)) == fit_exponential(t, np.exp(-t))
 
 
     def test_fit_rate_falls_back_to_the_exponential(self):

@@ -100,6 +100,12 @@ class TestTransformGame:
     def test_bound_magnitude_guard(self, n1_game):
         with pytest.raises(InputError, match="mapped bounds exceed"):
             transform_game(n1_game, EquivalenceMap(d=np.array([1e13]), b=np.zeros(1)))
+        # the bounds stay inside MAX_MAPPED_BOUND, but d_0 w_01 / d_1 overflows (a RuntimeWarning, raised as an
+        # error in this suite, before the map was refused), and so does b_1 / d_1 in the gain shifts
+        g = make_two_player_triangular()
+        for d, b in (([1e12, 1e-300], [0.0, 0.0]), ([1.0, 1e-300], [0.0, 1e10])):
+            with pytest.raises(InputError, match="not finite; map rejected"):
+                transform_game(g, EquivalenceMap(d=np.array(d), b=np.array(b)))
 
 
 class TestMapProfile:

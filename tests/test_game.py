@@ -28,9 +28,7 @@ from netgoods.game import (
     Game,
     _best_responses,
     _fold,
-    _pseudo_gradient,
     _run_field,
-    _sw_gradient,
     best_response,
     br_gap,
     evaluate,
@@ -664,7 +662,7 @@ class TestSkippedTerms:
             col = ev.column(i)
             assert same_bits(col.value_d1(k[:, i]), general_value_d1(col, k[:, i]))
         x = game.lower + np.random.default_rng(1).random((5, game.n)) * (game.upper - game.lower)
-        assert same_bits(_pseudo_gradient(game, x), general_value_d1(ev, x @ game.w.T) - ev.cost_d1(x))
+        assert same_bits(pseudo_gradient(game, x), general_value_d1(ev, x @ game.w.T) - ev.cost_d1(x))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("name", ["er", "er_one_mapped_value"])
@@ -691,6 +689,16 @@ def weakly_coupled_game(values, costs, rng):
     return Game(w=w, lower=lo, upper=lo + 0.5, values=tuple(values), costs=tuple(costs))
 
 
+def pseudo_gradient_formula(game, x):
+    """Reference: the pseudo-gradient f'(Wx) - c'(x), written out."""
+    return game.evaluator.value_d1(x @ game.w.T) - game.evaluator.cost_d1(x)
+
+
+def welfare_gradient_formula(game, alpha, x):
+    """Reference: the alpha-weighted welfare gradient (alpha * f'(Wx)) W - alpha * c'(x), written out."""
+    return (alpha * game.evaluator.value_d1(x @ game.w.T)) @ game.w - alpha * game.evaluator.cost_d1(x)
+
+
 class TestPrivateFields:
     def games(self):
         rng = np.random.default_rng(31)
@@ -706,8 +714,8 @@ class TestPrivateFields:
             xs = g.lower + rng.random((9, g.n)) * (g.upper - g.lower)
             xs[0], xs[1] = g.lower, g.upper
             for x in (xs, xs[3]):
-                assert same_bits(_pseudo_gradient(g, x), pseudo_gradient(g, x))
-                assert same_bits(_sw_gradient(g, x), sw_gradient(g, x))
+                assert same_bits(pseudo_gradient(g, x), pseudo_gradient_formula(g, x))
+                assert same_bits(sw_gradient(g, x), welfare_gradient_formula(g, np.ones(g.n), x))
 
     def test_public_fields_still_validate(self):
         g = next(self.games())
@@ -723,7 +731,7 @@ class TestPrivateFields:
 
 
 class TestRunField:
-    """A run's field, built once, has the unbound fields' bits, and refuses gains outside the value domains."""
+    """A run's field, built once, has the written-out formulas' bits, and refuses gains outside the value domains."""
 
     PAIRS = [(v, c) for v in BASE_VALUES for c in BASE_COSTS]
 
@@ -743,10 +751,13 @@ class TestRunField:
         xs[0], xs[1] = g.lower, g.upper
         sw = _run_field(g, welfare=True)
         for alpha in (np.ones(g.n), np.linspace(0.5, 2.0, g.n)):
-            field = _run_field(g, alpha)
+            field, weighted = _run_field(g, alpha), _run_field(g, alpha, welfare=True)
             for x in (xs, xs[3]):
-                assert same_bits(field(x), alpha * _pseudo_gradient(g, x))
-                assert same_bits(sw(x), _sw_gradient(g, x))
+                assert same_bits(field(x), alpha * pseudo_gradient_formula(g, x))
+                want = welfare_gradient_formula(g, alpha, x)
+                assert same_bits(weighted(x), want)
+                assert same_bits(weighted_welfare_gradient(g, alpha, x), want)
+                assert same_bits(sw(x), welfare_gradient_formula(g, np.ones(g.n), x))
 
     @pytest.mark.parametrize("value", BASE_VALUES, ids=["quad", "log"])
     def test_gains_outside_the_value_domains_raise(self, value):

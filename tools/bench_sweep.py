@@ -31,15 +31,13 @@ flow-rk4 games):
 - ``certify_any`` with its defaults;
 - ``certify_report``: ``dumps_canonical`` of the report that ``netgoods
   certify`` builds from that certificate (``bytes`` its length): its matrix
-  as the sparse object when fewer than a third of the entries are stored (a
-  source tree without ``cli._certificate_doc`` writes it dense);
+  as the sparse object when fewer than a third of the entries are stored;
 - ``_sigma_bound`` (the rounding-safe sigma_max behind every certificate and
   the default solver step) on the game's |W|;
 - ``load_game`` on the game written by ``save_game``: an ER file holds W in
   its sparse rows/cols/vals form and every player is the same (value, cost)
   pair, while a ``fixed_work_game`` file holds W as the dense n*n list and
-  consecutive players always differ (a source tree without sparse W writes
-  both dense);
+  consecutive players always differ;
 - ``save_game`` of the game to a file: sparse W for ER, dense for
   ``fixed_work_game``.
 
@@ -50,9 +48,7 @@ b = 1, c0 = 1), on the draws of ``sample_seed(5, s)``:
   ``casestudy case1`` does (``_sample_seeds``);
 - ``edges``: drawing one chunk of samples' edges as bool arrays, from raw
   Philox words against the integer threshold (``_edges``), as the Monte
-  Carlo draws it at n = 50: ``CHUNK_ENTRIES // n**2`` samples (104; a source
-  tree that draws ``SIGMA_CHUNK`` samples to a chunk is timed on the same
-  104, so both trees draw the same words);
+  Carlo draws it at n = 50: ``CHUNK_ENTRIES // n**2`` samples (104);
 - ``degree_stats``: the delta statistics and residual peaks of that chunk,
   read from its degrees (``_degree_stats``), which is all the Monte Carlo
   reads at c0 = b = 1;
@@ -61,8 +57,7 @@ b = 1, c0 = 1), on the draws of ``sample_seed(5, s)``:
   the ``sigma_maxes`` column bounds them (it drops their zero rows itself);
 - ``monte_carlo_case1`` with 100 samples;
 - ``case1_sigma_maxes``: the same Monte Carlo, then a read of its
-  ``sigma_maxes`` column, as ``netgoods casestudy case1 --csv`` reads it (a
-  source tree whose Monte Carlo stores the column reads it for free).
+  ``sigma_maxes`` column, as ``netgoods casestudy case1 --csv`` reads it.
 
 Each timing is the minimum over ``REPEATS`` runs, blocks of calls for the
 fast ones (see ``Timer``); the case-1 rows take ``CASE1_REPEATS``, since at 5
@@ -106,8 +101,6 @@ CASE1 = (50, 1.0, 3.0, 1.0, 1.0)
 CASE1_SAMPLES = 100
 #: sample keys derived by the case1_keys row (perfbench's case1-mc runs 1000 samples)
 CASE1_KEYS = 1000
-#: entries of the case-1 chunk rows in a source tree without ``casestudy.CHUNK_ENTRIES``
-CASE1_CHUNK_ENTRIES = 1 << 18
 
 
 def _load(name: str, path: str):
@@ -172,15 +165,11 @@ def sweep_game(game, timer) -> dict:
     import numpy as np
 
     from netgoods.certificates import _sigma_bound, certify_any
+    from netgoods.cli import _certificate_doc
     from netgoods.dynamics import integrate_pseudo_gradient, integrate_sw_flow, trajectory_to_csv
     from netgoods.equilibrium import multi_start_probe, solve_ne, solve_regularized
     from netgoods.game import best_response, br_gap, pseudo_gradient
     from netgoods.gamefile import dumps_canonical, load_game, save_game
-
-    try:
-        from netgoods.cli import _certificate_doc
-    except ImportError:  # a source tree that writes every report matrix dense
-        _certificate_doc = vars
 
     centre = 0.5 * (game.lower + game.upper)
     row = {}
@@ -224,13 +213,13 @@ def sweep_game(game, timer) -> dict:
 
 
 def sweep_case1(timer) -> dict:
-    from netgoods import casestudy
-    from netgoods.casestudy import _degree_stats, _edges, _residual, _sample_seeds, monte_carlo_case1, sample_seed
+    from netgoods.casestudy import (CHUNK_ENTRIES, _degree_stats, _edges, _residual, _sample_seeds,
+                                    monte_carlo_case1, sample_seed)
     from netgoods.certificates import _sigma_bound
 
     n, p0, a, b, c0 = CASE1
     p = p0 / n
-    stack = max(1, getattr(casestudy, "CHUNK_ENTRIES", CASE1_CHUNK_ENTRIES) // (n * n))
+    stack = max(1, CHUNK_ENTRIES // (n * n))
     seeds = [sample_seed(5, s) for s in range(stack)]
     row = {}
     row["case1_keys"], _ = timer(lambda: _sample_seeds(5, CASE1_KEYS))
